@@ -1,5 +1,5 @@
-//! `cqi-mcheck`: runs the runtime's concurrency protocols (offer/confirm
-//! dedupe, striped L2 memo, resident-pool ticketed injector) under the
+//! `cqi-mcheck`: runs the runtime's concurrency protocols (striped L2
+//! memo, resident-pool ticketed injector, wave-visible accepts) under the
 //! vendored bounded-exhaustive model checker, including the seeded-fault
 //! self-tests that prove the checker can actually catch each protocol's
 //! characteristic bug.

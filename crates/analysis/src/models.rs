@@ -1,6 +1,6 @@
 //! Model programs: the runtime's three concurrency protocols run under the
 //! vendored `loom` checker's bounded exhaustive scheduler, against the
-//! *real* production types (`ShardedDedupe`, `StripedMemo`, `ResidentPool`)
+//! *real* production types (`StripedMemo`, `ResidentPool`, `WaveVisible`)
 //! — `cqi-runtime`'s `model-check` feature routes their synchronization
 //! through instrumented primitives, so every interleaving the scheduler
 //! explores is an interleaving the production protocol could exhibit.
@@ -12,7 +12,6 @@
 //!
 //! | protocol | clean property | seeded fault |
 //! |---|---|---|
-//! | dedupe offer/confirm | exactly one representative per iso-class survives, and it is the min-seq candidate | confirming without the wave barrier double-elects |
 //! | striped memo | first-writer-wins races are value-benign (stored values are pure functions of keys) | an impure (writer-dependent) value makes the surviving value schedule-dependent |
 //! | pool injector | batches complete, nested submission and the `BatchGuard` panic path never deadlock or lose a wakeup | skipping the last entrant's idle notify strands the submitter's barrier (lost wakeup → deadlock) |
 //! | wave-visible accepts | publication is pinned to the wave boundary: a racing snapshot sees the whole boundary batch or none of it, never a partial prefix | publishing after each note (mid-wave) exposes a partial set to a concurrent reader |
@@ -20,7 +19,6 @@
 use std::sync::atomic::{AtomicU64 as PlainU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cqi_runtime::dedupe::{Offer, SetKey, ShardedDedupe};
 use cqi_runtime::memo::StripedMemo;
 use cqi_runtime::pool::{fault, ResidentPool};
 use cqi_runtime::WaveVisible;
@@ -61,82 +59,6 @@ impl ModelOutcome {
         } else {
             self.report.violation.is_none() && self.report.exhausted
         }
-    }
-}
-
-fn iso(a: &(u32, u32), b: &(u32, u32)) -> bool {
-    a.0 == b.0
-}
-
-fn skey(signature: u64, digest: u64) -> SetKey {
-    SetKey { signature, digest }
-}
-
-/// Clean: two racing candidates of one iso-class, offers separated from
-/// confirms by the wave barrier (the joins) — exactly one survivor, and it
-/// is the minimum-sequence candidate, under every interleaving.
-pub fn dedupe_offer_confirm() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let set: Arc<ShardedDedupe<(u32, u32)>> = Arc::new(ShardedDedupe::new(1));
-        let handles: Vec<_> = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .map(|(seq, digest)| {
-                let set = Arc::clone(&set);
-                loom::thread::spawn(move || {
-                    set.offer(skey(7, digest), seq, &(1, seq as u32), &iso)
-                })
-            })
-            .collect();
-        let verdicts: Vec<Offer> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Wave barrier passed: confirm each candidate.
-        let survivors = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .filter(|&(seq, digest)| set.confirm(skey(7, digest), seq, &(1, seq as u32), &iso))
-            .collect::<Vec<_>>();
-        assert_eq!(
-            survivors,
-            vec![(0, 10)],
-            "exactly the min-seq candidate survives (verdicts: {verdicts:?})"
-        );
-        assert_eq!(set.len(), 1, "one representative per iso-class");
-    });
-    ModelOutcome {
-        name: "dedupe_offer_confirm",
-        expect_violation: false,
-        report,
-    }
-}
-
-/// Seeded fault (usage-level): each candidate confirms immediately after
-/// its own offer, skipping the wave barrier. An interleaving where the
-/// later-seq candidate offers *and confirms* before the earlier one
-/// arrives double-elects — the checker must find it.
-pub fn dedupe_skip_barrier_fault() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let set: Arc<ShardedDedupe<(u32, u32)>> = Arc::new(ShardedDedupe::new(1));
-        let handles: Vec<_> = [(0u64, 10u64), (1, 11)]
-            .into_iter()
-            .map(|(seq, digest)| {
-                let set = Arc::clone(&set);
-                loom::thread::spawn(move || {
-                    // BUG: no barrier between offer and confirm.
-                    let v = set.offer(skey(7, digest), seq, &(1, seq as u32), &iso);
-                    v == Offer::Tentative
-                        && set.confirm(skey(7, digest), seq, &(1, seq as u32), &iso)
-                })
-            })
-            .collect();
-        let elected = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|&confirmed| confirmed)
-            .count();
-        assert!(elected <= 1, "double election");
-    });
-    ModelOutcome {
-        name: "dedupe_skip_barrier_fault",
-        expect_violation: true,
-        report,
     }
 }
 
@@ -343,7 +265,7 @@ pub fn wave_visible_publish_at_boundary() -> ModelOutcome {
 /// publication mid-wave instead of pinned to the boundary. The
 /// interleaving where the reader snapshots between the two publishes
 /// observes a one-entry partial set, which the checker must exhibit
-/// (this is exactly the divergence the schedulers' boundary-only publish
+/// (this is exactly the divergence the driver's boundary-only publish
 /// rule exists to prevent).
 pub fn wave_visible_midwave_publish_fault() -> ModelOutcome {
     let report = builder(2).check(|| {
@@ -373,8 +295,6 @@ pub fn wave_visible_midwave_publish_fault() -> ModelOutcome {
 pub fn all_models() -> Vec<ModelOutcome> {
     let _g = run_lock().lock().unwrap();
     vec![
-        dedupe_offer_confirm(),
-        dedupe_skip_barrier_fault(),
         memo_first_writer_wins(),
         memo_impure_value_fault(),
         injector_batch_lifecycle(),

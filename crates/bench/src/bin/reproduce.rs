@@ -21,9 +21,10 @@ struct Opts {
     beers_limit: usize,
     tpch_limit: usize,
     quick: bool,
-    /// Chase worker budget (`ChaseConfig::threads`): 1 = sequential
-    /// (default), 0 = all cores. Parallel runs produce identical figures —
-    /// the runtime's determinism guarantee — so this only moves wall-clock.
+    /// Chase worker budget for root-job fan-out (`ChaseConfig::threads`):
+    /// 1 = sequential (default), 0 = all cores. Parallel runs produce
+    /// identical figures — the runtime's determinism guarantee — so this
+    /// only moves wall-clock.
     threads: usize,
     /// When set, every table/series is also written there as CSV plus a
     /// combined `figures.json` (machine-readable, CI-diffable).
@@ -165,19 +166,9 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
             "resident_pool".to_owned(),
             (resolved > 1).to_string(),
         ],
-        vec![
-            "parallel_min_frontier".to_owned(),
-            defaults.parallel_min_frontier.to_string(),
-        ],
-        vec![
-            "nested_min_wave".to_owned(),
-            defaults.nested_min_wave.to_string(),
-        ],
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
         vec!["incremental".to_owned(), defaults.incremental.to_string()],
         vec!["subsume_prune".to_owned(), defaults.subsume_prune.to_string()],
-        vec!["wave_batch".to_owned(), defaults.wave_batch.to_string()],
-        vec!["digest_cache".to_owned(), defaults.digest_cache.to_string()],
         vec!["timeout_s".to_owned(), format!("{}", o.timeout.as_secs_f64())],
         vec!["beers_limit".to_owned(), o.beers_limit.to_string()],
         vec!["tpch_limit".to_owned(), o.tpch_limit.to_string()],
@@ -189,9 +180,9 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
     }
 }
 
-/// Workload-aggregated engine counters ([`cqi_core::ChaseStats`]): waves,
-/// steal/batch traffic, and the hit rate of every memo tier — printed and
-/// mirrored into `figures.json` next to the figures they annotate.
+/// Workload-aggregated engine counters ([`cqi_core::ChaseStats`]): root
+/// fan-out and steal traffic, and the hit rate of every memo tier — printed
+/// and mirrored into `figures.json` next to the figures they annotate.
 fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
     let mut t = cqi_core::ChaseStats::default();
     for r in records {
@@ -200,8 +191,8 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
     let pct = |r: f64| format!("{:.1}%", r * 100.0);
     println!("\n== {label}: engine counters ==");
     println!(
-        "  waves: {} ({} spilled)   batches: {} resident / {} scoped   steals: {}",
-        t.waves, t.spilled_waves, t.resident_batches, t.scoped_batches, t.steals
+        "  root fan-outs: {}   steals: {}",
+        t.resident_batches, t.steals
     );
     println!(
         "  solver memo hit rate: L1 {} / L2 {}   sat-state: L1 {} / L2 {}",
@@ -215,19 +206,14 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks, t.incr_extends, t.incr_fallbacks
     );
     println!(
-        "  subsumed subtrees: {}   digest cache: {} of {} probes   wave batch: {} problems / {} classes",
+        "  subsumed subtrees: {}   digest cache: {} of {} probes",
         t.subsumed_subtrees,
         pct(t.digest_hit_rate()),
         t.digest_hits + t.digest_recomputes,
-        t.wave_batch_problems,
-        t.wave_batch_classes,
     );
     let rows = vec![
-        vec!["waves".to_owned(), t.waves.to_string()],
-        vec!["spilled_waves".to_owned(), t.spilled_waves.to_string()],
         vec!["steals".to_owned(), t.steals.to_string()],
         vec!["resident_batches".to_owned(), t.resident_batches.to_string()],
-        vec!["scoped_batches".to_owned(), t.scoped_batches.to_string()],
         vec!["dedupe_offers".to_owned(), t.dedupe_offers.to_string()],
         vec!["dedupe_duplicates".to_owned(), t.dedupe_duplicates.to_string()],
         vec!["dedupe_iso_checks".to_owned(), t.dedupe_iso_checks.to_string()],
@@ -247,14 +233,6 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         vec![
             "digest_hit_rate".to_owned(),
             format!("{:.4}", t.digest_hit_rate()),
-        ],
-        vec![
-            "wave_batch_problems".to_owned(),
-            t.wave_batch_problems.to_string(),
-        ],
-        vec![
-            "wave_batch_classes".to_owned(),
-            t.wave_batch_classes.to_string(),
         ],
     ];
     if let Some(sink) = o.sink.as_mut() {

@@ -10,9 +10,8 @@
 //! 1. the file is well-formed JSON (`cqi_instance::json_well_formed`);
 //! 2. it contains at least one complete (`"ph": "X"`) `explain` span —
 //!    the per-request root;
-//! 3. at least one wave-level span (`wave` from the parallel scheduler or
-//!    `nested_wave`/`root_job` from the chase) is time-contained in the
-//!    `explain` span;
+//! 3. at least one wave-level span (`root_job`/`nested_wave` from the
+//!    chase) is time-contained in the `explain` span;
 //! 4. at least one solver-category span (`canonicalize`, `l1_lookup`,
 //!    `solve`, ...) is time-contained in the `explain` span.
 //!
@@ -86,8 +85,10 @@ fn field_num(obj: &str, key: &str) -> Option<f64> {
 }
 
 /// Span names that count as the wave level of the request → wave →
-/// solver nesting. `wave` only exists on parallel runs; the chase's own
-/// `nested_wave`/`root_job` spans cover sequential ones.
+/// solver nesting. The chase emits `root_job` around every root search and
+/// `nested_wave` around every generation of a recursive sub-BFS, at any
+/// thread budget; the generic `wave` name is accepted too, so a trace
+/// that only marks generations that way still validates.
 const WAVE_NAMES: [&str; 3] = ["wave", "nested_wave", "root_job"];
 
 /// Span names that count as solver work (the chase's phase-attributed

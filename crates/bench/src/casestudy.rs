@@ -77,7 +77,11 @@ pub fn print_case_study(limit: usize, timeout: Duration) {
         println!(
             "minimal c-solution (Disj-Add, limit {limit}): {} instance(s){}",
             sol.num_coverages(),
-            if sol.timed_out { " [timed out]" } else { "" }
+            if sol.interrupted.is_some() {
+                " [stopped early]"
+            } else {
+                ""
+            }
         );
         for (i, si) in sol.instances.iter().enumerate() {
             println!("-- c-instance #{} (size {}):", i + 1, si.size());

@@ -17,7 +17,8 @@ pub struct RunRecord {
     pub variant: Variant,
     pub metrics: Metrics,
     pub runtime: Duration,
-    pub timed_out: bool,
+    /// Why the run stopped early (deadline or cancellation), if it did.
+    pub interrupted: Option<cqi_core::Interrupted>,
     pub num_coverages: usize,
     pub mean_size: f64,
     pub raw_accepted: usize,
@@ -27,7 +28,7 @@ pub struct RunRecord {
     /// common-coverage size comparison.
     pub coverages: Vec<Vec<u32>>,
     pub sizes_by_coverage: BTreeMap<Vec<u32>, usize>,
-    /// Engine counters of this run (waves, memo tier hit rates, …).
+    /// Engine counters of this run (root fan-outs, memo tier hit rates, …).
     pub stats: cqi_core::ChaseStats,
 }
 
@@ -52,7 +53,7 @@ pub fn run_one(dq: &DatasetQuery, variant: Variant, cfg: &ChaseConfig) -> RunRec
         variant,
         metrics: Metrics::of(&dq.query),
         runtime: sol.total_time,
-        timed_out: sol.timed_out,
+        interrupted: sol.interrupted,
         num_coverages: sol.num_coverages(),
         mean_size: sol.mean_size(),
         raw_accepted: sol.raw_accepted,

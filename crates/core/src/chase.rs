@@ -13,25 +13,23 @@
 //!
 //! ## Execution model (`cqi-runtime`)
 //!
-//! The *top-level* frontier of Algorithm 1 is a work-list of independent
-//! branch candidates, and expanding one candidate is a pure function of the
-//! candidate — all mutable state ([`WorkerCtx`]: solver memos, saturated
-//! states, sub-BFS results) only affects speed. [`Chase`] therefore routes
-//! the top-level loop through a [`cqi_runtime::FrontierScheduler`]:
-//! sequentially with one context when `ChaseConfig::threads <= 1`,
-//! wave-parallel over per-worker contexts otherwise, with the `visited`
-//! check backed by [`cqi_runtime::ShardedDedupe`] keyed on the
-//! [`signature`]/[`exact_digest`] iso-invariants. Multi-root runs (the
-//! `Conj-*` tree sets and the `*-Add` re-seeds) additionally fan out whole
-//! root searches across workers ([`Chase::run_roots`]). Results are merged
-//! in FIFO/job order, so parallel runs accept the *same instances in the
-//! same order* as sequential ones (asserted by
+//! Each root search is one FIFO BFS: [`Chase`] drives its top-level
+//! frontier through [`cqi_runtime::drive`] on one worker context, with the
+//! `visited` check backed by a [`cqi_runtime::VisitedSet`] keyed on the
+//! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
+//! ([`WorkerCtx`]: solver memos, saturated states, sub-BFS results) only
+//! affects speed. The only parallel axis is across roots: multi-root runs
+//! (the `Conj-*` tree sets and the `*-Add` re-seeds) fan whole root
+//! searches out over the session's resident pool when
+//! `ChaseConfig::threads > 1` ([`Chase::run_roots`]), and merge their
+//! results in job order, so parallel runs accept the *same instances in
+//! the same order* as sequential ones (asserted by
 //! `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,14 +39,13 @@ use cqi_instance::consistency::{
     conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
 };
 use cqi_instance::{
-    digest_stats, exact_digest, exact_digest_fresh, is_isomorphic, signature, signature_fresh,
-    subsumes, CInstance, Cond,
+    digest_stats, exact_digest, is_isomorphic, signature, subsumes, CInstance, Cond,
 };
 use cqi_runtime::{
-    DriveStats, Exec, Expansion, FrontierScheduler, FrontierTask, MemoCounts, ParallelScheduler,
-    ResidentPool, RunCounters, SequentialScheduler, SetKey, StripedMemo, WaveVisible,
+    drive, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool, RunCounters,
+    SetKey, StripedMemo, WaveVisible,
 };
-use cqi_solver::canon::{canonicalize, CanonKey, Canonical};
+use cqi_solver::canon::{canonicalize, CanonKey};
 use cqi_solver::{CacheStats, Ent, Lit, Model, SaturatedState, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
@@ -65,8 +62,7 @@ const SAT_MEMO_CAP: usize = 200_000;
 /// worker's L1 capacity because it serves every worker of a session.
 const SHARED_SOLVER_CAP: usize = 32_768;
 
-/// Lock stripes of each shared memo (mirrors `ShardedDedupe`'s striping;
-/// power of two).
+/// Lock stripes of each shared memo (power of two).
 const MEMO_STRIPES: usize = 64;
 
 /// Bound on the subsumption-prune comparison set, total across coverage
@@ -87,27 +83,6 @@ const SUBSUME_CLASS_CAP: usize = 8;
 /// attempts the result is kept — pruning is best-effort, keeping is always
 /// sound.
 const NESTED_SUBSUME_ATTEMPTS: usize = 16;
-
-/// [`exact_digest`] honoring [`ChaseConfig::digest_cache`]: the A/B knob
-/// routes every chase-side digest probe to the memo-backed or the
-/// from-scratch computation (same value either way).
-fn digest_of(cfg: &ChaseConfig, inst: &CInstance) -> u64 {
-    if cfg.digest_cache {
-        exact_digest(inst)
-    } else {
-        exact_digest_fresh(inst)
-    }
-}
-
-/// [`signature`] honoring [`ChaseConfig::digest_cache`]; twin of
-/// [`digest_of`].
-fn signature_of(cfg: &ChaseConfig, inst: &CInstance) -> u64 {
-    if cfg.digest_cache {
-        signature(inst)
-    } else {
-        signature_fresh(inst)
-    }
-}
 
 /// Is `cand` a redundant re-derivation of an earlier-kept result of the
 /// same nested search — same leaf coverage, and some kept result embeds
@@ -159,23 +134,21 @@ impl Default for SharedMemos {
     }
 }
 
-/// Execution counters of one chase run: scheduler waves, work-stealing
+/// Execution counters of one chase run: root fan-out and work-stealing
 /// traffic, the hit/miss split of each memo tier, and dedupe volume.
 /// Attached to every [`crate::CSolution`]; all counters are deltas over the
 /// run (session-persistent caches are baselined at construction).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
-    /// Frontier waves driven by the wave-parallel scheduler (0 under the
-    /// sequential driver).
+    /// Always 0: the chase no longer fans frontier waves out. Kept public
+    /// for the benchmark ledger, which still reads it.
     pub waves: u64,
-    /// Waves below the spill threshold, processed inline.
+    /// Always 0, like [`waves`](Self::waves).
     pub spilled_waves: u64,
-    /// Work-stealing queue steals across all fan-outs.
+    /// Work-stealing queue steals across all root fan-outs.
     pub steals: u64,
-    /// Fan-out batches dispatched to the resident pool.
+    /// Root-job fan-outs dispatched to the resident pool.
     pub resident_batches: u64,
-    /// Fan-out batches run on per-call scoped threads.
-    pub scoped_batches: u64,
     /// Duplicate-detection offers across all drives.
     pub dedupe_offers: u64,
     /// Offers rejected as duplicates.
@@ -203,12 +176,6 @@ pub struct ChaseStats {
     /// recomputed ([`cqi_instance::digest_stats`]).
     pub digest_hits: u64,
     pub digest_recomputes: u64,
-    /// Wave-batched consistency problems (`ChaseConfig::wave_batch`,
-    /// parallel driver): unique problems considered vs canonical
-    /// equivalence classes actually resolved — `problems - classes` solver
-    /// round-trips were deduplicated within waves.
-    pub wave_batch_problems: u64,
-    pub wave_batch_classes: u64,
     /// Wall-time phase breakdown (ns), populated only on traced runs
     /// (`ChaseConfig::trace`) — derived from the same `cqi-obs` span
     /// instrumentation as the Perfetto trace. Only *leaf* spans are
@@ -218,9 +185,9 @@ pub struct ChaseStats {
     pub phase_solver_ns: u64,
     /// Time canonicalizing solver problems (color refinement + keys).
     pub phase_canon_ns: u64,
-    /// Time in isomorphism dedupe (offers/confirms + nested admission).
+    /// Time in isomorphism dedupe (visited-set offers + nested admission).
     pub phase_dedupe_ns: u64,
-    /// Time in scheduling (wave assembly/merge, batch collection).
+    /// Time in scheduling (root fan-out result collection).
     pub phase_sched_ns: u64,
 }
 
@@ -254,14 +221,10 @@ impl ChaseStats {
         rate(self.digest_hits, self.digest_recomputes)
     }
 
-    /// Fraction of wave-batched problems deduplicated into an already-seen
-    /// canonical class (`0.0` when batching never engaged).
+    /// Always `0.0`: whole-wave solver batching no longer exists. Kept
+    /// public for the benchmark ledger, which still reads it.
     pub fn wave_batch_dedupe_ratio(&self) -> f64 {
-        if self.wave_batch_problems == 0 {
-            0.0
-        } else {
-            1.0 - self.wave_batch_classes as f64 / self.wave_batch_problems as f64
-        }
+        0.0
     }
 
     /// Sum of the phase-breakdown components (ns); `0` on untraced runs.
@@ -283,22 +246,17 @@ impl ChaseStats {
     /// Serde-free JSON rendering for benchmark/reproduce reports.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"waves\": {}, \"spilled_waves\": {}, \"steals\": {}, \
-             \"resident_batches\": {}, \"scoped_batches\": {}, \
+            "{{\"steals\": {}, \"resident_batches\": {}, \
              \"dedupe_offers\": {}, \"dedupe_duplicates\": {}, \"dedupe_iso_checks\": {}, \
              \"solver_l1_hit_rate\": {:.4}, \"solver_l2_hit_rate\": {:.4}, \
              \"sat_l1_hit_rate\": {:.4}, \"sat_l2_hit_rate\": {:.4}, \
              \"l2_contended\": {}, \"incr_extends\": {}, \"incr_fallbacks\": {}, \
              \"subsumed_subtrees\": {}, \
              \"digest_cache\": {{\"hits\": {}, \"recomputes\": {}}}, \
-             \"wave_batch\": {{\"problems\": {}, \"classes\": {}}}, \
              \"phases\": {{\"solver_ns\": {}, \"canonicalization_ns\": {}, \
              \"dedupe_ns\": {}, \"scheduling_ns\": {}}}}}",
-            self.waves,
-            self.spilled_waves,
             self.steals,
             self.resident_batches,
-            self.scoped_batches,
             self.dedupe_offers,
             self.dedupe_duplicates,
             self.dedupe_iso_checks,
@@ -312,8 +270,6 @@ impl ChaseStats {
             self.subsumed_subtrees,
             self.digest_hits,
             self.digest_recomputes,
-            self.wave_batch_problems,
-            self.wave_batch_classes,
             self.phase_solver_ns,
             self.phase_canon_ns,
             self.phase_dedupe_ns,
@@ -327,7 +283,6 @@ impl ChaseStats {
     pub fn publish_metrics(&self) {
         use std::sync::OnceLock;
         struct Series {
-            waves: std::sync::Arc<cqi_obs::Counter>,
             steals: std::sync::Arc<cqi_obs::Counter>,
             dedupe_offers: std::sync::Arc<cqi_obs::Counter>,
             dedupe_duplicates: std::sync::Arc<cqi_obs::Counter>,
@@ -340,15 +295,12 @@ impl ChaseStats {
             subsumed: std::sync::Arc<cqi_obs::Counter>,
             digest_hits: std::sync::Arc<cqi_obs::Counter>,
             digest_recomputes: std::sync::Arc<cqi_obs::Counter>,
-            wave_batch_problems: std::sync::Arc<cqi_obs::Counter>,
-            wave_batch_classes: std::sync::Arc<cqi_obs::Counter>,
             phase_ns: [std::sync::Arc<cqi_obs::Counter>; 4],
         }
         static SERIES: OnceLock<Series> = OnceLock::new();
         let s = SERIES.get_or_init(|| {
             let r = cqi_obs::global();
             Series {
-                waves: r.counter("cqi_chase_waves_total", "frontier waves driven", &[]),
                 steals: r.counter("cqi_chase_steals_total", "work-stealing queue steals", &[]),
                 dedupe_offers: r.counter("cqi_dedupe_offers_total", "iso-dedupe offers", &[]),
                 dedupe_duplicates: r.counter(
@@ -401,16 +353,6 @@ impl ChaseStats {
                     "exact-digest requests by outcome",
                     &[("outcome", "recompute")],
                 ),
-                wave_batch_problems: r.counter(
-                    "cqi_wave_batch_problems_total",
-                    "unique consistency problems considered by wave batching",
-                    &[],
-                ),
-                wave_batch_classes: r.counter(
-                    "cqi_wave_batch_classes_total",
-                    "canonical equivalence classes resolved by wave batching",
-                    &[],
-                ),
                 phase_ns: [
                     r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
                         "phase",
@@ -431,7 +373,6 @@ impl ChaseStats {
                 ],
             }
         });
-        s.waves.add(self.waves);
         s.steals.add(self.steals);
         s.dedupe_offers.add(self.dedupe_offers);
         s.dedupe_duplicates.add(self.dedupe_duplicates);
@@ -444,8 +385,6 @@ impl ChaseStats {
         s.subsumed.add(self.subsumed_subtrees);
         s.digest_hits.add(self.digest_hits);
         s.digest_recomputes.add(self.digest_recomputes);
-        s.wave_batch_problems.add(self.wave_batch_problems);
-        s.wave_batch_classes.add(self.wave_batch_classes);
         s.phase_ns[0].add(self.phase_solver_ns);
         s.phase_ns[1].add(self.phase_canon_ns);
         s.phase_ns[2].add(self.phase_dedupe_ns);
@@ -461,11 +400,8 @@ impl ChaseStats {
             a.inserts += b.inserts;
             a.contended += b.contended;
         };
-        self.waves += other.waves;
-        self.spilled_waves += other.spilled_waves;
         self.steals += other.steals;
         self.resident_batches += other.resident_batches;
-        self.scoped_batches += other.scoped_batches;
         self.dedupe_offers += other.dedupe_offers;
         self.dedupe_duplicates += other.dedupe_duplicates;
         self.dedupe_iso_checks += other.dedupe_iso_checks;
@@ -480,8 +416,6 @@ impl ChaseStats {
         self.subsumed_subtrees += other.subsumed_subtrees;
         self.digest_hits += other.digest_hits;
         self.digest_recomputes += other.digest_recomputes;
-        self.wave_batch_problems += other.wave_batch_problems;
-        self.wave_batch_classes += other.wave_batch_classes;
         self.phase_solver_ns += other.phase_solver_ns;
         self.phase_canon_ns += other.phase_canon_ns;
         self.phase_dedupe_ns += other.phase_dedupe_ns;
@@ -496,15 +430,10 @@ impl std::fmt::Display for ChaseStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "waves={}({} spilled) steals={} batches={}r/{}s \
-             dedupe={}/{}dup/{}iso solverL1={:.0}%({}) L2={:.0}%({}) \
-             satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({}) \
-             batch={}cls/{}",
-            self.waves,
-            self.spilled_waves,
+            "steals={} batches={} dedupe={}/{}dup/{}iso solverL1={:.0}%({}) \
+             L2={:.0}%({}) satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({})",
             self.steals,
             self.resident_batches,
-            self.scoped_batches,
             self.dedupe_offers,
             self.dedupe_duplicates,
             self.dedupe_iso_checks,
@@ -519,8 +448,6 @@ impl std::fmt::Display for ChaseStats {
             self.subsumed_subtrees,
             self.digest_hit_rate() * 100.0,
             self.digest_hits + self.digest_recomputes,
-            self.wave_batch_classes,
-            self.wave_batch_problems,
         )?;
         if self.phase_total_ns() > 0 {
             let ms = |ns: u64| ns as f64 / 1e6;
@@ -561,20 +488,6 @@ fn consistency_checks_metric() -> &'static cqi_obs::Counter {
     })
 }
 
-/// Width of each nested-BFS wave, observed into a log-bucketed histogram
-/// (drives the `nested_min_wave` tuning from ROADMAP item 2).
-fn wave_width_metric() -> &'static cqi_obs::Histogram {
-    use std::sync::OnceLock;
-    static H: OnceLock<std::sync::Arc<cqi_obs::Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        cqi_obs::global().histogram(
-            "cqi_nested_wave_width",
-            "admitted width of nested-BFS waves",
-            &[],
-        )
-    })
-}
-
 fn hash_of<T: Hash>(t: &T) -> u64 {
     let mut h = DefaultHasher::new();
     t.hash(&mut h);
@@ -592,9 +505,8 @@ fn state_key(digest: u64, inst: &CInstance) -> u64 {
 
 /// Per-worker mutable chase state: every memo the search consults, plus the
 /// worker-local slice of the run counters. None of it changes *answers* —
-/// only how fast they are reached — which is what makes frontier candidates
-/// expandable on any worker while keeping parallel output identical to
-/// sequential.
+/// only how fast they are reached — which is what lets a root search run on
+/// any worker while keeping parallel output identical to sequential.
 pub(crate) struct WorkerCtx {
     /// Memoized sub-BFS results keyed by (subtree, instance digest,
     /// relevant homomorphism entries). The recursion re-derives identical
@@ -617,10 +529,6 @@ pub(crate) struct WorkerCtx {
     /// only — a lone worker has no sibling to share with, so L2 traffic
     /// would be pure overhead).
     share_l2: bool,
-    /// Contexts for nested-BFS fan-out (`Engine::expand_wave`): lazily
-    /// built, persisted here so their memos warm up across waves. They
-    /// share this context's `shared` tier.
-    scratch: Vec<WorkerCtx>,
     /// `sat_memo` lookups that hit / missed (the L1 side of the tiered
     /// saturated-state memo).
     sat_l1_hits: u64,
@@ -648,7 +556,6 @@ impl WorkerCtx {
             sat_memo: HashMap::new(),
             shared,
             share_l2: false,
-            scratch: Vec::new(),
             sat_l1_hits: 0,
             sat_l1_misses: 0,
             incr_extends: 0,
@@ -664,36 +571,12 @@ impl WorkerCtx {
     fn reset_run_flags(&mut self) {
         self.timed_out = false;
         self.cancelled = false;
-        for c in &mut self.scratch {
-            c.reset_run_flags();
-        }
     }
 
-    /// Sets per-run L2 participation, recursively (scratch contexts follow
-    /// their owner).
-    fn set_share_l2(&mut self, on: bool) {
-        self.share_l2 = on;
-        for c in &mut self.scratch {
-            c.set_share_l2(on);
-        }
-    }
-
-    /// Clears the param-sensitive memos (see [`CacheParams`]), recursively.
+    /// Clears the param-sensitive memos (see [`CacheParams`]).
     fn clear_param_memos(&mut self) {
         self.bfs_memo.clear();
         self.consist_memo.clear();
-        for c in &mut self.scratch {
-            c.clear_param_memos();
-        }
-    }
-
-    /// Visits this context and every (transitive) scratch context — the
-    /// stat sums must see nested-BFS workers too.
-    fn visit<'s>(&'s self, f: &mut dyn FnMut(&'s WorkerCtx)) {
-        f(self);
-        for c in &self.scratch {
-            c.visit(f);
-        }
     }
 }
 
@@ -720,8 +603,8 @@ struct CacheParams {
 
 /// Opaque, reusable chase worker state: the solver memos, saturated-state
 /// snapshots, and sub-BFS caches of every worker context. All of it is
-/// *speed-only* state (it never changes answers — the invariant the
-/// parallel runtime already relies on), and none of it depends on the
+/// *speed-only* state (it never changes answers — the invariant root-job
+/// fan-out already relies on), and none of it depends on the
 /// query, only on the schema's instances, so a `cqi::Session` keeps one
 /// across explain calls: repeated or similar queries over one schema hit
 /// warm caches instead of re-deriving every `IsConsistent` answer.
@@ -734,8 +617,8 @@ pub struct ChaseCaches {
     /// The shared (L2) memo tier every worker context points at.
     shared: Arc<SharedMemos>,
     /// The session's resident worker pool, spawned once (lazily, on the
-    /// first parallel run) and reused by every subsequent run. `None`
-    /// until then — pool-less chases fan out on per-call scoped threads.
+    /// first multi-thread run) and reused by every subsequent run. `None`
+    /// until then.
     pool: Option<Arc<ResidentPool>>,
 }
 
@@ -746,9 +629,10 @@ impl ChaseCaches {
 
     /// Spawns (or resizes) the resident pool backing a `threads`-wide run:
     /// `threads - 1` parked workers, the calling thread being the last
-    /// participant. Called by the session-backed entry points; one-shot
-    /// [`Chase::new`] never spawns a pool and keeps the scoped fallback.
-    pub fn ensure_pool(&mut self, threads: usize) {
+    /// participant. [`Chase::new_reusing`] calls this, so every
+    /// multi-thread chase — session-backed or one-shot — fans out over a
+    /// resident pool.
+    fn ensure_pool(&mut self, threads: usize) {
         let helpers = threads.saturating_sub(1);
         if helpers == 0 {
             return;
@@ -763,7 +647,7 @@ impl ChaseCaches {
 /// under pre-bound output variables. `run_variant` batches these —
 /// one per conjunctive tree, plus one per (uncovered leaf × tree) in the
 /// `*-Add` phase — and [`Chase::run_roots`] fans the batch out across
-/// workers when the config allows.
+/// workers when `threads > 1`.
 pub struct RootJob<'f> {
     pub formula: &'f Formula,
     pub seed: CInstance,
@@ -799,26 +683,20 @@ pub struct Chase<'a> {
     /// when the subsumption filter already paid for it — the instance's
     /// leaf coverage, reused by validation and the `*-Add` re-seed scan.
     pub accepted: Vec<AcceptedInstance>,
-    /// Resolved thread budget (`cfg.threads`, 0 ⇒ available parallelism).
-    threads: usize,
-    /// One memo context per worker; `ctxs[0]` doubles as the sequential
-    /// context.
+    /// One memo context per worker; `ctxs[0]` drives single roots.
     ctxs: Vec<WorkerCtx>,
-    /// The session's resident pool, if one was spawned (see
-    /// [`ChaseCaches::ensure_pool`]); `None` falls back to scoped threads.
+    /// The session's resident pool when `threads > 1` (see
+    /// [`ChaseCaches::ensure_pool`]); `None` runs every root inline.
     pool: Option<Arc<ResidentPool>>,
     /// The shared (L2) memo tier, for the stats snapshot.
     shared: Arc<SharedMemos>,
     /// Steal/batch counters of this run's fan-outs.
     run_counters: RunCounters,
-    /// Wave/dedupe totals accumulated over this run's drives.
-    drive_acc: DriveStats,
+    /// Dedupe totals accumulated over this run's drives.
+    dedupe_acc: DedupeStats,
     /// Subsumption-pruned subtrees over this run's drives (the task-local
     /// counter is read back after each drive).
     subsumed: u64,
-    /// Wave-batch problem/class totals over this run's drives.
-    wave_problems: u64,
-    wave_classes: u64,
     /// Cumulative cache counters at construction — subtracted so
     /// [`Chase::stats`] reports per-run deltas despite session-persistent
     /// caches.
@@ -845,6 +723,8 @@ impl<'a> Chase<'a> {
     /// (topped up with fresh ones if the thread budget grew); pair with
     /// [`Chase::recycle_into`] to return them warm after the run. Reused
     /// contexts keep the solver-cache capacity they were created with.
+    /// A `threads > 1` budget spawns the resident pool it fans out over,
+    /// once per `caches`.
     pub fn new_reusing(
         query: &'a Query,
         cfg: &'a ChaseConfig,
@@ -862,12 +742,13 @@ impl<'a> Chase<'a> {
         };
         let param_safe = caches.params == Some(params);
         caches.params = Some(params);
+        caches.ensure_pool(threads);
         let mut ctxs: Vec<WorkerCtx> = std::mem::take(&mut caches.ctxs);
         ctxs.truncate(threads);
         for ctx in &mut ctxs {
             ctx.reset_run_flags();
             // A lone worker has no sibling to share solver answers with.
-            ctx.set_share_l2(threads > 1);
+            ctx.share_l2 = threads > 1;
             if !param_safe {
                 // These memos' answers depend on the run parameters (see
                 // [`CacheParams`]); a differing run must not see them.
@@ -899,15 +780,14 @@ impl<'a> Chase<'a> {
             halted: false,
             done: false,
             accepted: Vec::new(),
-            threads,
             ctxs,
-            pool: caches.pool.clone(),
+            // A sequential run may inherit a pool from an earlier
+            // multi-thread run on the same caches; it must not fan out.
+            pool: caches.pool.clone().filter(|_| threads > 1),
             shared: Arc::clone(&caches.shared),
             run_counters: RunCounters::default(),
-            drive_acc: DriveStats::default(),
+            dedupe_acc: DedupeStats::default(),
             subsumed: 0,
-            wave_problems: 0,
-            wave_classes: 0,
             stats_base: ChaseStats::default(),
             phase_base: trace::phase_totals(),
             query_key,
@@ -923,37 +803,27 @@ impl<'a> Chase<'a> {
     }
 
     /// Hit/miss/eviction counters of the canonical-problem memo, summed
-    /// over all worker contexts (nested-BFS scratch contexts included).
+    /// over all worker contexts.
     pub fn solver_cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        self.visit_ctxs(&mut |c| {
+        for c in &self.ctxs {
             total.hits += c.solver_cache.stats.hits;
             total.misses += c.solver_cache.stats.misses;
             total.evictions += c.solver_cache.stats.evictions;
-        });
+        }
         total
     }
 
     /// Chase steps decided by extending the parent's saturated state
     /// (summed over workers).
     pub fn incr_extends(&self) -> usize {
-        let mut n = 0;
-        self.visit_ctxs(&mut |c| n += c.incr_extends);
-        n
+        self.ctxs.iter().map(|c| c.incr_extends).sum()
     }
 
     /// Chase steps that fell back to the full consistency check (summed
     /// over workers).
     pub fn incr_fallbacks(&self) -> usize {
-        let mut n = 0;
-        self.visit_ctxs(&mut |c| n += c.incr_fallbacks);
-        n
-    }
-
-    fn visit_ctxs<'s>(&'s self, f: &mut dyn FnMut(&'s WorkerCtx)) {
-        for c in &self.ctxs {
-            c.visit(f);
-        }
+        self.ctxs.iter().map(|c| c.incr_fallbacks).sum()
     }
 
     /// Every counter at its current cumulative value (caches persist
@@ -968,21 +838,16 @@ impl<'a> Chase<'a> {
             subsumed_subtrees: self.subsumed,
             digest_hits,
             digest_recomputes,
-            wave_batch_problems: self.wave_problems,
-            wave_batch_classes: self.wave_classes,
-            waves: self.drive_acc.waves,
-            spilled_waves: self.drive_acc.spilled_waves,
             steals: counters.steals,
             resident_batches: counters.resident_batches,
-            scoped_batches: counters.scoped_batches,
-            dedupe_offers: self.drive_acc.dedupe.offers,
-            dedupe_duplicates: self.drive_acc.dedupe.duplicates,
-            dedupe_iso_checks: self.drive_acc.dedupe.iso_checks,
+            dedupe_offers: self.dedupe_acc.offers,
+            dedupe_duplicates: self.dedupe_acc.duplicates,
+            dedupe_iso_checks: self.dedupe_acc.iso_checks,
             solver_l2: self.shared.solver.stats.snapshot(),
             sat_l2: self.shared.sat.stats.snapshot(),
             ..ChaseStats::default()
         };
-        self.visit_ctxs(&mut |c| {
+        for c in &self.ctxs {
             s.subsumed_subtrees += c.subsumed;
             s.solver_l1_hits += c.solver_cache.stats.hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
@@ -990,7 +855,7 @@ impl<'a> Chase<'a> {
             s.sat_l1_misses += c.sat_l1_misses;
             s.incr_extends += c.incr_extends as u64;
             s.incr_fallbacks += c.incr_fallbacks as u64;
-        });
+        }
         s
     }
 
@@ -1005,11 +870,10 @@ impl<'a> Chase<'a> {
             phase_canon_ns: phases[1].saturating_sub(self.phase_base[1]),
             phase_dedupe_ns: phases[2].saturating_sub(self.phase_base[2]),
             phase_sched_ns: phases[3].saturating_sub(self.phase_base[3]),
-            waves: cur.waves,
-            spilled_waves: cur.spilled_waves,
+            waves: 0,
+            spilled_waves: 0,
             steals: cur.steals,
             resident_batches: cur.resident_batches,
-            scoped_batches: cur.scoped_batches,
             dedupe_offers: cur.dedupe_offers,
             dedupe_duplicates: cur.dedupe_duplicates,
             dedupe_iso_checks: cur.dedupe_iso_checks,
@@ -1027,17 +891,13 @@ impl<'a> Chase<'a> {
             // delta, never underflow it — but stay defensive.
             digest_hits: cur.digest_hits.saturating_sub(base.digest_hits),
             digest_recomputes: cur.digest_recomputes.saturating_sub(base.digest_recomputes),
-            wave_batch_problems: cur.wave_batch_problems - base.wave_batch_problems,
-            wave_batch_classes: cur.wave_batch_classes - base.wave_batch_classes,
         }
     }
 
-    fn absorb_drive(&mut self, st: DriveStats) {
-        self.drive_acc.waves += st.waves;
-        self.drive_acc.spilled_waves += st.spilled_waves;
-        self.drive_acc.dedupe.offers += st.dedupe.offers;
-        self.drive_acc.dedupe.duplicates += st.dedupe.duplicates;
-        self.drive_acc.dedupe.iso_checks += st.dedupe.iso_checks;
+    fn absorb_drive(&mut self, st: DedupeStats) {
+        self.dedupe_acc.offers += st.offers;
+        self.dedupe_acc.duplicates += st.duplicates;
+        self.dedupe_acc.iso_checks += st.iso_checks;
     }
 
     fn deadline_passed(&self) -> bool {
@@ -1057,18 +917,17 @@ impl<'a> Chase<'a> {
     }
 
     /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,
-    /// logging accepted instances. A single root drives the frontier
-    /// scheduler directly (wave-parallel when `threads > 1`).
+    /// logging accepted instances. A single root is one sequential drive on
+    /// the first worker context, whatever the thread budget.
     pub fn run_root(&mut self, formula: &Formula, seed: CInstance, seed_h: Hom) {
         self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
     }
 
     /// [`Chase::run_root`] with an acceptance observer: `observer` is
     /// called with every instance (and its acceptance timestamp) the moment
-    /// it enters the log — per item sequentially, per wave under the
-    /// wave-parallel scheduler — in the same deterministic order as the
-    /// final `accepted` log. Returning `false` halts the drive (the
-    /// streaming API's consumer-gone/cancel path).
+    /// it enters the log, in the same deterministic order as the final
+    /// `accepted` log. Returning `false` halts the drive (the streaming
+    /// API's consumer-gone/cancel path).
     pub fn run_root_observed(
         &mut self,
         formula: &Formula,
@@ -1089,11 +948,6 @@ impl<'a> Chase<'a> {
         }
         let _root_span = trace::span("root_job", "chase");
         let (i0, h0) = bind_free_vars(self.query, formula, seed, seed_h);
-        let exec = match self.pool.as_deref() {
-            Some(p) if self.threads > 1 => Exec::resident(p),
-            _ => Exec::scoped(),
-        }
-        .with_counters(&self.run_counters);
         let task = RootTask {
             query: self.query,
             cfg: self.cfg,
@@ -1103,11 +957,8 @@ impl<'a> Chase<'a> {
             formula,
             h0: &h0,
             query_key: self.query_key,
-            exec,
             subsume: SubsumePrune::for_seed(self.cfg, &i0),
-            pruned: AtomicU64::new(0),
-            wave_problems: AtomicU64::new(0),
-            wave_classes: AtomicU64::new(0),
+            pruned: Cell::new(0),
         };
         let start = self.start;
         let max = self.cfg.max_results;
@@ -1130,36 +981,20 @@ impl<'a> Chase<'a> {
                 true
             }
         };
-        let drive_stats = if self.threads <= 1 {
-            SequentialScheduler.drive(exec, &task, &mut self.ctxs, vec![i0], &mut sink)
-        } else {
-            ParallelScheduler::new(self.cfg.parallel_min_frontier).drive(
-                exec,
-                &task,
-                &mut self.ctxs,
-                vec![i0],
-                &mut sink,
-            )
-        };
-        let (pruned, wave_problems, wave_classes) = (
-            task.pruned.load(Ordering::SeqCst),
-            task.wave_problems.load(Ordering::SeqCst),
-            task.wave_classes.load(Ordering::SeqCst),
-        );
-        self.absorb_drive(drive_stats);
+        let dedupe = drive(&task, &mut self.ctxs[0], vec![i0], &mut sink);
+        let pruned = task.pruned.get();
+        self.absorb_drive(dedupe);
         self.subsumed += pruned;
-        self.wave_problems += wave_problems;
-        self.wave_classes += wave_classes;
         self.done |= done;
         self.halted |= halted;
         self.collect_ctx_flags();
     }
 
     /// Runs a batch of independent root searches. With a thread budget and
-    /// more than one job, whole roots are fanned out across workers (each
-    /// driven sequentially on its worker's context) and the accepted
-    /// instances are merged in job order — identical output to running the
-    /// jobs one by one.
+    /// more than one job, whole roots are fanned out across the resident
+    /// pool (each driven sequentially on its worker's context) and the
+    /// accepted instances are merged in job order — identical output to
+    /// running the jobs one by one.
     pub fn run_roots(&mut self, jobs: Vec<RootJob<'_>>) {
         self.run_roots_observed(jobs, &mut |_, _, _| true);
     }
@@ -1175,8 +1010,8 @@ impl<'a> Chase<'a> {
         if jobs.is_empty() || self.done {
             return;
         }
-        if self.threads > 1 && jobs.len() > 1 {
-            self.run_roots_parallel(jobs, observer);
+        if let Some(pool) = self.pool.clone().filter(|_| jobs.len() > 1) {
+            self.run_roots_parallel(&pool, jobs, observer);
         } else {
             for job in jobs {
                 if self.timed_out || self.cancelled || self.done {
@@ -1189,6 +1024,7 @@ impl<'a> Chase<'a> {
 
     fn run_roots_parallel(
         &mut self,
+        pool: &ResidentPool,
         jobs: Vec<RootJob<'_>>,
         observer: &mut dyn FnMut(&CInstance, Duration, Option<&Coverage>) -> bool,
     ) {
@@ -1200,26 +1036,22 @@ impl<'a> Chase<'a> {
         let max = cfg.max_results;
         let start = self.start;
         let query_key = self.query_key;
-        let exec = match self.pool.as_deref() {
-            Some(p) => Exec::resident(p),
-            None => Exec::scoped(),
-        }
-        .with_counters(&self.run_counters);
+        let exec = Exec::resident(pool).with_counters(&self.run_counters);
         let _fanout_span = trace::span("root_job_fanout", "chase");
-        let per_job: Vec<(Vec<AcceptedInstance>, DriveStats, u64)> =
+        let per_job: Vec<(Vec<AcceptedInstance>, DedupeStats, u64)> =
             exec.run(&mut self.ctxs, &jobs, |ctx, _, job| {
                 let _job_span = trace::span("root_job", "chase");
                 // lint:allow(wall-clock) deadline enforcement needs a real clock
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     ctx.timed_out = true;
-                    return (Vec::new(), DriveStats::default(), 0);
+                    return (Vec::new(), DedupeStats::default(), 0);
                 }
                 if cancel
                     .as_ref()
                     .is_some_and(CancelToken::is_cancelled)
                 {
                     ctx.cancelled = true;
-                    return (Vec::new(), DriveStats::default(), 0);
+                    return (Vec::new(), DedupeStats::default(), 0);
                 }
                 let (i0, h0) =
                     bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
@@ -1232,11 +1064,8 @@ impl<'a> Chase<'a> {
                     formula: job.formula,
                     h0: &h0,
                     query_key,
-                    exec,
                     subsume: SubsumePrune::for_seed(cfg, &i0),
-                    pruned: AtomicU64::new(0),
-                    wave_problems: AtomicU64::new(0),
-                    wave_classes: AtomicU64::new(0),
+                    pruned: Cell::new(0),
                 };
                 let mut acc: Vec<AcceptedInstance> = Vec::new();
                 let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
@@ -1246,22 +1075,15 @@ impl<'a> Chase<'a> {
                     // No single job ever needs more than the global cap.
                     max.is_none_or(|m| acc.len() < m)
                 };
-                let st = SequentialScheduler.drive(
-                    exec,
-                    &task,
-                    std::slice::from_mut(ctx),
-                    vec![i0],
-                    &mut sink,
-                );
-                let pruned = task.pruned.load(Ordering::SeqCst);
-                (acc, st, pruned)
+                let st = drive(&task, ctx, vec![i0], &mut sink);
+                (acc, st, task.pruned.get())
             });
         // Deterministic merge: job order, truncated at the global cap
         // exactly where a sequential run would have stopped. (The log stays
         // in job order; timestamps are wall-clock and may interleave across
         // jobs, as they legitimately do.) The observer fires here, at the
         // merge point — job-level fan-out is a batch barrier, unlike the
-        // per-wave flushing of the wave-parallel scheduler.
+        // per-item flushing of a single root's drive.
         'merge: for (acc, st, pruned) in per_job {
             self.absorb_drive(st);
             self.subsumed += pruned;
@@ -1281,7 +1103,6 @@ impl<'a> Chase<'a> {
         }
         self.collect_ctx_flags();
     }
-
 }
 
 /// Lines 2–5 of Algorithm 1: bind unbound free variables to fresh labeled
@@ -1316,16 +1137,10 @@ struct RootTask<'t> {
     formula: &'t Formula,
     h0: &'t Hom,
     query_key: u64,
-    /// Thread source for nested-BFS fan-out inside [`Engine`].
-    exec: Exec<'t>,
     /// Subsumption-prune state (`None` when `cfg.subsume_prune` is off).
     subsume: Option<SubsumePrune>,
     /// Subtrees pruned this drive; read back by [`Chase`] afterwards.
-    pruned: AtomicU64,
-    /// Wave-batching totals this drive (unique problems / canonical
-    /// classes); read back by [`Chase`] afterwards.
-    wave_problems: AtomicU64,
-    wave_classes: AtomicU64,
+    pruned: Cell<u64>,
 }
 
 /// Prune state of one root drive: the accepted instances published at wave
@@ -1334,8 +1149,7 @@ struct RootTask<'t> {
 struct SubsumePrune {
     /// Accepted instances with their leaf coverage, staged in sink order
     /// and published at wave boundaries — so a prune decision only ever
-    /// sees accepts from strictly earlier BFS generations, identically
-    /// under the sequential and parallel drivers.
+    /// sees accepts from strictly earlier BFS generations.
     visible: WaveVisible<(CInstance, Coverage)>,
     /// Number of seed nulls (the bound free variables). They denote the
     /// same entities in every instance of this root, so an embedding must
@@ -1365,8 +1179,8 @@ impl FrontierTask for RootTask<'_> {
 
     fn keys(&self, inst: &CInstance) -> SetKey {
         SetKey {
-            signature: signature_of(self.cfg, inst),
-            digest: digest_of(self.cfg, inst),
+            signature: signature(inst),
+            digest: exact_digest(inst),
         }
     }
 
@@ -1399,7 +1213,6 @@ impl FrontierTask for RootTask<'_> {
             deadline: self.deadline,
             cancel: self.cancel,
             query_key: self.query_key,
-            exec: self.exec,
             ctx,
         };
         // Subsumption cut (checked before the accept test): when a visible,
@@ -1412,8 +1225,9 @@ impl FrontierTask for RootTask<'_> {
         // instances are never expanded. Coverage equality is essential: a
         // superset with *new* coverage is a distinct answer and must
         // survive. The visible set holds only boundary-published accepts
-        // (strictly earlier waves), so sequential and parallel drives prune
-        // identically. The popped instance's coverage is computed lazily,
+        // (strictly earlier waves), so the decision does not depend on the
+        // item's position within its wave. The popped instance's coverage
+        // is computed lazily,
         // only once some accept actually embeds — failed embeddings stay
         // cheap (budgeted backtracking, no Tree-SAT).
         if let Some(sub) = &self.subsume {
@@ -1427,7 +1241,7 @@ impl FrontierTask for RootTask<'_> {
                             coverage_of_cinstance_keys(self.query, inst, self.cfg.enforce_keys)
                         });
                         if c == acc_cov {
-                            self.pruned.fetch_add(1, Ordering::SeqCst);
+                            self.pruned.set(self.pruned.get() + 1);
                             return Expansion {
                                 accepted: None,
                                 children: Vec::new(),
@@ -1464,11 +1278,10 @@ impl FrontierTask for RootTask<'_> {
     /// Sink-point subsumption filter. Accept-heavy workloads produce most
     /// of their accepts as *same-wave siblings*, which the expand-time
     /// pre-check above structurally cannot see (it reads only
-    /// boundary-published state). Both drivers call `note_accept` at their
-    /// single FIFO merge point on the driving thread, so here the candidate
-    /// can be compared against every earlier-kept accept — published *and*
-    /// staged — and the kept stream is identical under sequential and
-    /// parallel drives. Dropping an accept `D` subsumed by an earlier-kept
+    /// boundary-published state). The drive calls `note_accept` in FIFO
+    /// sink order, so here the candidate can be compared against every
+    /// earlier-kept accept — published *and* staged. Dropping an accept
+    /// `D` subsumed by an earlier-kept
     /// `A` with equal coverage is output-preserving: `minimize` keeps the
     /// minimum-size instance per coverage with earliest-acceptance
     /// tie-break, and `A ↪ D` forces `|A| ≤ |D|`, so `D` never wins; the
@@ -1496,13 +1309,12 @@ impl FrontierTask for RootTask<'_> {
             }
         });
         if dead {
-            self.pruned.fetch_add(1, Ordering::SeqCst);
+            self.pruned.set(self.pruned.get() + 1);
             return false;
         }
         // When the filter keeps the accept, `total`/`same_class` equal the
         // current visible population (published + staged) — both are pure
-        // functions of the FIFO kept stream, hence identical across
-        // drivers. Staging is capped per class (early accepts of a class
+        // functions of the FIFO kept stream. Staging is capped per class (early accepts of a class
         // are the smallest, so a few representatives retain the pruning
         // power) and in total (memory + scan bound).
         if total < SUBSUME_VISIBLE_CAP && same_class < SUBSUME_CLASS_CAP {
@@ -1517,107 +1329,6 @@ impl FrontierTask for RootTask<'_> {
             sub.visible.publish(SUBSUME_VISIBLE_CAP);
         }
     }
-
-    /// Whole-wave solver batching (`cfg.wave_batch`, parallel driver only):
-    /// canonicalize every survivor's consistency problem once, dedupe
-    /// identical canonical problems across the wave, solve one
-    /// representative per class on the lead context, and prime every
-    /// worker's digest memo with the verdicts — so the per-item
-    /// `consistent` probes inside [`expand`](Self::expand) become O(1) hash
-    /// hits regardless of which worker each item lands on. Verdicts are
-    /// pure functions of the canonical problem, so this only moves work,
-    /// never changes answers.
-    fn prepare_wave(&self, ctxs: &mut [WorkerCtx], survivors: &[&CInstance]) {
-        if !self.cfg.wave_batch || survivors.len() < 2 || ctxs.is_empty() {
-            return;
-        }
-        let _s = trace::span_phase("wave_batch", "sched", Phase::Sched);
-        // Unique digests; a verdict some worker already holds (typically
-        // the child's producer) is fanned out without re-canonicalizing.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut known: Vec<(u64, bool)> = Vec::new();
-        let mut unknown: Vec<(u64, &CInstance)> = Vec::new();
-        for inst in survivors {
-            let digest = digest_of(self.cfg, inst);
-            if !seen.insert(digest) {
-                continue;
-            }
-            match ctxs.iter().find_map(|c| c.consist_memo.get(&digest)) {
-                Some(&sat) => known.push((digest, sat)),
-                None => unknown.push((digest, inst)),
-            }
-        }
-        self.wave_problems.fetch_add(seen.len() as u64, Ordering::SeqCst);
-        // Canonicalize the undecided problems and group identical ones.
-        let mut class_of: HashMap<CanonKey, usize> = HashMap::new();
-        let mut classes: Vec<(Canonical, Vec<u64>)> = Vec::new();
-        for (digest, inst) in unknown {
-            let canon = {
-                let _c = trace::span_phase("canonicalize", "solver", Phase::Canon);
-                canonicalize(&to_problem(inst, self.cfg.enforce_keys))
-            };
-            match class_of.get(&canon.key) {
-                Some(&i) => classes[i].1.push(digest),
-                None => {
-                    class_of.insert(canon.key.clone(), classes.len());
-                    classes.push((canon, vec![digest]));
-                }
-            }
-        }
-        self.wave_classes.fetch_add(classes.len() as u64, Ordering::SeqCst);
-        // Resolve one representative per class on the lead context:
-        // L1 → shared L2 → batch solve, publishing fresh verdicts to L2.
-        let mut verdicts: Vec<(Vec<u64>, bool)> = known
-            .into_iter()
-            .map(|(digest, sat)| (vec![digest], sat))
-            .collect();
-        {
-            let ctx0 = &mut ctxs[0];
-            let mut to_solve: Vec<(Canonical, Vec<u64>)> = Vec::new();
-            for (canon, digests) in classes {
-                match ctx0.solver_cache.lookup_sat(&canon) {
-                    Some(sat) => verdicts.push((digests, sat)),
-                    None => {
-                        let l2 = ctx0
-                            .share_l2
-                            .then(|| ctx0.shared.solver.get(&canon.key))
-                            .flatten();
-                        match l2 {
-                            Some(result) => {
-                                let sat = result.is_some();
-                                ctx0.solver_cache.insert_canonical(canon.key.clone(), result);
-                                verdicts.push((digests, sat));
-                            }
-                            None => to_solve.push((canon, digests)),
-                        }
-                    }
-                }
-            }
-            let bits = {
-                let refs: Vec<&Canonical> = to_solve.iter().map(|(c, _)| c).collect();
-                let _solve = trace::span_phase("wave_batch_solve", "solver", Phase::Solver);
-                ctx0.solver_cache.solve_batch(&refs).0
-            };
-            for ((canon, digests), sat) in to_solve.into_iter().zip(bits) {
-                if ctx0.share_l2 {
-                    if let Some(result) = ctx0.solver_cache.peek_canonical(&canon.key) {
-                        ctx0.shared.solver.insert(canon.key, result);
-                    }
-                }
-                verdicts.push((digests, sat));
-            }
-        }
-        // Fan every verdict out to every worker's digest memo.
-        for ctx in ctxs.iter_mut() {
-            for (digests, sat) in &verdicts {
-                for &digest in digests {
-                    if ctx.consist_memo.len() < 1_000_000 {
-                        ctx.consist_memo.insert(digest, *sat);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The recursive chase engine: all of Algorithms 1–6 below the top level,
@@ -1629,9 +1340,6 @@ struct Engine<'e> {
     deadline: Option<Instant>,
     cancel: Option<&'e CancelToken>,
     query_key: u64,
-    /// Thread source for nested-BFS wave fan-out (resident pools only —
-    /// scoped handles report width 1 and keep the recursion sequential).
-    exec: Exec<'e>,
     ctx: &'e mut WorkerCtx,
 }
 
@@ -1652,7 +1360,7 @@ impl Engine<'_> {
     }
 
     fn consistent(&mut self, inst: &CInstance) -> bool {
-        let key = digest_of(self.cfg, inst);
+        let key = exact_digest(inst);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
@@ -1670,7 +1378,7 @@ impl Engine<'_> {
     /// touches keys or negative conditions (or no parent state is
     /// reusable).
     fn consistent_step(&mut self, parent: &CInstance, child: &CInstance) -> bool {
-        let key = digest_of(self.cfg, child);
+        let key = exact_digest(child);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
@@ -1835,7 +1543,7 @@ impl Engine<'_> {
         {
             return None;
         }
-        let parent_key = state_key(digest_of(self.cfg, parent), parent);
+        let parent_key = state_key(exact_digest(parent), parent);
         let mut seeded: Option<SaturatedState> = None;
         if self.ctx.sat_memo.contains_key(&parent_key) {
             self.ctx.sat_l1_hits += 1;
@@ -1894,7 +1602,7 @@ impl Engine<'_> {
         // `Chase::query_key`) + subtree structure + exact instance + the
         // homomorphism entries its free variables see.
         let fkey = hash_of(&(self.query_key, format!("{q:?}")));
-        let ikey = digest_of(self.cfg, i0);
+        let ikey = exact_digest(i0);
         let hkey = {
             let mut hh = DefaultHasher::new();
             for v in q.free_vars() {
@@ -1916,18 +1624,12 @@ impl Engine<'_> {
         res
     }
 
-    /// `Tree-Chase-BFS` body, restructured into FIFO waves. Sequentially
-    /// the loop pops one instance, admits it (size bound + visited
-    /// isomorphism check), then either accepts it or expands it. The wave
-    /// form does the same work level by level: admission stays sequential
-    /// (each admitted instance joins `visited` before the next is checked
-    /// — exactly the pop order), and the per-instance accept/expand step
-    /// ([`bfs_step`](Self::bfs_step)) runs over the whole wave at once.
-    /// Since an instance's step never reads `visited` or its siblings, the
-    /// steps are independent and [`expand_wave`](Self::expand_wave) may
-    /// fan them out across the resident pool; the FIFO merge afterwards
-    /// restores the order the sequential loop would have produced
-    /// (children of `wave[i]` precede children of `wave[i+1]`).
+    /// `Tree-Chase-BFS` body, walked one FIFO generation (wave) at a time:
+    /// each wave is first admitted (size bound + visited isomorphism check,
+    /// in pop order), then every admitted instance is accepted or expanded
+    /// ([`bfs_step`](Self::bfs_step)). An instance's step never reads
+    /// `visited`, and its children join the next wave, so this visits
+    /// exactly what a plain FIFO queue would, in the same order.
     fn bfs_inner(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         let (i0, h0) = bind_free_vars(self.query, q, i0.clone(), h0.clone());
         // Seed nulls are shared by every result of this search, so a
@@ -1952,7 +1654,7 @@ impl Engine<'_> {
                     if inst.size() > self.cfg.limit {
                         continue;
                     }
-                    let sig = signature_of(self.cfg, &inst);
+                    let sig = signature(&inst);
                     if visited
                         .iter()
                         .any(|(s, v)| *s == sig && is_isomorphic(v, &inst))
@@ -1963,11 +1665,11 @@ impl Engine<'_> {
                     wave.push(inst);
                 }
             }
-            wave_width_metric().observe(wave.len() as u64);
-            let steps = self.expand_wave(q, &h0, &wave);
-            // `steps` may be shorter than `wave` if the run stopped
-            // mid-wave; zip drops the tail, matching the sequential break.
-            for (inst, (accepted, children)) in wave.into_iter().zip(steps) {
+            for inst in wave {
+                if self.stopped() {
+                    break;
+                }
+                let (accepted, children) = self.bfs_step(q, &h0, &inst);
                 if accepted {
                     // Subsumption cut: a result into which an earlier-kept
                     // result embeds (seed nulls fixed, same leaf coverage)
@@ -1975,8 +1677,7 @@ impl Engine<'_> {
                     // caller would have seeded from it (the right-hand
                     // searches of `handle_conjunction`, recursively) dies
                     // with it. This is per-search-local FIFO state, so the
-                    // kept list is a pure function of the search inputs —
-                    // identical under sequential and wave-parallel drives.
+                    // kept list is a pure function of the search inputs.
                     if self.cfg.subsume_prune {
                         let cov = coverage_of_cinstance_keys(
                             self.query,
@@ -2001,7 +1702,7 @@ impl Engine<'_> {
     /// One step of Algorithm 1 for an already-admitted instance: accept it
     /// (Tree-SAT ∧ IsConsistent) or expand it and pre-filter the children.
     /// Pure with respect to the BFS bookkeeping — it reads neither
-    /// `visited` nor any sibling — so waves of steps can run concurrently.
+    /// `visited` nor any sibling.
     fn bfs_step(&mut self, q: &Formula, h0: &Hom, inst: &CInstance) -> (bool, Vec<CInstance>) {
         // Line 13: Tree-SAT under the *current* homomorphism (recursive
         // calls must verify satisfaction at the handler's chosen
@@ -2024,66 +1725,6 @@ impl Engine<'_> {
             }
         }
         (false, children)
-    }
-
-    /// Runs [`bfs_step`](Self::bfs_step) over an admitted wave. Narrow
-    /// waves (or scoped execution, whose [`Exec::width`] is 1) stay on the
-    /// sequential path; wide waves under a resident pool are re-submitted
-    /// to the pool as a nested batch, each step running on a scratch
-    /// [`WorkerCtx`] that shares the same L2 memos. Scratch contexts are
-    /// kept warm across waves inside `self.ctx.scratch`.
-    fn expand_wave(
-        &mut self,
-        q: &Formula,
-        h0: &Hom,
-        wave: &[CInstance],
-    ) -> Vec<(bool, Vec<CInstance>)> {
-        let width = self.exec.width().min(wave.len());
-        if width <= 1 || wave.len() < self.cfg.nested_min_wave.max(2) {
-            let mut steps = Vec::with_capacity(wave.len());
-            for inst in wave {
-                if self.stopped() {
-                    break;
-                }
-                steps.push(self.bfs_step(q, h0, inst));
-            }
-            return steps;
-        }
-        let _fanout_span = trace::span("nested_wave_fanout", "chase");
-        let mut scratch = std::mem::take(&mut self.ctx.scratch);
-        while scratch.len() < width {
-            let mut fresh = WorkerCtx::new(self.cfg, Arc::clone(&self.ctx.shared));
-            fresh.share_l2 = self.ctx.share_l2;
-            scratch.push(fresh);
-        }
-        let (query, cfg, universal_fresh, deadline, cancel, query_key, exec) = (
-            self.query,
-            self.cfg,
-            self.universal_fresh,
-            self.deadline,
-            self.cancel,
-            self.query_key,
-            self.exec,
-        );
-        let steps = exec.run(&mut scratch[..width], wave, |ctx, _, inst| {
-            let mut engine = Engine {
-                query,
-                cfg,
-                universal_fresh,
-                deadline,
-                cancel,
-                query_key,
-                exec,
-                ctx,
-            };
-            engine.bfs_step(q, h0, inst)
-        });
-        for s in &scratch {
-            self.ctx.timed_out |= s.timed_out;
-            self.ctx.cancelled |= s.cancelled;
-        }
-        self.ctx.scratch = scratch;
-        steps
     }
 
     /// `Tree-Chase` (Algorithm 2): dispatch on the root operator.
@@ -2534,7 +2175,6 @@ mod tests {
             deadline: None,
             cancel: None,
             query_key: 0,
-            exec: Exec::scoped(),
             ctx: &mut a,
         };
         engine.memoize_state(42, st);
@@ -2543,49 +2183,6 @@ mod tests {
         assert!(!b.sat_memo.contains_key(&42));
         assert!(b.shared.sat.get(&42).is_some());
         assert_eq!(shared.sat.stats.snapshot().hits, 1);
-    }
-
-    #[test]
-    fn resident_run_reports_waves_batches_and_l2_traffic() {
-        let s = schema();
-        let q = parse_query(
-            &s,
-            "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
-        )
-        .unwrap();
-        let cfg = ChaseConfig::with_limit(7)
-            .threads(3)
-            .parallel_min_frontier(0)
-            .nested_min_wave(2);
-        let mut caches = ChaseCaches::new();
-        caches.ensure_pool(cfg.resolved_threads());
-        let mut chase = Chase::new_reusing(&q, &cfg, true, &mut caches);
-        chase.run_root(
-            &q.formula.clone(),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
-        );
-        assert!(!chase.accepted.is_empty());
-        let stats = chase.stats();
-        assert!(stats.waves > 0, "parallel drive must report waves");
-        assert!(
-            stats.resident_batches > 0,
-            "multi-thread session runs must fan out through the resident pool"
-        );
-        assert!(
-            stats.solver_l2.inserts + stats.sat_l2.inserts > 0,
-            "multi-thread runs must publish decided steps to the shared tier"
-        );
-        assert!(stats.dedupe_offers > 0);
-        // Per-run baselining: a fresh chase over the warm session caches
-        // starts from zero, not from the session cumulative.
-        chase.recycle_into(&mut caches);
-        let chase2 = Chase::new_reusing(&q, &cfg, true, &mut caches);
-        let st2 = chase2.stats();
-        assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
-        assert_eq!(st2.solver_l2.inserts, 0);
-        assert_eq!(st2.sat_l2.inserts, 0);
-        assert_eq!(st2.waves, 0);
     }
 
     #[test]
@@ -2600,10 +2197,7 @@ mod tests {
         ];
         for src in queries {
             let seq = run_with(src, &ChaseConfig::with_limit(6));
-            let par = run_with(
-                src,
-                &ChaseConfig::with_limit(6).threads(4).parallel_min_frontier(2),
-            );
+            let par = run_with(src, &ChaseConfig::with_limit(6).threads(4));
             assert_eq!(seq.len(), par.len(), "{src}");
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(format!("{a}"), format!("{b}"), "{src}");
@@ -2664,10 +2258,7 @@ mod tests {
         // boundary-published accepts, so the 4-thread accepted stream (and
         // the prune count) match the sequential run exactly.
         let cfg1 = ChaseConfig::with_limit(10).subsume_prune(true);
-        let cfg4 = ChaseConfig::with_limit(10)
-            .subsume_prune(true)
-            .threads(4)
-            .parallel_min_frontier(2);
+        let cfg4 = ChaseConfig::with_limit(10).subsume_prune(true).threads(4);
         let (seq, s1) = stats_run(FORALL_DISJ, &cfg1);
         let (par, s4) = stats_run(FORALL_DISJ, &cfg4);
         assert!(s1.subsumed_subtrees > 0);
@@ -2679,34 +2270,60 @@ mod tests {
     }
 
     #[test]
-    fn digest_cache_knob_never_changes_answers() {
-        // `digest_cache = false` recomputes every digest from scratch; the
-        // values are identical, so the accepted stream must be too.
-        let (cached, _) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10));
-        let (fresh, _) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10).digest_cache(false));
-        assert_eq!(cached.len(), fresh.len());
-        for (a, b) in cached.iter().zip(&fresh) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-        }
-    }
-
-    #[test]
-    fn wave_batch_counts_problems_and_preserves_stream() {
-        // A wide disjunctive frontier at 4 threads routes surviving
-        // branches through the wave batcher; the verdicts are pure
-        // functions of the canonical problem, so the stream is unchanged.
-        let src = "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }";
-        let base = ChaseConfig::with_limit(8).threads(4).parallel_min_frontier(0);
-        let (batched, sb) = stats_run(src, &base.clone().wave_batch(true));
-        let (plain, sp) = stats_run(src, &base.wave_batch(false));
-        assert!(
-            sb.wave_batch_problems > 0,
-            "wide waves must route problems through the batcher"
+    fn fan_out_happens_only_across_root_jobs() {
+        let s = schema();
+        let explain = |src: &str, variant: crate::Variant, threads: usize| {
+            let session = crate::Session::new(Arc::clone(&s))
+                .config(ChaseConfig::with_limit(8).threads(threads));
+            let mut items = Vec::new();
+            let sol = session
+                .explain_with(crate::ExplainRequest::drc(src).variant(variant), &mut |acc| {
+                    items.push(format!("{}", acc.inst));
+                    true
+                })
+                .unwrap();
+            (items, sol.stats)
+        };
+        // A single-root request never fans out, whatever the thread budget,
+        // and streams exactly the bytes a sequential run streams.
+        let join = "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) \
+                    and Serves(x2, b1, p2) and p1 > p2 }";
+        let (seq, _) = explain(join, crate::Variant::DisjEO, 1);
+        let (par, st) = explain(join, crate::Variant::DisjEO, 4);
+        assert!(!seq.is_empty());
+        assert_eq!(seq, par);
+        assert_eq!(st.resident_batches, 0, "a single root must not fan out");
+        // A multi-root Conj-Add request (two ∨-free trees) fans its roots
+        // out over the resident pool.
+        let (seq, _) = explain(FORALL_DISJ, crate::Variant::ConjAdd, 1);
+        let (par, st) = explain(FORALL_DISJ, crate::Variant::ConjAdd, 2);
+        assert!(!seq.is_empty());
+        assert_eq!(seq, par);
+        assert!(st.resident_batches > 0, "root jobs must fan out through the resident pool");
+        assert!(st.dedupe_offers > 0);
+        assert_eq!((st.waves, st.spilled_waves), (0, 0));
+        // Multi-thread workers share the L2 tier, and per-run baselining
+        // makes a fresh chase over the warm caches start from zero, not
+        // from the cumulative counters.
+        let q = parse_query(&s, join).unwrap();
+        let cfg = ChaseConfig::with_limit(7).threads(2);
+        let mut caches = ChaseCaches::new();
+        let mut chase = Chase::new_reusing(&q, &cfg, true, &mut caches);
+        chase.run_root(
+            &q.formula.clone(),
+            CInstance::new(Arc::clone(&s)),
+            vec![None; q.vars.len()],
         );
-        assert_eq!(sp.wave_batch_problems, 0);
-        assert_eq!(batched.len(), plain.len());
-        for (a, b) in batched.iter().zip(&plain) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-        }
+        let st1 = chase.stats();
+        assert!(st1.solver_l1_hits + st1.solver_l1_misses > 0);
+        assert!(
+            st1.solver_l2.inserts + st1.sat_l2.inserts > 0,
+            "multi-thread runs must publish decided steps to the shared tier"
+        );
+        chase.recycle_into(&mut caches);
+        let st2 = Chase::new_reusing(&q, &cfg, true, &mut caches).stats();
+        assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
+        assert_eq!(st2.solver_l2.inserts, 0);
+        assert_eq!(st2.sat_l2.inserts, 0);
     }
 }

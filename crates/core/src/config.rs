@@ -103,7 +103,7 @@ pub struct ChaseConfig {
     /// of Algorithm 1, ensuring termination.
     pub limit: usize,
     /// Wall-clock budget; on expiry the run returns the instances found so
-    /// far and flags `timed_out`.
+    /// far, flagged [`crate::Interrupted::Deadline`].
     pub timeout: Option<Duration>,
     /// Overrides the variant's default for fresh nulls at `∀` nodes
     /// (`None` = variant default).
@@ -129,23 +129,16 @@ pub struct ChaseConfig {
     /// parent conjunction is sizable, while tiny problems solve faster
     /// than the state bookkeeping costs.
     pub incremental_min_lits: usize,
-    /// Thread budget for frontier expansion (`cqi-runtime`): `1` (the
-    /// default) runs the legacy sequential search, `0` uses all available
-    /// parallelism, `n > 1` uses exactly `n` workers. Parallel runs accept
-    /// the same instances in the same order as sequential ones — the
-    /// scheduler's determinism guarantee — so this is purely a wall-clock
-    /// knob.
+    /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
+    /// default) runs every root search on the calling thread, `0` uses all
+    /// available parallelism, `n > 1` fans the independent root searches
+    /// of a run — one per conjunctive tree under `Conj-*`, one per
+    /// uncovered leaf and tree in the `*-Add` phase — out over `n` workers
+    /// of a resident pool. Each root is still one sequential FIFO search,
+    /// and results merge in job order, so parallel runs accept the same
+    /// instances in the same order as sequential ones: this is purely a
+    /// wall-clock knob, and single-root runs never fan out.
     pub threads: usize,
-    /// Frontier waves narrower than this spill to inline single-context
-    /// processing instead of fanning out (thread/dedupe overhead only pays
-    /// for itself on wide frontiers). Only consulted when `threads != 1`.
-    pub parallel_min_frontier: usize,
-    /// Minimum width of a *nested* BFS wave (the recursive sub-formula
-    /// search inside one worker) before it is re-submitted to the resident
-    /// pool as its own batch. Narrower waves stay sequential — the
-    /// hand-off only pays for itself on wide recursive frontiers. Only
-    /// consulted when a resident pool is attached (`threads > 1`).
-    pub nested_min_wave: usize,
     /// Cooperative cancellation: when the token fires, the run stops at the
     /// next per-step poll (the same loop that checks `timeout`) and returns
     /// the instances accepted so far. `None` (the default) costs nothing on
@@ -165,20 +158,6 @@ pub struct ChaseConfig {
     /// differ from an unpruned run on adversarial non-monotone formulas,
     /// so the fuzz oracle cross-checks this flag rather than assuming it.
     pub subsume_prune: bool,
-    /// Whole-wave solver batching (parallel driver only): before expanding
-    /// a wave, canonicalize every surviving branch's consistency problem,
-    /// dedupe identical canonical problems, solve one representative per
-    /// equivalence class, and prime every worker's memo with the verdicts.
-    /// Purely a wall-clock knob — `Engine::consistent` reaches the same
-    /// canonical problem and therefore the same verdict either way.
-    pub wave_batch: bool,
-    /// Serve `exact_digest`/`signature` from the per-instance memo fed by
-    /// incrementally maintained hash chains (`cqi-instance`). Off, every
-    /// digest probe recomputes from scratch — all cells re-hashed, color
-    /// refinement re-run — reproducing the pre-memo engine for A/B
-    /// benchmarks (`chase_digest_cache` in `bench_chase`). Identical
-    /// digests either way, so answers and accepted streams never change.
-    pub digest_cache: bool,
     /// Capture a span trace of the run (`cqi-obs`): request → root job →
     /// wave → solver-call spans recorded into per-thread ring buffers and
     /// returned as Chrome trace-event JSON on `CSolution::trace`, plus the
@@ -201,12 +180,8 @@ impl ChaseConfig {
             incremental: true,
             incremental_min_lits: 6,
             threads: 1,
-            parallel_min_frontier: 4,
-            nested_min_wave: 8,
             cancel: None,
             subsume_prune: false,
-            wave_batch: true,
-            digest_cache: true,
             trace: false,
         }
     }
@@ -251,16 +226,6 @@ impl ChaseConfig {
         self
     }
 
-    pub fn parallel_min_frontier(mut self, n: usize) -> ChaseConfig {
-        self.parallel_min_frontier = n;
-        self
-    }
-
-    pub fn nested_min_wave(mut self, n: usize) -> ChaseConfig {
-        self.nested_min_wave = n;
-        self
-    }
-
     pub fn cancel(mut self, token: CancelToken) -> ChaseConfig {
         self.cancel = Some(token);
         self
@@ -268,16 +233,6 @@ impl ChaseConfig {
 
     pub fn subsume_prune(mut self, on: bool) -> ChaseConfig {
         self.subsume_prune = on;
-        self
-    }
-
-    pub fn wave_batch(mut self, on: bool) -> ChaseConfig {
-        self.wave_batch = on;
-        self
-    }
-
-    pub fn digest_cache(mut self, on: bool) -> ChaseConfig {
-        self.digest_cache = on;
         self
     }
 
@@ -348,10 +303,7 @@ mod tests {
         let c = ChaseConfig::with_limit(6);
         assert_eq!(c.threads, 1, "sequential by default");
         assert_eq!(c.resolved_threads(), 1);
-        let par = c.threads(3).parallel_min_frontier(9).nested_min_wave(5);
-        assert_eq!(par.resolved_threads(), 3);
-        assert_eq!(par.parallel_min_frontier, 9);
-        assert_eq!(par.nested_min_wave, 5);
+        assert_eq!(c.threads(3).resolved_threads(), 3);
         // 0 = all available parallelism (at least one worker anywhere).
         assert!(ChaseConfig::with_limit(6).threads(0).resolved_threads() >= 1);
     }
@@ -360,8 +312,6 @@ mod tests {
     fn algorithmic_cut_knobs() {
         let c = ChaseConfig::with_limit(6);
         assert!(!c.subsume_prune, "pruning is opt-in");
-        assert!(c.wave_batch, "wave batching defaults on");
-        let tuned = c.subsume_prune(true).wave_batch(false);
-        assert!(tuned.subsume_prune && !tuned.wave_batch);
+        assert!(c.subsume_prune(true).subsume_prune);
     }
 }

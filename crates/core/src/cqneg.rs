@@ -55,7 +55,6 @@ pub fn cq_neg_universal_solution(tree: &SyntaxTree, enforce_keys: bool) -> Optio
     Some(CSolution {
         instances,
         raw_accepted,
-        timed_out: false,
         interrupted: None,
         total_time: start.elapsed(),
         stats: crate::chase::ChaseStats::default(),

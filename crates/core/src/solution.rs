@@ -110,17 +110,13 @@ pub struct CSolution {
     pub instances: Vec<SatInstance>,
     /// Satisfying instances accepted before minimization.
     pub raw_accepted: usize,
-    /// The wall-clock deadline was observed (kept for compatibility).
-    /// Usually equals `interrupted == Some(Interrupted::Deadline)`, but
-    /// when a run sees both the deadline and a cancellation, `interrupted`
-    /// reports `Cancelled` while this stays `true`.
-    pub timed_out: bool,
     /// `Some` when the run stopped early (deadline or cancellation); the
-    /// instances found so far are still returned.
+    /// instances found so far are still returned. A run that saw both a
+    /// deadline and a cancellation reports `Cancelled`.
     pub interrupted: Option<Interrupted>,
     pub total_time: Duration,
-    /// Engine counters for this run: waves, steals, memo tier hit rates,
-    /// dedupe traffic (all zero when the producing path doesn't run a
+    /// Engine counters for this run: root fan-outs, steals, memo tier hit
+    /// rates, dedupe traffic (all zero when the producing path doesn't run a
     /// chase, e.g. the trivially-unsatisfiable short-circuit).
     pub stats: ChaseStats,
     /// Chrome trace-event JSON of the run's span tree (`cqi-obs`), captured
@@ -280,7 +276,6 @@ mod tests {
         let sol = CSolution {
             instances: out,
             raw_accepted: 3,
-            timed_out: false,
             interrupted: None,
             total_time: Duration::from_millis(80),
             stats: ChaseStats::default(),

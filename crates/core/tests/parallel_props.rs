@@ -1,13 +1,14 @@
 //! Property tests for the parallel chase runtime: for random queries,
-//! variants, limits, thread budgets, and spill thresholds, the parallel
-//! scheduler must produce *identical* results to the sequential one —
-//! the same accepted-instance stream (rendered bytes and all) and the same
+//! variants, limits, key enforcement, pruning, and thread budgets, root-job
+//! fan-out must produce *identical* results to a sequential run — the
+//! same accepted-instance stream (rendered bytes and all) and the same
 //! minimal c-solution.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cqi_core::chase::{Chase, ChaseCaches};
+use cqi_core::chase::{Chase, ChaseCaches, RootJob};
+use cqi_core::conjtree::conjunctive_trees;
 use cqi_core::{run_variant, ChaseConfig, Variant};
 use cqi_drc::{parse_query, SyntaxTree};
 use cqi_instance::CInstance;
@@ -69,10 +70,9 @@ proptest! {
 
     /// `run_variant` with a parallel config returns the same c-solution as
     /// the sequential default, across variants, limits, key enforcement,
-    /// thread budgets, and spill thresholds. Multi-thread runs go through
-    /// the session path, which spawns a resident pool and shares the L2
-    /// memo tier between workers — so this property also pins the tiered
-    /// memo and nested-wave re-submission to the sequential baseline.
+    /// pruning, and thread budgets. Multi-thread runs fan their root jobs
+    /// out over a resident pool whose workers share the L2 memo tier — so
+    /// this property also pins the tiered memo to the sequential baseline.
     #[test]
     fn parallel_run_variant_matches_sequential(
         qi in any::<u64>(),
@@ -80,8 +80,6 @@ proptest! {
         li in any::<u64>(),
         keys in any::<bool>(),
         ti in any::<u64>(),
-        mi in any::<u64>(),
-        ni in any::<u64>(),
         prune in any::<bool>(),
     ) {
         let s = schema();
@@ -89,8 +87,6 @@ proptest! {
         let variant = pick(&Variant::ALL, vi);
         let limit = 4 + (li as usize) % 4; // 4..=7
         let threads = pick(&[0usize, 2, 3, 4], ti);
-        let min_frontier = pick(&[0usize, 1, 2, 4, 64], mi);
-        let nested = pick(&[0usize, 2, 4, 64], ni);
         let tree = SyntaxTree::new(parse_query(&s, src).unwrap());
         let seq_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
@@ -98,16 +94,14 @@ proptest! {
         let par_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
             .subsume_prune(prune)
-            .threads(threads)
-            .parallel_min_frontier(min_frontier)
-            .nested_min_wave(nested);
+            .threads(threads);
         let seq = run_variant(&tree, variant, &seq_cfg);
         let par = run_variant(&tree, variant, &par_cfg);
         prop_assert_eq!(
             render(&seq),
             render(&par),
-            "{} {} limit={} keys={} threads={} min_frontier={} nested={} prune={}",
-            src, variant, limit, keys, threads, min_frontier, nested, prune
+            "{} {} limit={} keys={} threads={} prune={}",
+            src, variant, limit, keys, threads, prune
         );
     }
 
@@ -148,42 +142,50 @@ proptest! {
         );
     }
 
-    /// The raw accepted stream of a single chase root is byte-identical
-    /// between schedulers, instance by instance, in order — the strongest
-    /// form of the determinism guarantee. The parallel run drives a
-    /// *resident* pool (spawned through [`ChaseCaches::ensure_pool`], as a
-    /// session would) so worker hand-off, shared-L2 memo traffic, and
-    /// nested-wave re-submission are all on the tested path.
+    /// The raw accepted stream of a whole run — every root job of a
+    /// variant, `max_results` cuts included — is byte-identical between
+    /// thread budgets, instance by instance, in order: the strongest form
+    /// of the determinism guarantee. The parallel run fans its root jobs
+    /// out over the resident pool [`Chase::new_reusing`] spawns, so worker
+    /// hand-off, the job-order merge, and shared-L2 memo traffic are all on
+    /// the tested path.
     #[test]
     fn parallel_accepted_stream_is_byte_identical(
         qi in any::<u64>(),
+        vi in any::<u64>(),
         li in any::<u64>(),
         ti in any::<u64>(),
-        mi in any::<u64>(),
-        ni in any::<u64>(),
         cap in any::<u64>(),
         prune in any::<bool>(),
     ) {
         let s = schema();
         let src = QUERIES[(qi as usize) % QUERIES.len()];
         let q = parse_query(&s, src).unwrap();
+        let variant = pick(&Variant::ALL, vi);
         let limit = 4 + (li as usize) % 3; // 4..=6
         let threads = pick(&[2usize, 4], ti);
-        let min_frontier = pick(&[0usize, 2, 16], mi);
-        let nested = pick(&[0usize, 2, 16], ni);
         let max_results = match cap % 4 {
             0 => Some(1),
             1 => Some(3),
             _ => None,
         };
+        let formulas = if variant.is_conjunctive() {
+            conjunctive_trees(&q.formula)
+        } else {
+            vec![q.formula.clone()]
+        };
         let run = |cfg: &ChaseConfig| -> Vec<String> {
-            let mut caches = ChaseCaches::new();
-            caches.ensure_pool(cfg.resolved_threads());
-            let mut chase = Chase::new_reusing(&q, cfg, true, &mut caches);
-            chase.run_root(
-                &q.formula.clone(),
-                CInstance::new(Arc::clone(&s)),
-                vec![None; q.vars.len()],
+            let mut chase =
+                Chase::new_reusing(&q, cfg, variant.universal_fresh_nulls(), &mut ChaseCaches::new());
+            chase.run_roots(
+                formulas
+                    .iter()
+                    .map(|f| RootJob {
+                        formula: f,
+                        seed: CInstance::new(Arc::clone(&s)),
+                        h: vec![None; q.vars.len()],
+                    })
+                    .collect(),
             );
             chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect()
         };
@@ -191,16 +193,14 @@ proptest! {
         seq_cfg.max_results = max_results;
         let mut par_cfg = ChaseConfig::with_limit(limit)
             .subsume_prune(prune)
-            .threads(threads)
-            .parallel_min_frontier(min_frontier)
-            .nested_min_wave(nested);
+            .threads(threads);
         par_cfg.max_results = max_results;
         let seq = run(&seq_cfg);
         let par = run(&par_cfg);
         prop_assert_eq!(
             seq, par,
-            "{} limit={} threads={} min_frontier={} nested={} cap={:?} prune={}",
-            src, limit, threads, min_frontier, nested, max_results, prune
+            "{} {} limit={} threads={} cap={:?} prune={}",
+            src, variant, limit, threads, max_results, prune
         );
     }
 }

@@ -16,6 +16,8 @@
 //! ```
 //!
 //! `*` inside a relational atom is a don't-care term (Table 5's `∗`).
+//! Queries may nest at most [`MAX_NESTING_DEPTH`] levels deep (groups,
+//! negations and quantified variables); deeper text is a parse error.
 
 #![deny(unsafe_code)]
 
@@ -30,5 +32,5 @@ pub mod tree;
 pub use ast::{Atom, CmpOp, Formula, Query, QueryError, Term, VarId, VarInfo};
 pub use metrics::Metrics;
 pub use normalize::combine;
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_NESTING_DEPTH};
 pub use tree::{Coverage, LeafId, SyntaxTree};

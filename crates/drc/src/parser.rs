@@ -21,6 +21,9 @@
 //! The no-dot quantifier form matches how the paper writes DRC
 //! (`∃p1,t1 (...) ∧ Likes(d1,b1)` scopes the quantifier to the
 //! parenthesized group only), so Tables 4 and 5 can be transcribed verbatim.
+//!
+//! Nesting is bounded by [`MAX_NESTING_DEPTH`]: deeper input is a
+//! [`QueryError::Parse`], never a stack overflow.
 
 use std::sync::Arc;
 
@@ -30,9 +33,23 @@ use crate::ast::{Atom, CmpOp, Formula, Query, QueryError, Term, VarId};
 use crate::lexer::{lex, Spanned, Tok};
 use crate::normalize;
 
+/// The deepest nesting the query front-ends accept. One level is a
+/// parenthesized group, a negation prefix (`not` / SQL `NOT`), one
+/// variable bound by a quantifier, or a SQL `EXISTS` subquery; levels add
+/// up along any path from the root of the query to a leaf. Parsing,
+/// normalization, `Tree-SAT` and the chase all recurse once per level, so
+/// the bound keeps hostile query text from overflowing a thread's stack:
+/// deeper input is rejected with a [`QueryError::Parse`]. Real queries
+/// nest a few levels deep; the bound leaves ample headroom below the
+/// depths at which an explain thread's default stack runs out.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 struct Parser<'a> {
     toks: Vec<Spanned>,
     i: usize,
+    /// Nesting levels open at the current position (see
+    /// [`MAX_NESTING_DEPTH`]).
+    depth: usize,
     schema: &'a Schema,
     /// Innermost-last binding stack.
     scope: Vec<(String, VarId)>,
@@ -45,6 +62,7 @@ pub fn parse_query(schema: &Arc<Schema>, src: &str) -> Result<Query, QueryError>
     let mut p = Parser {
         toks,
         i: 0,
+        depth: 0,
         schema,
         scope: Vec::new(),
         var_names: Vec::new(),
@@ -69,6 +87,24 @@ impl<'a> Parser<'a> {
             pos: if pos == usize::MAX { 0 } else { pos },
             msg: msg.to_owned(),
         }
+    }
+
+    /// Parses `inner` `levels` nesting levels deeper, or fails once the
+    /// total would exceed [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        inner: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        if self.depth + levels > MAX_NESTING_DEPTH {
+            return Err(self.err(&format!(
+                "query nests deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += levels;
+        let out = inner(self);
+        self.depth -= levels;
+        out
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -169,7 +205,7 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<Formula, QueryError> {
         if self.eat_kw("not") {
-            let inner = self.unary()?;
+            let inner = self.nested(1, Self::unary)?;
             return Ok(normalize::negate(inner));
         }
         let is_exists = self.is_kw("exists");
@@ -209,12 +245,14 @@ impl<'a> Parser<'a> {
             for (n, v) in &vars {
                 self.scope.push((n.clone(), *v));
             }
-            let body = if self.peek() == Some(&Tok::Dot) {
-                self.i += 1;
-                self.formula()?
-            } else {
-                self.unary()?
-            };
+            let body = self.nested(vars.len(), |p| {
+                if p.peek() == Some(&Tok::Dot) {
+                    p.i += 1;
+                    p.formula()
+                } else {
+                    p.unary()
+                }
+            })?;
             self.scope.truncate(depth);
             let ids: Vec<VarId> = vars.iter().map(|(_, v)| *v).collect();
             Ok(if is_exists {
@@ -230,7 +268,7 @@ impl<'a> Parser<'a> {
     fn primary(&mut self) -> Result<Formula, QueryError> {
         if self.peek() == Some(&Tok::LParen) {
             self.i += 1;
-            let f = self.formula()?;
+            let f = self.nested(1, Self::formula)?;
             self.expect(&Tok::RParen, "`)`")?;
             return Ok(f);
         }

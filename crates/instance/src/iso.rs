@@ -137,20 +137,6 @@ pub fn exact_digest(inst: &CInstance) -> u64 {
     d
 }
 
-/// [`exact_digest`] recomputed from scratch — every cell and condition
-/// re-hashed, no memo read or written. Same value as `exact_digest` (the
-/// chains are deterministic), provided for A/B benchmarking of the
-/// incremental-digest cut (`ChaseConfig::digest_cache = false`).
-pub fn exact_digest_fresh(inst: &CInstance) -> u64 {
-    digest_stats::recompute();
-    let chains = crate::cinstance::DigestChains::recompute(&inst.tables, &inst.global);
-    let mut hh = DefaultHasher::new();
-    chains.rels.hash(&mut hh);
-    chains.conds.hash(&mut hh);
-    (inst.num_nulls() as u64).hash(&mut hh);
-    hh.finish()
-}
-
 /// A renaming-invariant hash of the whole c-instance. Equal signatures are
 /// necessary (not sufficient) for isomorphism. Cached on the instance like
 /// [`exact_digest`] (color refinement is the expensive part).
@@ -163,13 +149,6 @@ pub fn signature(inst: &CInstance) -> u64 {
     let s = signature_uncached(inst);
     let _ = inst.sig_memo.set(s);
     s
-}
-
-/// [`signature`] recomputed from scratch (full color refinement), no memo
-/// read or written — the A/B twin of [`exact_digest_fresh`].
-pub fn signature_fresh(inst: &CInstance) -> u64 {
-    digest_stats::recompute();
-    signature_uncached(inst)
 }
 
 fn signature_uncached(inst: &CInstance) -> u64 {

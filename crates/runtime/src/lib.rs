@@ -1,36 +1,33 @@
 //! # cqi-runtime
 //!
-//! Execution substrate for the chase: a work-stealing thread pool
-//! (std-only, no external deps) usable either as per-call scoped threads
-//! or as a long-lived [`ResidentPool`], a sharded concurrent
-//! duplicate-detection set keyed on isomorphism invariants, a lock-striped
-//! shared memo ([`StripedMemo`]) for cross-worker solver-result sharing,
-//! and a [`FrontierScheduler`] that drives breadth-first frontier
-//! expansion either sequentially or in parallel — with **byte-identical
-//! results** either way. An [`Exec`] handle picks the thread source
-//! (scoped vs resident) without changing any drain or merge logic.
+//! Execution substrate for the chase: the FIFO frontier [`drive`] that runs
+//! one root search, the single-owner [`VisitedSet`] it deduplicates
+//! through (keyed on isomorphism invariants), a lock-striped shared memo
+//! ([`StripedMemo`]) for cross-worker solver-result sharing, and a
+//! work-stealing [`ResidentPool`] behind the [`Exec`] handle that fans
+//! whole root searches out across workers.
 //!
 //! ## Determinism model
 //!
-//! Algorithm 1 of the paper explores a frontier of independent c-instance
-//! branch candidates. Expanding a candidate is a pure function of the
-//! candidate (memo state only affects speed), so candidates can be expanded
-//! concurrently as long as
+//! The paper's chase has independent units only at its roots: `Conj-*`
+//! chases each `∨`-free conjunctive tree separately, and `*-Add` runs one
+//! re-seeded search per uncovered leaf. Inside a root, Algorithm 1 is a
+//! FIFO BFS over one visited set. So `threads > 1` has exactly one
+//! meaning — root-job fan-out — and parallel runs stay byte-identical to
+//! sequential ones because
 //!
-//! 1. **duplicate detection is order-stable** — when several candidates of
-//!    one isomorphism class race, the one that the *sequential* scheduler
-//!    would have kept (the earliest in FIFO order) must win, and
-//! 2. **results are collected in FIFO order** — accepted instances and
-//!    newly produced children are merged back in the order the sequential
-//!    scheduler would have produced them.
+//! 1. **every root is driven sequentially** by [`drive`] on one worker
+//!    context, with its own [`VisitedSet`], so its accepted stream is the
+//!    same whichever worker runs it;
+//! 2. **worker state is speed-only** — memo contexts and the shared
+//!    [`StripedMemo`] tier hold pure functions of their keys, so which
+//!    worker computed an entry never changes an answer; and
+//! 3. **results are merged in job order** — [`Exec::run`] returns results
+//!    in item order, and the chase concatenates the per-root streams in
+//!    the order a sequential run would have produced them.
 //!
-//! The [`ShardedDedupe`] set solves (1) with a sequence-priority protocol
-//! ([`ShardedDedupe::offer`] / [`ShardedDedupe::confirm`]); the
-//! [`ParallelScheduler`] solves (2) by processing the frontier in FIFO
-//! waves and tagging every expansion with its frontier position before
-//! merging. See the crate-level tests plus `cqi-core`'s
-//! `parallel_props.rs` for the property suites asserting sequential ≡
-//! parallel.
+//! See the crate-level tests plus `cqi-core`'s `parallel_props.rs` for the
+//! property suites asserting sequential ≡ parallel.
 
 #![deny(unsafe_code)]
 
@@ -40,13 +37,10 @@ pub mod pool;
 pub mod scheduler;
 pub mod sync;
 
-pub use dedupe::{DedupeStats, Offer, SetKey, ShardedDedupe};
+pub use dedupe::{DedupeStats, SetKey, VisitedSet};
 pub use memo::{MemoCounts, MemoStats, StripedMemo};
-pub use pool::{parallel_for, Exec, ResidentPool, RunCounters, RunCounts};
-pub use scheduler::{
-    DriveStats, Expansion, FrontierScheduler, FrontierTask, ParallelScheduler, SequentialScheduler,
-    WaveVisible,
-};
+pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
+pub use scheduler::{drive, Expansion, FrontierTask, WaveVisible};
 
 /// Resolves a user-facing thread budget: `0` means "all available
 /// parallelism", anything else is taken literally (minimum 1).

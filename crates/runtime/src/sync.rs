@@ -10,9 +10,9 @@
 //!
 //! Rules for runtime code:
 //!
-//! - `pool.rs`, `dedupe.rs`, and `memo.rs` must route **all**
-//!   synchronization through this module: `sync::Mutex`, `sync::Condvar`,
-//!   `sync::atomic::*`, `sync::thread::{spawn, scope}`.
+//! - `pool.rs`, `memo.rs`, and `scheduler.rs` (`WaveVisible`) must route
+//!   **all** synchronization through this module: `sync::Mutex`,
+//!   `sync::Condvar`, `sync::atomic::*`, `sync::thread::spawn`.
 //! - Pure *statistics* counters (never read back to make a control-flow
 //!   decision) use [`counter::Counter`], which is deliberately **not**
 //!   instrumented: branching schedules on observability counters would
@@ -41,14 +41,15 @@ pub mod atomic {
     pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 }
 
-/// Thread spawn/scope used by the pool: managed (gated by the scheduler)
-/// under `model-check`, plain `std::thread` otherwise.
+/// Thread spawn/scope used by the pool and the memo tests: managed (gated
+/// by the model checker's scheduler) under `model-check`, plain
+/// `std::thread` otherwise.
 pub mod thread {
     #[cfg(not(feature = "model-check"))]
-    pub use std::thread::{scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
+    pub use std::thread::{scope, spawn, JoinHandle};
 
     #[cfg(feature = "model-check")]
-    pub use loom::thread::{scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
+    pub use loom::thread::{scope, spawn, JoinHandle};
 }
 
 /// Hasher state for hash-based placement (memo stripe selection): std's

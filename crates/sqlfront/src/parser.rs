@@ -1,7 +1,11 @@
 //! Recursive-descent SQL parser (reusing the DRC tokenizer).
+//!
+//! Parenthesized conditions, `NOT` prefixes and `EXISTS` subqueries count
+//! against the DRC parser's [`MAX_NESTING_DEPTH`]: deeper input is a
+//! [`QueryError::Parse`], never a stack overflow.
 
 use cqi_drc::lexer::{lex, Spanned, Tok};
-use cqi_drc::QueryError;
+use cqi_drc::{QueryError, MAX_NESTING_DEPTH};
 use cqi_schema::Value;
 
 use crate::ast::{ColRef, FromItem, SelectItem, SelectStmt, SqlCond, SqlOp, SqlQuery, SqlTerm};
@@ -17,7 +21,11 @@ const CLAUSE_KEYWORDS: [&str; 12] = [
 
 pub fn parse_sql(src: &str) -> Result<SqlQuery, QueryError> {
     let toks = lex(src)?;
-    let mut p = P { toks, i: 0 };
+    let mut p = P {
+        toks,
+        i: 0,
+        depth: 0,
+    };
     let left = p.select()?;
     let except = if p.eat_kw("except") {
         Some(p.select()?)
@@ -37,6 +45,8 @@ pub fn parse_sql(src: &str) -> Result<SqlQuery, QueryError> {
 struct P {
     toks: Vec<Spanned>,
     i: usize,
+    /// Nesting levels open at the current position.
+    depth: usize,
 }
 
 impl P {
@@ -45,6 +55,23 @@ impl P {
             pos: self.toks.get(self.i).map(|s| s.pos).unwrap_or(0),
             msg: msg.to_owned(),
         }
+    }
+
+    /// Parses `inner` one nesting level deeper, or fails once that would
+    /// exceed [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err(&format!(
+                "query nests deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -231,22 +258,22 @@ impl P {
             self.i += 2;
             return Ok(SqlCond::Exists {
                 negated: true,
-                subquery: Box::new(self.parenthesized_select()?),
+                subquery: Box::new(self.nested(Self::parenthesized_select)?),
             });
         }
         if self.eat_kw("exists") {
             return Ok(SqlCond::Exists {
                 negated: false,
-                subquery: Box::new(self.parenthesized_select()?),
+                subquery: Box::new(self.nested(Self::parenthesized_select)?),
             });
         }
         if self.eat_kw("not") {
-            let inner = self.unary_cond()?;
+            let inner = self.nested(Self::unary_cond)?;
             return Ok(SqlCond::Not(Box::new(inner)));
         }
         if self.peek() == Some(&Tok::LParen) {
             self.i += 1;
-            let c = self.cond()?;
+            let c = self.nested(Self::cond)?;
             if self.peek() != Some(&Tok::RParen) {
                 return Err(self.err("expected `)`"));
             }

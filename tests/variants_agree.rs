@@ -66,7 +66,7 @@ fn add_dominates_eo_coverage_union() {
         ] {
             let eo_sol = run_variant(&tree, eo, &cfg());
             let add_sol = run_variant(&tree, add, &cfg());
-            if eo_sol.timed_out || add_sol.timed_out {
+            if eo_sol.interrupted.is_some() || add_sol.interrupted.is_some() {
                 continue;
             }
             let eo_union = eo_sol.covered_union();
@@ -88,7 +88,7 @@ fn naive_finds_at_least_eo_coverages() {
         let tree = SyntaxTree::new(dq.query.clone());
         let eo = run_variant(&tree, Variant::DisjEO, &cfg());
         let naive = run_variant(&tree, Variant::DisjNaive, &cfg());
-        if naive.timed_out || eo.timed_out {
+        if naive.interrupted.is_some() || eo.interrupted.is_some() {
             continue;
         }
         let nc: Vec<&Coverage> = naive.coverages().collect();
@@ -112,7 +112,7 @@ fn per_coverage_sizes_agree_on_minimum() {
         let mut all: Vec<(Variant, Coverage, usize)> = Vec::new();
         for v in [Variant::DisjEO, Variant::DisjAdd, Variant::DisjNaive] {
             let sol = run_variant(&tree, v, &cfg());
-            if sol.timed_out {
+            if sol.interrupted.is_some() {
                 continue;
             }
             for si in &sol.instances {
