@@ -168,7 +168,6 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
         ],
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
         vec!["incremental".to_owned(), defaults.incremental.to_string()],
-        vec!["subsume_prune".to_owned(), defaults.subsume_prune.to_string()],
         vec!["timeout_s".to_owned(), format!("{}", o.timeout.as_secs_f64())],
         vec!["beers_limit".to_owned(), o.beers_limit.to_string()],
         vec!["tpch_limit".to_owned(), o.tpch_limit.to_string()],
@@ -206,8 +205,7 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks, t.incr_extends, t.incr_fallbacks
     );
     println!(
-        "  subsumed subtrees: {}   digest cache: {} of {} probes",
-        t.subsumed_subtrees,
+        "  digest cache: {} of {} probes",
         pct(t.digest_hit_rate()),
         t.digest_hits + t.digest_recomputes,
     );
@@ -227,7 +225,6 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         ],
         vec!["incr_extends".to_owned(), t.incr_extends.to_string()],
         vec!["incr_fallbacks".to_owned(), t.incr_fallbacks.to_string()],
-        vec!["subsumed_subtrees".to_owned(), t.subsumed_subtrees.to_string()],
         vec!["digest_hits".to_owned(), t.digest_hits.to_string()],
         vec!["digest_recomputes".to_owned(), t.digest_recomputes.to_string()],
         vec![

@@ -29,28 +29,24 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqi_drc::{Atom, Coverage, Formula, Query, Term, VarId};
+use cqi_drc::{Atom, Formula, Query, Term, VarId};
 use cqi_obs::trace::{self, Phase};
 use cqi_instance::consistency::{
     conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
 };
-use cqi_instance::{
-    digest_stats, exact_digest, is_isomorphic, signature, subsumes, CInstance, Cond,
-};
+use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
 use cqi_runtime::{
     drive, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool, RunCounters,
-    SetKey, StripedMemo, WaveVisible,
+    SetKey, StripedMemo,
 };
 use cqi_solver::canon::{canonicalize, CanonKey};
 use cqi_solver::{CacheStats, Ent, Lit, Model, SaturatedState, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
-use crate::cover::coverage_of_cinstance_keys;
 use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
@@ -64,52 +60,6 @@ const SHARED_SOLVER_CAP: usize = 32_768;
 
 /// Lock stripes of each shared memo (power of two).
 const MEMO_STRIPES: usize = 64;
-
-/// Bound on the subsumption-prune comparison set, total across coverage
-/// classes. Scans do a cheap coverage-equality reject before any embedding
-/// attempt, so the cap mostly bounds memory and the per-accept set-compare
-/// count, not backtracking work.
-const SUBSUME_VISIBLE_CAP: usize = 512;
-
-/// Representatives staged per coverage class. The earliest accepts of a
-/// class are the smallest (the BFS visits instances in size order), hence
-/// the likeliest to embed into a later re-derivation — so a few early
-/// representatives per class retain almost all pruning power while keeping
-/// embedding attempts per accept at `class_cap` (not `visible_cap`).
-const SUBSUME_CLASS_CAP: usize = 8;
-
-/// Embedding attempts per nested-BFS result. Only same-coverage earlier
-/// results are tried at all, and after this many failed backtracking
-/// attempts the result is kept — pruning is best-effort, keeping is always
-/// sound.
-const NESTED_SUBSUME_ATTEMPTS: usize = 16;
-
-/// Is `cand` a redundant re-derivation of an earlier-kept result of the
-/// same nested search — same leaf coverage, and some kept result embeds
-/// into it (seed-null prefix fixed)?
-fn nested_subsumed(
-    kept: &[CInstance],
-    kept_covs: &[Coverage],
-    cand: &CInstance,
-    cov: &Coverage,
-    fixed: usize,
-) -> bool {
-    let _s = trace::span_phase("subsume_nested", "chase", Phase::Dedupe);
-    let mut attempts = 0usize;
-    for (acc, acc_cov) in kept.iter().zip(kept_covs) {
-        if acc_cov != cov || acc.size() > cand.size() {
-            continue;
-        }
-        attempts += 1;
-        if attempts > NESTED_SUBSUME_ATTEMPTS {
-            return false;
-        }
-        if subsumes(acc, cand, fixed) {
-            return true;
-        }
-    }
-    false
-}
 
 /// The shared (L2) tier behind every worker's L1 memos: lock-striped maps
 /// holding solver answers that are pure functions of their keys, so a
@@ -169,8 +119,8 @@ pub struct ChaseStats {
     pub incr_extends: u64,
     /// Chase steps that fell back to a full consistency check.
     pub incr_fallbacks: u64,
-    /// Frontier subtrees skipped by homomorphic subsumption pruning
-    /// (`ChaseConfig::subsume_prune`).
+    /// Always 0: the chase no longer prunes subsumed subtrees. Kept public
+    /// for the benchmark ledger, which still reads it.
     pub subsumed_subtrees: u64,
     /// Exact-digest requests answered from the per-instance cache vs
     /// recomputed ([`cqi_instance::digest_stats`]).
@@ -251,7 +201,6 @@ impl ChaseStats {
              \"solver_l1_hit_rate\": {:.4}, \"solver_l2_hit_rate\": {:.4}, \
              \"sat_l1_hit_rate\": {:.4}, \"sat_l2_hit_rate\": {:.4}, \
              \"l2_contended\": {}, \"incr_extends\": {}, \"incr_fallbacks\": {}, \
-             \"subsumed_subtrees\": {}, \
              \"digest_cache\": {{\"hits\": {}, \"recomputes\": {}}}, \
              \"phases\": {{\"solver_ns\": {}, \"canonicalization_ns\": {}, \
              \"dedupe_ns\": {}, \"scheduling_ns\": {}}}}}",
@@ -267,7 +216,6 @@ impl ChaseStats {
             self.solver_l2.contended + self.sat_l2.contended,
             self.incr_extends,
             self.incr_fallbacks,
-            self.subsumed_subtrees,
             self.digest_hits,
             self.digest_recomputes,
             self.phase_solver_ns,
@@ -292,7 +240,6 @@ impl ChaseStats {
             solver_l2_misses: std::sync::Arc<cqi_obs::Counter>,
             incr_extends: std::sync::Arc<cqi_obs::Counter>,
             incr_fallbacks: std::sync::Arc<cqi_obs::Counter>,
-            subsumed: std::sync::Arc<cqi_obs::Counter>,
             digest_hits: std::sync::Arc<cqi_obs::Counter>,
             digest_recomputes: std::sync::Arc<cqi_obs::Counter>,
             phase_ns: [std::sync::Arc<cqi_obs::Counter>; 4],
@@ -338,11 +285,6 @@ impl ChaseStats {
                     "chase steps that fell back to a full solve",
                     &[],
                 ),
-                subsumed: r.counter(
-                    "cqi_chase_subsumed_total",
-                    "frontier subtrees skipped by subsumption pruning",
-                    &[],
-                ),
                 digest_hits: r.counter(
                     "cqi_digest_cache_total",
                     "exact-digest requests by outcome",
@@ -382,7 +324,6 @@ impl ChaseStats {
         s.solver_l2_misses.add(self.solver_l2.misses);
         s.incr_extends.add(self.incr_extends);
         s.incr_fallbacks.add(self.incr_fallbacks);
-        s.subsumed.add(self.subsumed_subtrees);
         s.digest_hits.add(self.digest_hits);
         s.digest_recomputes.add(self.digest_recomputes);
         s.phase_ns[0].add(self.phase_solver_ns);
@@ -413,7 +354,6 @@ impl ChaseStats {
         add(&mut self.sat_l2, other.sat_l2);
         self.incr_extends += other.incr_extends;
         self.incr_fallbacks += other.incr_fallbacks;
-        self.subsumed_subtrees += other.subsumed_subtrees;
         self.digest_hits += other.digest_hits;
         self.digest_recomputes += other.digest_recomputes;
         self.phase_solver_ns += other.phase_solver_ns;
@@ -431,7 +371,7 @@ impl std::fmt::Display for ChaseStats {
         write!(
             f,
             "steals={} batches={} dedupe={}/{}dup/{}iso solverL1={:.0}%({}) \
-             L2={:.0}%({}) satL1={:.0}%({}) incr={}+{}fb subsumed={} digest={:.0}%({})",
+             L2={:.0}%({}) satL1={:.0}%({}) incr={}+{}fb digest={:.0}%({})",
             self.steals,
             self.resident_batches,
             self.dedupe_offers,
@@ -445,7 +385,6 @@ impl std::fmt::Display for ChaseStats {
             self.sat_l1_hits + self.sat_l1_misses,
             self.incr_extends,
             self.incr_fallbacks,
-            self.subsumed_subtrees,
             self.digest_hit_rate() * 100.0,
             self.digest_hits + self.digest_recomputes,
         )?;
@@ -535,9 +474,6 @@ pub(crate) struct WorkerCtx {
     sat_l1_misses: u64,
     /// Chase steps decided by extending the parent's saturated state.
     incr_extends: usize,
-    /// Nested-BFS results dropped by the subsumption cut (each one skipped
-    /// the downstream chases it would have seeded — a whole subtree).
-    subsumed: u64,
     /// Chase steps that fell back to the full check (keys, negative
     /// conditions, or no reusable parent state).
     incr_fallbacks: usize,
@@ -559,7 +495,6 @@ impl WorkerCtx {
             sat_l1_hits: 0,
             sat_l1_misses: 0,
             incr_extends: 0,
-            subsumed: 0,
             incr_fallbacks: 0,
             timed_out: false,
             cancelled: false,
@@ -654,10 +589,9 @@ pub struct RootJob<'f> {
     pub h: Hom,
 }
 
-/// One entry of [`Chase::accepted`]: the instance, its wall-clock
-/// acceptance offset, and — when the subsumption filter computed it at
-/// the sink — the instance's leaf coverage.
-pub type AcceptedInstance = (CInstance, Duration, Option<Coverage>);
+/// One entry of [`Chase::accepted`]: the instance and its wall-clock
+/// acceptance offset.
+pub type AcceptedInstance = (CInstance, Duration);
 
 /// One chase run (possibly over several trees, for the `Conj-*` and `*-Add`
 /// variants, which all feed the same accepted-instance log).
@@ -679,9 +613,7 @@ pub struct Chase<'a> {
     pub halted: bool,
     done: bool,
     /// Satisfying consistent instances accepted at the top level, with
-    /// acceptance timestamps (drives the §5.1 interactivity metrics) and —
-    /// when the subsumption filter already paid for it — the instance's
-    /// leaf coverage, reused by validation and the `*-Add` re-seed scan.
+    /// acceptance timestamps (drives the §5.1 interactivity metrics).
     pub accepted: Vec<AcceptedInstance>,
     /// One memo context per worker; `ctxs[0]` drives single roots.
     ctxs: Vec<WorkerCtx>,
@@ -694,9 +626,6 @@ pub struct Chase<'a> {
     run_counters: RunCounters,
     /// Dedupe totals accumulated over this run's drives.
     dedupe_acc: DedupeStats,
-    /// Subsumption-pruned subtrees over this run's drives (the task-local
-    /// counter is read back after each drive).
-    subsumed: u64,
     /// Cumulative cache counters at construction — subtracted so
     /// [`Chase::stats`] reports per-run deltas despite session-persistent
     /// caches.
@@ -787,7 +716,6 @@ impl<'a> Chase<'a> {
             shared: Arc::clone(&caches.shared),
             run_counters: RunCounters::default(),
             dedupe_acc: DedupeStats::default(),
-            subsumed: 0,
             stats_base: ChaseStats::default(),
             phase_base: trace::phase_totals(),
             query_key,
@@ -835,7 +763,6 @@ impl<'a> Chase<'a> {
         // `stats_base` subtraction like every other persistent counter.
         let (digest_hits, digest_recomputes) = digest_stats::snapshot();
         let mut s = ChaseStats {
-            subsumed_subtrees: self.subsumed,
             digest_hits,
             digest_recomputes,
             steals: counters.steals,
@@ -848,7 +775,6 @@ impl<'a> Chase<'a> {
             ..ChaseStats::default()
         };
         for c in &self.ctxs {
-            s.subsumed_subtrees += c.subsumed;
             s.solver_l1_hits += c.solver_cache.stats.hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
             s.sat_l1_hits += c.sat_l1_hits;
@@ -885,7 +811,7 @@ impl<'a> Chase<'a> {
             sat_l2: sub_counts(cur.sat_l2, base.sat_l2),
             incr_extends: cur.incr_extends - base.incr_extends,
             incr_fallbacks: cur.incr_fallbacks - base.incr_fallbacks,
-            subsumed_subtrees: cur.subsumed_subtrees - base.subsumed_subtrees,
+            subsumed_subtrees: 0,
             // Saturating: the digest counters are process-global, so a
             // concurrent run elsewhere in the process can only inflate the
             // delta, never underflow it — but stay defensive.
@@ -920,7 +846,7 @@ impl<'a> Chase<'a> {
     /// logging accepted instances. A single root is one sequential drive on
     /// the first worker context, whatever the thread budget.
     pub fn run_root(&mut self, formula: &Formula, seed: CInstance, seed_h: Hom) {
-        self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
+        self.run_root_observed(formula, seed, seed_h, &mut |_, _| true);
     }
 
     /// [`Chase::run_root`] with an acceptance observer: `observer` is
@@ -933,7 +859,7 @@ impl<'a> Chase<'a> {
         formula: &Formula,
         seed: CInstance,
         seed_h: Hom,
-        observer: &mut dyn FnMut(&CInstance, Duration, Option<&Coverage>) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
     ) {
         if self.done {
             return;
@@ -957,18 +883,16 @@ impl<'a> Chase<'a> {
             formula,
             h0: &h0,
             query_key: self.query_key,
-            subsume: SubsumePrune::for_seed(self.cfg, &i0),
-            pruned: Cell::new(0),
         };
         let start = self.start;
         let max = self.cfg.max_results;
         let accepted = &mut self.accepted;
         let mut done = false;
         let mut halted = false;
-        let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
+        let mut sink = |inst: CInstance| {
             let t = start.elapsed();
-            let keep_streaming = observer(&inst, t, cov.as_ref());
-            accepted.push((inst, t, cov));
+            let keep_streaming = observer(&inst, t);
+            accepted.push((inst, t));
             if !keep_streaming {
                 halted = true;
                 done = true;
@@ -982,9 +906,7 @@ impl<'a> Chase<'a> {
             }
         };
         let dedupe = drive(&task, &mut self.ctxs[0], vec![i0], &mut sink);
-        let pruned = task.pruned.get();
         self.absorb_drive(dedupe);
-        self.subsumed += pruned;
         self.done |= done;
         self.halted |= halted;
         self.collect_ctx_flags();
@@ -996,7 +918,7 @@ impl<'a> Chase<'a> {
     /// accepted instances are merged in job order — identical output to
     /// running the jobs one by one.
     pub fn run_roots(&mut self, jobs: Vec<RootJob<'_>>) {
-        self.run_roots_observed(jobs, &mut |_, _, _| true);
+        self.run_roots_observed(jobs, &mut |_, _| true);
     }
 
     /// [`Chase::run_roots`] with an acceptance observer (see
@@ -1005,7 +927,7 @@ impl<'a> Chase<'a> {
     pub fn run_roots_observed(
         &mut self,
         jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Duration, Option<&Coverage>) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
     ) {
         if jobs.is_empty() || self.done {
             return;
@@ -1026,7 +948,7 @@ impl<'a> Chase<'a> {
         &mut self,
         pool: &ResidentPool,
         jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Duration, Option<&Coverage>) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
     ) {
         let query = self.query;
         let cfg = self.cfg;
@@ -1038,20 +960,20 @@ impl<'a> Chase<'a> {
         let query_key = self.query_key;
         let exec = Exec::resident(pool).with_counters(&self.run_counters);
         let _fanout_span = trace::span("root_job_fanout", "chase");
-        let per_job: Vec<(Vec<AcceptedInstance>, DedupeStats, u64)> =
+        let per_job: Vec<(Vec<AcceptedInstance>, DedupeStats)> =
             exec.run(&mut self.ctxs, &jobs, |ctx, _, job| {
                 let _job_span = trace::span("root_job", "chase");
                 // lint:allow(wall-clock) deadline enforcement needs a real clock
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     ctx.timed_out = true;
-                    return (Vec::new(), DedupeStats::default(), 0);
+                    return (Vec::new(), DedupeStats::default());
                 }
                 if cancel
                     .as_ref()
                     .is_some_and(CancelToken::is_cancelled)
                 {
                     ctx.cancelled = true;
-                    return (Vec::new(), DedupeStats::default(), 0);
+                    return (Vec::new(), DedupeStats::default());
                 }
                 let (i0, h0) =
                     bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
@@ -1064,19 +986,17 @@ impl<'a> Chase<'a> {
                     formula: job.formula,
                     h0: &h0,
                     query_key,
-                    subsume: SubsumePrune::for_seed(cfg, &i0),
-                    pruned: Cell::new(0),
                 };
                 let mut acc: Vec<AcceptedInstance> = Vec::new();
-                let mut sink = |(inst, cov): (CInstance, Option<Coverage>)| {
+                let mut sink = |inst: CInstance| {
                     // Timestamp at the moment of acceptance, not at merge —
                     // the §5.1 interactivity metrics read these.
-                    acc.push((inst, start.elapsed(), cov));
+                    acc.push((inst, start.elapsed()));
                     // No single job ever needs more than the global cap.
                     max.is_none_or(|m| acc.len() < m)
                 };
                 let st = drive(&task, ctx, vec![i0], &mut sink);
-                (acc, st, task.pruned.get())
+                (acc, st)
             });
         // Deterministic merge: job order, truncated at the global cap
         // exactly where a sequential run would have stopped. (The log stays
@@ -1084,12 +1004,11 @@ impl<'a> Chase<'a> {
         // jobs, as they legitimately do.) The observer fires here, at the
         // merge point — job-level fan-out is a batch barrier, unlike the
         // per-item flushing of a single root's drive.
-        'merge: for (acc, st, pruned) in per_job {
+        'merge: for (acc, st) in per_job {
             self.absorb_drive(st);
-            self.subsumed += pruned;
-            for (inst, t, cov) in acc {
-                let keep_streaming = observer(&inst, t, cov.as_ref());
-                self.accepted.push((inst, t, cov));
+            for (inst, t) in acc {
+                let keep_streaming = observer(&inst, t);
+                self.accepted.push((inst, t));
                 if !keep_streaming {
                     self.halted = true;
                     self.done = true;
@@ -1137,41 +1056,12 @@ struct RootTask<'t> {
     formula: &'t Formula,
     h0: &'t Hom,
     query_key: u64,
-    /// Subsumption-prune state (`None` when `cfg.subsume_prune` is off).
-    subsume: Option<SubsumePrune>,
-    /// Subtrees pruned this drive; read back by [`Chase`] afterwards.
-    pruned: Cell<u64>,
-}
-
-/// Prune state of one root drive: the accepted instances published at wave
-/// boundaries, plus the seed-null prefix every instance of this root
-/// shares.
-struct SubsumePrune {
-    /// Accepted instances with their leaf coverage, staged in sink order
-    /// and published at wave boundaries — so a prune decision only ever
-    /// sees accepts from strictly earlier BFS generations.
-    visible: WaveVisible<(CInstance, Coverage)>,
-    /// Number of seed nulls (the bound free variables). They denote the
-    /// same entities in every instance of this root, so an embedding must
-    /// map them identically rather than renaming them.
-    fixed: usize,
-}
-
-impl SubsumePrune {
-    fn for_seed(cfg: &ChaseConfig, seed: &CInstance) -> Option<SubsumePrune> {
-        cfg.subsume_prune.then(|| SubsumePrune {
-            visible: WaveVisible::new(),
-            fixed: seed.num_nulls(),
-        })
-    }
 }
 
 impl FrontierTask for RootTask<'_> {
     type Item = CInstance;
     type Ctx = WorkerCtx;
-    /// Accepted instance plus its leaf coverage when the subsumption filter
-    /// already computed it (reused downstream; `None` with pruning off).
-    type Accept = (CInstance, Option<Coverage>);
+    type Accept = CInstance;
 
     fn admit(&self, inst: &CInstance) -> bool {
         inst.size() <= self.cfg.limit
@@ -1205,7 +1095,7 @@ impl FrontierTask for RootTask<'_> {
         &self,
         ctx: &mut WorkerCtx,
         inst: &CInstance,
-    ) -> Expansion<CInstance, (CInstance, Option<Coverage>)> {
+    ) -> Expansion<CInstance, CInstance> {
         let mut engine = Engine {
             query: self.query,
             cfg: self.cfg,
@@ -1215,47 +1105,11 @@ impl FrontierTask for RootTask<'_> {
             query_key: self.query_key,
             ctx,
         };
-        // Subsumption cut (checked before the accept test): when a visible,
-        // already-accepted instance of this root embeds into this one *and*
-        // covers exactly the same query leaves, this instance is dead work:
-        // if it satisfies, it is a strictly larger re-derivation of the same
-        // conditional answer (`minimize` keeps the earlier, smaller accept,
-        // and the covered-leaf union feeding the `*-Add` re-seed phase is
-        // unchanged), and its subtree is moot either way because accepted
-        // instances are never expanded. Coverage equality is essential: a
-        // superset with *new* coverage is a distinct answer and must
-        // survive. The visible set holds only boundary-published accepts
-        // (strictly earlier waves), so the decision does not depend on the
-        // item's position within its wave. The popped instance's coverage
-        // is computed lazily,
-        // only once some accept actually embeds — failed embeddings stay
-        // cheap (budgeted backtracking, no Tree-SAT).
-        if let Some(sub) = &self.subsume {
-            let visible = sub.visible.snapshot();
-            if !visible.is_empty() {
-                let _s = trace::span_phase("subsume_check", "chase", Phase::Dedupe);
-                let mut cov: Option<Coverage> = None;
-                for (acc, acc_cov) in visible.iter() {
-                    if subsumes(acc, inst, sub.fixed) {
-                        let c = cov.get_or_insert_with(|| {
-                            coverage_of_cinstance_keys(self.query, inst, self.cfg.enforce_keys)
-                        });
-                        if c == acc_cov {
-                            self.pruned.set(self.pruned.get() + 1);
-                            return Expansion {
-                                accepted: None,
-                                children: Vec::new(),
-                            };
-                        }
-                    }
-                }
-            }
-        }
         // Line 13: Tree-SAT under the root homomorphism ∧ IsConsistent(I).
         let sat = SatCtx::new(self.query, inst, self.cfg.enforce_keys).tree_sat(self.formula, self.h0);
         if sat && engine.consistent(inst) {
             return Expansion {
-                accepted: Some((inst.clone(), None)),
+                accepted: Some(inst.clone()),
                 children: Vec::new(),
             };
         }
@@ -1272,61 +1126,6 @@ impl FrontierTask for RootTask<'_> {
         Expansion {
             accepted: None,
             children,
-        }
-    }
-
-    /// Sink-point subsumption filter. Accept-heavy workloads produce most
-    /// of their accepts as *same-wave siblings*, which the expand-time
-    /// pre-check above structurally cannot see (it reads only
-    /// boundary-published state). The drive calls `note_accept` in FIFO
-    /// sink order, so here the candidate can be compared against every
-    /// earlier-kept accept — published *and* staged. Dropping an accept
-    /// `D` subsumed by an earlier-kept
-    /// `A` with equal coverage is output-preserving: `minimize` keeps the
-    /// minimum-size instance per coverage with earliest-acceptance
-    /// tie-break, and `A ↪ D` forces `|A| ≤ |D|`, so `D` never wins; the
-    /// covered-leaf union feeding the `*-Add` re-seed phase is unchanged
-    /// because `cov(D) = cov(A)` contributes nothing new.
-    ///
-    /// The coverage computed here is attached to the kept accept, so the
-    /// downstream validation/`*-Add` consumers reuse it instead of
-    /// recomputing — with pruning on, the filter's coverage work *replaces*
-    /// the sink's, it does not add to it.
-    fn note_accept(&self, accepted: &mut (CInstance, Option<Coverage>)) -> bool {
-        let Some(sub) = &self.subsume else { return true };
-        let (inst, cov_slot) = accepted;
-        let _s = trace::span_phase("subsume_sink", "chase", Phase::Dedupe);
-        let cov = coverage_of_cinstance_keys(self.query, inst, self.cfg.enforce_keys);
-        // Cheap coverage-equality reject first: embedding attempts run only
-        // against the (few) earlier representatives of this exact class.
-        let mut total = 0usize;
-        let mut same_class = 0usize;
-        let dead = sub.visible.any_all(|(acc, acc_cov)| {
-            total += 1;
-            *acc_cov == cov && {
-                same_class += 1;
-                subsumes(acc, inst, sub.fixed)
-            }
-        });
-        if dead {
-            self.pruned.set(self.pruned.get() + 1);
-            return false;
-        }
-        // When the filter keeps the accept, `total`/`same_class` equal the
-        // current visible population (published + staged) — both are pure
-        // functions of the FIFO kept stream. Staging is capped per class (early accepts of a class
-        // are the smallest, so a few representatives retain the pruning
-        // power) and in total (memory + scan bound).
-        if total < SUBSUME_VISIBLE_CAP && same_class < SUBSUME_CLASS_CAP {
-            sub.visible.note((inst.clone(), cov.clone()));
-        }
-        *cov_slot = Some(cov);
-        true
-    }
-
-    fn wave_boundary(&self) {
-        if let Some(sub) = &self.subsume {
-            sub.visible.publish(SUBSUME_VISIBLE_CAP);
         }
     }
 }
@@ -1632,13 +1431,7 @@ impl Engine<'_> {
     /// exactly what a plain FIFO queue would, in the same order.
     fn bfs_inner(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         let (i0, h0) = bind_free_vars(self.query, q, i0.clone(), h0.clone());
-        // Seed nulls are shared by every result of this search, so a
-        // subsumption embedding must keep them pointwise fixed.
-        let fixed = i0.num_nulls();
         let mut res: Vec<CInstance> = Vec::new();
-        // Leaf coverage of each kept result, in step with `res` (filled
-        // only under `cfg.subsume_prune`).
-        let mut res_covs: Vec<Coverage> = Vec::new();
         let mut frontier: Vec<CInstance> = vec![i0];
         let mut visited: Vec<(u64, CInstance)> = Vec::new();
         while !frontier.is_empty() {
@@ -1671,25 +1464,6 @@ impl Engine<'_> {
                 }
                 let (accepted, children) = self.bfs_step(q, &h0, &inst);
                 if accepted {
-                    // Subsumption cut: a result into which an earlier-kept
-                    // result embeds (seed nulls fixed, same leaf coverage)
-                    // is a redundant re-derivation — and every chase the
-                    // caller would have seeded from it (the right-hand
-                    // searches of `handle_conjunction`, recursively) dies
-                    // with it. This is per-search-local FIFO state, so the
-                    // kept list is a pure function of the search inputs.
-                    if self.cfg.subsume_prune {
-                        let cov = coverage_of_cinstance_keys(
-                            self.query,
-                            &inst,
-                            self.cfg.enforce_keys,
-                        );
-                        if nested_subsumed(&res, &res_covs, &inst, &cov, fixed) {
-                            self.ctx.subsumed += 1;
-                            continue;
-                        }
-                        res_covs.push(cov);
-                    }
                     res.push(inst);
                 } else {
                     frontier.extend(children);
@@ -2205,69 +1979,10 @@ mod tests {
         }
     }
 
-    /// The ∀-heavy disjunctive workload of the `chase_subsume` bench: heavy
-    /// superset redundancy in the raw accepted stream.
+    /// A ∀-heavy disjunctive query: its top-level `∨` splits into two
+    /// `∨`-free trees, so `Conj-*` variants run it as two root jobs.
     const FORALL_DISJ: &str = "{ (d1) | forall b1 (exists x1, p1 . Serves(x1, b1, p1)) \
                                and (Likes(d1, 'A') or Likes(d1, 'B')) }";
-
-    fn stats_run(src: &str, cfg: &ChaseConfig) -> (Vec<CInstance>, ChaseStats) {
-        let s = schema();
-        let q = parse_query(&s, src).unwrap();
-        let mut chase = Chase::new(&q, cfg, true);
-        chase.run_root(
-            &q.formula.clone(),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
-        );
-        let stats = chase.stats();
-        (chase.accepted.into_iter().map(|(i, ..)| i).collect(), stats)
-    }
-
-    #[test]
-    fn subsume_prune_drops_only_covered_redundancy() {
-        // The prune contract at the engine level: the raw accepted stream
-        // shrinks, every dropped accept embeds a survivor with the same
-        // leaf coverage — so the set of coverage classes and each class's
-        // minimum size are unchanged.
-        let s = schema();
-        let q = parse_query(&s, FORALL_DISJ).unwrap();
-        let classes = |insts: &[CInstance]| {
-            let mut m: std::collections::HashMap<Vec<u32>, usize> = HashMap::new();
-            for i in insts {
-                let mut cov: Vec<u32> = coverage_of_cinstance_keys(&q, i, false)
-                    .iter()
-                    .map(|l| l.0)
-                    .collect();
-                cov.sort_unstable();
-                let e = m.entry(cov).or_insert(usize::MAX);
-                *e = (*e).min(i.size());
-            }
-            m
-        };
-        let (off, soff) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10));
-        let (on, son) = stats_run(FORALL_DISJ, &ChaseConfig::with_limit(10).subsume_prune(true));
-        assert_eq!(soff.subsumed_subtrees, 0);
-        assert!(son.subsumed_subtrees > 0, "the filter must fire");
-        assert!(on.len() < off.len(), "pruning must shrink the raw stream");
-        assert_eq!(classes(&off), classes(&on));
-    }
-
-    #[test]
-    fn subsume_prune_keeps_parallel_stream_byte_identical() {
-        // Determinism under pruning: the filter consults only
-        // boundary-published accepts, so the 4-thread accepted stream (and
-        // the prune count) match the sequential run exactly.
-        let cfg1 = ChaseConfig::with_limit(10).subsume_prune(true);
-        let cfg4 = ChaseConfig::with_limit(10).subsume_prune(true).threads(4);
-        let (seq, s1) = stats_run(FORALL_DISJ, &cfg1);
-        let (par, s4) = stats_run(FORALL_DISJ, &cfg4);
-        assert!(s1.subsumed_subtrees > 0);
-        assert_eq!(s1.subsumed_subtrees, s4.subsumed_subtrees);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-        }
-    }
 
     #[test]
     fn fan_out_happens_only_across_root_jobs() {
@@ -2301,7 +2016,7 @@ mod tests {
         assert_eq!(seq, par);
         assert!(st.resident_batches > 0, "root jobs must fan out through the resident pool");
         assert!(st.dedupe_offers > 0);
-        assert_eq!((st.waves, st.spilled_waves), (0, 0));
+        assert_eq!((st.waves, st.spilled_waves, st.subsumed_subtrees), (0, 0, 0));
         // Multi-thread workers share the L2 tier, and per-run baselining
         // makes a fresh chase over the warm caches start from zero, not
         // from the cumulative counters.

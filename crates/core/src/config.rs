@@ -105,9 +105,6 @@ pub struct ChaseConfig {
     /// Wall-clock budget; on expiry the run returns the instances found so
     /// far, flagged [`crate::Interrupted::Deadline`].
     pub timeout: Option<Duration>,
-    /// Overrides the variant's default for fresh nulls at `∀` nodes
-    /// (`None` = variant default).
-    pub universal_fresh_nulls: Option<bool>,
     /// Feed key-constraint EGD clauses to the consistency check.
     pub enforce_keys: bool,
     /// Optional cap on accepted satisfying instances (before minimization).
@@ -144,20 +141,6 @@ pub struct ChaseConfig {
     /// the instances accepted so far. `None` (the default) costs nothing on
     /// the hot path.
     pub cancel: Option<CancelToken>,
-    /// Homomorphic subsumption pruning: skip a frontier branch's entire
-    /// subtree when a previously **accepted** instance of the same job
-    /// embeds into it (null-renaming homomorphism respecting domains,
-    /// conditions, and the shared seed-null prefix —
-    /// [`cqi_instance::subsumes`]). Chase steps only grow instances, so an
-    /// embedded accept persists down the subtree and the branch can only
-    /// rediscover solutions already covered by the embedded one. Prune
-    /// decisions consult only accepts published at wave boundaries
-    /// (strictly earlier BFS generations), keeping sequential and parallel
-    /// accepted streams byte-identical. Off by default: with
-    /// `max_results`-style early exits the accepted stream itself can
-    /// differ from an unpruned run on adversarial non-monotone formulas,
-    /// so the fuzz oracle cross-checks this flag rather than assuming it.
-    pub subsume_prune: bool,
     /// Capture a span trace of the run (`cqi-obs`): request → root job →
     /// wave → solver-call spans recorded into per-thread ring buffers and
     /// returned as Chrome trace-event JSON on `CSolution::trace`, plus the
@@ -172,7 +155,6 @@ impl ChaseConfig {
         ChaseConfig {
             limit,
             timeout: None,
-            universal_fresh_nulls: None,
             enforce_keys: false,
             max_results: None,
             solver_cache: true,
@@ -181,7 +163,6 @@ impl ChaseConfig {
             incremental_min_lits: 6,
             threads: 1,
             cancel: None,
-            subsume_prune: false,
             trace: false,
         }
     }
@@ -228,11 +209,6 @@ impl ChaseConfig {
 
     pub fn cancel(mut self, token: CancelToken) -> ChaseConfig {
         self.cancel = Some(token);
-        self
-    }
-
-    pub fn subsume_prune(mut self, on: bool) -> ChaseConfig {
-        self.subsume_prune = on;
         self
     }
 
@@ -306,12 +282,5 @@ mod tests {
         assert_eq!(c.threads(3).resolved_threads(), 3);
         // 0 = all available parallelism (at least one worker anywhere).
         assert!(ChaseConfig::with_limit(6).threads(0).resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn algorithmic_cut_knobs() {
-        let c = ChaseConfig::with_limit(6);
-        assert!(!c.subsume_prune, "pruning is opt-in");
-        assert!(c.subsume_prune(true).subsume_prune);
     }
 }

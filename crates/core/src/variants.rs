@@ -62,25 +62,17 @@ pub(crate) fn run_variant_batch(
 /// re-check, for soundness) and coverage of one accepted instance. `None`
 /// means the instance does not satisfy the original tree. An empty
 /// coverage is legitimate for vacuously satisfied queries (e.g. a Boolean
-/// ∀-only query on the empty instance). When the chase's subsumption
-/// filter already computed the coverage (`cached`), only the satisfaction
-/// re-check runs — the coverage enumeration, the expensive side, is
-/// reused.
+/// ∀-only query on the empty instance).
 fn validated_coverage(
     q: &cqi_drc::Query,
     inst: &CInstance,
     enforce_keys: bool,
-    cached: Option<&Coverage>,
 ) -> Option<Coverage> {
     let ctx = SatCtx::new(q, inst, enforce_keys);
     if !ctx.tree_sat(&q.formula, &vec![None; q.vars.len()]) {
         return None;
     }
-    drop(ctx);
-    Some(match cached {
-        Some(c) => c.clone(),
-        None => coverage_of_cinstance_keys(q, inst, enforce_keys),
-    })
+    Some(coverage_of_cinstance_keys(q, inst, enforce_keys))
 }
 
 fn run_variant_inner(
@@ -91,9 +83,7 @@ fn run_variant_inner(
     observer: Option<&mut dyn FnMut(AcceptedInstance) -> bool>,
 ) -> CSolution {
     let q = tree.query();
-    let universal_fresh = cfg
-        .universal_fresh_nulls
-        .unwrap_or_else(|| variant.universal_fresh_nulls());
+    let universal_fresh = variant.universal_fresh_nulls();
     // Span capture is per-request: the refcount turns recording on for the
     // duration of this run only, and the guard below becomes the trace's
     // root "explain" span. Untraced runs skip both (inert guards).
@@ -111,8 +101,8 @@ fn run_variant_inner(
             // the batch result) is unchanged.
             let enforce_keys = cfg.enforce_keys;
             let mut entries: Vec<(CInstance, Coverage, Duration)> = Vec::new();
-            let mut validate = |inst: &CInstance, t: Duration, cov: Option<&Coverage>| -> bool {
-                let Some(coverage) = validated_coverage(q, inst, enforce_keys, cov) else {
+            let mut validate = |inst: &CInstance, t: Duration| -> bool {
+                let Some(coverage) = validated_coverage(q, inst, enforce_keys) else {
                     return true;
                 };
                 let acc = AcceptedInstance {
@@ -131,13 +121,12 @@ fn run_variant_inner(
         None => {
             // Batch: drive with a no-op observer, then validate by moving
             // the accepted log (zero clones on the hot benchmark path).
-            drive_phases(&mut chase, tree, variant, &mut |_, _, _| true);
+            drive_phases(&mut chase, tree, variant, &mut |_, _| true);
             let accepted = std::mem::take(&mut chase.accepted);
             let raw = accepted.len();
             let mut entries = Vec::with_capacity(raw);
-            for (inst, t, cov) in accepted {
-                if let Some(coverage) = validated_coverage(q, &inst, cfg.enforce_keys, cov.as_ref())
-                {
+            for (inst, t) in accepted {
+                if let Some(coverage) = validated_coverage(q, &inst, cfg.enforce_keys) {
                     entries.push((inst, coverage, t));
                 }
             }
@@ -179,7 +168,7 @@ fn drive_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,
     variant: Variant,
-    observer: &mut dyn FnMut(&CInstance, std::time::Duration, Option<&Coverage>) -> bool,
+    observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
 ) {
     let q = tree.query();
     let cfg = chase.cfg;
@@ -207,11 +196,8 @@ fn drive_phases(
         // against this one coverage set, which is what makes the jobs
         // independent and the batch parallelizable.)
         let mut covered = Coverage::new();
-        for (inst, _, cov) in &chase.accepted {
-            match cov {
-                Some(c) => covered.extend(c.iter().copied()),
-                None => covered.extend(coverage_of_cinstance_keys(q, inst, cfg.enforce_keys)),
-            }
+        for (inst, _) in &chase.accepted {
+            covered.extend(coverage_of_cinstance_keys(q, inst, cfg.enforce_keys));
         }
         let mut jobs: Vec<RootJob<'_>> = Vec::new();
         for (leaf_id, atom) in tree.leaves() {

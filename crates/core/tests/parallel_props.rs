@@ -1,5 +1,5 @@
 //! Property tests for the parallel chase runtime: for random queries,
-//! variants, limits, key enforcement, pruning, and thread budgets, root-job
+//! variants, limits, key enforcement, and thread budgets, root-job
 //! fan-out must produce *identical* results to a sequential run — the
 //! same accepted-instance stream (rendered bytes and all) and the same
 //! minimal c-solution.
@@ -70,7 +70,7 @@ proptest! {
 
     /// `run_variant` with a parallel config returns the same c-solution as
     /// the sequential default, across variants, limits, key enforcement,
-    /// pruning, and thread budgets. Multi-thread runs fan their root jobs
+    /// and thread budgets. Multi-thread runs fan their root jobs
     /// out over a resident pool whose workers share the L2 memo tier — so
     /// this property also pins the tiered memo to the sequential baseline.
     #[test]
@@ -80,7 +80,6 @@ proptest! {
         li in any::<u64>(),
         keys in any::<bool>(),
         ti in any::<u64>(),
-        prune in any::<bool>(),
     ) {
         let s = schema();
         let src = QUERIES[(qi as usize) % QUERIES.len()];
@@ -88,55 +87,15 @@ proptest! {
         let limit = 4 + (li as usize) % 4; // 4..=7
         let threads = pick(&[0usize, 2, 3, 4], ti);
         let tree = SyntaxTree::new(parse_query(&s, src).unwrap());
-        let seq_cfg = ChaseConfig::with_limit(limit)
-            .enforce_keys(keys)
-            .subsume_prune(prune);
+        let seq_cfg = ChaseConfig::with_limit(limit).enforce_keys(keys);
         let par_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
-            .subsume_prune(prune)
             .threads(threads);
         let seq = run_variant(&tree, variant, &seq_cfg);
         let par = run_variant(&tree, variant, &par_cfg);
         prop_assert_eq!(
             render(&seq),
             render(&par),
-            "{} {} limit={} keys={} threads={} prune={}",
-            src, variant, limit, keys, threads, prune
-        );
-    }
-
-    /// The subsumption-prune contract: with `subsume_prune` on, the raw
-    /// accepted stream may shrink but the explanation content is
-    /// preserved — same coverage classes with the same per-class minimal
-    /// size — at 1 and 4 threads alike, across variants, limits, and key
-    /// enforcement.
-    #[test]
-    fn subsume_prune_preserves_minimized_solutions(
-        qi in any::<u64>(),
-        vi in any::<u64>(),
-        li in any::<u64>(),
-        keys in any::<bool>(),
-        ti in any::<u64>(),
-    ) {
-        let s = schema();
-        let src = QUERIES[(qi as usize) % QUERIES.len()];
-        let variant = pick(&Variant::ALL, vi);
-        let limit = 4 + (li as usize) % 4; // 4..=7
-        let threads = pick(&[1usize, 4], ti);
-        let tree = SyntaxTree::new(parse_query(&s, src).unwrap());
-        let classes = |sol: &cqi_core::CSolution| -> BTreeMap<Vec<u32>, usize> {
-            sol.instances
-                .iter()
-                .map(|si| (si.coverage.iter().map(|l| l.0).collect(), si.size()))
-                .collect()
-        };
-        let base_cfg = ChaseConfig::with_limit(limit).enforce_keys(keys).threads(threads);
-        let base = run_variant(&tree, variant, &base_cfg);
-        let pruned = run_variant(&tree, variant, &base_cfg.subsume_prune(true));
-        prop_assert!(pruned.raw_accepted <= base.raw_accepted);
-        prop_assert_eq!(
-            classes(&base),
-            classes(&pruned),
             "{} {} limit={} keys={} threads={}",
             src, variant, limit, keys, threads
         );
@@ -156,7 +115,6 @@ proptest! {
         li in any::<u64>(),
         ti in any::<u64>(),
         cap in any::<u64>(),
-        prune in any::<bool>(),
     ) {
         let s = schema();
         let src = QUERIES[(qi as usize) % QUERIES.len()];
@@ -189,18 +147,16 @@ proptest! {
             );
             chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect()
         };
-        let mut seq_cfg = ChaseConfig::with_limit(limit).subsume_prune(prune);
+        let mut seq_cfg = ChaseConfig::with_limit(limit);
         seq_cfg.max_results = max_results;
-        let mut par_cfg = ChaseConfig::with_limit(limit)
-            .subsume_prune(prune)
-            .threads(threads);
+        let mut par_cfg = ChaseConfig::with_limit(limit).threads(threads);
         par_cfg.max_results = max_results;
         let seq = run(&seq_cfg);
         let par = run(&par_cfg);
         prop_assert_eq!(
             seq, par,
-            "{} {} limit={} threads={} cap={:?} prune={}",
-            src, variant, limit, threads, max_results, prune
+            "{} {} limit={} threads={} cap={:?}",
+            src, variant, limit, threads, max_results
         );
     }
 }

@@ -22,7 +22,8 @@
 //! (`∃p1,t1 (...) ∧ Likes(d1,b1)` scopes the quantifier to the
 //! parenthesized group only), so Tables 4 and 5 can be transcribed verbatim.
 //!
-//! Nesting is bounded by [`MAX_NESTING_DEPTH`]: deeper input is a
+//! Nesting is bounded by [`MAX_NESTING_DEPTH`], and so is the height of
+//! the left-leaning tree an `and`/`or` chain folds into: deeper input is a
 //! [`QueryError::Parse`], never a stack overflow.
 
 use std::sync::Arc;
@@ -35,8 +36,10 @@ use crate::normalize;
 
 /// The deepest nesting the query front-ends accept. One level is a
 /// parenthesized group, a negation prefix (`not` / SQL `NOT`), one
-/// variable bound by a quantifier, or a SQL `EXISTS` subquery; levels add
-/// up along any path from the root of the query to a leaf. Parsing,
+/// variable bound by a quantifier, a SQL `EXISTS` subquery, or one extra
+/// operand of an `and`/`or` chain (the chain folds into a left-leaning
+/// tree, one node per extra operand); levels add up along any path from
+/// the root of the query to a leaf. Parsing,
 /// normalization, `Tree-SAT` and the chase all recurse once per level, so
 /// the bound keeps hostile query text from overflowing a thread's stack:
 /// deeper input is rejected with a [`QueryError::Parse`]. Real queries
@@ -50,6 +53,9 @@ struct Parser<'a> {
     /// Nesting levels open at the current position (see
     /// [`MAX_NESTING_DEPTH`]).
     depth: usize,
+    /// Deepest level any leaf of the innermost open `and`/`or` chain
+    /// reaches (see [`Parser::chain`]).
+    peak: usize,
     schema: &'a Schema,
     /// Innermost-last binding stack.
     scope: Vec<(String, VarId)>,
@@ -63,6 +69,7 @@ pub fn parse_query(schema: &Arc<Schema>, src: &str) -> Result<Query, QueryError>
         toks,
         i: 0,
         depth: 0,
+        peak: 0,
         schema,
         scope: Vec::new(),
         var_names: Vec::new(),
@@ -97,14 +104,44 @@ impl<'a> Parser<'a> {
         inner: impl FnOnce(&mut Self) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
         if self.depth + levels > MAX_NESTING_DEPTH {
-            return Err(self.err(&format!(
-                "query nests deeper than {MAX_NESTING_DEPTH} levels"
-            )));
+            return Err(self.too_deep());
         }
         self.depth += levels;
+        self.peak = self.peak.max(self.depth);
         let out = inner(self);
         self.depth -= levels;
         out
+    }
+
+    fn too_deep(&self) -> QueryError {
+        self.err(&format!(
+            "query nests deeper than {MAX_NESTING_DEPTH} levels"
+        ))
+    }
+
+    /// Parses `operand (kw operand)*` and folds it left with `join`. Each
+    /// extra operand puts a node on top of everything parsed so far, so
+    /// the chain's deepest leaf sinks one level: it is charged against
+    /// [`MAX_NESTING_DEPTH`] like any other nesting level, which bounds
+    /// the height of the folded tree and not just the syntactic nesting.
+    fn chain(
+        &mut self,
+        kw: &str,
+        operand: fn(&mut Self) -> Result<Formula, QueryError>,
+        join: fn(Formula, Formula) -> Formula,
+    ) -> Result<Formula, QueryError> {
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let mut f = operand(self)?;
+        while self.eat_kw(kw) {
+            self.peak += 1;
+            if self.peak > MAX_NESTING_DEPTH {
+                return Err(self.too_deep());
+            }
+            let r = self.nested(1, operand)?;
+            f = join(f, r);
+        }
+        self.peak = self.peak.max(outer_peak);
+        Ok(f)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -186,21 +223,11 @@ impl<'a> Parser<'a> {
     }
 
     fn formula(&mut self) -> Result<Formula, QueryError> {
-        let mut f = self.and_expr()?;
-        while self.eat_kw("or") {
-            let r = self.and_expr()?;
-            f = Formula::or(f, r);
-        }
-        Ok(f)
+        self.chain("or", Self::and_expr, Formula::or)
     }
 
     fn and_expr(&mut self) -> Result<Formula, QueryError> {
-        let mut f = self.unary()?;
-        while self.eat_kw("and") {
-            let r = self.unary()?;
-            f = Formula::and(f, r);
-        }
-        Ok(f)
+        self.chain("and", Self::unary, Formula::and)
     }
 
     fn unary(&mut self) -> Result<Formula, QueryError> {

@@ -22,24 +22,16 @@ use cqi_instance::ground_instance;
 use crate::spec::{CaseSpec, Mutation};
 
 /// The CI config matrix of the acceptance criteria:
-/// `(threads, incremental, enforce_keys, subsume_prune)`.
-pub const CONFIG_MATRIX: [(usize, bool, bool, bool); 16] = [
-    (1, true, true, false),
-    (4, true, true, false),
-    (1, false, true, false),
-    (4, false, true, false),
-    (1, true, false, false),
-    (4, true, false, false),
-    (1, false, false, false),
-    (4, false, false, false),
-    (1, true, true, true),
-    (4, true, true, true),
-    (1, false, true, true),
-    (4, false, true, true),
-    (1, true, false, true),
-    (4, true, false, true),
-    (1, false, false, true),
-    (4, false, false, true),
+/// `(threads, incremental, enforce_keys)`.
+pub const CONFIG_MATRIX: [(usize, bool, bool); 8] = [
+    (1, true, true),
+    (4, true, true),
+    (1, false, true),
+    (4, false, true),
+    (1, true, false),
+    (4, true, false),
+    (1, false, false),
+    (4, false, false),
 ];
 
 /// Effective per-case configuration: one cell of the config matrix plus a
@@ -50,9 +42,6 @@ pub struct CaseConfig {
     pub threads: usize,
     pub incremental: bool,
     pub enforce_keys: bool,
-    /// Homomorphic subsumption pruning; `true` cells additionally
-    /// cross-check the pruned run against an unpruned twin.
-    pub subsume: bool,
     /// Chase instance-size limit (small: keeps even Naive variants fast).
     pub limit: usize,
     /// Accepted-instance cap per run.
@@ -63,18 +52,16 @@ pub struct CaseConfig {
 
 impl CaseConfig {
     /// Deterministic assignment of case `index` to a matrix cell and a
-    /// variant: all 16 cells × all 6 variants cycle with period 96, so a
-    /// ≥ 500-case sweep visits every combination ≥ 5 times.
+    /// variant: all 8 cells × all 6 variants cycle with period 48, so a
+    /// ≥ 500-case sweep visits every combination ≥ 10 times.
     pub fn for_case(index: usize, deadline: Duration) -> CaseConfig {
-        let (threads, incremental, enforce_keys, subsume) =
-            CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
+        let (threads, incremental, enforce_keys) = CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
         let variant = Variant::ALL[(index / CONFIG_MATRIX.len()) % Variant::ALL.len()];
         CaseConfig {
             variant,
             threads,
             incremental,
             enforce_keys,
-            subsume,
             limit: 5,
             max_results: 4,
             deadline,
@@ -86,7 +73,6 @@ impl CaseConfig {
             .enforce_keys(self.enforce_keys)
             .incremental(self.incremental)
             .threads(self.threads)
-            .subsume_prune(self.subsume)
             .max_results(self.max_results)
             .timeout(self.deadline)
     }
@@ -112,10 +98,6 @@ pub enum DivergenceKind {
     BaselineRatest,
     /// The database generator's stats disagree with the instance it built.
     GeneratorStats,
-    /// A pruned (`subsume_prune`) run lost explanation content its
-    /// unpruned twin found: a coverage class disappeared, or a shared
-    /// class's minimal instance grew.
-    SubsumeMismatch,
     /// A spec failed to build — a fuzzer bug, reported loudly rather than
     /// skipped silently.
     SpecBuild,
@@ -131,7 +113,6 @@ impl DivergenceKind {
             DivergenceKind::BaselineCosette => "baseline-cosette",
             DivergenceKind::BaselineRatest => "baseline-ratest",
             DivergenceKind::GeneratorStats => "generator-stats",
-            DivergenceKind::SubsumeMismatch => "subsume-mismatch",
             DivergenceKind::SpecBuild => "spec-build",
         }
     }
@@ -288,57 +269,6 @@ pub fn run_case(
         return report;
     }
 
-    // Pruned-vs-unpruned agreement: the subsumption filter only drops
-    // accepts that embed an earlier equal-coverage survivor, so the pruned
-    // run must dominate its unpruned twin — every coverage class the twin
-    // found, at the same minimal instance size. (With `max_results` the
-    // pruned run may find *more* classes: dropped redundancy frees cap
-    // slots. Equality is therefore asserted as one-sided dominance.)
-    if cfg.subsume && mutation.is_none() {
-        let unpruned_cfg = cfg.chase_config().subsume_prune(false);
-        let unpruned_session = Session::new(schema.clone()).config(unpruned_cfg);
-        match unpruned_session.explain_collect(ExplainRequest::tree(&tree).variant(cfg.variant)) {
-            Err(e) => {
-                report.divergence = Some(Divergence {
-                    kind: DivergenceKind::SpecBuild,
-                    detail: format!("explain unpruned: {e:?}"),
-                });
-                return report;
-            }
-            Ok(unpruned) if unpruned.interrupted.is_none() => {
-                report.crossvariant_checks += 1;
-                let classes = |sol: &CSolution| {
-                    let mut m: std::collections::BTreeMap<Vec<u32>, usize> = Default::default();
-                    for si in &sol.instances {
-                        let cov: Vec<u32> = si.coverage.iter().map(|l| l.0).collect();
-                        let e = m.entry(cov).or_insert(usize::MAX);
-                        *e = (*e).min(si.size());
-                    }
-                    m
-                };
-                let pruned_classes = classes(&sol);
-                for (cov, size) in classes(&unpruned) {
-                    match pruned_classes.get(&cov) {
-                        Some(&ps) if ps <= size => {}
-                        got => {
-                            report.divergence = Some(Divergence {
-                                kind: DivergenceKind::SubsumeMismatch,
-                                detail: format!(
-                                    "[{} {}] pruned run lost coverage class {cov:?}: \
-                                     unpruned min size {size}, pruned {got:?}",
-                                    cfg.variant,
-                                    matrix_tag(cfg)
-                                ),
-                            });
-                            return report;
-                        }
-                    }
-                }
-            }
-            Ok(_) => {} // unpruned twin hit the deadline: nothing to compare
-        }
-    }
-
     // Cross-variant agreement: Add dominates its EO base's coverage union.
     if mutation.is_none() {
         if let Some(eo) = eo_counterpart(cfg.variant) {
@@ -453,8 +383,8 @@ pub fn run_case(
 
 fn matrix_tag(cfg: &CaseConfig) -> String {
     format!(
-        "t{} inc={} keys={} sub={}",
-        cfg.threads, cfg.incremental as u8, cfg.enforce_keys as u8, cfg.subsume as u8
+        "t{} inc={} keys={}",
+        cfg.threads, cfg.incremental as u8, cfg.enforce_keys as u8
     )
 }
 
@@ -467,12 +397,12 @@ mod tests {
     fn matrix_rotation_covers_all_cells_and_variants() {
         let mut cells = std::collections::BTreeSet::new();
         let mut variants = std::collections::BTreeSet::new();
-        for i in 0..96 {
+        for i in 0..48 {
             let c = CaseConfig::for_case(i, Duration::from_secs(1));
-            cells.insert((c.threads, c.incremental, c.enforce_keys, c.subsume));
+            cells.insert((c.threads, c.incremental, c.enforce_keys));
             variants.insert(c.variant);
         }
-        assert_eq!(cells.len(), 16);
+        assert_eq!(cells.len(), 8);
         assert_eq!(variants.len(), 6);
     }
 

@@ -291,213 +291,6 @@ fn check_mapping(a: &CInstance, b: &CInstance, map: &[Option<NullId>]) -> bool {
     mapped == target
 }
 
-/// Candidate-pairing budget for [`subsumes`]: a deterministic node count
-/// (never wall clock), after which the check conservatively reports "no
-/// embedding". Keeps the worst-case backtracking bounded on adversarial
-/// instances while leaving typical chase-sized instances fully explored.
-const SUBSUME_BUDGET: usize = 4096;
-
-/// Homomorphic subsumption: does `small` embed *injectively* into `large`?
-///
-/// An embedding maps each labeled null of `small` to a distinct null of
-/// `large` with identical domain/type/don't-care metadata — the first
-/// `fixed` nulls (the shared chase-seed prefix, which must carry identical
-/// [`crate::NullInfo`]s on both sides) are fixed pointwise — such that
-/// every tuple of `small` maps onto a tuple of `large` in the same
-/// relation and every atomic condition of `small` maps onto a condition
-/// present in `large`. Constants only match themselves; nulls never map to
-/// constants. This is the "accepted instance already represents this
-/// frontier subtree" test of the chase's subsumption pruning: a frontier
-/// instance that contains an embedded copy of an accepted c-instance only
-/// grows into super-instances of that accepted explanation.
-///
-/// Conservative by construction: exceeding the internal search budget
-/// returns `false` (deterministically — the budget counts candidate
-/// pairings, not time).
-pub fn subsumes(small: &CInstance, large: &CInstance, fixed: usize) -> bool {
-    if small.num_nulls() < fixed || large.num_nulls() < fixed {
-        return false;
-    }
-    if small.nulls[..fixed] != large.nulls[..fixed] {
-        return false;
-    }
-    // Injectivity makes distinct tuples/conditions map to distinct images,
-    // so per-relation and condition counts must not shrink.
-    if small.global.len() > large.global.len() {
-        return false;
-    }
-    if small
-        .tables
-        .iter()
-        .zip(&large.tables)
-        .any(|(s, l)| s.len() > l.len())
-    {
-        return false;
-    }
-    let mut items: Vec<Work> = Vec::with_capacity(small.num_tuples() + small.global.len());
-    for (ri, rows) in small.tables.iter().enumerate() {
-        for row in 0..rows.len() {
-            items.push(Work::Tuple(ri, row));
-        }
-    }
-    for ci in 0..small.global.len() {
-        items.push(Work::Cond(ci));
-    }
-    let mut em = Embedder {
-        small,
-        large,
-        map: vec![None; small.num_nulls()],
-        used: vec![false; large.num_nulls()],
-        budget: SUBSUME_BUDGET,
-    };
-    for i in 0..fixed {
-        em.map[i] = Some(NullId(i as u32));
-        em.used[i] = true;
-    }
-    em.solve(&items, 0)
-}
-
-enum Work {
-    /// `(relation index, row index)` of a `small` tuple to place.
-    Tuple(usize, usize),
-    /// Index into `small.global` of a condition to place.
-    Cond(usize),
-}
-
-struct Embedder<'a> {
-    small: &'a CInstance,
-    large: &'a CInstance,
-    map: Vec<Option<NullId>>,
-    used: Vec<bool>,
-    budget: usize,
-}
-
-impl Embedder<'_> {
-    fn compat(&self, s: NullId, l: NullId) -> bool {
-        let a = &self.small.nulls[s.index()];
-        let b = &self.large.nulls[l.index()];
-        a.domain == b.domain && a.ty == b.ty && a.dont_care == b.dont_care
-    }
-
-    /// Binds `s` to `l` if consistent with the partial map; fresh bindings
-    /// go on `trail` so the caller can [`undo`](Self::undo) them.
-    fn unify(&mut self, s: &Ent, l: &Ent, trail: &mut Vec<NullId>) -> bool {
-        match (s, l) {
-            (Ent::Const(a), Ent::Const(b)) => a == b,
-            (Ent::Null(m), Ent::Null(t)) => match self.map[m.index()] {
-                Some(bound) => bound == *t,
-                None => {
-                    if self.used[t.index()] || !self.compat(*m, *t) {
-                        return false;
-                    }
-                    self.map[m.index()] = Some(*t);
-                    self.used[t.index()] = true;
-                    trail.push(*m);
-                    true
-                }
-            },
-            _ => false,
-        }
-    }
-
-    fn unify_rows(&mut self, s: &[Ent], l: &[Ent], trail: &mut Vec<NullId>) -> bool {
-        s.len() == l.len() && s.iter().zip(l).all(|(a, b)| self.unify(a, b, trail))
-    }
-
-    fn undo(&mut self, trail: &[NullId]) {
-        for &m in trail {
-            let t = self.map[m.index()].take().expect("trail entries are bound");
-            self.used[t.index()] = false;
-        }
-    }
-
-    fn solve(&mut self, items: &[Work], idx: usize) -> bool {
-        if idx == items.len() {
-            return self.finish();
-        }
-        match items[idx] {
-            Work::Tuple(ri, rowi) => {
-                let ncand = self.large.tables[ri].len();
-                for cand in 0..ncand {
-                    if self.budget == 0 {
-                        return false;
-                    }
-                    self.budget -= 1;
-                    let mut trail = Vec::new();
-                    let row = self.small.tables[ri][rowi].clone();
-                    let target = self.large.tables[ri][cand].clone();
-                    if self.unify_rows(&row, &target, &mut trail) && self.solve(items, idx + 1) {
-                        return true;
-                    }
-                    self.undo(&trail);
-                }
-                false
-            }
-            Work::Cond(ci) => {
-                let ncand = self.large.global.len();
-                for cand in 0..ncand {
-                    if self.budget == 0 {
-                        return false;
-                    }
-                    self.budget -= 1;
-                    let mut trail = Vec::new();
-                    let c = self.small.global[ci].clone();
-                    let target = self.large.global[cand].clone();
-                    if self.unify_cond(&c, &target, &mut trail) && self.solve(items, idx + 1) {
-                        return true;
-                    }
-                    self.undo(&trail);
-                }
-                false
-            }
-        }
-    }
-
-    fn unify_cond(&mut self, s: &Cond, l: &Cond, trail: &mut Vec<NullId>) -> bool {
-        match (s, l) {
-            (
-                Cond::Lit(Lit::Cmp { lhs, op, rhs }),
-                Cond::Lit(Lit::Cmp { lhs: l2, op: o2, rhs: r2 }),
-            ) => op == o2 && self.unify(lhs, l2, trail) && self.unify(rhs, r2, trail),
-            (
-                Cond::Lit(Lit::Like { negated, ent, pattern }),
-                Cond::Lit(Lit::Like { negated: n2, ent: e2, pattern: p2 }),
-            ) => negated == n2 && pattern == p2 && self.unify(ent, e2, trail),
-            (Cond::NotIn { rel, tuple }, Cond::NotIn { rel: r2, tuple: t2 }) => {
-                rel == r2 && self.unify_rows(&tuple.clone(), &t2.clone(), trail)
-            }
-            _ => false,
-        }
-    }
-
-    /// Occurrence-free nulls of `small` (registered but not yet placed in
-    /// a tuple or condition) still widen its quantifier pools, so they too
-    /// must find a distinct compatible counterpart. They are mutually
-    /// interchangeable, so a greedy first-fit assignment is complete.
-    fn finish(&mut self) -> bool {
-        let mut trail = Vec::new();
-        for m in 0..self.map.len() {
-            if self.map[m].is_some() {
-                continue;
-            }
-            let target = (0..self.used.len())
-                .find(|&t| !self.used[t] && self.compat(NullId(m as u32), NullId(t as u32)));
-            match target {
-                Some(t) => {
-                    self.map[m] = Some(NullId(t as u32));
-                    self.used[t] = true;
-                    trail.push(NullId(m as u32));
-                }
-                None => {
-                    self.undo(&trail);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,68 +479,5 @@ mod tests {
         let (h1, r1) = digest_stats::snapshot();
         assert!(r1 > r0);
         assert!(h1 >= h0 + 2);
-    }
-
-    #[test]
-    fn instance_subsumes_itself_and_its_extensions() {
-        let s = schema();
-        let a = two_row_instance(&s, false);
-        assert!(subsumes(&a, &a, 0), "identity embedding");
-        assert!(subsumes(&a, &a, a.num_nulls()), "fully fixed identity");
-        let serves = s.rel_id("Serves").unwrap();
-        let mut bigger = a.clone();
-        let x = bigger.fresh_null("x3", s.attr_domain(serves, 0));
-        let bb = bigger.fresh_null("b3", s.attr_domain(serves, 1));
-        let p = bigger.fresh_null("p3", s.attr_domain(serves, 2));
-        bigger.add_tuple(serves, vec![x.into(), bb.into(), p.into()]);
-        assert!(subsumes(&a, &bigger, a.num_nulls()));
-        assert!(!subsumes(&bigger, &a, 0), "no injective map into fewer rows");
-    }
-
-    #[test]
-    fn subsumption_respects_renaming_but_not_fixed_prefix() {
-        let s = schema();
-        let a = two_row_instance(&s, false);
-        let b = two_row_instance(&s, true); // same shape, nulls renamed
-        assert!(subsumes(&a, &b, 0), "free embedding absorbs the renaming");
-        assert!(subsumes(&a, &b, 1), "shared prefix (null 0 = b) still fixed");
-        // Fixing deeper prefixes pins x1 to slot 1, where `b` holds x2: the
-        // per-slot NullInfo (names differ) rejects the identification.
-        assert!(!subsumes(&a, &b, 3));
-    }
-
-    #[test]
-    fn subsumption_requires_conditions_and_constants_to_carry_over() {
-        let s = schema();
-        let a = two_row_instance(&s, false);
-        let mut no_cond = CInstance::new(Arc::clone(&s));
-        let serves = s.rel_id("Serves").unwrap();
-        let (bd, ed, pd) = (
-            s.attr_domain(serves, 0),
-            s.attr_domain(serves, 1),
-            s.attr_domain(serves, 2),
-        );
-        let bb = no_cond.fresh_null("b", ed);
-        for i in 0..2 {
-            let x = no_cond.fresh_null(format!("x{i}"), bd);
-            let p = no_cond.fresh_null(format!("p{i}"), pd);
-            no_cond.add_tuple(serves, vec![x.into(), bb.into(), p.into()]);
-        }
-        // `a` carries a p1 > p2 condition the target lacks.
-        assert!(!subsumes(&a, &no_cond, 0));
-        assert!(subsumes(&no_cond, &a, 0), "condition-free side embeds fine");
-
-        let mk_const = |price: f64| {
-            let mut inst = CInstance::new(Arc::clone(&s));
-            let x = inst.fresh_null("x", bd);
-            let b = inst.fresh_null("b", ed);
-            inst.add_tuple(
-                serves,
-                vec![x.into(), b.into(), Ent::Const(cqi_schema::Value::real(price))],
-            );
-            inst
-        };
-        assert!(subsumes(&mk_const(2.25), &mk_const(2.25), 0));
-        assert!(!subsumes(&mk_const(2.25), &mk_const(2.75), 0), "constants fixed");
     }
 }

@@ -40,7 +40,7 @@ pub mod sync;
 pub use dedupe::{DedupeStats, SetKey, VisitedSet};
 pub use memo::{MemoCounts, MemoStats, StripedMemo};
 pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
-pub use scheduler::{drive, Expansion, FrontierTask, WaveVisible};
+pub use scheduler::{drive, Expansion, FrontierTask};
 
 /// Resolves a user-facing thread budget: `0` means "all available
 /// parallelism", anything else is taken literally (minimum 1).

@@ -4,97 +4,14 @@
 //! A [`FrontierTask`] describes one BFS: how to admit an item (size
 //! limit), how to key it for duplicate detection, how to confirm an exact
 //! duplicate, and how to *expand* it into either an accepted result or a
-//! list of children. Expansion must be a pure function of the item and the
-//! wave-boundary state — the context only carries memo/cache state that
-//! changes speed, never answers — so a root drives identically on any
-//! worker of the chase's root-job fan-out (see the module docs of
-//! [`crate`]).
+//! list of children. Expansion must be a pure function of the item — the
+//! context only carries memo/cache state that changes speed, never
+//! answers — so a root drives identically on any worker of the chase's
+//! root-job fan-out (see the module docs of [`crate`]).
 
-use std::sync::Arc;
+use std::collections::VecDeque;
 
 use crate::dedupe::{DedupeStats, SetKey, VisitedSet};
-use crate::sync::Mutex;
-
-/// Wave-boundary publication of accepted results: the state behind
-/// acceptance-order-safe subsumption pruning.
-///
-/// The driving thread stages results with [`note`](WaveVisible::note) (in
-/// sink order) and makes the accumulated set visible with
-/// [`publish`](WaveVisible::publish) — which [`drive`] calls only at
-/// generation boundaries ([`FrontierTask::wave_boundary`]). Expansions read
-/// an immutable [`snapshot`](WaveVisible::snapshot), so every expansion of
-/// a wave observes the identical set, whichever thread reads it:
-/// publication is pinned to the barrier, never mid-wave. `cqi-analysis`
-/// model-checks exactly this property (and its seeded-fault twin publishes
-/// mid-wave to prove the checker would catch a violation).
-///
-/// Synchronization goes through [`crate::sync`], so under
-/// `--features model-check` the protocol runs on the instrumented
-/// primitives.
-pub struct WaveVisible<T> {
-    pending: Mutex<Vec<T>>,
-    published: Mutex<Arc<Vec<T>>>,
-}
-
-impl<T: Clone> WaveVisible<T> {
-    pub fn new() -> WaveVisible<T> {
-        WaveVisible {
-            pending: Mutex::new(Vec::new()),
-            published: Mutex::new(Arc::new(Vec::new())),
-        }
-    }
-
-    /// Stages a result (driving thread, sink order). Not visible to
-    /// [`snapshot`](Self::snapshot) until the next publish.
-    pub fn note(&self, value: T) {
-        self.pending.lock().unwrap().push(value);
-    }
-
-    /// Publishes everything staged so far, capping the visible set at
-    /// `cap` entries (earliest-noted survive — a deterministic prefix of
-    /// the sink order). Call only at a wave boundary.
-    pub fn publish(&self, cap: usize) {
-        let mut pending = self.pending.lock().unwrap();
-        if pending.is_empty() {
-            return;
-        }
-        let mut published = self.published.lock().unwrap();
-        let mut next: Vec<T> = published.as_ref().clone();
-        for v in pending.drain(..) {
-            if next.len() >= cap {
-                break;
-            }
-            next.push(v);
-        }
-        *published = Arc::new(next);
-    }
-
-    /// The currently published set (any thread; cheap Arc clone).
-    pub fn snapshot(&self) -> Arc<Vec<T>> {
-        Arc::clone(&self.published.lock().unwrap())
-    }
-
-    /// Scans published entries, then pending ones, in note order, until `f`
-    /// returns `true`. Driving-thread only (it sees staged results that
-    /// [`snapshot`](Self::snapshot) deliberately hides), for filters that
-    /// must compare a candidate against *every* earlier-kept result — e.g.
-    /// the chase's [`FrontierTask::note_accept`] subsumption filter, which
-    /// runs at the sink where same-wave siblings are still unpublished. The
-    /// two locks are taken one at a time, never nested.
-    pub fn any_all(&self, mut f: impl FnMut(&T) -> bool) -> bool {
-        let published = self.snapshot();
-        if published.iter().any(&mut f) {
-            return true;
-        }
-        self.pending.lock().unwrap().iter().any(&mut f)
-    }
-}
-
-impl<T: Clone> Default for WaveVisible<T> {
-    fn default() -> Self {
-        WaveVisible::new()
-    }
-}
 
 /// What expanding one frontier item produced: either an accepted result
 /// (satisfying, consistent — not expanded further) or children to enqueue.
@@ -124,45 +41,19 @@ pub trait FrontierTask {
     fn is_duplicate(&self, a: &Self::Item, b: &Self::Item) -> bool;
 
     /// Expands one admitted, deduplicated item. Must be deterministic in
-    /// `item` *and the wave-boundary state published through
-    /// [`wave_boundary`](Self::wave_boundary)*; `ctx` is memo state only.
+    /// `item`; `ctx` is memo state only.
     fn expand(&self, ctx: &mut Self::Ctx, item: &Self::Item)
         -> Expansion<Self::Item, Self::Accept>;
 
     /// Polled before every item; return `true` to abort the drive (the
     /// chase's wall-clock deadline). May record the abort in `ctx`.
     fn stopped(&self, ctx: &mut Self::Ctx) -> bool;
-
-    /// Filters every accepted result in sink order just before it is
-    /// flushed to the sink: returning `false` drops the accept (it never
-    /// reaches the sink). The kept/dropped decision sees exactly the FIFO
-    /// prefix of earlier accepts — which is what makes the chase's
-    /// subsumption pruning acceptance-order-safe. The accept is mutable so
-    /// the filter can annotate it with derived data (the chase attaches the
-    /// coverage it had to compute anyway, sparing the sink a recompute).
-    /// Tasks that let accepted results influence later *expansions* stage
-    /// them here and publish only at the next
-    /// [`wave_boundary`](Self::wave_boundary): accepts of wave `k`
-    /// interleave with wave `k`'s remaining expansions, so acting on them
-    /// in `expand` immediately would make an expansion depend on its
-    /// position within its generation.
-    fn note_accept(&self, _accepted: &mut Self::Accept) -> bool {
-        true
-    }
-
-    /// Called at every BFS generation boundary — after all of generation
-    /// `k`'s accepts were [`note_accept`](Self::note_accept)ed and before
-    /// any generation-`k+1` item expands. Seeds are generation 0; children
-    /// of generation `k` form generation `k+1`.
-    fn wave_boundary(&self) {}
 }
 
 /// Drives a [`FrontierTask`] from `seeds` to exhaustion on one context:
-/// FIFO, one generation at a time, deduplicating through one
-/// [`VisitedSet`]. The generation walk visits items in exactly the order
-/// of a plain FIFO queue (children enqueue behind the current generation's
-/// remaining items either way); it exists so that
-/// [`FrontierTask::wave_boundary`] runs between generations.
+/// a plain FIFO queue, deduplicating through one [`VisitedSet`]. Children
+/// enqueue behind every item already waiting, so items are visited in BFS
+/// order.
 ///
 /// `sink` receives accepted results in FIFO order; returning `false` halts
 /// the drive (the chase's `max_results`, or a streaming consumer that
@@ -180,30 +71,25 @@ pub fn drive<T: FrontierTask>(
     sink: &mut dyn FnMut(T::Accept) -> bool,
 ) -> DedupeStats {
     let mut visited: VisitedSet<T::Item> = VisitedSet::default();
-    let mut wave = seeds;
-    'drive: while !wave.is_empty() {
-        task.wave_boundary();
-        let mut next = Vec::new();
-        for item in wave {
-            if task.stopped(ctx) {
-                break 'drive;
-            }
-            if !task.admit(&item)
-                || !visited.insert(task.keys(&item), &item, |a, b| task.is_duplicate(a, b))
-            {
-                continue;
-            }
-            let exp = task.expand(ctx, &item);
-            match exp.accepted {
-                Some(mut a) => {
-                    if task.note_accept(&mut a) && !sink(a) {
-                        break 'drive;
-                    }
-                }
-                None => next.extend(exp.children),
-            }
+    let mut queue: VecDeque<T::Item> = seeds.into();
+    while let Some(item) = queue.pop_front() {
+        if task.stopped(ctx) {
+            break;
         }
-        wave = next;
+        if !task.admit(&item)
+            || !visited.insert(task.keys(&item), &item, |a, b| task.is_duplicate(a, b))
+        {
+            continue;
+        }
+        let exp = task.expand(ctx, &item);
+        match exp.accepted {
+            Some(a) => {
+                if !sink(a) {
+                    break;
+                }
+            }
+            None => queue.extend(exp.children),
+        }
     }
     visited.stats()
 }
@@ -406,8 +292,8 @@ mod tests {
         assert_eq!(ctx.expansions as u64, stats.offers - stats.duplicates);
     }
 
-    /// [`TreeTask`] with an event log shared between expansion, the
-    /// generation boundary, and the sink, to observe their interleaving.
+    /// [`TreeTask`] with an event log shared between expansion and the
+    /// sink, to observe their interleaving.
     struct LoggingTask {
         inner: TreeTask,
         log: std::sync::Mutex<Vec<(&'static str, u64)>>,
@@ -438,10 +324,6 @@ mod tests {
         fn stopped(&self, _: &mut Ctx) -> bool {
             false
         }
-
-        fn wave_boundary(&self) {
-            self.log.lock().unwrap().push(("boundary", 0));
-        }
     }
 
     fn logged_drive() -> Vec<(&'static str, u64)> {
@@ -468,20 +350,5 @@ mod tests {
             first_accept.unwrap() < last_expand.unwrap(),
             "accepts must interleave with later-wave expansions: {log:?}"
         );
-    }
-
-    /// One generation at a time: every item of generation `g` expands
-    /// after the `(g + 1)`-th boundary and before the next one.
-    #[test]
-    fn wave_boundary_precedes_each_generation() {
-        let mut boundaries = 0u64;
-        for (kind, gen) in logged_drive() {
-            match kind {
-                "boundary" => boundaries += 1,
-                "expand" => assert_eq!(gen + 1, boundaries, "generation {gen} out of step"),
-                _ => {}
-            }
-        }
-        assert!(boundaries > 2, "the tree must span several generations");
     }
 }

@@ -1,8 +1,9 @@
 //! Recursive-descent SQL parser (reusing the DRC tokenizer).
 //!
-//! Parenthesized conditions, `NOT` prefixes and `EXISTS` subqueries count
-//! against the DRC parser's [`MAX_NESTING_DEPTH`]: deeper input is a
-//! [`QueryError::Parse`], never a stack overflow.
+//! Parenthesized conditions, `NOT` prefixes, `EXISTS` subqueries and the
+//! extra operands of `AND`/`OR` chains count against the DRC parser's
+//! [`MAX_NESTING_DEPTH`]: deeper input is a [`QueryError::Parse`], never a
+//! stack overflow.
 
 use cqi_drc::lexer::{lex, Spanned, Tok};
 use cqi_drc::{QueryError, MAX_NESTING_DEPTH};
@@ -25,6 +26,7 @@ pub fn parse_sql(src: &str) -> Result<SqlQuery, QueryError> {
         toks,
         i: 0,
         depth: 0,
+        peak: 0,
     };
     let left = p.select()?;
     let except = if p.eat_kw("except") {
@@ -47,6 +49,9 @@ struct P {
     i: usize,
     /// Nesting levels open at the current position.
     depth: usize,
+    /// Deepest level any leaf of the innermost open `AND`/`OR` chain
+    /// reaches (see [`P::chain`]).
+    peak: usize,
 }
 
 impl P {
@@ -64,14 +69,43 @@ impl P {
         inner: impl FnOnce(&mut Self) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
         if self.depth >= MAX_NESTING_DEPTH {
-            return Err(self.err(&format!(
-                "query nests deeper than {MAX_NESTING_DEPTH} levels"
-            )));
+            return Err(self.too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let out = inner(self);
         self.depth -= 1;
         out
+    }
+
+    fn too_deep(&self) -> QueryError {
+        self.err(&format!(
+            "query nests deeper than {MAX_NESTING_DEPTH} levels"
+        ))
+    }
+
+    /// Parses `operand (kw operand)*` and folds it left with `join`. Each
+    /// extra operand sinks the chain's deepest leaf one level and is
+    /// charged against [`MAX_NESTING_DEPTH`], which bounds the height of
+    /// the folded tree (the DRC parser's `chain`, over [`SqlCond`]).
+    fn chain(
+        &mut self,
+        kw: &str,
+        operand: fn(&mut Self) -> Result<SqlCond, QueryError>,
+        join: fn(Box<SqlCond>, Box<SqlCond>) -> SqlCond,
+    ) -> Result<SqlCond, QueryError> {
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let mut c = operand(self)?;
+        while self.eat_kw(kw) {
+            self.peak += 1;
+            if self.peak > MAX_NESTING_DEPTH {
+                return Err(self.too_deep());
+            }
+            let r = self.nested(operand)?;
+            c = join(Box::new(c), Box::new(r));
+        }
+        self.peak = self.peak.max(outer_peak);
+        Ok(c)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -236,21 +270,11 @@ impl P {
     }
 
     fn cond(&mut self) -> Result<SqlCond, QueryError> {
-        let mut c = self.and_cond()?;
-        while self.eat_kw("or") {
-            let r = self.and_cond()?;
-            c = SqlCond::Or(Box::new(c), Box::new(r));
-        }
-        Ok(c)
+        self.chain("or", Self::and_cond, SqlCond::Or)
     }
 
     fn and_cond(&mut self) -> Result<SqlCond, QueryError> {
-        let mut c = self.unary_cond()?;
-        while self.eat_kw("and") {
-            let r = self.unary_cond()?;
-            c = SqlCond::And(Box::new(c), Box::new(r));
-        }
-        Ok(c)
+        self.chain("and", Self::unary_cond, SqlCond::And)
     }
 
     fn unary_cond(&mut self) -> Result<SqlCond, QueryError> {
