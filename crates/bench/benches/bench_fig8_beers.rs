@@ -55,29 +55,26 @@ fn bench_running_example(c: &mut Criterion) {
     g.finish();
 }
 
-/// Solver caching/incrementality knobs on whole chase runs: `cold` turns
-/// both off (pre-PR behaviour), `memo` enables only the canonical-problem
-/// cache, `memo+incr` is the default configuration. `keys off` exercises
-/// the pure-conjunctive fast path that key EGDs would otherwise disable.
+/// The solver-cache knob on whole chase runs: `cold` decides every
+/// `IsConsistent` problem from scratch, `memo` (the default configuration)
+/// goes through the canonical-problem cache; each with keys on and off.
 fn bench_cache_knobs(c: &mut Criterion) {
     let queries = beers_queries();
     let dq = queries.iter().find(|q| q.name == "Q2B").unwrap();
     let tree = SyntaxTree::new(dq.query.clone());
     let mut g = c.benchmark_group("fig8_cache_knobs");
     g.sample_size(10);
-    for (label, keys, cache, incr) in [
-        ("cold", true, false, false),
-        ("memo", true, true, false),
-        ("memo+incr", true, true, true),
-        ("cold keys off", false, false, false),
-        ("memo+incr keys off", false, true, true),
+    for (label, keys, cache) in [
+        ("cold", true, false),
+        ("memo", true, true),
+        ("cold keys off", false, false),
+        ("memo keys off", false, true),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(label), &tree, |b, tree| {
             let cfg = ChaseConfig::with_limit(8)
                 .enforce_keys(keys)
                 .timeout(Duration::from_secs(10))
-                .solver_cache(cache)
-                .incremental(incr);
+                .solver_cache(cache);
             b.iter(|| black_box(run_variant(black_box(tree), Variant::DisjEO, &cfg)));
         });
     }

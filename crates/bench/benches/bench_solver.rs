@@ -9,7 +9,7 @@ use cqi_datasets::beers_schema;
 use cqi_instance::consistency::is_consistent;
 use cqi_instance::{CInstance, Cond};
 use cqi_schema::{DomainType, Value};
-use cqi_solver::{order, theory, Lit, NullId, Problem, SaturatedState, SolverCache, SolverOp};
+use cqi_solver::{order, Lit, NullId, Problem, SolverCache, SolverOp};
 
 fn bench_order_chains(c: &mut Criterion) {
     let mut g = c.benchmark_group("order_chain");
@@ -148,83 +148,6 @@ fn bench_memo_repeated(c: &mut Criterion) {
     g.finish();
 }
 
-/// The single-delta workload: a 24-literal parent conjunction extended by
-/// one literal — cold re-runs `check_conj` on all 25, the incremental path
-/// extends the parent's [`SaturatedState`].
-fn bench_incremental_delta(c: &mut Criterion) {
-    let n = 24usize;
-    let types = vec![DomainType::Real; n];
-    let parent: Vec<Lit> = (1..n)
-        .map(|i| Lit::cmp(NullId(i as u32 - 1), SolverOp::Gt, NullId(i as u32)))
-        .collect();
-    // A delta the parent's witness model already satisfies (fast path)…
-    let delta_fast = [Lit::cmp(NullId(0), SolverOp::Ge, NullId(n as u32 - 1))];
-    // …one that forces a re-solve *and* shifts the base (the conjunction's
-    // first pinned constant, mid-chain): the stable-base encoding keeps the
-    // downstream half of the chain's values valid across the re-basing, so
-    // the warm heap repairs only the upstream cone instead of falling cold…
-    let delta_solve = [Lit::cmp(NullId(11), SolverOp::Gt, Value::real(500.0))];
-    let state = SaturatedState::saturate(&types, &parent).unwrap();
-    let mut g = c.benchmark_group("incremental_single_delta");
-    for (label, delta) in [("fast", &delta_fast[..]), ("resolve", &delta_solve[..])] {
-        let full: Vec<Lit> = parent.iter().chain(delta).cloned().collect();
-        g.bench_with_input(BenchmarkId::new("cold", label), &full, |b, full| {
-            b.iter(|| black_box(theory::check_conj(black_box(&types), black_box(full))));
-        });
-        g.bench_with_input(BenchmarkId::new("extend", label), &delta, |b, delta| {
-            b.iter(|| black_box(state.extend(black_box(&types), black_box(delta))));
-        });
-    }
-    // …and the chase's bread-and-butter delta: a fresh null appended to the
-    // order chain (no new constants, base unchanged), where the re-solve
-    // path warm-starts Bellman-Ford from the parent's values and converges
-    // in O(1) relaxation rounds instead of O(chain length).
-    let types_grown = vec![DomainType::Real; n + 1];
-    let delta_grow = [Lit::cmp(NullId(n as u32 - 1), SolverOp::Gt, NullId(n as u32))];
-    let full_grown: Vec<Lit> = parent.iter().chain(&delta_grow).cloned().collect();
-    g.bench_with_input(
-        BenchmarkId::new("cold", "resolve_chain_grow"),
-        &full_grown,
-        |b, full| {
-            b.iter(|| black_box(theory::check_conj(black_box(&types_grown), black_box(full))));
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::new("extend", "resolve_chain_grow"),
-        &delta_grow,
-        |b, delta| {
-            b.iter(|| black_box(state.extend(black_box(&types_grown), black_box(&delta[..]))));
-        },
-    );
-    g.finish();
-
-    // Perf floor (ISSUE 7): extending the saturated parent with the
-    // base-shifting delta must beat re-checking all 25 literals from scratch
-    // by >=1.5x. Shared runners are noisy, so take the best of five rounds —
-    // a real regression (the warm path falling cold) fails every round.
-    let full_resolve: Vec<Lit> = parent.iter().chain(&delta_solve).cloned().collect();
-    let ratio = (0..5)
-        .map(|_| {
-            let iters = 20_000;
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                black_box(theory::check_conj(black_box(&types), black_box(&full_resolve)));
-            }
-            let cold = t0.elapsed();
-            let t1 = std::time::Instant::now();
-            for _ in 0..iters {
-                black_box(state.extend(black_box(&types), black_box(&delta_solve[..])));
-            }
-            let warm = t1.elapsed();
-            cold.as_secs_f64() / warm.as_secs_f64()
-        })
-        .fold(0.0_f64, f64::max);
-    assert!(
-        ratio >= 1.5,
-        "incremental extend/resolve should beat cold by >=1.5x, best ratio {ratio:.2}"
-    );
-}
-
 criterion_group!(
     benches,
     bench_order_chains,
@@ -232,7 +155,6 @@ criterion_group!(
     bench_like_sets,
     bench_dpll_clauses,
     bench_i0_consistency,
-    bench_memo_repeated,
-    bench_incremental_delta
+    bench_memo_repeated
 );
 criterion_main!(benches);

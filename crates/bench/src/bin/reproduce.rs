@@ -167,7 +167,6 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
             (resolved > 1).to_string(),
         ],
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
-        vec!["incremental".to_owned(), defaults.incremental.to_string()],
         vec!["timeout_s".to_owned(), format!("{}", o.timeout.as_secs_f64())],
         vec!["beers_limit".to_owned(), o.beers_limit.to_string()],
         vec!["tpch_limit".to_owned(), o.tpch_limit.to_string()],
@@ -194,15 +193,13 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         t.resident_batches, t.steals
     );
     println!(
-        "  solver memo hit rate: L1 {} / L2 {}   sat-state: L1 {} / L2 {}",
+        "  solver memo hit rate: L1 {} / L2 {}",
         pct(t.solver_l1_hit_rate()),
         pct(t.solver_l2_hit_rate()),
-        pct(t.sat_l1_hit_rate()),
-        pct(t.sat_l2_hit_rate()),
     );
     println!(
-        "  dedupe: {} offers, {} duplicates, {} iso checks   incremental: {} extends, {} fallbacks",
-        t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks, t.incr_extends, t.incr_fallbacks
+        "  dedupe: {} offers, {} duplicates, {} iso checks",
+        t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks
     );
     println!(
         "  digest cache: {} of {} probes",
@@ -217,14 +214,7 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         vec!["dedupe_iso_checks".to_owned(), t.dedupe_iso_checks.to_string()],
         vec!["solver_l1_hit_rate".to_owned(), format!("{:.4}", t.solver_l1_hit_rate())],
         vec!["solver_l2_hit_rate".to_owned(), format!("{:.4}", t.solver_l2_hit_rate())],
-        vec!["sat_l1_hit_rate".to_owned(), format!("{:.4}", t.sat_l1_hit_rate())],
-        vec!["sat_l2_hit_rate".to_owned(), format!("{:.4}", t.sat_l2_hit_rate())],
-        vec![
-            "l2_contended".to_owned(),
-            (t.solver_l2.contended + t.sat_l2.contended).to_string(),
-        ],
-        vec!["incr_extends".to_owned(), t.incr_extends.to_string()],
-        vec!["incr_fallbacks".to_owned(), t.incr_fallbacks.to_string()],
+        vec!["l2_contended".to_owned(), t.solver_l2.contended.to_string()],
         vec!["digest_hits".to_owned(), t.digest_hits.to_string()],
         vec!["digest_recomputes".to_owned(), t.digest_recomputes.to_string()],
         vec![

@@ -93,13 +93,11 @@ const WAVE_NAMES: [&str; 3] = ["wave", "nested_wave", "root_job"];
 
 /// Span names that count as solver work (the chase's phase-attributed
 /// leaves plus the solver crate's own trace-only spans).
-const SOLVER_NAMES: [&str; 9] = [
+const SOLVER_NAMES: [&str; 7] = [
     "canonicalize",
     "l1_lookup",
     "l2_lookup",
     "solve",
-    "incremental_extend",
-    "full_check",
     "dpll_solve",
     "solve_order",
     "check_conj",

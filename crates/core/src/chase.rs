@@ -17,14 +17,13 @@
 //! frontier through [`cqi_runtime::drive`] on one worker context, with the
 //! `visited` check backed by a [`cqi_runtime::VisitedSet`] keyed on the
 //! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
-//! ([`WorkerCtx`]: solver memos, saturated states, sub-BFS results) only
-//! affects speed. The only parallel axis is across roots: multi-root runs
-//! (the `Conj-*` tree sets and the `*-Add` re-seeds) fan whole root
-//! searches out over the session's resident pool when
-//! `ChaseConfig::threads > 1` ([`Chase::run_roots`]), and merge their
-//! results in job order, so parallel runs accept the *same instances in
-//! the same order* as sequential ones (asserted by
-//! `crates/core/tests/parallel_props.rs`).
+//! ([`WorkerCtx`]: solver memos, sub-BFS results) only affects speed. The
+//! only parallel axis is across roots: multi-root runs (the `Conj-*` tree
+//! sets and the `*-Add` re-seeds) fan whole root searches out over the
+//! session's resident pool when `ChaseConfig::threads > 1`
+//! ([`Chase::run_roots`]), and merge their results in job order, so
+//! parallel runs accept the *same instances in the same order* as
+//! sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -34,52 +33,42 @@ use std::time::{Duration, Instant};
 
 use cqi_drc::{Atom, Formula, Query, Term, VarId};
 use cqi_obs::trace::{self, Phase};
-use cqi_instance::consistency::{
-    conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive, to_problem,
-};
+use cqi_instance::consistency::{is_consistent, to_problem};
 use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
 use cqi_runtime::{
     drive, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool, RunCounters,
     SetKey, StripedMemo,
 };
 use cqi_solver::canon::{canonicalize, CanonKey};
-use cqi_solver::{CacheStats, Ent, Lit, Model, SaturatedState, SolverCache};
+use cqi_solver::{CacheStats, Ent, Model, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
 use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
-/// Bound on retained saturated states (each is small — vectors over the
-/// instance's nulls/literals — but runs can visit millions of instances).
-const SAT_MEMO_CAP: usize = 200_000;
-
 /// Entry bound of the shared (L2) canonical-problem memo — larger than one
 /// worker's L1 capacity because it serves every worker of a session.
 const SHARED_SOLVER_CAP: usize = 32_768;
 
-/// Lock stripes of each shared memo (power of two).
+/// Lock stripes of the shared memo (power of two).
 const MEMO_STRIPES: usize = 64;
 
-/// The shared (L2) tier behind every worker's L1 memos: lock-striped maps
-/// holding solver answers that are pure functions of their keys, so a
-/// worker can reuse what a sibling already computed. An L1 miss checks
-/// here before solving; a fresh decision is published here as well as to
-/// the worker's own L1.
+/// The shared (L2) tier behind every worker's L1 solver memo: a
+/// lock-striped map holding solver answers that are pure functions of
+/// their keys, so a worker can reuse what a sibling already computed. An L1
+/// miss checks here before solving; a fresh decision is published here as
+/// well as to the worker's own L1.
 pub(crate) struct SharedMemos {
     /// Canonical-problem outcomes in canonical space (`None` = unsat) —
     /// the shared tier over [`SolverCache`]'s per-worker map.
     solver: StripedMemo<CanonKey, Option<Model>>,
-    /// Saturated theory states by [`state_key`] — the shared tier over the
-    /// per-worker `sat_memo`.
-    sat: StripedMemo<u64, SaturatedState>,
 }
 
 impl Default for SharedMemos {
     fn default() -> SharedMemos {
         SharedMemos {
             solver: StripedMemo::new(MEMO_STRIPES, SHARED_SOLVER_CAP),
-            sat: StripedMemo::new(MEMO_STRIPES, SAT_MEMO_CAP),
         }
     }
 }
@@ -110,14 +99,13 @@ pub struct ChaseStats {
     pub solver_l1_misses: u64,
     /// Shared (L2) canonical-problem memo counters.
     pub solver_l2: MemoCounts,
-    /// Per-worker (L1) saturated-state lookups, summed.
-    pub sat_l1_hits: u64,
-    pub sat_l1_misses: u64,
-    /// Shared (L2) saturated-state memo counters.
+    /// Always zero: the saturated-state memo no longer exists. Kept public
+    /// for the benchmark ledger, which still reads it.
     pub sat_l2: MemoCounts,
-    /// Chase steps decided by extending the parent's saturated state.
+    /// Always 0: chase steps are no longer decided by extending a parent
+    /// state. Kept public for the benchmark ledger, which still reads it.
     pub incr_extends: u64,
-    /// Chase steps that fell back to a full consistency check.
+    /// Always 0, like [`incr_extends`](Self::incr_extends).
     pub incr_fallbacks: u64,
     /// Always 0: the chase no longer prunes subsumed subtrees. Kept public
     /// for the benchmark ledger, which still reads it.
@@ -158,12 +146,10 @@ impl ChaseStats {
         rate(self.solver_l2.hits, self.solver_l2.misses)
     }
 
+    /// Always `0.0`: the saturated-state memo no longer exists. Kept public
+    /// for the benchmark ledger, which still reads it.
     pub fn sat_l1_hit_rate(&self) -> f64 {
-        rate(self.sat_l1_hits, self.sat_l1_misses)
-    }
-
-    pub fn sat_l2_hit_rate(&self) -> f64 {
-        rate(self.sat_l2.hits, self.sat_l2.misses)
+        0.0
     }
 
     /// Fraction of exact-digest requests served from the incremental cache.
@@ -199,8 +185,7 @@ impl ChaseStats {
             "{{\"steals\": {}, \"resident_batches\": {}, \
              \"dedupe_offers\": {}, \"dedupe_duplicates\": {}, \"dedupe_iso_checks\": {}, \
              \"solver_l1_hit_rate\": {:.4}, \"solver_l2_hit_rate\": {:.4}, \
-             \"sat_l1_hit_rate\": {:.4}, \"sat_l2_hit_rate\": {:.4}, \
-             \"l2_contended\": {}, \"incr_extends\": {}, \"incr_fallbacks\": {}, \
+             \"l2_contended\": {}, \
              \"digest_cache\": {{\"hits\": {}, \"recomputes\": {}}}, \
              \"phases\": {{\"solver_ns\": {}, \"canonicalization_ns\": {}, \
              \"dedupe_ns\": {}, \"scheduling_ns\": {}}}}}",
@@ -211,11 +196,7 @@ impl ChaseStats {
             self.dedupe_iso_checks,
             self.solver_l1_hit_rate(),
             self.solver_l2_hit_rate(),
-            self.sat_l1_hit_rate(),
-            self.sat_l2_hit_rate(),
-            self.solver_l2.contended + self.sat_l2.contended,
-            self.incr_extends,
-            self.incr_fallbacks,
+            self.solver_l2.contended,
             self.digest_hits,
             self.digest_recomputes,
             self.phase_solver_ns,
@@ -238,8 +219,6 @@ impl ChaseStats {
             solver_l1_misses: std::sync::Arc<cqi_obs::Counter>,
             solver_l2_hits: std::sync::Arc<cqi_obs::Counter>,
             solver_l2_misses: std::sync::Arc<cqi_obs::Counter>,
-            incr_extends: std::sync::Arc<cqi_obs::Counter>,
-            incr_fallbacks: std::sync::Arc<cqi_obs::Counter>,
             digest_hits: std::sync::Arc<cqi_obs::Counter>,
             digest_recomputes: std::sync::Arc<cqi_obs::Counter>,
             phase_ns: [std::sync::Arc<cqi_obs::Counter>; 4],
@@ -274,16 +253,6 @@ impl ChaseStats {
                     "cqi_solver_memo_lookups_total",
                     "canonical-problem memo lookups by tier and outcome",
                     &[("tier", "l2"), ("outcome", "miss")],
-                ),
-                incr_extends: r.counter(
-                    "cqi_incremental_extends_total",
-                    "chase steps decided by saturated-state extension",
-                    &[],
-                ),
-                incr_fallbacks: r.counter(
-                    "cqi_incremental_fallbacks_total",
-                    "chase steps that fell back to a full solve",
-                    &[],
                 ),
                 digest_hits: r.counter(
                     "cqi_digest_cache_total",
@@ -322,8 +291,6 @@ impl ChaseStats {
         s.solver_l1_misses.add(self.solver_l1_misses);
         s.solver_l2_hits.add(self.solver_l2.hits);
         s.solver_l2_misses.add(self.solver_l2.misses);
-        s.incr_extends.add(self.incr_extends);
-        s.incr_fallbacks.add(self.incr_fallbacks);
         s.digest_hits.add(self.digest_hits);
         s.digest_recomputes.add(self.digest_recomputes);
         s.phase_ns[0].add(self.phase_solver_ns);
@@ -349,11 +316,6 @@ impl ChaseStats {
         self.solver_l1_hits += other.solver_l1_hits;
         self.solver_l1_misses += other.solver_l1_misses;
         add(&mut self.solver_l2, other.solver_l2);
-        self.sat_l1_hits += other.sat_l1_hits;
-        self.sat_l1_misses += other.sat_l1_misses;
-        add(&mut self.sat_l2, other.sat_l2);
-        self.incr_extends += other.incr_extends;
-        self.incr_fallbacks += other.incr_fallbacks;
         self.digest_hits += other.digest_hits;
         self.digest_recomputes += other.digest_recomputes;
         self.phase_solver_ns += other.phase_solver_ns;
@@ -371,7 +333,7 @@ impl std::fmt::Display for ChaseStats {
         write!(
             f,
             "steals={} batches={} dedupe={}/{}dup/{}iso solverL1={:.0}%({}) \
-             L2={:.0}%({}) satL1={:.0}%({}) incr={}+{}fb digest={:.0}%({})",
+             L2={:.0}%({}) digest={:.0}%({})",
             self.steals,
             self.resident_batches,
             self.dedupe_offers,
@@ -381,10 +343,6 @@ impl std::fmt::Display for ChaseStats {
             self.solver_l1_hits + self.solver_l1_misses,
             self.solver_l2_hit_rate() * 100.0,
             self.solver_l2.hits + self.solver_l2.misses,
-            self.sat_l1_hit_rate() * 100.0,
-            self.sat_l1_hits + self.sat_l1_misses,
-            self.incr_extends,
-            self.incr_fallbacks,
             self.digest_hit_rate() * 100.0,
             self.digest_hits + self.digest_recomputes,
         )?;
@@ -433,15 +391,6 @@ fn hash_of<T: Hash>(t: &T) -> u64 {
     h.finish()
 }
 
-/// Key for the saturated-state memo, derived from an already-computed
-/// [`exact_digest`]. Unlike the digest alone (which is blind to nulls that
-/// appear in no tuple/condition), this includes the null *type* vector: a
-/// [`SaturatedState`] depends on every null's domain type, so instances
-/// differing only in an unused null's type must not share a state.
-fn state_key(digest: u64, inst: &CInstance) -> u64 {
-    hash_of(&(digest, inst.null_types()))
-}
-
 /// Per-worker mutable chase state: every memo the search consults, plus the
 /// worker-local slice of the run counters. None of it changes *answers* —
 /// only how fast they are reached — which is what lets a root search run on
@@ -457,26 +406,12 @@ pub(crate) struct WorkerCtx {
     /// Canonical-problem memo: isomorphic subproblems (renamed nulls, extra
     /// unconstrained nulls) are decided once (`cfg.solver_cache`).
     solver_cache: SolverCache,
-    /// Saturated theory state per (pure-conjunctive) instance digest,
-    /// extended by delta literals on single chase steps
-    /// (`cfg.incremental`).
-    sat_memo: HashMap<u64, SaturatedState>,
-    /// The session's shared (L2) memo tier behind `solver_cache` and
-    /// `sat_memo`.
+    /// The session's shared (L2) memo tier behind `solver_cache`.
     shared: Arc<SharedMemos>,
     /// Whether this run consults/feeds the L2 tier (multi-thread runs
     /// only — a lone worker has no sibling to share with, so L2 traffic
     /// would be pure overhead).
     share_l2: bool,
-    /// `sat_memo` lookups that hit / missed (the L1 side of the tiered
-    /// saturated-state memo).
-    sat_l1_hits: u64,
-    sat_l1_misses: u64,
-    /// Chase steps decided by extending the parent's saturated state.
-    incr_extends: usize,
-    /// Chase steps that fell back to the full check (keys, negative
-    /// conditions, or no reusable parent state).
-    incr_fallbacks: usize,
     /// This worker observed the wall-clock deadline.
     timed_out: bool,
     /// This worker observed a fired [`CancelToken`].
@@ -489,13 +424,8 @@ impl WorkerCtx {
             bfs_memo: HashMap::new(),
             consist_memo: HashMap::new(),
             solver_cache: SolverCache::new(cfg.solver_cache_capacity),
-            sat_memo: HashMap::new(),
             shared,
             share_l2: false,
-            sat_l1_hits: 0,
-            sat_l1_misses: 0,
-            incr_extends: 0,
-            incr_fallbacks: 0,
             timed_out: false,
             cancelled: false,
         }
@@ -520,10 +450,9 @@ impl WorkerCtx {
 /// `limit` (pruning inside `bfs_inner`) and on `universal_fresh`
 /// (`Handle-Universal`'s fresh-null branch), and consistency answers
 /// depend on `enforce_keys` — so entries are only reusable by a run with
-/// the *same* triple. The canonical-problem memo and the saturated-state
-/// snapshots are parameter-independent (the canonical problem encodes the
-/// key clauses; a saturated state derives purely from literals) and stay
-/// warm across any parameter change.
+/// the *same* triple. The canonical-problem memo is parameter-independent
+/// (the canonical problem encodes the key clauses) and stays warm across
+/// any parameter change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheParams {
     limit: usize,
@@ -536,15 +465,15 @@ struct CacheParams {
     schema: usize,
 }
 
-/// Opaque, reusable chase worker state: the solver memos, saturated-state
-/// snapshots, and sub-BFS caches of every worker context. All of it is
-/// *speed-only* state (it never changes answers — the invariant root-job
-/// fan-out already relies on), and none of it depends on the
-/// query, only on the schema's instances, so a `cqi::Session` keeps one
-/// across explain calls: repeated or similar queries over one schema hit
-/// warm caches instead of re-deriving every `IsConsistent` answer.
-/// Memos whose entries *are* sensitive to run parameters are fingerprinted
-/// by [`CacheParams`] and cleared when a reusing run differs.
+/// Opaque, reusable chase worker state: the solver memos and sub-BFS caches
+/// of every worker context. All of it is *speed-only* state (it never
+/// changes answers — the invariant root-job fan-out already relies on), and
+/// none of it depends on the query, only on the schema's instances, so a
+/// `cqi::Session` keeps one across explain calls: repeated or similar
+/// queries over one schema hit warm caches instead of re-deriving every
+/// `IsConsistent` answer. Memos whose entries *are* sensitive to run
+/// parameters are fingerprinted by [`CacheParams`] and cleared when a
+/// reusing run differs.
 #[derive(Default)]
 pub struct ChaseCaches {
     ctxs: Vec<WorkerCtx>,
@@ -742,18 +671,6 @@ impl<'a> Chase<'a> {
         total
     }
 
-    /// Chase steps decided by extending the parent's saturated state
-    /// (summed over workers).
-    pub fn incr_extends(&self) -> usize {
-        self.ctxs.iter().map(|c| c.incr_extends).sum()
-    }
-
-    /// Chase steps that fell back to the full consistency check (summed
-    /// over workers).
-    pub fn incr_fallbacks(&self) -> usize {
-        self.ctxs.iter().map(|c| c.incr_fallbacks).sum()
-    }
-
     /// Every counter at its current cumulative value (caches persist
     /// across session runs; [`Chase::stats`] subtracts the construction
     /// baseline).
@@ -771,16 +688,11 @@ impl<'a> Chase<'a> {
             dedupe_duplicates: self.dedupe_acc.duplicates,
             dedupe_iso_checks: self.dedupe_acc.iso_checks,
             solver_l2: self.shared.solver.stats.snapshot(),
-            sat_l2: self.shared.sat.stats.snapshot(),
             ..ChaseStats::default()
         };
         for c in &self.ctxs {
             s.solver_l1_hits += c.solver_cache.stats.hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
-            s.sat_l1_hits += c.sat_l1_hits;
-            s.sat_l1_misses += c.sat_l1_misses;
-            s.incr_extends += c.incr_extends as u64;
-            s.incr_fallbacks += c.incr_fallbacks as u64;
         }
         s
     }
@@ -806,11 +718,9 @@ impl<'a> Chase<'a> {
             solver_l1_hits: cur.solver_l1_hits - base.solver_l1_hits,
             solver_l1_misses: cur.solver_l1_misses - base.solver_l1_misses,
             solver_l2: sub_counts(cur.solver_l2, base.solver_l2),
-            sat_l1_hits: cur.sat_l1_hits - base.sat_l1_hits,
-            sat_l1_misses: cur.sat_l1_misses - base.sat_l1_misses,
-            sat_l2: sub_counts(cur.sat_l2, base.sat_l2),
-            incr_extends: cur.incr_extends - base.incr_extends,
-            incr_fallbacks: cur.incr_fallbacks - base.incr_fallbacks,
+            sat_l2: MemoCounts::default(),
+            incr_extends: 0,
+            incr_fallbacks: 0,
             subsumed_subtrees: 0,
             // Saturating: the digest counters are process-global, so a
             // concurrent run elsewhere in the process can only inflate the
@@ -1158,239 +1068,68 @@ impl Engine<'_> {
         false
     }
 
+    /// `IsConsistent(inst)`: the per-worker digest memo, then — with
+    /// `cfg.solver_cache` — the canonical-problem memo (L1, then the shared
+    /// L2 tier on multi-thread runs) before one fresh solve.
     fn consistent(&mut self, inst: &CInstance) -> bool {
         let key = exact_digest(inst);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
-        let ans = self.full_check(inst);
-        self.memoize_consistency(key, ans);
-        ans
-    }
-
-    /// `IsConsistent` for a chase step `parent → child`. The child's
-    /// problem is canonicalized once and looked up in the solver memo; on a
-    /// miss, the parent's saturated theory state is extended with the
-    /// step's delta literals (much cheaper than a fresh solve) and the
-    /// answer is inserted into the memo so isomorphic siblings hit. The
-    /// extension soundly falls back to a full solve whenever the step
-    /// touches keys or negative conditions (or no parent state is
-    /// reusable).
-    fn consistent_step(&mut self, parent: &CInstance, child: &CInstance) -> bool {
-        let key = exact_digest(child);
-        if let Some(v) = self.ctx.consist_memo.get(&key) {
-            return *v;
-        }
         consistency_checks_metric().inc();
         let ans = if self.cfg.solver_cache {
-            let canon = {
-                let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
-                let problem = to_problem(child, self.cfg.enforce_keys);
-                canonicalize(&problem)
-            };
-            let l1 = {
-                let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
-                self.ctx.solver_cache.lookup_sat(&canon)
-            };
-            match l1 {
-                Some(sat) => sat,
-                // L1 miss → consult the shared L2 tier (multi-thread runs
-                // only): a sibling worker may already have decided an
-                // isomorphic step. L2 stores canonical-space outcomes, so a
-                // hit back-fills L1 directly.
-                None => {
-                    let l2 = {
-                        let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
-                        self.ctx
-                            .share_l2
-                            .then(|| self.ctx.shared.solver.get(&canon.key))
-                            .flatten()
-                    };
-                    match l2 {
-                        Some(result) => {
-                            let sat = result.is_some();
-                            self.ctx.solver_cache.insert_canonical(canon.key.clone(), result);
-                            sat
-                        }
-                        None => {
-                            let incr = {
-                                let _s = trace::span_phase(
-                                    "incremental_extend",
-                                    "solver",
-                                    Phase::Solver,
-                                );
-                                self.incremental_check(parent, child)
-                            };
-                            match incr {
-                                Some(ext) => {
-                                    self.ctx.incr_extends += 1;
-                                    // Canonical-space outcome is a pure function of
-                                    // the key, so publishing to L2 is race-benign
-                                    // (first writer wins, all writers agree).
-                                    let result =
-                                        ext.as_ref().map(|st| canon.model_to_canon(st.model()));
-                                    if self.ctx.share_l2 {
-                                        self.ctx
-                                            .shared
-                                            .solver
-                                            .insert(canon.key.clone(), result.clone());
-                                    }
-                                    self.ctx
-                                        .solver_cache
-                                        .insert_canonical(canon.key.clone(), result);
-                                    match ext {
-                                        Some(st) => {
-                                            self.memoize_state(state_key(key, child), st);
-                                            true
-                                        }
-                                        None => false,
-                                    }
-                                }
-                                None => {
-                                    self.ctx.incr_fallbacks += 1;
-                                    let _s = trace::span_phase("solve", "solver", Phase::Solver);
-                                    let sat =
-                                        self.ctx.solver_cache.solve_canonical(&canon).is_sat();
-                                    if self.ctx.share_l2 {
-                                        if let Some(result) =
-                                            self.ctx.solver_cache.peek_canonical(&canon.key)
-                                        {
-                                            self.ctx.shared.solver.insert(canon.key.clone(), result);
-                                        }
-                                    }
-                                    sat
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            self.memoized_check(inst)
         } else {
-            let incr = {
-                let _s = trace::span_phase("incremental_extend", "solver", Phase::Solver);
-                self.incremental_check(parent, child)
-            };
-            match incr {
-                Some(ext) => {
-                    self.ctx.incr_extends += 1;
-                    match ext {
-                        Some(st) => {
-                            self.memoize_state(state_key(key, child), st);
-                            true
-                        }
-                        None => false,
-                    }
-                }
-                None => {
-                    self.ctx.incr_fallbacks += 1;
-                    let _s = trace::span_phase("solve", "solver", Phase::Solver);
-                    is_consistent(child, self.cfg.enforce_keys)
-                }
-            }
+            let _s = trace::span_phase("solve", "solver", Phase::Solver);
+            is_consistent(inst, self.cfg.enforce_keys)
         };
         self.memoize_consistency(key, ans);
         ans
     }
 
-    /// From-scratch `IsConsistent`, through the canonical-problem memo when
-    /// enabled. (Attributed wholesale to the solver phase: canonicalization
-    /// happens inside the cached path and can't be split out here.)
-    fn full_check(&mut self, inst: &CInstance) -> bool {
-        consistency_checks_metric().inc();
-        let _s = trace::span_phase("full_check", "solver", Phase::Solver);
-        if self.cfg.solver_cache {
-            is_consistent_cached(inst, self.cfg.enforce_keys, &mut self.ctx.solver_cache)
-        } else {
-            is_consistent(inst, self.cfg.enforce_keys)
+    /// The canonical-problem memo path of [`Engine::consistent`].
+    fn memoized_check(&mut self, inst: &CInstance) -> bool {
+        let canon = {
+            let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
+            canonicalize(&to_problem(inst, self.cfg.enforce_keys))
+        };
+        let l1 = {
+            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
+            self.ctx.solver_cache.lookup_sat(&canon)
+        };
+        if let Some(sat) = l1 {
+            return sat;
         }
+        // L1 miss → consult the shared L2 tier (multi-thread runs only): a
+        // sibling worker may already have decided an isomorphic problem. L2
+        // stores canonical-space outcomes, so a hit back-fills L1 directly.
+        if self.ctx.share_l2 {
+            let l2 = {
+                let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
+                self.ctx.shared.solver.get(&canon.key)
+            };
+            if let Some(result) = l2 {
+                let sat = result.is_some();
+                self.ctx.solver_cache.insert_canonical(canon.key, result);
+                return sat;
+            }
+        }
+        let _s = trace::span_phase("solve", "solver", Phase::Solver);
+        let sat = self.ctx.solver_cache.solve_canonical(&canon).is_sat();
+        // The canonical-space outcome is a pure function of the key, so
+        // publishing to L2 is race-benign (first writer wins, all writers
+        // agree).
+        if self.ctx.share_l2 {
+            if let Some(result) = self.ctx.solver_cache.peek_canonical(&canon.key) {
+                self.ctx.shared.solver.insert(canon.key, result);
+            }
+        }
+        sat
     }
 
     fn memoize_consistency(&mut self, key: u64, ans: bool) {
         if self.ctx.consist_memo.len() < 1_000_000 {
             self.ctx.consist_memo.insert(key, ans);
-        }
-    }
-
-    /// The incremental path. Outer `None` means "not eligible — run the
-    /// full check"; `Some(ext)` is a definitive answer obtained by
-    /// extending the parent's [`SaturatedState`] with the delta:
-    /// `Some(state)` when consistent, `None` when the delta is refuted (the
-    /// parent state is untouched — rollback by persistence).
-    ///
-    /// Eligibility (soundness): the child's problem must be a pure
-    /// conjunction — every negated atom ranges over an empty table and no
-    /// enforced key sees two rows — and the child's global condition must
-    /// extend the parent's. Then `IsConsistent(child)` is exactly
-    /// `parent-conjunction ∧ delta`, which the saturated state decides.
-    fn incremental_check(
-        &mut self,
-        parent: &CInstance,
-        child: &CInstance,
-    ) -> Option<Option<SaturatedState>> {
-        if !self.cfg.incremental {
-            return None;
-        }
-        // Below this size a fresh solve is cheaper than state bookkeeping.
-        if parent.global.len() < self.cfg.incremental_min_lits {
-            return None;
-        }
-        if !is_pure_conjunctive(child, self.cfg.enforce_keys) {
-            return None;
-        }
-        if child.global.len() < parent.global.len()
-            || child.global[..parent.global.len()] != parent.global[..]
-        {
-            return None;
-        }
-        let parent_key = state_key(exact_digest(parent), parent);
-        let mut seeded: Option<SaturatedState> = None;
-        if self.ctx.sat_memo.contains_key(&parent_key) {
-            self.ctx.sat_l1_hits += 1;
-        } else {
-            self.ctx.sat_l1_misses += 1;
-            let st = match self
-                .ctx
-                .share_l2
-                .then(|| self.ctx.shared.sat.get(&parent_key))
-                .flatten()
-            {
-                // A sibling worker already saturated this parent state.
-                Some(st) => st,
-                None => {
-                    // Child purity implies parent purity (tables and
-                    // conditions only grow), so the parent's conjunction
-                    // seeds a state. A `None` here means the parent itself
-                    // is inconsistent; fall back (the caller's full check
-                    // will agree).
-                    debug_assert!(is_pure_conjunctive(parent, self.cfg.enforce_keys));
-                    SaturatedState::saturate(&parent.null_types(), &conj_lits(&parent.global))?
-                }
-            };
-            seeded = Some(st);
-        }
-        let parent_state = match &seeded {
-            Some(st) => st,
-            None => &self.ctx.sat_memo[&parent_key],
-        };
-        // The delta reduces through the same logic as a whole instance
-        // (`NotIn` over an empty table is vacuous, exactly as in
-        // `to_problem`).
-        let delta: Vec<Lit> = conj_lits(&child.global[parent.global.len()..]);
-        let extended = parent_state.extend(&child.null_types(), &delta);
-        if let Some(st) = seeded {
-            self.memoize_state(parent_key, st);
-        }
-        Some(extended)
-    }
-
-    fn memoize_state(&mut self, key: u64, st: SaturatedState) {
-        // Saturated states are deterministic functions of the key, so the
-        // shared tier's first-writer-wins races are benign.
-        if self.ctx.share_l2 {
-            self.ctx.shared.sat.insert(key, st.clone());
-        }
-        if self.ctx.sat_memo.len() < SAT_MEMO_CAP {
-            self.ctx.sat_memo.insert(key, st);
         }
     }
 
@@ -1508,9 +1247,7 @@ impl Engine<'_> {
             let mut res = Vec::new();
             for conj in tree_to_conj(q) {
                 if let Some(j) = materialize(self.query, inst, &conj, h) {
-                    // `j` extends `inst` by one materialized conjunction —
-                    // the incremental hot path.
-                    if self.consistent_step(inst, &j) {
+                    if self.consistent(&j) {
                         res.push(j);
                     }
                 }
@@ -1725,7 +1462,8 @@ pub fn materialize(
 mod tests {
     use super::*;
     use cqi_drc::parse_query;
-    use cqi_schema::{DomainType, Schema};
+    use cqi_schema::{DomainType, Schema, Value};
+    use cqi_solver::{Lit, SolverOp};
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
@@ -1931,32 +1669,51 @@ mod tests {
 
     #[test]
     fn shared_l2_entries_cross_worker_boundaries() {
-        // White-box: a state published through one worker's memoize path
-        // is visible to a *different* worker context wired to the same
-        // shared tier — the mechanism behind cross-worker memo reuse.
+        // White-box: an `IsConsistent` answer decided on one worker context
+        // is published to the shared tier, and a *different* context wired
+        // to the same tier hits it there instead of solving.
         let s = schema();
-        let q = parse_query(&s, "{ (b1) | exists d1 (Likes(d1, b1)) }").unwrap();
+        let q = parse_query(&s, "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) }").unwrap();
         let cfg = ChaseConfig::with_limit(4);
         let shared = Arc::new(SharedMemos::default());
-        let mut a = WorkerCtx::new(&cfg, Arc::clone(&shared));
-        a.share_l2 = true;
-        let b = WorkerCtx::new(&cfg, Arc::clone(&shared));
-        let st = SaturatedState::saturate(&[], &[]).expect("empty state saturates");
-        let mut engine = Engine {
-            query: &q,
-            cfg: &cfg,
-            universal_fresh: true,
-            deadline: None,
-            cancel: None,
-            query_key: 0,
-            ctx: &mut a,
+        let worker = || {
+            let mut ctx = WorkerCtx::new(&cfg, Arc::clone(&shared));
+            ctx.share_l2 = true;
+            ctx
         };
-        engine.memoize_state(42, st);
-        assert_eq!(shared.sat.stats.snapshot().inserts, 1);
-        // B has never seen the key in its own L1 yet hits the shared tier.
-        assert!(!b.sat_memo.contains_key(&42));
-        assert!(b.shared.sat.get(&42).is_some());
-        assert_eq!(shared.sat.stats.snapshot().hits, 1);
+        let (mut a, mut b) = (worker(), worker());
+        let serves = s.rel_id("Serves").unwrap();
+        let mut inst = CInstance::new(Arc::clone(&s));
+        let cols: Vec<Ent> = (0..3)
+            .map(|c| Ent::Null(inst.fresh_null(format!("v{c}"), s.attr_domain(serves, c))))
+            .collect();
+        inst.add_cond(Cond::Lit(Lit::cmp(
+            cols[2].clone(),
+            SolverOp::Gt,
+            Value::real(3.0),
+        )));
+        inst.add_tuple(serves, cols);
+        let decide = |ctx: &mut WorkerCtx| {
+            Engine {
+                query: &q,
+                cfg: &cfg,
+                universal_fresh: true,
+                deadline: None,
+                cancel: None,
+                query_key: 0,
+                ctx,
+            }
+            .consistent(&inst)
+        };
+        assert!(decide(&mut a));
+        let after_a = shared.solver.stats.snapshot();
+        assert_eq!((after_a.hits, after_a.inserts), (0, 1));
+        // B has never seen the problem in its own L1 yet hits the shared
+        // tier, which back-fills its L1.
+        assert!(decide(&mut b));
+        assert_eq!(shared.solver.stats.snapshot().hits, 1);
+        assert_eq!(b.solver_cache.stats.misses, 1);
+        assert_eq!(b.solver_cache.len(), 1);
     }
 
     #[test]
@@ -2017,6 +1774,9 @@ mod tests {
         assert!(st.resident_batches > 0, "root jobs must fan out through the resident pool");
         assert!(st.dedupe_offers > 0);
         assert_eq!((st.waves, st.spilled_waves, st.subsumed_subtrees), (0, 0, 0));
+        assert_eq!((st.incr_extends, st.incr_fallbacks), (0, 0));
+        assert_eq!(st.sat_l2, MemoCounts::default());
+        assert_eq!(st.sat_l1_hit_rate(), 0.0);
         // Multi-thread workers share the L2 tier, and per-run baselining
         // makes a fresh chase over the warm caches start from zero, not
         // from the cumulative counters.
@@ -2032,13 +1792,12 @@ mod tests {
         let st1 = chase.stats();
         assert!(st1.solver_l1_hits + st1.solver_l1_misses > 0);
         assert!(
-            st1.solver_l2.inserts + st1.sat_l2.inserts > 0,
+            st1.solver_l2.inserts > 0,
             "multi-thread runs must publish decided steps to the shared tier"
         );
         chase.recycle_into(&mut caches);
         let st2 = Chase::new_reusing(&q, &cfg, true, &mut caches).stats();
         assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
         assert_eq!(st2.solver_l2.inserts, 0);
-        assert_eq!(st2.sat_l2.inserts, 0);
     }
 }

@@ -115,17 +115,6 @@ pub struct ChaseConfig {
     pub solver_cache: bool,
     /// Capacity of the canonical-problem memo (entries, LRU-evicted).
     pub solver_cache_capacity: usize,
-    /// Reuse the parent instance's saturated theory state
-    /// ([`cqi_solver::SaturatedState`]) when a chase step adds one tuple or
-    /// condition to a pure-conjunctive instance, instead of re-running the
-    /// full check from scratch. Falls back to the full check whenever the
-    /// step touches keys or negative conditions.
-    pub incremental: bool,
-    /// Minimum parent global-condition size before the incremental path
-    /// engages: extending a saturated state beats a fresh solve once the
-    /// parent conjunction is sizable, while tiny problems solve faster
-    /// than the state bookkeeping costs.
-    pub incremental_min_lits: usize,
     /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
     /// default) runs every root search on the calling thread, `0` uses all
     /// available parallelism, `n > 1` fans the independent root searches
@@ -159,8 +148,6 @@ impl ChaseConfig {
             max_results: None,
             solver_cache: true,
             solver_cache_capacity: cqi_solver::cache::DEFAULT_CACHE_CAPACITY,
-            incremental: true,
-            incremental_min_lits: 6,
             threads: 1,
             cancel: None,
             trace: false,
@@ -189,16 +176,6 @@ impl ChaseConfig {
 
     pub fn solver_cache_capacity(mut self, entries: usize) -> ChaseConfig {
         self.solver_cache_capacity = entries;
-        self
-    }
-
-    pub fn incremental(mut self, on: bool) -> ChaseConfig {
-        self.incremental = on;
-        self
-    }
-
-    pub fn incremental_min_lits(mut self, n: usize) -> ChaseConfig {
-        self.incremental_min_lits = n;
         self
     }
 
@@ -254,10 +231,10 @@ mod tests {
         assert_eq!(c.timeout, Some(Duration::from_secs(5)));
         assert!(c.enforce_keys);
         assert_eq!(c.max_results, Some(3));
-        // Cache and incrementality default on.
-        assert!(c.solver_cache && c.incremental);
-        let cold = c.solver_cache(false).incremental(false).solver_cache_capacity(16);
-        assert!(!cold.solver_cache && !cold.incremental);
+        // The canonical-problem memo defaults on.
+        assert!(c.solver_cache);
+        let cold = c.solver_cache(false).solver_cache_capacity(16);
+        assert!(!cold.solver_cache);
         assert_eq!(cold.solver_cache_capacity, 16);
     }
 

@@ -56,7 +56,7 @@
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cqi_drc::{parse_query, QueryError, SyntaxTree};
 use cqi_schema::Schema;
@@ -385,26 +385,47 @@ impl Session {
         Ok(sol)
     }
 
-    /// Iterative-deepening explain ([`ExplainRequest::deepening`]): grows
-    /// the instance-size limit until the wall-clock budget (the request
+    /// Iterative-deepening explain ([`ExplainRequest::deepening`], §4.3's
+    /// "set a timeout parameter instead of the limit"): grows the
+    /// instance-size limit until the wall-clock budget (the request
     /// deadline, or 10 s) runs out and returns the deepest completed
-    /// solution together with the limit it was found at. Without an
-    /// explicit `deepening` option the limit starts at 2 and grows by 2
-    /// per level.
+    /// solution together with the limit it was found at (or the first
+    /// level's partial solution if even that level timed out). Every level
+    /// runs on the session's warm caches. Without an explicit `deepening`
+    /// option the limit starts at 2 and grows by 2 per level.
     pub fn explain_deepening(
         &self,
         req: ExplainRequest<'_>,
     ) -> Result<(CSolution, usize), QueryError> {
         let (start_limit, step) = req.deepening.unwrap_or((2, 2));
         let compiled = self.compile(req.input)?;
-        let cfg = self.effective_cfg(&req);
-        Ok(crate::run_variant_deepening(
-            compiled.as_ref(),
-            req.variant,
-            &cfg,
-            start_limit,
-            step,
-        ))
+        let base = self.effective_cfg(&req);
+        let budget = base.timeout.unwrap_or(Duration::from_secs(10));
+        // lint:allow(wall-clock) iterative deepening spends a wall-clock budget by design
+        let start = Instant::now();
+        let mut caches = self.checkout_caches();
+        let mut limit = start_limit;
+        let mut best: Option<(CSolution, usize)> = None;
+        loop {
+            let mut cfg = base.clone();
+            cfg.limit = limit;
+            cfg.timeout = Some(budget.saturating_sub(start.elapsed()));
+            let sol = run_variant_batch(compiled.as_ref(), req.variant, &cfg, &mut caches);
+            let finished = sol.interrupted.is_none();
+            if best
+                .as_ref()
+                .is_none_or(|(b, _)| sol.num_coverages() >= b.num_coverages())
+            {
+                best = Some((sol, limit));
+            }
+            // Deeper levels would only get less time than an interrupted one.
+            if !finished || start.elapsed() >= budget {
+                break;
+            }
+            limit += step;
+        }
+        self.checkin_caches(caches);
+        Ok(best.expect("the first level always runs"))
     }
 }
 
@@ -604,6 +625,32 @@ mod tests {
             )
             .unwrap();
         assert_eq!(via_collect.num_coverages(), sol.num_coverages());
+    }
+
+    #[test]
+    fn deepening_runs_on_the_session_caches() {
+        // Every deepening level runs on the session's own caches, so a
+        // later request at the reached depth finds them warm: it misses the
+        // solver memo less often than the same request on a fresh session.
+        let src = "{ (b1) | exists d1 (Likes(d1, b1)) }";
+        let session = Session::new(schema());
+        let (_, depth) = session
+            .explain_deepening(
+                ExplainRequest::drc(src)
+                    .deadline(Duration::from_millis(100))
+                    .deepening(2, 1),
+            )
+            .unwrap();
+        let req = || ExplainRequest::drc(src).limit(depth);
+        let warm = session.explain_collect(req()).unwrap();
+        let cold = Session::new(schema()).explain_collect(req()).unwrap();
+        assert!(cold.stats.solver_l1_misses > 0);
+        assert!(
+            warm.stats.solver_l1_misses < cold.stats.solver_l1_misses,
+            "depth {depth}: warm {} vs cold {} L1 misses",
+            warm.stats.solver_l1_misses,
+            cold.stats.solver_l1_misses
+        );
     }
 
     #[test]

@@ -105,8 +105,10 @@ impl SatInstance {
 /// The result of one chase run: a minimal c-solution plus run statistics.
 #[derive(Clone, Debug)]
 pub struct CSolution {
-    /// Minimal c-instances, one per distinct coverage, ordered by
-    /// acceptance time.
+    /// Minimal c-instances, one per distinct coverage, in the order they
+    /// appear in the deterministic accepted stream (identical under every
+    /// thread budget; under root fan-out the `accepted_at` stamps of
+    /// different root jobs may interleave).
     pub instances: Vec<SatInstance>,
     /// Satisfying instances accepted before minimization.
     pub raw_accepted: usize,
@@ -205,25 +207,28 @@ impl CSolution {
 }
 
 /// Keeps, for every distinct coverage, one instance of minimum size
-/// (Definitions 9/10), breaking ties by acceptance order.
+/// (Definitions 9/10), breaking ties by acceptance order. The survivors
+/// keep their order in `accepted` — the deterministic accepted stream —
+/// so the result is the same under any thread budget, whatever the
+/// wall-clock stamps say.
 pub fn minimize(accepted: Vec<(CInstance, Coverage, Duration)>) -> Vec<SatInstance> {
-    let mut best: HashMap<Coverage, SatInstance> = HashMap::new();
-    for (inst, coverage, accepted_at) in accepted {
+    let mut best: HashMap<Coverage, (usize, SatInstance)> = HashMap::new();
+    for (pos, (inst, coverage, accepted_at)) in accepted.into_iter().enumerate() {
         let cand = SatInstance {
             inst,
             coverage: coverage.clone(),
             accepted_at,
         };
         match best.get(&coverage) {
-            Some(cur) if cur.size() <= cand.size() => {}
+            Some((_, cur)) if cur.size() <= cand.size() => {}
             _ => {
-                best.insert(coverage, cand);
+                best.insert(coverage, (pos, cand));
             }
         }
     }
-    let mut out: Vec<SatInstance> = best.into_values().collect();
-    out.sort_by_key(|i| (i.accepted_at, i.size()));
-    out
+    let mut out: Vec<(usize, SatInstance)> = best.into_values().collect();
+    out.sort_unstable_by_key(|(pos, _)| *pos);
+    out.into_iter().map(|(_, si)| si).collect()
 }
 
 #[cfg(test)]
@@ -286,6 +291,23 @@ mod tests {
         assert_eq!(sol.time_to_first(), Some(Duration::from_millis(10)));
         assert_eq!(sol.mean_gap(), Some(Duration::from_millis(30)));
         assert_eq!(sol.covered_union(), cov(&[0, 1]));
+    }
+
+    #[test]
+    fn minimal_instances_keep_stream_order_not_timestamp_order() {
+        // Under root fan-out the stream is in job order while the
+        // wall-clock stamps of different jobs interleave.
+        let out = minimize(vec![
+            (inst_of_size(1), cov(&[0]), Duration::from_millis(9)),
+            (inst_of_size(3), cov(&[1]), Duration::from_millis(2)),
+            (inst_of_size(2), cov(&[1]), Duration::from_millis(5)),
+            (inst_of_size(1), cov(&[2]), Duration::from_millis(1)),
+        ]);
+        let order: Vec<(Coverage, usize)> = out
+            .iter()
+            .map(|si| (si.coverage.clone(), si.size()))
+            .collect();
+        assert_eq!(order, vec![(cov(&[0]), 1), (cov(&[1]), 2), (cov(&[2]), 1)]);
     }
 
     #[test]

@@ -219,48 +219,6 @@ fn drive_phases(
     }
 }
 
-/// Iterative deepening (§4.3 "another alternative, aimed at an interactive
-/// experience, is to set a timeout parameter instead of the limit"): runs
-/// the variant with growing `limit` until the wall-clock budget is
-/// exhausted, returning the deepest completed solution (or the last partial
-/// one if even the first level timed out).
-pub fn run_variant_deepening(
-    tree: &SyntaxTree,
-    variant: Variant,
-    base: &ChaseConfig,
-    start_limit: usize,
-    step: usize,
-) -> (CSolution, usize) {
-    let budget = base.timeout.unwrap_or(std::time::Duration::from_secs(10));
-    // lint:allow(wall-clock) limit-doubling spends a wall-clock budget by design
-    let start = std::time::Instant::now();
-    let mut limit = start_limit;
-    let mut best: Option<(CSolution, usize)> = None;
-    loop {
-        let remaining = budget.saturating_sub(start.elapsed());
-        if remaining.is_zero() {
-            break;
-        }
-        let mut cfg = base.clone();
-        cfg.limit = limit;
-        cfg.timeout = Some(remaining);
-        let sol = run_variant(tree, variant, &cfg);
-        let finished = sol.interrupted.is_none();
-        let better = match &best {
-            None => true,
-            Some((b, _)) => sol.num_coverages() >= b.num_coverages(),
-        };
-        if better {
-            best = Some((sol, limit));
-        }
-        if !finished {
-            break; // deeper levels would only see a smaller budget
-        }
-        limit += step;
-    }
-    best.expect("at least one level runs")
-}
-
 /// Builds the initial c-instance for an `*-Add` re-seed: the uncovered leaf
 /// atom is materialized over fresh labeled nulls, and output variables
 /// occurring in it are pre-bound in the homomorphism.
@@ -393,9 +351,8 @@ mod tests {
 
     #[test]
     fn cache_and_incremental_knobs_do_not_change_results() {
-        // The memo and the saturated-state extension are pure
-        // optimizations: accepted coverages must be identical with both
-        // paths forced on (min_lits 0) and both off, keys on and off.
+        // The canonical-problem memo is a pure optimization: accepted
+        // coverages must be identical with it on and off, keys on and off.
         let queries = [
             "{ (b1) | exists d1 (Likes(d1, b1)) }",
             "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
@@ -406,14 +363,9 @@ mod tests {
             let t = tree(src);
             for keys in [false, true] {
                 for v in [Variant::DisjEO, Variant::ConjAdd] {
-                    let fast = ChaseConfig::with_limit(7)
-                        .enforce_keys(keys)
-                        .incremental_min_lits(0);
-                    let cold = ChaseConfig::with_limit(7)
-                        .enforce_keys(keys)
-                        .solver_cache(false)
-                        .incremental(false);
-                    let a = run_variant(&t, v, &fast);
+                    let memo = ChaseConfig::with_limit(7).enforce_keys(keys);
+                    let cold = memo.clone().solver_cache(false);
+                    let a = run_variant(&t, v, &memo);
                     let b = run_variant(&t, v, &cold);
                     let ca: std::collections::BTreeSet<_> = a.coverages().cloned().collect();
                     let cb: std::collections::BTreeSet<_> = b.coverages().cloned().collect();

@@ -71,7 +71,6 @@ pub struct CaseRecord {
     pub seed: u64,
     pub variant: String,
     pub threads: usize,
-    pub incremental: bool,
     pub enforce_keys: bool,
     pub accepted: usize,
     pub checked: usize,
@@ -153,7 +152,6 @@ pub fn run_one(
             seed,
             variant: cfg.variant.to_string(),
             threads: cfg.threads,
-            incremental: cfg.incremental,
             enforce_keys: cfg.enforce_keys,
             accepted: rep.accepted,
             checked: rep.checked,

@@ -7,10 +7,10 @@
 //!    (conjunctive core plus knob-controlled negation, comparisons,
 //!    constants, and `∀` depth) as a plain-data [`spec::CaseSpec`];
 //! 2. [`oracle::run_case`] chases it through [`cqi_core::Session`] under
-//!    one cell of the variant × `{threads, incremental, enforce_keys}`
-//!    matrix, then re-derives every accepted c-instance's verdict through
-//!    a disjoint pipeline: ground it ([`cqi_instance::ground_instance`])
-//!    and re-evaluate with [`cqi_eval::satisfies`] / coverage — plus
+//!    one cell of the variant × `{threads, enforce_keys}` matrix, then
+//!    re-derives every accepted c-instance's verdict through a disjoint
+//!    pipeline: ground it ([`cqi_instance::ground_instance`]) and
+//!    re-evaluate with [`cqi_eval::satisfies`] / coverage — plus
 //!    Add-dominates-EO cross-variant checks and `cosette`/`ratest`
 //!    baseline comparisons on query pairs;
 //! 3. on divergence, [`shrink::shrink_case`] reduces the case to a minimal

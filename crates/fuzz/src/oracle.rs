@@ -22,17 +22,8 @@ use cqi_instance::ground_instance;
 use crate::spec::{CaseSpec, Mutation};
 
 /// The CI config matrix of the acceptance criteria:
-/// `(threads, incremental, enforce_keys)`.
-pub const CONFIG_MATRIX: [(usize, bool, bool); 8] = [
-    (1, true, true),
-    (4, true, true),
-    (1, false, true),
-    (4, false, true),
-    (1, true, false),
-    (4, true, false),
-    (1, false, false),
-    (4, false, false),
-];
+/// `(threads, enforce_keys)`.
+pub const CONFIG_MATRIX: [(usize, bool); 4] = [(1, true), (4, true), (1, false), (4, false)];
 
 /// Effective per-case configuration: one cell of the config matrix plus a
 /// chase variant and budget knobs.
@@ -40,7 +31,6 @@ pub const CONFIG_MATRIX: [(usize, bool, bool); 8] = [
 pub struct CaseConfig {
     pub variant: Variant,
     pub threads: usize,
-    pub incremental: bool,
     pub enforce_keys: bool,
     /// Chase instance-size limit (small: keeps even Naive variants fast).
     pub limit: usize,
@@ -52,15 +42,14 @@ pub struct CaseConfig {
 
 impl CaseConfig {
     /// Deterministic assignment of case `index` to a matrix cell and a
-    /// variant: all 8 cells × all 6 variants cycle with period 48, so a
-    /// ≥ 500-case sweep visits every combination ≥ 10 times.
+    /// variant: all 4 cells × all 6 variants cycle with period 24, so a
+    /// ≥ 500-case sweep visits every combination ≥ 20 times.
     pub fn for_case(index: usize, deadline: Duration) -> CaseConfig {
-        let (threads, incremental, enforce_keys) = CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
+        let (threads, enforce_keys) = CONFIG_MATRIX[index % CONFIG_MATRIX.len()];
         let variant = Variant::ALL[(index / CONFIG_MATRIX.len()) % Variant::ALL.len()];
         CaseConfig {
             variant,
             threads,
-            incremental,
             enforce_keys,
             limit: 5,
             max_results: 4,
@@ -71,7 +60,6 @@ impl CaseConfig {
     pub fn chase_config(&self) -> ChaseConfig {
         ChaseConfig::with_limit(self.limit)
             .enforce_keys(self.enforce_keys)
-            .incremental(self.incremental)
             .threads(self.threads)
             .max_results(self.max_results)
             .timeout(self.deadline)
@@ -382,10 +370,7 @@ pub fn run_case(
 }
 
 fn matrix_tag(cfg: &CaseConfig) -> String {
-    format!(
-        "t{} inc={} keys={}",
-        cfg.threads, cfg.incremental as u8, cfg.enforce_keys as u8
-    )
+    format!("t{} keys={}", cfg.threads, cfg.enforce_keys as u8)
 }
 
 #[cfg(test)]
@@ -397,12 +382,12 @@ mod tests {
     fn matrix_rotation_covers_all_cells_and_variants() {
         let mut cells = std::collections::BTreeSet::new();
         let mut variants = std::collections::BTreeSet::new();
-        for i in 0..48 {
+        for i in 0..24 {
             let c = CaseConfig::for_case(i, Duration::from_secs(1));
-            cells.insert((c.threads, c.incremental, c.enforce_keys));
+            cells.insert((c.threads, c.enforce_keys));
             variants.insert(c.variant);
         }
-        assert_eq!(cells.len(), 8);
+        assert_eq!(cells.len(), 4);
         assert_eq!(variants.len(), 6);
     }
 

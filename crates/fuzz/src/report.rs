@@ -46,7 +46,6 @@ pub fn render(summary: &SweepSummary) -> String {
         let _ = writeln!(s, "      \"seed\": {},", c.seed);
         let _ = writeln!(s, "      \"variant\": \"{}\",", json_escape(&c.variant));
         let _ = writeln!(s, "      \"threads\": {},", c.threads);
-        let _ = writeln!(s, "      \"incremental\": {},", c.incremental);
         let _ = writeln!(s, "      \"enforce_keys\": {},", c.enforce_keys);
         let _ = writeln!(s, "      \"kind\": \"{}\",", kind.as_str());
         let _ = writeln!(s, "      \"detail\": \"{}\",", json_escape(detail));

@@ -114,17 +114,6 @@ pub fn is_consistent(inst: &CInstance, enforce_keys: bool) -> bool {
     cqi_solver::is_sat(&to_problem(inst, enforce_keys))
 }
 
-/// `IsConsistent(I)` through a [`SolverCache`]: the instance's problem is
-/// canonicalized, so structurally isomorphic instances (different null
-/// naming, extra unconstrained nulls) share one solver run.
-pub fn is_consistent_cached(
-    inst: &CInstance,
-    enforce_keys: bool,
-    cache: &mut SolverCache,
-) -> bool {
-    cache.is_sat(&to_problem(inst, enforce_keys))
-}
-
 /// Consistency with a witness model for the labeled nulls.
 pub fn consistent_model(inst: &CInstance, enforce_keys: bool) -> Option<Model> {
     match cqi_solver::solve(&to_problem(inst, enforce_keys)) {
@@ -144,40 +133,6 @@ pub fn consistent_model_cached(
         Outcome::Sat(m) => Some(m),
         Outcome::Unsat => None,
     }
-}
-
-/// Does `IsConsistent(inst)` reduce to a *pure conjunction* of literals —
-/// no clauses at all? True when every negated relational atom ranges over
-/// an empty table (no `≠`-disjunctions arise) and, if keys are enforced, no
-/// keyed relation holds two rows (no EGD clauses arise). Pure-conjunctive
-/// instances are eligible for the incremental
-/// [`cqi_solver::SaturatedState`] path in the chase.
-pub fn is_pure_conjunctive(inst: &CInstance, enforce_keys: bool) -> bool {
-    inst.global.iter().all(|c| match c {
-        Cond::Lit(_) => true,
-        Cond::NotIn { rel, .. } => inst.tables[rel.index()].is_empty(),
-    }) && (!enforce_keys
-        || inst
-            .schema
-            .keys()
-            .iter()
-            .all(|k| inst.tables[k.rel.index()].len() <= 1))
-}
-
-/// The conjunction a slice of pure-conjunctive conditions reduces to (the
-/// `Lit` conditions, in order). Callers must have checked
-/// [`is_pure_conjunctive`] on the owning instance; `NotIn` conditions over
-/// empty tables contribute nothing, exactly as in [`to_problem`]. Taking a
-/// slice lets the chase reduce a *delta* (the child conditions beyond the
-/// parent's) through the same logic as a whole instance.
-pub fn conj_lits(global: &[Cond]) -> Vec<Lit> {
-    global
-        .iter()
-        .filter_map(|c| match c {
-            Cond::Lit(l) => Some(l.clone()),
-            Cond::NotIn { .. } => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,17 +1,14 @@
-//! Property tests for the consistency fast paths: the memoized
-//! (canonical-cache) check and the incremental (saturated-state) check must
-//! agree with the from-scratch `IsConsistent` on randomly generated
-//! c-instances — including negated atoms and key constraints, which force
-//! the incremental path's eligibility test to say "no".
+//! Property tests for the consistency fast path: the memoized
+//! (canonical-cache) check must agree with the from-scratch `IsConsistent`
+//! on randomly generated c-instances, including negated atoms and key
+//! constraints.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cqi_instance::consistency::{
-    conj_lits, is_consistent, is_consistent_cached, is_pure_conjunctive,
-};
+use cqi_instance::consistency::{is_consistent, to_problem};
 use cqi_instance::{CInstance, Cond};
 use cqi_schema::{DomainType, Schema, Value};
-use cqi_solver::{Lit, NullId, SaturatedState, SolverCache, SolverOp};
+use cqi_solver::{Lit, NullId, SolverCache, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,37 +110,8 @@ proptest! {
         let cache = shared_cache();
         for keys in [false, true] {
             let plain = is_consistent(&inst, keys);
-            let cached = is_consistent_cached(&inst, keys, &mut cache.lock().unwrap());
+            let cached = cache.lock().unwrap().is_sat(&to_problem(&inst, keys));
             prop_assert_eq!(plain, cached, "keys={}", keys);
-        }
-    }
-
-    /// On pure-conjunctive instances the saturated-state path agrees with
-    /// `IsConsistent`; a parent state extended by the instance's own last
-    /// condition agrees too (the chase's single-step situation).
-    #[test]
-    fn incremental_consistency_agrees(seed in any::<u64>()) {
-        let inst = build(seed);
-        // Negated atoms over populated tables make the instance impure —
-        // the chase would fall back; nothing to check for those.
-        if is_pure_conjunctive(&inst, false) {
-            let lits = conj_lits(&inst.global);
-            let plain = is_consistent(&inst, false);
-            prop_assert_eq!(
-                SaturatedState::saturate(&inst.null_types(), &lits).is_some(),
-                plain
-            );
-            if let Some((delta, prefix)) = lits.split_last() {
-                match SaturatedState::saturate(&inst.null_types(), prefix) {
-                    None => prop_assert!(!plain, "unsat prefix, sat instance"),
-                    Some(parent) => {
-                        prop_assert_eq!(
-                            parent.extend(&inst.null_types(), std::slice::from_ref(delta)).is_some(),
-                            plain
-                        );
-                    }
-                }
-            }
         }
     }
 }
@@ -154,9 +122,9 @@ fn shared_cache_accumulates_hits() {
     // minimum, re-checking the same instance does.
     let cache = shared_cache();
     let inst = build(12345);
-    let a = is_consistent_cached(&inst, true, &mut cache.lock().unwrap());
+    let a = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
     let hits_before = cache.lock().unwrap().stats.hits;
-    let b = is_consistent_cached(&inst, true, &mut cache.lock().unwrap());
+    let b = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
     assert_eq!(a, b);
     assert!(cache.lock().unwrap().stats.hits > hits_before);
 }

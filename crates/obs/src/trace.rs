@@ -45,7 +45,7 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// Engine phases for the wall-time breakdown. Only leaf spans carry one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Solver decisions: L1/L2 memo lookups, incremental extension, DPLL.
+    /// Solver decisions: L1/L2 memo lookups and fresh solves (DPLL).
     Solver,
     /// Canonicalization of solver problems (color refinement, keys).
     Canon,

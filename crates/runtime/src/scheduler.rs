@@ -24,7 +24,7 @@ pub struct Expansion<T, A> {
 pub trait FrontierTask {
     /// Frontier item (a c-instance branch candidate, for the chase).
     type Item: Clone;
-    /// Mutable context (solver caches, saturated-state memos).
+    /// Mutable context (solver caches, sub-BFS memos).
     type Ctx;
     /// Accepted result type.
     type Accept;

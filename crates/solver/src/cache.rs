@@ -75,9 +75,6 @@ impl SolverCache {
     }
 
     /// Looks a pre-canonicalized problem up; counts a hit or a miss.
-    /// Callers that can decide a miss more cheaply than a full solve
-    /// (incremental extension) should [`insert`](Self::insert) the answer
-    /// afterwards so later isomorphic problems hit.
     pub fn lookup(&mut self, canon: &Canonical) -> Option<Outcome> {
         self.lookup_sat(canon).map(|sat| {
             if sat {
@@ -119,14 +116,6 @@ impl SolverCache {
         };
         self.store(canon.key.clone(), result);
         outcome
-    }
-
-    /// Records an outcome decided elsewhere (e.g. by extending a saturated
-    /// state): `orig_model` is a witness in the original naming, `None`
-    /// records unsat.
-    pub fn insert(&mut self, canon: &Canonical, orig_model: Option<&Model>) {
-        let result = orig_model.map(|m| canon.model_to_canon(m));
-        self.store(canon.key.clone(), result);
     }
 
     /// Reads the canonical-space entry for `key` without touching LRU state

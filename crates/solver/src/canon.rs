@@ -77,19 +77,6 @@ impl Canonical {
         h(&self.key)
     }
 
-    /// Maps a model over the original nulls into canonical naming (the
-    /// inverse of [`model_to_orig`](Self::model_to_orig)) — used to store
-    /// outcomes decided outside the cache (incremental extension).
-    pub fn model_to_canon(&self, orig_model: &Model) -> Model {
-        let mut values: Vec<Option<cqi_schema::Value>> = vec![None; self.key.types.len()];
-        for (orig, &c) in self.to_canon.iter().enumerate() {
-            if c != UNMENTIONED {
-                values[c] = orig_model.get(NullId(orig as u32)).cloned();
-            }
-        }
-        Model::new(values)
-    }
-
     /// Maps a model over canonical nulls back to the original null naming.
     /// Unmentioned nulls stay unassigned.
     pub fn model_to_orig(&self, canon_model: &Model) -> Model {

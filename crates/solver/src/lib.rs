@@ -49,7 +49,6 @@ pub mod ent;
 pub mod model;
 pub mod nfa;
 pub mod order;
-pub mod state;
 pub mod strings;
 pub mod theory;
 pub mod unionfind;
@@ -58,7 +57,6 @@ pub use cache::{CacheStats, SolverCache};
 pub use cond::{Clause, Lit, Problem, SolverOp};
 pub use ent::{Ent, NullId};
 pub use model::Model;
-pub use state::SaturatedState;
 
 /// Satisfiability outcome.
 #[derive(Clone, Debug)]

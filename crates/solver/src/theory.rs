@@ -1,23 +1,19 @@
 //! The conjunction decider: equality saturation (union-find) feeding the
 //! numeric [`crate::order`] and text [`crate::strings`] engines.
 //!
-//! The pipeline is factored into an incremental [`Saturation`]: literals are
-//! *asserted* one by one (interning nodes, unioning equalities, accumulating
-//! order/disequality/LIKE constraints), and [`Saturation::solve`] runs the
-//! class-level analysis over whatever has been asserted so far. A
-//! from-scratch [`check_conj`] is a thin wrapper; [`crate::state`] builds on
-//! the same struct to extend a parent instance's saturated state with delta
-//! literals instead of re-asserting the whole conjunction.
+//! [`check_conj`] *asserts* the literals one by one into a saturation
+//! state (interning nodes, unioning equalities, accumulating
+//! order/disequality/LIKE constraints), then runs the class-level analysis
+//! over everything asserted, once and cold.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use cqi_schema::{DomainType, Value};
 
 use crate::cond::{Lit, SolverOp};
 use crate::ent::Ent;
 use crate::model::Model;
-use crate::order::{solve_order_cached, OrderCache, OrderEdge, OrderProblem, WarmSeed};
+use crate::order::{solve_order_untraced, OrderEdge, OrderProblem};
 use crate::strings::{solve_text, TextProblem};
 use crate::unionfind::UnionFind;
 
@@ -35,66 +31,19 @@ fn kind_of_type(t: DomainType) -> Kind {
     }
 }
 
-/// The class-level encoding produced by the last successful
-/// [`Saturation::solve`], cached so the next solve of a *grown* system can
-/// extend it by the delta instead of rebuilding from scratch.
-///
-/// The cache is valid only while the class structure is stable: any
-/// equality merge since the solve invalidates it (checked via
-/// [`Saturation::merges`]), as does any delta that touches the text side.
-/// Within those bounds a delta solve appends the new singleton classes and
-/// new numeric edges/disequalities to the cached [`OrderProblem`] and
-/// re-solves it warm from the cached class values — the per-class analogue
-/// of the node-level `warm` vector, and the piece that keeps base-shifting
-/// deltas (a first pinned constant changes the order solver's base) on the
-/// warm path: values are absolute, classes are append-only, so the seed
-/// survives the shift.
-#[derive(Clone, Debug)]
-struct SolvedEncoding {
-    /// [`Saturation::merges`] at solve time; a mismatch means classes
-    /// merged and the whole encoding is stale.
-    merges_at: usize,
-    /// Prefix lengths of the saturation's constraint vectors already
-    /// folded into the encoding.
-    nodes_done: usize,
-    lt_done: usize,
-    neq_done: usize,
-    likes_done: usize,
-    class_of: Vec<usize>,
-    num_classes: usize,
-    num_idx: Vec<Option<usize>>,
-    text_idx: Vec<Option<usize>>,
-    op_num: OrderProblem,
-    /// Cached order-solver adjacency; valid because `op_num` only ever
-    /// grows append-only while this encoding is live.
-    order_cache: OrderCache,
-    num_vals: Vec<f64>,
-    text_vals: Vec<String>,
-}
-
-/// Outcome of a cached delta solve.
-enum DeltaSolve {
-    /// Cache unusable for this delta — run the full rebuild.
-    Miss,
-    /// Definitive answer (the delta checks are exact, not heuristic).
-    Done(Option<Model>),
-}
-
-/// Incrementally saturated conjunction state: interned nodes (nulls and
-/// constants), a union-find over asserted equalities, and the accumulated
-/// order edges, disequalities, and LIKE constraints. Cloning is cheap
-/// relative to a full re-assertion — `Vec`/`HashMap` copies, no solving.
+/// Saturated conjunction state: interned nodes (nulls and constants), a
+/// union-find over asserted equalities, and the accumulated order edges,
+/// disequalities, and LIKE constraints.
 #[derive(Debug)]
-pub(crate) struct Saturation {
-    /// Domain type per labeled null; nulls occupy nodes `0..types.len()`
-    /// in the order they were registered (constants are appended after).
+struct Saturation {
+    /// Domain type per labeled null; null `i` is node `i` (constants are
+    /// appended after the nulls).
     types: Vec<DomainType>,
     /// Constant interning table. The first few constants live in a linear
     /// vector: typical chase conjunctions carry a handful of constants, and
-    /// keeping them inline means cloning a parent state and asserting a
-    /// delta never allocates a hash table. Beyond the inline capacity
-    /// (instance-level workloads intern every table value) lookups spill to
-    /// the map.
+    /// keeping them inline means a check never allocates a hash table.
+    /// Beyond the inline capacity (instance-level workloads intern every
+    /// table value) lookups spill to the map.
     const_small: Vec<(Value, usize)>,
     const_nodes: HashMap<Value, usize>,
     node_const: Vec<Option<Value>>,
@@ -105,61 +54,10 @@ pub(crate) struct Saturation {
     lt_edges: Vec<(usize, usize, bool)>,
     neqs: Vec<(usize, usize)>,
     likes: Vec<(usize, bool, String)>,
-    /// Node index per null id. Nulls registered after constants were
-    /// interned get nodes beyond the initial dense prefix.
-    null_node: Vec<usize>,
-    /// Per-node numeric values from the last successful [`solve`] — the
-    /// warm start of the next solve's Bellman-Ford
-    /// ([`crate::order::solve_order_warm`]). Carried along by `Clone`, so a
-    /// [`crate::state::SaturatedState`] extension re-solves its delta warm
-    /// instead of cold. Speed-only: the warm path verifies its output and
-    /// falls back to the cold solver on any mismatch.
-    warm: Vec<Option<f64>>,
-    /// Count of effective equality merges, used to validate [`Self::enc`].
-    merges: usize,
-    /// Cached class-level encoding of the last successful solve. `Arc` so
-    /// cloning a saturated state (the chase does this per extension) is a
-    /// refcount bump; the delta path copies-on-write only when it actually
-    /// mutates the encoding.
-    enc: Option<Arc<SolvedEncoding>>,
-}
-
-/// Copies a slice into a `Vec` with a few spare slots of capacity.
-fn vec_with_slack<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(v.len() + extra);
-    out.extend_from_slice(v);
-    out
-}
-
-/// Hand-rolled so every growable vector keeps [`CLONE_SLACK`] slots of push
-/// headroom: a cloned state is almost always about to absorb a small delta,
-/// and a derived clone's exact-capacity vectors would each pay a
-/// reallocation on the first assert — measurably the dominant cost of
-/// extending a saturated state by one literal.
-impl Clone for Saturation {
-    fn clone(&self) -> Saturation {
-        const CLONE_SLACK: usize = 4;
-        Saturation {
-            types: vec_with_slack(&self.types, CLONE_SLACK),
-            const_small: vec_with_slack(&self.const_small, CLONE_SLACK),
-            const_nodes: self.const_nodes.clone(),
-            node_const: vec_with_slack(&self.node_const, CLONE_SLACK),
-            node_kind: vec_with_slack(&self.node_kind, CLONE_SLACK),
-            node_int: vec_with_slack(&self.node_int, CLONE_SLACK),
-            uf: self.uf.clone_with_slack(CLONE_SLACK),
-            lt_edges: vec_with_slack(&self.lt_edges, CLONE_SLACK),
-            neqs: vec_with_slack(&self.neqs, CLONE_SLACK),
-            likes: self.likes.clone(),
-            null_node: vec_with_slack(&self.null_node, CLONE_SLACK),
-            warm: self.warm.clone(),
-            merges: self.merges,
-            enc: self.enc.clone(),
-        }
-    }
 }
 
 impl Saturation {
-    pub(crate) fn new(types: &[DomainType]) -> Saturation {
+    fn new(types: &[DomainType]) -> Saturation {
         let n = types.len();
         Saturation {
             types: types.to_vec(),
@@ -172,35 +70,12 @@ impl Saturation {
             lt_edges: Vec::new(),
             neqs: Vec::new(),
             likes: Vec::new(),
-            null_node: (0..n).collect(),
-            warm: Vec::new(),
-            merges: 0,
-            enc: None,
-        }
-    }
-
-    pub(crate) fn num_nulls(&self) -> usize {
-        self.types.len()
-    }
-
-    /// Registers nulls added since this state was built. `types` is the
-    /// *full* new type vector; the prefix must match the existing one.
-    pub(crate) fn grow_types(&mut self, types: &[DomainType]) {
-        debug_assert!(types.len() >= self.types.len());
-        debug_assert_eq!(&types[..self.types.len()], self.types.as_slice());
-        for t in &types[self.types.len()..] {
-            let node = self.uf.push();
-            self.node_const.push(None);
-            self.node_kind.push(kind_of_type(*t));
-            self.node_int.push(*t == DomainType::Int);
-            self.null_node.push(node);
-            self.types.push(*t);
         }
     }
 
     fn intern(&mut self, e: &Ent) -> usize {
         match e {
-            Ent::Null(id) => self.null_node[id.index()],
+            Ent::Null(id) => id.index(),
             Ent::Const(v) => {
                 if let Some((_, idx)) = self.const_small.iter().find(|(c, _)| c == v) {
                     return *idx;
@@ -227,7 +102,7 @@ impl Saturation {
     /// definitively unsatisfiable. Type-mismatched comparisons (number vs
     /// text) are unsatisfiable rather than errors: they can arise
     /// transiently inside DPLL branches.
-    pub(crate) fn assert_lit(&mut self, lit: &Lit) -> bool {
+    fn assert_lit(&mut self, lit: &Lit) -> bool {
         match lit {
             Lit::Cmp { lhs, op, rhs } => {
                 // Constant folding.
@@ -241,10 +116,7 @@ impl Saturation {
                 }
                 match op {
                     SolverOp::Eq => {
-                        if self.uf.find(a) != self.uf.find(b) {
-                            self.uf.union(a, b);
-                            self.merges += 1;
-                        }
+                        self.uf.union(a, b);
                     }
                     SolverOp::Ne => self.neqs.push((a, b)),
                     SolverOp::Lt => self.lt_edges.push((a, b, true)),
@@ -271,138 +143,12 @@ impl Saturation {
         }
     }
 
-    /// Attempts to answer [`Self::solve`] by extending the cached encoding
-    /// of the previous solve with just the delta asserted since. Returns
-    /// [`DeltaSolve::Miss`] when the cache is absent/stale or the delta
-    /// needs machinery the extension does not model (class merges, any
-    /// text-side constraint); the verdicts it *does* return are exact.
-    fn try_solve_delta(&mut self) -> DeltaSolve {
-        // Take the cache unconditionally: a miss falls through to the full
-        // rebuild (which re-populates it), and an unsat discards the state.
-        let Some(mut enc_arc) = self.enc.take() else {
-            return DeltaSolve::Miss;
-        };
-        let total = self.uf.len();
-        if enc_arc.merges_at != self.merges || enc_arc.likes_done != self.likes.len() {
-            return DeltaSolve::Miss;
-        }
-        // Copy-on-write: clones the encoding iff it is still shared with
-        // the parent state (the extend path always is), keeping parent and
-        // child caches independent.
-        let enc = Arc::make_mut(&mut enc_arc);
-
-        // New nodes since the solve are singleton classes (no merges), in
-        // the same dense order `UnionFind::classes` would assign. Numeric
-        // ones join the order problem; text ones stay unassigned in the
-        // model (the documented fast-path contract) unless a text
-        // constraint arrives later — which is a miss anyway.
-        let old_num_n = enc.op_num.n;
-        for node in enc.nodes_done..total {
-            let c = enc.num_classes;
-            enc.num_classes += 1;
-            enc.class_of.push(c);
-            match self.node_kind[node] {
-                Kind::Num => {
-                    enc.num_idx.push(Some(enc.op_num.n));
-                    enc.text_idx.push(None);
-                    enc.op_num.n += 1;
-                    enc.op_num.int_class.push(self.node_int[node]);
-                    enc.op_num
-                        .pinned
-                        .push(self.node_const[node].as_ref().and_then(|v| v.as_f64()));
-                }
-                Kind::Text => {
-                    if self.node_const[node].is_some() {
-                        return DeltaSolve::Miss; // pinned text class — text solve
-                    }
-                    enc.num_idx.push(None);
-                    enc.text_idx.push(None);
-                }
-            }
-        }
-
-        let mut num_changed = enc.op_num.n != old_num_n;
-        for &(a, b, strict) in &self.lt_edges[enc.lt_done..] {
-            let (ca, cb) = (enc.class_of[a], enc.class_of[b]);
-            match (enc.num_idx[ca], enc.num_idx[cb]) {
-                (Some(i), Some(j)) => {
-                    if strict && i == j {
-                        return DeltaSolve::Done(None); // x < x
-                    }
-                    enc.op_num.edges.push(OrderEdge { from: i, to: j, strict });
-                    num_changed = true;
-                }
-                _ => return DeltaSolve::Miss, // text-side order constraint
-            }
-        }
-        for &(a, b) in &self.neqs[enc.neq_done..] {
-            let (ca, cb) = (enc.class_of[a], enc.class_of[b]);
-            if ca == cb {
-                return DeltaSolve::Done(None); // x ≠ x
-            }
-            match (enc.num_idx[ca], enc.num_idx[cb]) {
-                (Some(i), Some(j)) => {
-                    enc.op_num.neqs.push((i, j));
-                    num_changed = true;
-                }
-                _ => return DeltaSolve::Miss, // text-side disequality
-            }
-        }
-
-        if num_changed {
-            // The cached class values are exactly the dense prefix of the
-            // grown problem's classes (classes are append-only here), and
-            // the cached CSR covers the edge prefix.
-            match solve_order_cached(
-                &enc.op_num,
-                Some(WarmSeed::Dense(&enc.num_vals)),
-                &mut enc.order_cache,
-            ) {
-                Some(vals) => enc.num_vals = vals,
-                None => return DeltaSolve::Done(None),
-            }
-        }
-
-        // `self.warm` (the node-level fallback seed for the full-rebuild
-        // path) is deliberately left stale: `enc.num_vals` carries the live
-        // per-class values, and if a later merge invalidates this encoding
-        // the older node values are still sound seeds — the warm solver
-        // verifies and falls back cold on any mismatch.
-        let n = self.types.len();
-        let mut values: Vec<Option<Value>> = vec![None; n];
-        for (null, slot) in values.iter_mut().enumerate() {
-            let c = enc.class_of[self.null_node[null]];
-            if let Some(i) = enc.num_idx[c] {
-                let x = enc.num_vals[i];
-                *slot = Some(if self.types[null] == DomainType::Int {
-                    Value::Int(x as i64)
-                } else {
-                    Value::real(x)
-                });
-            } else if let Some(i) = enc.text_idx[c] {
-                *slot = Some(Value::str(&enc.text_vals[i]));
-            }
-        }
-
-        enc.nodes_done = total;
-        enc.lt_done = self.lt_edges.len();
-        enc.neq_done = self.neqs.len();
-        self.enc = Some(enc_arc);
-        DeltaSolve::Done(Some(Model::new(values)))
-    }
-
     /// Runs the class-level analysis over everything asserted so far:
     /// equality classes, clash detection, numeric/text split, and the
     /// [`crate::order`]/[`crate::strings`] engines; assembles a per-null
-    /// model on success. A solve over a state that already solved (the
-    /// incremental extend path) goes through [`Self::try_solve_delta`]
-    /// first and only falls back to the full rebuild below when the delta
-    /// changed the class structure.
+    /// model on success.
     #[allow(clippy::needless_range_loop)] // node/class index arithmetic
-    pub(crate) fn solve(&mut self) -> Option<Model> {
-        if let DeltaSolve::Done(res) = self.try_solve_delta() {
-            return res;
-        }
+    fn solve(&mut self) -> Option<Model> {
         let total = self.uf.len();
         let (class_of, num_classes) = self.uf.classes();
 
@@ -512,40 +258,15 @@ impl Saturation {
             }
         }
 
-        // Solve both sides. The numeric side warm-starts from the previous
-        // solve's values when this state has solved before (the incremental
-        // extend path): per new class, the max over its member nodes' old
-        // values — a lower bound on the new least fixpoint, since
-        // constraints only grow and merged classes take the max of their
-        // parts.
-        let mut order_cache = OrderCache::default();
-        let num_vals = if self.warm.is_empty() {
-            solve_order_cached(&op_num, None, &mut order_cache)?
-        } else {
-            let mut warm_by_class: Vec<Option<f64>> = vec![None; num_classes_list.len()];
-            for (node, w) in self.warm.iter().enumerate().take(total) {
-                if let (Some(v), Some(i)) = (w, num_idx[class_of[node]]) {
-                    let slot = &mut warm_by_class[i];
-                    *slot = Some(slot.map_or(*v, |cur: f64| cur.max(*v)));
-                }
-            }
-            solve_order_cached(&op_num, Some(WarmSeed::Sparse(&warm_by_class)), &mut order_cache)?
-        };
+        // Solve both sides.
+        let num_vals = solve_order_untraced(&op_num)?;
         let text_vals = solve_text(&op_text)?;
-
-        // Record this solution as the next solve's warm start.
-        self.warm = vec![None; total];
-        for node in 0..total {
-            if let Some(i) = num_idx[class_of[node]] {
-                self.warm[node] = Some(num_vals[i]);
-            }
-        }
 
         // Assemble the per-null model.
         let n = self.types.len();
         let mut values: Vec<Option<Value>> = vec![None; n];
         for null in 0..n {
-            let c = class_of[self.null_node[null]];
+            let c = class_of[null];
             let v = if let Some(i) = num_idx[c] {
                 let x = num_vals[i];
                 if self.types[null] == DomainType::Int {
@@ -561,23 +282,6 @@ impl Saturation {
             values[null] = Some(v);
         }
 
-        // Cache the class-level encoding so the next (grown) solve can
-        // extend it instead of rebuilding — see [`SolvedEncoding`].
-        self.enc = Some(Arc::new(SolvedEncoding {
-            merges_at: self.merges,
-            nodes_done: total,
-            lt_done: self.lt_edges.len(),
-            neq_done: self.neqs.len(),
-            likes_done: self.likes.len(),
-            class_of,
-            num_classes,
-            num_idx,
-            text_idx,
-            op_num,
-            order_cache,
-            num_vals,
-            text_vals,
-        }));
         Some(Model::new(values))
     }
 }

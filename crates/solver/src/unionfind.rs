@@ -21,16 +21,6 @@ impl UnionFind {
         self.parent.len()
     }
 
-    /// Clones with `extra` spare slots of capacity, for callers that will
-    /// immediately [`push`](Self::push) a few fresh elements.
-    pub fn clone_with_slack(&self, extra: usize) -> UnionFind {
-        let mut parent = Vec::with_capacity(self.parent.len() + extra);
-        parent.extend_from_slice(&self.parent);
-        let mut size = Vec::with_capacity(self.size.len() + extra);
-        size.extend_from_slice(&self.size);
-        UnionFind { parent, size }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }

@@ -9,7 +9,7 @@ use cqi::fuzz::spec::Mutation;
 use cqi::fuzz::GenKnobs;
 use cqi::instance::json_well_formed;
 
-/// 48 cases = all 8 config cells × all 6 chase variants exactly once.
+/// 48 cases = all 4 config cells × all 6 chase variants, twice.
 #[test]
 fn one_matrix_rotation_is_clean() {
     let summary = sweep(&SweepOptions {
