@@ -3,13 +3,14 @@
 //!
 //! The BFS explores the (implicit) chase tree: every popped c-instance is
 //! first tested with `Tree-SAT` + `IsConsistent` (satisfying instances are
-//! *results* and are not expanded further), then expanded by the recursive
-//! `Tree-Chase`, which dispatches on the root operator of the current
-//! subtree and recursively re-enters the BFS on child subtrees. The
-//! `visited` set deduplicates modulo renaming of labeled nulls
-//! ([`cqi_instance::is_isomorphic`]), and the `limit` bound on instance size
-//! guarantees termination (Proposition 3.1 makes an unbounded search
-//! undecidable).
+//! *results* and are not expanded further; a top-level result is validated
+//! against the original tree and covered right there, on the same worker),
+//! then expanded by the recursive `Tree-Chase`, which dispatches on the
+//! root operator of the current subtree and recursively re-enters the BFS
+//! on child subtrees. The `visited` set deduplicates modulo renaming of
+//! labeled nulls ([`cqi_instance::is_isomorphic`]), and the `limit` bound on
+//! instance size guarantees termination (Proposition 3.1 makes an unbounded
+//! search undecidable).
 //!
 //! ## Execution model (`cqi-runtime`)
 //!
@@ -17,7 +18,9 @@
 //! frontier through [`cqi_runtime::drive`] on one worker context, with the
 //! `visited` check backed by a [`cqi_runtime::VisitedSet`] keyed on the
 //! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
-//! ([`WorkerCtx`]: solver memos, sub-BFS results) only affects speed. The
+//! ([`WorkerCtx`]: solver memos, sub-BFS results) only affects speed. Every
+//! solver question of the chase — `IsConsistent` and each Tree-SAT leaf —
+//! goes through one worker-level path, [`WorkerCtx::decide`]. The
 //! only parallel axis is across roots: multi-root runs (the `Conj-*` tree
 //! sets and the `*-Add` re-seeds) fan whole root searches out over the
 //! session's resident pool when `ChaseConfig::threads > 1`
@@ -31,19 +34,20 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqi_drc::{Atom, Formula, Query, Term, VarId};
+use cqi_drc::{Atom, Coverage, Formula, Query, Term, VarId};
 use cqi_obs::trace::{self, Phase};
-use cqi_instance::consistency::{is_consistent, to_problem};
+use cqi_instance::consistency::to_problem;
 use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
 use cqi_runtime::{
     drive, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool, RunCounters,
     SetKey, StripedMemo,
 };
 use cqi_solver::canon::{canonicalize, CanonKey};
-use cqi_solver::{CacheStats, Ent, Model, SolverCache};
+use cqi_solver::{CacheStats, Ent, Model, Problem, SolverCache};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
+use crate::cover::validated_coverage;
 use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
@@ -94,7 +98,8 @@ pub struct ChaseStats {
     pub dedupe_duplicates: u64,
     /// Signature collisions needing a full isomorphism check.
     pub dedupe_iso_checks: u64,
-    /// Per-worker (L1) canonical-problem memo hits/misses, summed.
+    /// Per-worker (L1) solver memo hits/misses, summed: a hit in the
+    /// exact-problem memo or the canonical one, a miss in both.
     pub solver_l1_hits: u64,
     pub solver_l1_misses: u64,
     /// Shared (L2) canonical-problem memo counters.
@@ -403,6 +408,14 @@ pub(crate) struct WorkerCtx {
     bfs_memo: HashMap<(u64, u64, u64), Vec<CInstance>>,
     /// Memoized `IsConsistent` answers by instance digest.
     consist_memo: HashMap<u64, bool>,
+    /// Exact-problem memo in front of `solver_cache`: most decisions repeat
+    /// a problem this worker already decided, and a hit skips
+    /// canonicalization. Keyed by the whole problem; cleared when it
+    /// reaches `exact_cap` entries.
+    exact: HashMap<Problem, bool>,
+    exact_cap: usize,
+    /// Exact-memo hits, reported as L1 hits.
+    exact_hits: u64,
     /// Canonical-problem memo: isomorphic subproblems (renamed nulls, extra
     /// unconstrained nulls) are decided once (`cfg.solver_cache`).
     solver_cache: SolverCache,
@@ -423,6 +436,9 @@ impl WorkerCtx {
         WorkerCtx {
             bfs_memo: HashMap::new(),
             consist_memo: HashMap::new(),
+            exact: HashMap::new(),
+            exact_cap: cfg.solver_cache_capacity,
+            exact_hits: 0,
             solver_cache: SolverCache::new(cfg.solver_cache_capacity),
             shared,
             share_l2: false,
@@ -442,6 +458,69 @@ impl WorkerCtx {
     fn clear_param_memos(&mut self) {
         self.bfs_memo.clear();
         self.consist_memo.clear();
+    }
+
+    /// Is `p` satisfiable? The worker's one decision path, for
+    /// `IsConsistent` and every Tree-SAT leaf alike: the exact-problem
+    /// memo, then canonicalization and the canonical L1, then the shared
+    /// L2 tier (multi-thread runs only), then one solve of the canonical
+    /// problem. Every tier stores answers that are pure functions of its
+    /// full key, so the path never changes an answer.
+    pub(crate) fn decide(&mut self, p: &Problem) -> bool {
+        let exact = {
+            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
+            self.exact.get(p).copied()
+        };
+        if let Some(sat) = exact {
+            self.exact_hits += 1;
+            return sat;
+        }
+        let sat = self.decide_canonical(p);
+        if self.exact.len() >= self.exact_cap {
+            self.exact.clear();
+        }
+        self.exact.insert(p.clone(), sat);
+        sat
+    }
+
+    /// The canonical tiers of [`WorkerCtx::decide`].
+    fn decide_canonical(&mut self, p: &Problem) -> bool {
+        let canon = {
+            let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
+            canonicalize(p)
+        };
+        let l1 = {
+            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
+            self.solver_cache.lookup_sat(&canon)
+        };
+        if let Some(sat) = l1 {
+            return sat;
+        }
+        // L1 miss → consult the shared L2 tier (multi-thread runs only): a
+        // sibling worker may already have decided an isomorphic problem. L2
+        // stores canonical-space outcomes, so a hit back-fills L1 directly.
+        if self.share_l2 {
+            let l2 = {
+                let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
+                self.shared.solver.get(&canon.key)
+            };
+            if let Some(result) = l2 {
+                let sat = result.is_some();
+                self.solver_cache.insert_canonical(canon.key, result);
+                return sat;
+            }
+        }
+        let _s = trace::span_phase("solve", "solver", Phase::Solver);
+        let sat = self.solver_cache.solve_canonical(&canon).is_sat();
+        // The canonical-space outcome is a pure function of the key, so
+        // publishing to L2 is race-benign (first writer wins, all writers
+        // agree).
+        if self.share_l2 {
+            if let Some(result) = self.solver_cache.peek_canonical(&canon.key) {
+                self.shared.solver.insert(canon.key, result);
+            }
+        }
+        sat
     }
 }
 
@@ -518,9 +597,13 @@ pub struct RootJob<'f> {
     pub h: Hom,
 }
 
-/// One entry of [`Chase::accepted`]: the instance and its wall-clock
-/// acceptance offset.
-pub type AcceptedInstance = (CInstance, Duration);
+/// One entry of [`Chase::accepted`]: the instance, its coverage of the
+/// original tree (`None` when it fails the original-tree re-check), and its
+/// wall-clock acceptance offset.
+pub type AcceptedInstance = (CInstance, Option<Coverage>, Duration);
+
+/// What a root search accepts: the instance and its validated coverage.
+type RootAccept = (CInstance, Option<Coverage>);
 
 /// One chase run (possibly over several trees, for the `Conj-*` and `*-Add`
 /// variants, which all feed the same accepted-instance log).
@@ -691,7 +774,7 @@ impl<'a> Chase<'a> {
             ..ChaseStats::default()
         };
         for c in &self.ctxs {
-            s.solver_l1_hits += c.solver_cache.stats.hits;
+            s.solver_l1_hits += c.solver_cache.stats.hits + c.exact_hits;
             s.solver_l1_misses += c.solver_cache.stats.misses;
         }
         s
@@ -756,20 +839,20 @@ impl<'a> Chase<'a> {
     /// logging accepted instances. A single root is one sequential drive on
     /// the first worker context, whatever the thread budget.
     pub fn run_root(&mut self, formula: &Formula, seed: CInstance, seed_h: Hom) {
-        self.run_root_observed(formula, seed, seed_h, &mut |_, _| true);
+        self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
     }
 
     /// [`Chase::run_root`] with an acceptance observer: `observer` is
-    /// called with every instance (and its acceptance timestamp) the moment
-    /// it enters the log, in the same deterministic order as the final
-    /// `accepted` log. Returning `false` halts the drive (the streaming
-    /// API's consumer-gone/cancel path).
+    /// called with every instance (and its validated coverage and
+    /// acceptance timestamp) the moment it enters the log, in the same
+    /// deterministic order as the final `accepted` log. Returning `false`
+    /// halts the drive (the streaming API's consumer-gone/cancel path).
     pub fn run_root_observed(
         &mut self,
         formula: &Formula,
         seed: CInstance,
         seed_h: Hom,
-        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
     ) {
         if self.done {
             return;
@@ -799,10 +882,10 @@ impl<'a> Chase<'a> {
         let accepted = &mut self.accepted;
         let mut done = false;
         let mut halted = false;
-        let mut sink = |inst: CInstance| {
+        let mut sink = |(inst, coverage): RootAccept| {
             let t = start.elapsed();
-            let keep_streaming = observer(&inst, t);
-            accepted.push((inst, t));
+            let keep_streaming = observer(&inst, coverage.as_ref(), t);
+            accepted.push((inst, coverage, t));
             if !keep_streaming {
                 halted = true;
                 done = true;
@@ -828,7 +911,7 @@ impl<'a> Chase<'a> {
     /// accepted instances are merged in job order — identical output to
     /// running the jobs one by one.
     pub fn run_roots(&mut self, jobs: Vec<RootJob<'_>>) {
-        self.run_roots_observed(jobs, &mut |_, _| true);
+        self.run_roots_observed(jobs, &mut |_, _, _| true);
     }
 
     /// [`Chase::run_roots`] with an acceptance observer (see
@@ -837,7 +920,7 @@ impl<'a> Chase<'a> {
     pub fn run_roots_observed(
         &mut self,
         jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
     ) {
         if jobs.is_empty() || self.done {
             return;
@@ -858,7 +941,7 @@ impl<'a> Chase<'a> {
         &mut self,
         pool: &ResidentPool,
         jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
+        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
     ) {
         let query = self.query;
         let cfg = self.cfg;
@@ -898,10 +981,10 @@ impl<'a> Chase<'a> {
                     query_key,
                 };
                 let mut acc: Vec<AcceptedInstance> = Vec::new();
-                let mut sink = |inst: CInstance| {
+                let mut sink = |(inst, coverage): RootAccept| {
                     // Timestamp at the moment of acceptance, not at merge —
                     // the §5.1 interactivity metrics read these.
-                    acc.push((inst, start.elapsed()));
+                    acc.push((inst, coverage, start.elapsed()));
                     // No single job ever needs more than the global cap.
                     max.is_none_or(|m| acc.len() < m)
                 };
@@ -916,9 +999,9 @@ impl<'a> Chase<'a> {
         // per-item flushing of a single root's drive.
         'merge: for (acc, st) in per_job {
             self.absorb_drive(st);
-            for (inst, t) in acc {
-                let keep_streaming = observer(&inst, t);
-                self.accepted.push((inst, t));
+            for (inst, coverage, t) in acc {
+                let keep_streaming = observer(&inst, coverage.as_ref(), t);
+                self.accepted.push((inst, coverage, t));
                 if !keep_streaming {
                     self.halted = true;
                     self.done = true;
@@ -956,7 +1039,9 @@ fn bind_free_vars(
 /// The top-level frontier of one root search, as a [`FrontierTask`]: admit
 /// by the size limit, dedupe by the [`signature`]/[`exact_digest`]
 /// iso-invariants with [`is_isomorphic`] confirming collisions, and expand
-/// via `Tree-SAT` + `IsConsistent` + `Tree-Chase` on the worker's context.
+/// via `IsConsistent` + `Tree-SAT` + `Tree-Chase` on the worker's context.
+/// An accepted instance leaves with its original-tree validation and
+/// coverage, computed on the Tree-SAT context that accepted it.
 struct RootTask<'t> {
     query: &'t Query,
     cfg: &'t ChaseConfig,
@@ -971,7 +1056,7 @@ struct RootTask<'t> {
 impl FrontierTask for RootTask<'_> {
     type Item = CInstance;
     type Ctx = WorkerCtx;
-    type Accept = CInstance;
+    type Accept = RootAccept;
 
     fn admit(&self, inst: &CInstance) -> bool {
         inst.size() <= self.cfg.limit
@@ -1001,11 +1086,7 @@ impl FrontierTask for RootTask<'_> {
         false
     }
 
-    fn expand(
-        &self,
-        ctx: &mut WorkerCtx,
-        inst: &CInstance,
-    ) -> Expansion<CInstance, CInstance> {
+    fn expand(&self, ctx: &mut WorkerCtx, inst: &CInstance) -> Expansion<CInstance, RootAccept> {
         let mut engine = Engine {
             query: self.query,
             cfg: self.cfg,
@@ -1015,13 +1096,21 @@ impl FrontierTask for RootTask<'_> {
             query_key: self.query_key,
             ctx,
         };
-        // Line 13: Tree-SAT under the root homomorphism ∧ IsConsistent(I).
-        let sat = SatCtx::new(self.query, inst, self.cfg.enforce_keys).tree_sat(self.formula, self.h0);
-        if sat && engine.consistent(inst) {
-            return Expansion {
-                accepted: Some(inst.clone()),
-                children: Vec::new(),
-            };
+        // Line 13: IsConsistent(I) ∧ Tree-SAT under the root homomorphism.
+        // Every popped child passed IsConsistent when it was generated, so
+        // that check is a digest-memo hit; running it first keeps the
+        // Tree-SAT context alive to validate and cover an accepted instance.
+        if engine.consistent(inst) {
+            let (query, keys) = (self.query, self.cfg.enforce_keys);
+            let mut decide = |p: &Problem| engine.decide(p);
+            let mut sat = SatCtx::new(query, inst, keys, &mut decide);
+            if sat.tree_sat(self.formula, self.h0) {
+                let coverage = validated_coverage(&mut sat);
+                return Expansion {
+                    accepted: Some((inst.clone(), coverage)),
+                    children: Vec::new(),
+                };
+            }
         }
         // Lines 16–19: expand.
         let mut children = Vec::new();
@@ -1068,63 +1157,29 @@ impl Engine<'_> {
         false
     }
 
-    /// `IsConsistent(inst)`: the per-worker digest memo, then — with
-    /// `cfg.solver_cache` — the canonical-problem memo (L1, then the shared
-    /// L2 tier on multi-thread runs) before one fresh solve.
+    /// One solver decision: the worker's memoized path
+    /// ([`WorkerCtx::decide`]) with `cfg.solver_cache`, one cold solve
+    /// without it.
+    fn decide(&mut self, p: &Problem) -> bool {
+        if self.cfg.solver_cache {
+            self.ctx.decide(p)
+        } else {
+            let _s = trace::span_phase("solve", "solver", Phase::Solver);
+            cqi_solver::is_sat(p)
+        }
+    }
+
+    /// `IsConsistent(inst)`: the per-worker digest memo, then
+    /// [`Engine::decide`] on the instance's constraint problem.
     fn consistent(&mut self, inst: &CInstance) -> bool {
         let key = exact_digest(inst);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
         consistency_checks_metric().inc();
-        let ans = if self.cfg.solver_cache {
-            self.memoized_check(inst)
-        } else {
-            let _s = trace::span_phase("solve", "solver", Phase::Solver);
-            is_consistent(inst, self.cfg.enforce_keys)
-        };
+        let ans = self.decide(&to_problem(inst, self.cfg.enforce_keys));
         self.memoize_consistency(key, ans);
         ans
-    }
-
-    /// The canonical-problem memo path of [`Engine::consistent`].
-    fn memoized_check(&mut self, inst: &CInstance) -> bool {
-        let canon = {
-            let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
-            canonicalize(&to_problem(inst, self.cfg.enforce_keys))
-        };
-        let l1 = {
-            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
-            self.ctx.solver_cache.lookup_sat(&canon)
-        };
-        if let Some(sat) = l1 {
-            return sat;
-        }
-        // L1 miss → consult the shared L2 tier (multi-thread runs only): a
-        // sibling worker may already have decided an isomorphic problem. L2
-        // stores canonical-space outcomes, so a hit back-fills L1 directly.
-        if self.ctx.share_l2 {
-            let l2 = {
-                let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
-                self.ctx.shared.solver.get(&canon.key)
-            };
-            if let Some(result) = l2 {
-                let sat = result.is_some();
-                self.ctx.solver_cache.insert_canonical(canon.key, result);
-                return sat;
-            }
-        }
-        let _s = trace::span_phase("solve", "solver", Phase::Solver);
-        let sat = self.ctx.solver_cache.solve_canonical(&canon).is_sat();
-        // The canonical-space outcome is a pure function of the key, so
-        // publishing to L2 is race-benign (first writer wins, all writers
-        // agree).
-        if self.ctx.share_l2 {
-            if let Some(result) = self.ctx.solver_cache.peek_canonical(&canon.key) {
-                self.ctx.shared.solver.insert(canon.key, result);
-            }
-        }
-        sat
     }
 
     fn memoize_consistency(&mut self, key: u64, ans: bool) {
@@ -1137,15 +1192,16 @@ impl Engine<'_> {
     /// memoized on (subtree, instance, relevant homomorphism entries).
     fn bfs(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         // Key: query identity (variable names/domains — see
-        // `Chase::query_key`) + subtree structure + exact instance + the
-        // homomorphism entries its free variables see.
-        let fkey = hash_of(&(self.query_key, format!("{q:?}")));
+        // `Chase::query_key`) + subtree content + exact instance + the
+        // homomorphism entries its free variables see. Content, not
+        // identity: the memo outlives the query that filled it.
+        let fkey = hash_of(&(self.query_key, q));
         let ikey = exact_digest(i0);
         let hkey = {
             let mut hh = DefaultHasher::new();
             for v in q.free_vars() {
                 v.0.hash(&mut hh);
-                format!("{:?}", h0.get(v.index()).and_then(|e| e.as_ref())).hash(&mut hh);
+                h0.get(v.index()).and_then(|e| e.as_ref()).hash(&mut hh);
             }
             hh.finish()
         };
@@ -1222,8 +1278,9 @@ impl Engine<'_> {
         // mapping, not under blanket ∃-closure — otherwise the
         // Handle-Universal merge would accept bodies satisfied by some
         // other entity) ∧ IsConsistent(I).
-        let ctx = SatCtx::new(self.query, inst, self.cfg.enforce_keys);
-        if ctx.tree_sat(q, h0) && self.consistent(inst) {
+        let (query, keys) = (self.query, self.cfg.enforce_keys);
+        let sat = SatCtx::new(query, inst, keys, &mut |p| self.decide(p)).tree_sat(q, h0);
+        if sat && self.consistent(inst) {
             return (true, Vec::new());
         }
         // Lines 16–19: expand.

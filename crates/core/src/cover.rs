@@ -9,6 +9,12 @@
 //! the recursion mirrors Definition 7, unioning over the per-domain entity
 //! pools at quantifiers and over all satisfying assignments of the output
 //! variables at the top.
+//!
+//! The chase validates and covers each accepted instance once, on the
+//! worker and [`SatCtx`] that just accepted it (`validated_coverage`),
+//! so the leaf checks reuse that context's entailment answers and the
+//! worker's solver memo. The public functions below build a fresh context
+//! and solve cold.
 
 use cqi_drc::{Coverage, Formula, LeafId, Query};
 use cqi_instance::CInstance;
@@ -24,14 +30,32 @@ pub fn coverage_of_cinstance(q: &Query, inst: &CInstance) -> Coverage {
 /// `cov(Q, I)` with key constraints taken into account during certainty
 /// checks.
 pub fn coverage_of_cinstance_keys(q: &Query, inst: &CInstance, enforce_keys: bool) -> Coverage {
-    let ctx = SatCtx::new(q, inst, enforce_keys);
+    let mut decide = cqi_solver::is_sat;
+    coverage(&mut SatCtx::new(q, inst, enforce_keys, &mut decide))
+}
+
+/// Original-tree validation and coverage of an accepted instance, on the
+/// context that accepted it. Conjunctive trees and `*-Add` re-seeds only
+/// imply the original query, so the instance is re-checked against
+/// `q.formula` with an empty homomorphism first; `None` means it fails.
+/// An empty coverage is legitimate for vacuously satisfied queries (e.g. a
+/// Boolean ∀-only query on the empty instance).
+pub(crate) fn validated_coverage(ctx: &mut SatCtx<'_>) -> Option<Coverage> {
+    let q = ctx.query;
+    if !ctx.tree_sat(&q.formula, &vec![None; q.vars.len()]) {
+        return None;
+    }
+    Some(coverage(ctx))
+}
+
+fn coverage(ctx: &mut SatCtx<'_>) -> Coverage {
     let mut cov = Coverage::new();
-    let mut h: Hom = vec![None; q.vars.len()];
-    enumerate_alphas(&ctx, &mut h, 0, &mut cov);
+    let mut h: Hom = vec![None; ctx.query.vars.len()];
+    enumerate_alphas(ctx, &mut h, 0, &mut cov);
     cov
 }
 
-fn enumerate_alphas(ctx: &SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage) {
+fn enumerate_alphas(ctx: &mut SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage) {
     let q = ctx.query;
     if i == q.out_vars.len() {
         if ctx.tree_sat(&q.formula, h) {
@@ -49,7 +73,7 @@ fn enumerate_alphas(ctx: &SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage)
     h[v.index()] = None;
 }
 
-fn walk(ctx: &SatCtx<'_>, h: &mut Hom, f: &Formula, next: &mut u32, cov: &mut Coverage) {
+fn walk(ctx: &mut SatCtx<'_>, h: &mut Hom, f: &Formula, next: &mut u32, cov: &mut Coverage) {
     match f {
         Formula::Atom(a) => {
             let id = LeafId(*next);

@@ -654,6 +654,30 @@ mod tests {
     }
 
     #[test]
+    fn repeated_request_decides_everything_from_the_memo() {
+        // Tree-SAT leaves, validation included, share the worker's decision
+        // path with IsConsistent: repeating a request on one session finds
+        // every decision it needs in the memo, and answers the same.
+        let session = Session::new(schema());
+        let render = |sol: &CSolution| -> Vec<String> {
+            sol.instances
+                .iter()
+                .map(|si| format!("{}", si.inst))
+                .collect()
+        };
+        let req = || ExplainRequest::drc(JOIN_QUERY).limit(6);
+        let first = session.explain_collect(req()).unwrap();
+        let second = session.explain_collect(req()).unwrap();
+        assert!(!first.instances.is_empty());
+        assert_eq!(render(&first), render(&second));
+        assert_eq!(second.stats.solver_l1_misses, 0);
+        assert!(
+            second.stats.solver_l1_hits > 0,
+            "the repeated run must look decisions up"
+        );
+    }
+
+    #[test]
     fn stream_matches_batch_order_and_solution() {
         let session = Session::new(schema());
         let tree = SyntaxTree::new(parse_query(&session.schema, JOIN_QUERY).unwrap());

@@ -12,8 +12,15 @@
 //! * Quantifiers range over the instance's per-domain entity pools; free
 //!   variables left unbound by the caller's homomorphism are existentially
 //!   closed at entry (lines 1–3).
+//!
+//! A [`SatCtx`] hands every leaf's solver question (`φ ∧ ¬lit` for a
+//! condition leaf, `φ ∧ image = row` for a negated relational leaf) to the
+//! decider it was built with. The chase passes its worker's decision path —
+//! exact-problem memo, canonical L1, shared L2 at `threads > 1`, then one
+//! solve — so Tree-SAT shares every memo tier with `IsConsistent`, inside
+//! nested BFS steps and in the validation of accepted instances alike. The
+//! one-shot [`tree_sat`] and [`tree_sat_with`] solve every leaf cold.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use cqi_drc::{Atom, CmpOp, Formula, Query, Term, VarId};
@@ -80,16 +87,21 @@ pub(crate) fn atom_to_lit(atom: &Atom, a: &Ent, b: &Ent) -> Lit {
 }
 
 /// Reusable satisfaction context: the instance's possible-worlds constraint
-/// system is built once and shared by every leaf entailment check.
+/// system is built once and shared by every leaf entailment check, and
+/// every solver question goes to the caller's decider.
 pub struct SatCtx<'a> {
     pub query: &'a Query,
     pub inst: &'a CInstance,
     base: Problem,
+    /// Decides each leaf's satisfiability problem: the chase passes its
+    /// worker's memoized decision path, the one-shot functions a cold
+    /// solve.
+    decide: &'a mut dyn FnMut(&Problem) -> bool,
     /// Entailment answers are pure functions of the (immutable) instance;
     /// Tree-SAT revisits the same literals across pool iterations, so a
     /// small memo pays for itself immediately.
-    entail_cache: RefCell<HashMap<Lit, bool>>,
-    row_cache: RefCell<HashMap<RowKey, bool>>,
+    entail_cache: HashMap<Lit, bool>,
+    row_cache: HashMap<RowKey, bool>,
 }
 
 /// (relation, resolved pattern, row index) — key of the negated-atom
@@ -97,32 +109,44 @@ pub struct SatCtx<'a> {
 type RowKey = (u32, Vec<Option<Ent>>, usize);
 
 impl<'a> SatCtx<'a> {
-    pub fn new(query: &'a Query, inst: &'a CInstance, enforce_keys: bool) -> SatCtx<'a> {
+    pub fn new(
+        query: &'a Query,
+        inst: &'a CInstance,
+        enforce_keys: bool,
+        decide: &'a mut dyn FnMut(&Problem) -> bool,
+    ) -> SatCtx<'a> {
         SatCtx {
             query,
             inst,
             base: to_problem(inst, enforce_keys),
-            entail_cache: RefCell::new(HashMap::new()),
-            row_cache: RefCell::new(HashMap::new()),
+            decide,
+            entail_cache: HashMap::new(),
+            row_cache: HashMap::new(),
         }
     }
 
     /// Does `φ(I)` entail `lit` — i.e. is `φ ∧ ¬lit` unsatisfiable?
-    fn entails(&self, lit: &Lit) -> bool {
-        if let Some(v) = self.entail_cache.borrow().get(lit) {
+    fn entails(&mut self, lit: &Lit) -> bool {
+        if let Some(v) = self.entail_cache.get(lit) {
             return *v;
         }
         let mut p = self.base.clone();
         p.assert(lit.negate());
-        let ans = !cqi_solver::is_sat(&p);
-        self.entail_cache.borrow_mut().insert(lit.clone(), ans);
+        let ans = !(self.decide)(&p);
+        self.entail_cache.insert(lit.clone(), ans);
         ans
     }
 
     /// Could the entity vector match row `t` in some possible world?
-    fn row_matchable(&self, rel: u32, row_idx: usize, pattern: &[Option<Ent>], row: &[Ent]) -> bool {
+    fn row_matchable(
+        &mut self,
+        rel: u32,
+        row_idx: usize,
+        pattern: &[Option<Ent>],
+        row: &[Ent],
+    ) -> bool {
         let key = (rel, pattern.to_vec(), row_idx);
-        if let Some(v) = self.row_cache.borrow().get(&key) {
+        if let Some(v) = self.row_cache.get(&key) {
             return *v;
         }
         let mut p = self.base.clone();
@@ -137,13 +161,13 @@ impl<'a> SatCtx<'a> {
                 rhs: cell.clone(),
             });
         }
-        let ans = cqi_solver::is_sat(&p);
-        self.row_cache.borrow_mut().insert(key, ans);
+        let ans = (self.decide)(&p);
+        self.row_cache.insert(key, ans);
         ans
     }
 
     /// Is one leaf satisfied under `h` (Algorithm 7 lines 4–8)?
-    pub fn leaf(&self, h: &Hom, atom: &Atom) -> bool {
+    pub fn leaf(&mut self, h: &Hom, atom: &Atom) -> bool {
         match atom {
             Atom::Rel { negated: false, rel, terms } => {
                 let pattern: Vec<Option<Ent>> =
@@ -162,7 +186,8 @@ impl<'a> SatCtx<'a> {
                 // clause expansion.)
                 let pattern: Vec<Option<Ent>> =
                     terms.iter().map(|t| resolve(h, t)).collect();
-                !self.inst.tables[rel.index()]
+                let inst = self.inst;
+                !inst.tables[rel.index()]
                     .iter()
                     .enumerate()
                     .any(|(i, row)| self.row_matchable(rel.0, i, &pattern, row))
@@ -192,7 +217,7 @@ impl<'a> SatCtx<'a> {
         }
     }
 
-    fn sat(&self, h: &mut Hom, f: &Formula) -> bool {
+    fn sat(&mut self, h: &mut Hom, f: &Formula) -> bool {
         match f {
             Formula::Atom(a) => self.leaf(h, a),
             Formula::And(l, r) => self.sat(h, l) && self.sat(h, r),
@@ -233,7 +258,7 @@ impl<'a> SatCtx<'a> {
 
     /// `Tree-SAT(Q, I, f)`: satisfiability of `formula` under the partial
     /// mapping `h`, existentially closing unbound free variables.
-    pub fn tree_sat(&self, formula: &Formula, h: &Hom) -> bool {
+    pub fn tree_sat(&mut self, formula: &Formula, h: &Hom) -> bool {
         let mut h = h.clone();
         h.resize(self.query.vars.len(), None);
         let free: Vec<VarId> = formula
@@ -244,7 +269,7 @@ impl<'a> SatCtx<'a> {
         self.close_and_sat(formula, &mut h, &free)
     }
 
-    fn close_and_sat(&self, formula: &Formula, h: &mut Hom, free: &[VarId]) -> bool {
+    fn close_and_sat(&mut self, formula: &Formula, h: &mut Hom, free: &[VarId]) -> bool {
         match free.split_first() {
             None => self.sat(h, formula),
             Some((v, rest)) => {
@@ -263,9 +288,10 @@ impl<'a> SatCtx<'a> {
     }
 }
 
-/// One-shot `Tree-SAT` under a given partial homomorphism.
+/// One-shot `Tree-SAT` under a given partial homomorphism, solving every
+/// leaf cold.
 pub fn tree_sat_with(q: &Query, inst: &CInstance, formula: &Formula, h: &Hom) -> bool {
-    SatCtx::new(q, inst, false).tree_sat(formula, h)
+    SatCtx::new(q, inst, false, &mut cqi_solver::is_sat).tree_sat(formula, h)
 }
 
 /// `I |= Q` with all output variables existentially closed (the acceptance

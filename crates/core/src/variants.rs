@@ -1,5 +1,7 @@
 //! The six algorithm variants of §5 and the shared finalization pipeline
-//! (original-tree validation → coverage → minimality post-processing).
+//! (original-tree validation → coverage → minimality post-processing). The
+//! chase validates and covers each accepted instance on the worker that
+//! accepted it; finalization reads the carried coverage.
 
 use std::time::Duration;
 
@@ -10,10 +12,9 @@ use cqi_solver::Ent;
 use crate::chase::{materialize, Chase, ChaseCaches, RootJob};
 use crate::config::{ChaseConfig, Variant};
 use crate::conjtree::conjunctive_trees;
-use crate::cover::coverage_of_cinstance_keys;
 use crate::session::{ExplainRequest, Session};
 use crate::solution::{minimize, AcceptedInstance, CSolution, Interrupted};
-use crate::treesat::{Hom, SatCtx};
+use crate::treesat::Hom;
 
 /// Runs one variant on a query's syntax tree and returns its minimal
 /// c-solution.
@@ -47,8 +48,8 @@ pub fn run_variant_observed(
 }
 
 /// Batch form of [`run_variant_observed`]: no per-acceptance callback, so
-/// validation/coverage run once at drive end by *moving* the accepted log
-/// (no instance clones — the original `run_variant` cost profile).
+/// the validated instances are taken at drive end by *moving* the accepted
+/// log (no instance clones — the original `run_variant` cost profile).
 pub(crate) fn run_variant_batch(
     tree: &SyntaxTree,
     variant: Variant,
@@ -56,23 +57,6 @@ pub(crate) fn run_variant_batch(
     caches: &mut ChaseCaches,
 ) -> CSolution {
     run_variant_inner(tree, variant, cfg, caches, None)
-}
-
-/// Original-tree validation (conjunctive trees only imply the original —
-/// re-check, for soundness) and coverage of one accepted instance. `None`
-/// means the instance does not satisfy the original tree. An empty
-/// coverage is legitimate for vacuously satisfied queries (e.g. a Boolean
-/// ∀-only query on the empty instance).
-fn validated_coverage(
-    q: &cqi_drc::Query,
-    inst: &CInstance,
-    enforce_keys: bool,
-) -> Option<Coverage> {
-    let ctx = SatCtx::new(q, inst, enforce_keys);
-    if !ctx.tree_sat(&q.formula, &vec![None; q.vars.len()]) {
-        return None;
-    }
-    Some(coverage_of_cinstance_keys(q, inst, enforce_keys))
 }
 
 fn run_variant_inner(
@@ -95,14 +79,12 @@ fn run_variant_inner(
 
     let (entries, raw_accepted) = match observer {
         Some(observer) => {
-            // Streaming: validation + coverage move from drive-end
-            // finalization to acceptance time, so consumers see instances
-            // while the search is still running; the computation (and thus
-            // the batch result) is unchanged.
-            let enforce_keys = cfg.enforce_keys;
+            // Streaming: each validated instance goes to the consumer at
+            // acceptance time, while the search is still running; the
+            // batch result is unchanged.
             let mut entries: Vec<(CInstance, Coverage, Duration)> = Vec::new();
-            let mut validate = |inst: &CInstance, t: Duration| -> bool {
-                let Some(coverage) = validated_coverage(q, inst, enforce_keys) else {
+            let mut emit = |inst: &CInstance, coverage: Option<&Coverage>, t: Duration| {
+                let Some(coverage) = coverage else {
                     return true;
                 };
                 let acc = AcceptedInstance {
@@ -111,25 +93,24 @@ fn run_variant_inner(
                     coverage: coverage.clone(),
                     accepted_at: t,
                 };
-                entries.push((inst.clone(), coverage, t));
+                entries.push((inst.clone(), coverage.clone(), t));
                 observer(acc)
             };
-            drive_phases(&mut chase, tree, variant, &mut validate);
+            drive_phases(&mut chase, tree, variant, &mut emit);
             let raw = chase.accepted.len();
             (entries, raw)
         }
         None => {
-            // Batch: drive with a no-op observer, then validate by moving
-            // the accepted log (zero clones on the hot benchmark path).
-            drive_phases(&mut chase, tree, variant, &mut |_, _| true);
+            // Batch: drive with a no-op observer, then keep the validated
+            // instances by moving the accepted log (zero clones on the hot
+            // benchmark path).
+            drive_phases(&mut chase, tree, variant, &mut |_, _, _| true);
             let accepted = std::mem::take(&mut chase.accepted);
             let raw = accepted.len();
-            let mut entries = Vec::with_capacity(raw);
-            for (inst, t) in accepted {
-                if let Some(coverage) = validated_coverage(q, &inst, cfg.enforce_keys) {
-                    entries.push((inst, coverage, t));
-                }
-            }
+            let entries = accepted
+                .into_iter()
+                .filter_map(|(inst, coverage, t)| Some((inst, coverage?, t)))
+                .collect();
             (entries, raw)
         }
     };
@@ -168,10 +149,9 @@ fn drive_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,
     variant: Variant,
-    observer: &mut dyn FnMut(&CInstance, Duration) -> bool,
+    observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
 ) {
     let q = tree.query();
-    let cfg = chase.cfg;
     let formulas: Vec<Formula> = if variant.is_conjunctive() {
         conjunctive_trees(&q.formula)
     } else {
@@ -194,11 +174,15 @@ fn drive_phases(
         // Which original leaves are still uncovered by any accepted
         // instance? (Snapshot semantics: every re-seed job below is judged
         // against this one coverage set, which is what makes the jobs
-        // independent and the batch parallelizable.)
-        let mut covered = Coverage::new();
-        for (inst, _) in &chase.accepted {
-            covered.extend(coverage_of_cinstance_keys(q, inst, cfg.enforce_keys));
-        }
+        // independent and the batch parallelizable.) An instance that
+        // fails validation covers nothing.
+        let covered: Coverage = chase
+            .accepted
+            .iter()
+            .filter_map(|(_, coverage, _)| coverage.as_ref())
+            .flatten()
+            .copied()
+            .collect();
         let mut jobs: Vec<RootJob<'_>> = Vec::new();
         for (leaf_id, atom) in tree.leaves() {
             if covered.contains(&leaf_id) {
@@ -351,25 +335,35 @@ mod tests {
 
     #[test]
     fn cache_and_incremental_knobs_do_not_change_results() {
-        // The canonical-problem memo is a pure optimization: accepted
-        // coverages must be identical with it on and off, keys on and off.
+        // The solver memo is a pure optimization: every variant must return
+        // the same minimal instances, in order, with it on and off, keys on
+        // and off. `solver_cache(false)` decides IsConsistent, every
+        // Tree-SAT leaf and the validation of accepted instances cold.
         let queries = [
             "{ (b1) | exists d1 (Likes(d1, b1)) }",
             "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
             "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }",
             "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }",
         ];
+        let render = |sol: &CSolution| -> Vec<String> {
+            sol.instances
+                .iter()
+                .map(|si| format!("{} {:?}", si.inst, si.coverage))
+                .collect()
+        };
         for src in queries {
             let t = tree(src);
             for keys in [false, true] {
-                for v in [Variant::DisjEO, Variant::ConjAdd] {
+                for v in Variant::ALL {
                     let memo = ChaseConfig::with_limit(7).enforce_keys(keys);
                     let cold = memo.clone().solver_cache(false);
                     let a = run_variant(&t, v, &memo);
                     let b = run_variant(&t, v, &cold);
-                    let ca: std::collections::BTreeSet<_> = a.coverages().cloned().collect();
-                    let cb: std::collections::BTreeSet<_> = b.coverages().cloned().collect();
-                    assert_eq!(ca, cb, "query {src} variant {v} keys {keys}");
+                    assert_eq!(
+                        render(&a),
+                        render(&b),
+                        "query {src} variant {v} keys {keys}"
+                    );
                     assert_eq!(a.raw_accepted, b.raw_accepted, "query {src} variant {v}");
                 }
             }

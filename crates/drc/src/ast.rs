@@ -156,7 +156,7 @@ impl Atom {
 /// An FOL formula in the shape required by Definition 2: binary connectives,
 /// single-variable quantifier nodes, negation only on [`Atom`] leaves once
 /// normalized.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Formula {
     Atom(Atom),
     And(Box<Formula>, Box<Formula>),

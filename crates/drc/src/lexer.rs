@@ -13,7 +13,9 @@ pub enum Tok {
     Dot,
     Star,
     /// Identifiers: variables, relation names, and the keywords
-    /// `exists/forall/and/or/not/like` (classified by the parser).
+    /// `exists/forall/and/or/not/like` (classified by the parser). A
+    /// non-keyword identifier may end in primes (`o3'`), the names
+    /// normalization gives renamed variables.
     Ident(String),
     Int(i64),
     Real(f64),
@@ -31,6 +33,9 @@ pub struct Spanned {
     pub tok: Tok,
     pub pos: usize,
 }
+
+/// The words the parser reads as keywords (ASCII case-insensitive).
+const KEYWORDS: [&str; 6] = ["exists", "forall", "and", "or", "not", "like"];
 
 /// Tokenizes `src`, accepting both ASCII keywords and the unicode logical
 /// symbols (`∃ ∀ ∧ ∨ ¬ ≤ ≥ ≠`) the paper uses.
@@ -156,6 +161,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, QueryError> {
                     break;
                 }
             }
+            // Trailing primes belong to a variable name; after a keyword a
+            // quote opens a string literal (`like'Eve%'`).
+            if !KEYWORDS.iter().any(|k| src[i..j].eq_ignore_ascii_case(k)) {
+                while bytes.get(j) == Some(&b'\'') {
+                    j += 1;
+                }
+            }
             out.push(Spanned {
                 tok: Tok::Ident(src[i..j].to_owned()),
                 pos,
@@ -253,6 +265,49 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(lex("'oops").is_err());
+    }
+
+    #[test]
+    fn primed_identifiers() {
+        assert_eq!(
+            toks("o3' x'' y"),
+            vec![
+                Tok::Ident("o3'".into()),
+                Tok::Ident("x''".into()),
+                Tok::Ident("y".into())
+            ]
+        );
+        assert_eq!(
+            toks("R(o3', 'a')"),
+            vec![
+                Tok::Ident("R".into()),
+                Tok::LParen,
+                Tok::Ident("o3'".into()),
+                Tok::Comma,
+                Tok::Str("a".into()),
+                Tok::RParen
+            ]
+        );
+    }
+
+    #[test]
+    fn keywords_never_take_primes() {
+        assert_eq!(
+            toks("d like'Eve%'"),
+            vec![
+                Tok::Ident("d".into()),
+                Tok::Ident("like".into()),
+                Tok::Str("Eve%".into())
+            ]
+        );
+        assert_eq!(
+            toks("NOT LIKE'a'"),
+            vec![
+                Tok::Ident("NOT".into()),
+                Tok::Ident("LIKE".into()),
+                Tok::Str("a".into())
+            ]
+        );
     }
 
     #[test]

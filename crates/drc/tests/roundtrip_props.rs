@@ -1,6 +1,7 @@
 //! Property tests for the DRC front-end: randomly generated queries
 //! round-trip through pretty-printer and parser, normalization is
-//! idempotent, and difference queries validate.
+//! idempotent, and difference queries validate and round-trip too, primed
+//! variable names included.
 
 use std::sync::Arc;
 
@@ -96,6 +97,47 @@ fn reprint(q: &Query) -> String {
     pretty::query_to_string(q)
 }
 
+/// Text round trip of one normalized query: the printed form parses back
+/// to the same formula and re-prints identically.
+fn round_trip(q: &Query) -> Result<(), String> {
+    let text = reprint(q);
+    let back = parse_query(&q.schema, &text).map_err(|e| format!("{e}\n{text}"))?;
+    if back.formula != q.formula {
+        return Err(format!("formula changed\n{text}"));
+    }
+    let again = reprint(&back);
+    if again != text {
+        return Err(format!("re-print differs\n{text}\n{again}"));
+    }
+    Ok(())
+}
+
+/// Every Beers and TPC-H dataset query, the normalized difference queries
+/// with their primed variable names (`o3'`) included, round-trips through
+/// text.
+#[test]
+fn dataset_queries_round_trip_through_text() {
+    let queries: Vec<_> = cqi_datasets::beers_queries()
+        .into_iter()
+        .chain(cqi_datasets::tpch_queries())
+        .collect();
+    assert_eq!(queries.len(), 63);
+    let failures: Vec<String> = queries
+        .iter()
+        .filter_map(|dq| {
+            round_trip(&dq.query)
+                .err()
+                .map(|e| format!("{}: {e}", dq.name))
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of 63 failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 proptest! {
     // Streams are deterministic and replayable: the vendored proptest seeds
     // every (test, case) pair from PROPTEST_SEED (default 0).
@@ -144,6 +186,17 @@ proptest! {
         );
         let diff = qa.difference(&qb).expect("same arity");
         prop_assert_eq!(SyntaxTree::new(diff).num_leaves(), la + lb);
+    }
+
+    /// The difference of two generated queries renames `other`'s clashing
+    /// variables with primes; its printed form still round-trips.
+    #[test]
+    fn difference_round_trips_through_text(sa in any::<u64>(), sb in any::<u64>()) {
+        let s = schema();
+        let qa = parse_query(&s, &random_query_src(sa)).unwrap();
+        let qb = parse_query(&s, &random_query_src(sb)).unwrap();
+        let diff = qa.difference(&qb).expect("same arity");
+        prop_assert_eq!(round_trip(&diff), Ok(()));
     }
 
     /// Quantifier uniqueness (§3.1 assumption (3)) holds after parsing any

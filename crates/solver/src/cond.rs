@@ -168,8 +168,9 @@ impl fmt::Debug for Lit {
 /// A disjunction of literals.
 pub type Clause = Vec<Lit>;
 
-/// A satisfiability problem: `⋀ conj ∧ ⋀ (⋁ clause)`.
-#[derive(Clone, Debug, Default)]
+/// A satisfiability problem: `⋀ conj ∧ ⋀ (⋁ clause)`. Equality and hashing
+/// are structural, so a whole problem can key an exact-answer memo.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Problem {
     /// `null_types[n.index()]` is the domain type of null `n`. Every null
     /// referenced by a literal must be covered.

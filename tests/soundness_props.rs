@@ -186,8 +186,9 @@ mod nnf {
 mod chase_soundness {
     use std::time::Duration;
 
-    use cqi_core::{run_variant, ChaseConfig, Variant};
-    use cqi_datasets::beers_queries;
+    use cqi_core::cover::coverage_of_cinstance_keys;
+    use cqi_core::{run_variant, ChaseConfig, ExplainRequest, Session, Variant};
+    use cqi_datasets::{beers_queries, beers_schema};
     use cqi_drc::SyntaxTree;
     use cqi_fuzz::check_solution;
 
@@ -233,6 +234,44 @@ mod chase_soundness {
                 let sol = run_variant(&tree, variant, &cfg);
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
                     panic!("{} [{variant:?}]: {}: {}", dq.name, d.kind.as_str(), d.detail);
+                }
+            }
+        }
+    }
+
+    /// The chase validates and covers each accepted instance once, on the
+    /// worker that accepted it, through that worker's solver memo. Every
+    /// instance a run streams or returns, batch and streaming paths alike,
+    /// must carry exactly the coverage a cold recomputation gives.
+    #[test]
+    fn carried_coverage_matches_cold_recomputation() {
+        let session = Session::new(beers_schema()).config(
+            ChaseConfig::with_limit(6)
+                .enforce_keys(true)
+                .timeout(Duration::from_secs(10)),
+        );
+        for dq in beers_queries() {
+            let tree = SyntaxTree::new(dq.query.clone());
+            let cold = |inst: &_| coverage_of_cinstance_keys(&dq.query, inst, true);
+            for variant in Variant::ALL {
+                let req = || ExplainRequest::tree(&tree).variant(variant);
+                let batch = session.explain_collect(req()).unwrap();
+                let mut streamed = 0;
+                let stream = session
+                    .explain_with(req(), &mut |acc| {
+                        assert_eq!(
+                            acc.coverage,
+                            cold(&acc.inst),
+                            "{} [{variant}] streamed",
+                            dq.name
+                        );
+                        streamed += 1;
+                        true
+                    })
+                    .unwrap();
+                assert!(streamed >= stream.instances.len());
+                for si in batch.instances.iter().chain(&stream.instances) {
+                    assert_eq!(si.coverage, cold(&si.inst), "{} [{variant}]", dq.name);
                 }
             }
         }
