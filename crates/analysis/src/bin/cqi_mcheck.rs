@@ -1,8 +1,7 @@
-//! `cqi-mcheck`: runs the runtime's concurrency protocols (striped L2
-//! memo, resident-pool ticketed injector, wave-visible accepts) under the
-//! vendored bounded-exhaustive model checker, including the seeded-fault
-//! self-tests that prove the checker can actually catch each protocol's
-//! characteristic bug.
+//! `cqi-mcheck`: runs the runtime's concurrency protocol (the resident
+//! pool's ticketed injector) under the vendored bounded-exhaustive model
+//! checker, including the seeded-fault self-test that proves the checker
+//! can actually catch the protocol's characteristic bug.
 //!
 //! Usage: `cqi-mcheck [--report PATH]`
 //!

@@ -3,16 +3,14 @@
 //! Correctness tooling for the workspace, run as two blocking CI gates:
 //!
 //! - **Concurrency model checking** ([`models`], behind the
-//!   `model-check` feature; `cqi-mcheck` binary): the runtime's two
-//!   hand-rolled protocols — `StripedMemo`'s first-writer-wins races and
-//!   `ResidentPool`'s ticketed injector (nested submission, the
-//!   `BatchGuard` panic path, idle wakeups) — run under the vendored
-//!   bounded-exhaustive scheduler (`vendor/loom`) *as the production
-//!   types*, via `cqi_runtime::sync`'s instrumented primitives. Clean
-//!   models must exhaust their schedule space with zero violations;
-//!   seeded-fault twins must demonstrably catch each protocol's
-//!   characteristic bug (impure memo value, lost wakeup), proving the
-//!   checker has teeth.
+//!   `model-check` feature; `cqi-mcheck` binary): the runtime's one
+//!   hand-rolled protocol — `ResidentPool`'s ticketed injector (nested
+//!   submission, the `BatchGuard` panic path, idle wakeups) — runs under
+//!   the vendored bounded-exhaustive scheduler (`vendor/loom`) *as the
+//!   production type*, via `cqi_runtime::sync`'s instrumented primitives.
+//!   Clean models must exhaust their schedule space with zero violations;
+//!   a seeded-fault twin must demonstrably catch the protocol's
+//!   characteristic bug (a lost wakeup), proving the checker has teeth.
 //! - **Project linting** ([`lint`] over the [`lex`] masking lexer;
 //!   `cqi-lint` binary): dependency-free source rules clippy cannot
 //!   express — the unsafe allowlist + `SAFETY:` discipline,

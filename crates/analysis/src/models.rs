@@ -1,24 +1,23 @@
-//! Model programs: the runtime's two concurrency protocols run under the
-//! vendored `loom` checker's bounded exhaustive scheduler, against the
-//! *real* production types (`StripedMemo`, `ResidentPool`) —
-//! `cqi-runtime`'s `model-check` feature routes their synchronization
-//! through instrumented primitives, so every interleaving the scheduler
-//! explores is an interleaving the production protocol could exhibit.
+//! Model programs: the runtime's concurrency protocol, the resident pool's
+//! ticketed injector, run under the vendored `loom` checker's bounded
+//! exhaustive scheduler against the *real* production type
+//! (`ResidentPool`) — `cqi-runtime`'s `model-check` feature routes its
+//! synchronization through instrumented primitives, so every interleaving
+//! the scheduler explores is an interleaving the production protocol could
+//! exhibit.
 //!
-//! Each protocol has clean models (must exhaust the bounded schedule tree
+//! The protocol has clean models (must exhaust the bounded schedule tree
 //! with zero violations) and a **seeded-fault** model (must demonstrably
 //! catch a planted protocol bug, mirroring the fuzz campaign's `--mutate`
 //! self-test pattern):
 //!
 //! | protocol | clean property | seeded fault |
 //! |---|---|---|
-//! | striped memo | first-writer-wins races are value-benign (stored values are pure functions of keys) | an impure (writer-dependent) value makes the surviving value schedule-dependent |
 //! | pool injector | batches complete, nested submission and the `BatchGuard` panic path never deadlock or lose a wakeup | skipping the last entrant's idle notify strands the submitter's barrier (lost wakeup → deadlock) |
 
 use std::sync::atomic::{AtomicU64 as PlainU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cqi_runtime::memo::StripedMemo;
 use cqi_runtime::pool::{fault, ResidentPool};
 use loom::{Builder, Report};
 
@@ -57,66 +56,6 @@ impl ModelOutcome {
         } else {
             self.report.violation.is_none() && self.report.exhausted
         }
-    }
-}
-
-/// Clean: racing writers store the same pure-function-of-key value; the
-/// first-writer-wins race is benign under every interleaving (including
-/// the try_lock contention path, whose both outcomes the checker explores).
-pub fn memo_first_writer_wins() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let memo: Arc<StripedMemo<u64, u64>> = Arc::new(StripedMemo::new(1, 64));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let memo = Arc::clone(&memo);
-                loom::thread::spawn(move || {
-                    memo.insert(7, 14); // value = key * 2: pure
-                    memo.get(&7)
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Some(14), "reads agree with the pure value");
-        }
-        assert_eq!(memo.get(&7), Some(14));
-        assert_eq!(memo.len(), 1);
-    });
-    ModelOutcome {
-        name: "memo_first_writer_wins",
-        expect_violation: false,
-        report,
-    }
-}
-
-/// Seeded fault: writers store *writer-dependent* values for one key. The
-/// surviving value then depends on the schedule; pinning the expectation
-/// to one writer makes the checker exhibit an interleaving where the other
-/// writer won — exactly the impurity the memo's soundness contract bans.
-pub fn memo_impure_value_fault() -> ModelOutcome {
-    let report = builder(2).check(|| {
-        let memo: Arc<StripedMemo<u64, u64>> = Arc::new(StripedMemo::new(1, 64));
-        let handles: Vec<_> = (0..2u64)
-            .map(|writer| {
-                let memo = Arc::clone(&memo);
-                loom::thread::spawn(move || {
-                    // BUG: the stored value depends on who stores it.
-                    memo.insert(7, 100 + writer);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            memo.get(&7),
-            Some(100),
-            "an impure memo value is schedule-dependent"
-        );
-    });
-    ModelOutcome {
-        name: "memo_impure_value_fault",
-        expect_violation: true,
-        report,
     }
 }
 
@@ -220,8 +159,6 @@ pub fn injector_lost_wakeup_fault() -> ModelOutcome {
 pub fn all_models() -> Vec<ModelOutcome> {
     let _g = run_lock().lock().unwrap();
     vec![
-        memo_first_writer_wins(),
-        memo_impure_value_fault(),
         injector_batch_lifecycle(),
         injector_nested_submission(),
         injector_panic_path(),

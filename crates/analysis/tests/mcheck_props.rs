@@ -24,9 +24,9 @@ fn all_registered_models_pass_their_expectation() {
 fn every_protocol_has_a_seeded_fault_twin_with_a_counterexample() {
     let outcomes = models::all_models();
     let faulty: Vec<_> = outcomes.iter().filter(|o| o.expect_violation).collect();
-    // One twin per protocol: the striped memo and the pool injector.
+    // One twin per protocol: the pool injector.
     assert!(
-        faulty.len() >= 2,
+        !faulty.is_empty(),
         "each protocol needs a seeded-fault twin; found {}",
         faulty.len()
     );

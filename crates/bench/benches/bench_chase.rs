@@ -10,8 +10,7 @@
 //! CI runs this with `BENCH_JSON=BENCH_chase.json`, so the 1/2/4-thread
 //! series is tracked as a perf-trajectory artifact. On a single-core host
 //! the series should be near parity (the determinism guarantee makes
-//! parallelism a pure wall-clock knob; the shared L2 memo offsets the
-//! hand-off overhead); on a ≥4-core runner the 4-thread rows are expected
+//! parallelism a pure wall-clock knob); on a ≥4-core runner the 4-thread rows are expected
 //! to be ≥2x faster on the wide-frontier workloads.
 
 use std::time::Duration;

@@ -56,8 +56,8 @@ fn bench_running_example(c: &mut Criterion) {
 }
 
 /// The solver-cache knob on whole chase runs: `cold` decides every
-/// `IsConsistent` problem from scratch, `memo` (the default configuration)
-/// goes through the canonical-problem cache; each with keys on and off.
+/// solver question from scratch, `memo` (the default configuration) goes
+/// through each worker's exact-problem memo; each with keys on and off.
 fn bench_cache_knobs(c: &mut Criterion) {
     let queries = beers_queries();
     let dq = queries.iter().find(|q| q.name == "Q2B").unwrap();

@@ -8,8 +8,8 @@ use std::hint::black_box;
 use cqi_datasets::beers_schema;
 use cqi_instance::consistency::is_consistent;
 use cqi_instance::{CInstance, Cond};
-use cqi_schema::{DomainType, Value};
-use cqi_solver::{order, Lit, NullId, Problem, SolverCache, SolverOp};
+use cqi_schema::DomainType;
+use cqi_solver::{order, Lit, NullId, Problem, SolverOp};
 
 fn bench_order_chains(c: &mut Criterion) {
     let mut g = c.benchmark_group("order_chain");
@@ -103,58 +103,12 @@ fn bench_i0_consistency(c: &mut Criterion) {
     });
 }
 
-/// One member of a family of structurally isomorphic problems: a
-/// clause-heavy DPLL workload (per-null domain clauses plus an adjacent
-/// disequality chain) with nulls renamed by rotation — exactly what the
-/// chase produces when it mints fresh nulls in different branch orders.
-fn renamed_problem(shift: usize) -> Problem {
-    let n = 12usize;
-    let id = |i: usize| NullId(((i + shift) % n) as u32);
-    let mut p = Problem::new(vec![DomainType::Int; n]);
-    for i in 0..n {
-        p.assert_clause(vec![
-            Lit::cmp(id(i), SolverOp::Eq, Value::Int(1)),
-            Lit::cmp(id(i), SolverOp::Eq, Value::Int(2)),
-        ]);
-    }
-    for i in 1..n {
-        p.assert(Lit::cmp(id(i - 1), SolverOp::Ne, id(i)));
-    }
-    p
-}
-
-/// The repeated-subproblem workload: 32 renamed copies, decided cold
-/// (full DPLL+theory each) vs through a shared [`SolverCache`] (one miss,
-/// 31 canonical hits).
-fn bench_memo_repeated(c: &mut Criterion) {
-    let family: Vec<Problem> = (0..32).map(renamed_problem).collect();
-    let mut g = c.benchmark_group("memo_repeated_subproblems");
-    g.bench_function("cold", |b| {
-        b.iter(|| {
-            for p in &family {
-                black_box(cqi_solver::solve(black_box(p)));
-            }
-        });
-    });
-    g.bench_function("memoized", |b| {
-        b.iter(|| {
-            let mut cache = SolverCache::default();
-            for p in &family {
-                black_box(cache.solve(black_box(p)));
-            }
-            assert!(cache.stats.hits >= 31, "renamed family must hit the memo");
-        });
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_order_chains,
     bench_int_tightening,
     bench_like_sets,
     bench_dpll_clauses,
-    bench_i0_consistency,
-    bench_memo_repeated
+    bench_i0_consistency
 );
 criterion_main!(benches);

@@ -192,11 +192,7 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         "  root fan-outs: {}   steals: {}",
         t.resident_batches, t.steals
     );
-    println!(
-        "  solver memo hit rate: L1 {} / L2 {}",
-        pct(t.solver_l1_hit_rate()),
-        pct(t.solver_l2_hit_rate()),
-    );
+    println!("  solver memo hit rate: {}", pct(t.solver_l1_hit_rate()));
     println!(
         "  dedupe: {} offers, {} duplicates, {} iso checks",
         t.dedupe_offers, t.dedupe_duplicates, t.dedupe_iso_checks
@@ -213,8 +209,6 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
         vec!["dedupe_duplicates".to_owned(), t.dedupe_duplicates.to_string()],
         vec!["dedupe_iso_checks".to_owned(), t.dedupe_iso_checks.to_string()],
         vec!["solver_l1_hit_rate".to_owned(), format!("{:.4}", t.solver_l1_hit_rate())],
-        vec!["solver_l2_hit_rate".to_owned(), format!("{:.4}", t.solver_l2_hit_rate())],
-        vec!["l2_contended".to_owned(), t.solver_l2.contended.to_string()],
         vec!["digest_hits".to_owned(), t.digest_hits.to_string()],
         vec!["digest_recomputes".to_owned(), t.digest_recomputes.to_string()],
         vec![

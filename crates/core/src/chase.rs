@@ -20,16 +20,18 @@
 //! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
 //! ([`WorkerCtx`]: solver memos, sub-BFS results) only affects speed. Every
 //! solver question of the chase — `IsConsistent` and each Tree-SAT leaf —
-//! goes through one worker-level path, [`WorkerCtx::decide`]. The
-//! only parallel axis is across roots: multi-root runs (the `Conj-*` tree
-//! sets and the `*-Add` re-seeds) fan whole root searches out over the
-//! session's resident pool when `ChaseConfig::threads > 1`
+//! goes through one worker-level path, [`WorkerCtx::decide`]: the worker's
+//! exact-problem memo, then one solve. Problems are keyed in the
+//! instance's own null numbering, which is deterministic per instance, so
+//! the memo never changes an answer. The only parallel axis is across
+//! roots: multi-root runs (the `Conj-*` tree sets and the `*-Add`
+//! re-seeds) fan whole root searches out over the session's resident pool
+//! when `ChaseConfig::threads > 1`
 //! ([`Chase::run_roots`]), and merge their results in job order, so
 //! parallel runs accept the *same instances in the same order* as
 //! sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,43 +41,16 @@ use cqi_obs::trace::{self, Phase};
 use cqi_instance::consistency::to_problem;
 use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
 use cqi_runtime::{
-    drive, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool, RunCounters,
-    SetKey, StripedMemo,
+    drive, BoundedMemo, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool,
+    RunCounters, SetKey,
 };
-use cqi_solver::canon::{canonicalize, CanonKey};
-use cqi_solver::{CacheStats, Ent, Model, Problem, SolverCache};
+use cqi_solver::{Ent, ExactCache, Problem};
 
 use crate::config::{CancelToken, ChaseConfig};
 use crate::conjtree::expand_disj_node;
 use crate::cover::validated_coverage;
 use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
-
-/// Entry bound of the shared (L2) canonical-problem memo — larger than one
-/// worker's L1 capacity because it serves every worker of a session.
-const SHARED_SOLVER_CAP: usize = 32_768;
-
-/// Lock stripes of the shared memo (power of two).
-const MEMO_STRIPES: usize = 64;
-
-/// The shared (L2) tier behind every worker's L1 solver memo: a
-/// lock-striped map holding solver answers that are pure functions of
-/// their keys, so a worker can reuse what a sibling already computed. An L1
-/// miss checks here before solving; a fresh decision is published here as
-/// well as to the worker's own L1.
-pub(crate) struct SharedMemos {
-    /// Canonical-problem outcomes in canonical space (`None` = unsat) —
-    /// the shared tier over [`SolverCache`]'s per-worker map.
-    solver: StripedMemo<CanonKey, Option<Model>>,
-}
-
-impl Default for SharedMemos {
-    fn default() -> SharedMemos {
-        SharedMemos {
-            solver: StripedMemo::new(MEMO_STRIPES, SHARED_SOLVER_CAP),
-        }
-    }
-}
 
 /// Execution counters of one chase run: root fan-out and work-stealing
 /// traffic, the hit/miss split of each memo tier, and dedupe volume.
@@ -98,11 +73,11 @@ pub struct ChaseStats {
     pub dedupe_duplicates: u64,
     /// Signature collisions needing a full isomorphism check.
     pub dedupe_iso_checks: u64,
-    /// Per-worker (L1) solver memo hits/misses, summed: a hit in the
-    /// exact-problem memo or the canonical one, a miss in both.
+    /// Per-worker exact-problem memo hits/misses, summed over workers.
     pub solver_l1_hits: u64,
     pub solver_l1_misses: u64,
-    /// Shared (L2) canonical-problem memo counters.
+    /// Always zero: the shared solver memo tier no longer exists. Kept
+    /// public for the benchmark ledger, which still reads it.
     pub solver_l2: MemoCounts,
     /// Always zero: the saturated-state memo no longer exists. Kept public
     /// for the benchmark ledger, which still reads it.
@@ -126,7 +101,8 @@ pub struct ChaseStats {
     /// single-threaded run, sum to ≤ total wall time (multi-thread runs
     /// sum per-thread time, which may exceed wall clock).
     pub phase_solver_ns: u64,
-    /// Time canonicalizing solver problems (color refinement + keys).
+    /// Always 0: the chase has no canonicalization phase any more. Kept
+    /// public for the benchmark ledger, which still reads it.
     pub phase_canon_ns: u64,
     /// Time in isomorphism dedupe (visited-set offers + nested admission).
     pub phase_dedupe_ns: u64,
@@ -147,8 +123,10 @@ impl ChaseStats {
         rate(self.solver_l1_hits, self.solver_l1_misses)
     }
 
+    /// Always `0.0`, like [`solver_l2`](Self::solver_l2). Kept public for
+    /// the benchmark ledger, which still reads it.
     pub fn solver_l2_hit_rate(&self) -> f64 {
-        rate(self.solver_l2.hits, self.solver_l2.misses)
+        0.0
     }
 
     /// Always `0.0`: the saturated-state memo no longer exists. Kept public
@@ -189,8 +167,7 @@ impl ChaseStats {
         format!(
             "{{\"steals\": {}, \"resident_batches\": {}, \
              \"dedupe_offers\": {}, \"dedupe_duplicates\": {}, \"dedupe_iso_checks\": {}, \
-             \"solver_l1_hit_rate\": {:.4}, \"solver_l2_hit_rate\": {:.4}, \
-             \"l2_contended\": {}, \
+             \"solver_l1_hit_rate\": {:.4}, \
              \"digest_cache\": {{\"hits\": {}, \"recomputes\": {}}}, \
              \"phases\": {{\"solver_ns\": {}, \"canonicalization_ns\": {}, \
              \"dedupe_ns\": {}, \"scheduling_ns\": {}}}}}",
@@ -200,8 +177,6 @@ impl ChaseStats {
             self.dedupe_duplicates,
             self.dedupe_iso_checks,
             self.solver_l1_hit_rate(),
-            self.solver_l2_hit_rate(),
-            self.solver_l2.contended,
             self.digest_hits,
             self.digest_recomputes,
             self.phase_solver_ns,
@@ -222,8 +197,6 @@ impl ChaseStats {
             dedupe_duplicates: std::sync::Arc<cqi_obs::Counter>,
             solver_l1_hits: std::sync::Arc<cqi_obs::Counter>,
             solver_l1_misses: std::sync::Arc<cqi_obs::Counter>,
-            solver_l2_hits: std::sync::Arc<cqi_obs::Counter>,
-            solver_l2_misses: std::sync::Arc<cqi_obs::Counter>,
             digest_hits: std::sync::Arc<cqi_obs::Counter>,
             digest_recomputes: std::sync::Arc<cqi_obs::Counter>,
             phase_ns: [std::sync::Arc<cqi_obs::Counter>; 4],
@@ -241,23 +214,13 @@ impl ChaseStats {
                 ),
                 solver_l1_hits: r.counter(
                     "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
+                    "solver memo lookups by tier and outcome",
                     &[("tier", "l1"), ("outcome", "hit")],
                 ),
                 solver_l1_misses: r.counter(
                     "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
+                    "solver memo lookups by tier and outcome",
                     &[("tier", "l1"), ("outcome", "miss")],
-                ),
-                solver_l2_hits: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l2"), ("outcome", "hit")],
-                ),
-                solver_l2_misses: r.counter(
-                    "cqi_solver_memo_lookups_total",
-                    "canonical-problem memo lookups by tier and outcome",
-                    &[("tier", "l2"), ("outcome", "miss")],
                 ),
                 digest_hits: r.counter(
                     "cqi_digest_cache_total",
@@ -294,8 +257,6 @@ impl ChaseStats {
         s.dedupe_duplicates.add(self.dedupe_duplicates);
         s.solver_l1_hits.add(self.solver_l1_hits);
         s.solver_l1_misses.add(self.solver_l1_misses);
-        s.solver_l2_hits.add(self.solver_l2.hits);
-        s.solver_l2_misses.add(self.solver_l2.misses);
         s.digest_hits.add(self.digest_hits);
         s.digest_recomputes.add(self.digest_recomputes);
         s.phase_ns[0].add(self.phase_solver_ns);
@@ -307,12 +268,6 @@ impl ChaseStats {
     /// Accumulates another run's counters (workload-level aggregation in
     /// the bench harness).
     pub fn merge(&mut self, other: &ChaseStats) {
-        let add = |a: &mut MemoCounts, b: MemoCounts| {
-            a.hits += b.hits;
-            a.misses += b.misses;
-            a.inserts += b.inserts;
-            a.contended += b.contended;
-        };
         self.steals += other.steals;
         self.resident_batches += other.resident_batches;
         self.dedupe_offers += other.dedupe_offers;
@@ -320,7 +275,6 @@ impl ChaseStats {
         self.dedupe_iso_checks += other.dedupe_iso_checks;
         self.solver_l1_hits += other.solver_l1_hits;
         self.solver_l1_misses += other.solver_l1_misses;
-        add(&mut self.solver_l2, other.solver_l2);
         self.digest_hits += other.digest_hits;
         self.digest_recomputes += other.digest_recomputes;
         self.phase_solver_ns += other.phase_solver_ns;
@@ -338,7 +292,7 @@ impl std::fmt::Display for ChaseStats {
         write!(
             f,
             "steals={} batches={} dedupe={}/{}dup/{}iso solverL1={:.0}%({}) \
-             L2={:.0}%({}) digest={:.0}%({})",
+             digest={:.0}%({})",
             self.steals,
             self.resident_batches,
             self.dedupe_offers,
@@ -346,8 +300,6 @@ impl std::fmt::Display for ChaseStats {
             self.dedupe_iso_checks,
             self.solver_l1_hit_rate() * 100.0,
             self.solver_l1_hits + self.solver_l1_misses,
-            self.solver_l2_hit_rate() * 100.0,
-            self.solver_l2.hits + self.solver_l2.misses,
             self.digest_hit_rate() * 100.0,
             self.digest_hits + self.digest_recomputes,
         )?;
@@ -363,15 +315,6 @@ impl std::fmt::Display for ChaseStats {
             )?;
         }
         Ok(())
-    }
-}
-
-fn sub_counts(a: MemoCounts, b: MemoCounts) -> MemoCounts {
-    MemoCounts {
-        hits: a.hits - b.hits,
-        misses: a.misses - b.misses,
-        inserts: a.inserts - b.inserts,
-        contended: a.contended - b.contended,
     }
 }
 
@@ -396,6 +339,11 @@ fn hash_of<T: Hash>(t: &T) -> u64 {
     h.finish()
 }
 
+/// Entry bounds of the sub-BFS and `IsConsistent` memos: far above what
+/// the paper's workloads fill, while bounding memory on adversarial ones.
+const BFS_MEMO_CAP: usize = 400_000;
+const CONSIST_MEMO_CAP: usize = 1_000_000;
+
 /// Per-worker mutable chase state: every memo the search consults, plus the
 /// worker-local slice of the run counters. None of it changes *answers* —
 /// only how fast they are reached — which is what lets a root search run on
@@ -405,26 +353,14 @@ pub(crate) struct WorkerCtx {
     /// relevant homomorphism entries). The recursion re-derives identical
     /// sub-searches constantly; this cache is the difference between
     /// seconds and minutes on the harder difference queries.
-    bfs_memo: HashMap<(u64, u64, u64), Vec<CInstance>>,
+    bfs_memo: BoundedMemo<(u64, u64, u64), Vec<CInstance>>,
     /// Memoized `IsConsistent` answers by instance digest.
-    consist_memo: HashMap<u64, bool>,
-    /// Exact-problem memo in front of `solver_cache`: most decisions repeat
-    /// a problem this worker already decided, and a hit skips
-    /// canonicalization. Keyed by the whole problem; cleared when it
-    /// reaches `exact_cap` entries.
-    exact: HashMap<Problem, bool>,
-    exact_cap: usize,
-    /// Exact-memo hits, reported as L1 hits.
-    exact_hits: u64,
-    /// Canonical-problem memo: isomorphic subproblems (renamed nulls, extra
-    /// unconstrained nulls) are decided once (`cfg.solver_cache`).
-    solver_cache: SolverCache,
-    /// The session's shared (L2) memo tier behind `solver_cache`.
-    shared: Arc<SharedMemos>,
-    /// Whether this run consults/feeds the L2 tier (multi-thread runs
-    /// only — a lone worker has no sibling to share with, so L2 traffic
-    /// would be pure overhead).
-    share_l2: bool,
+    consist_memo: BoundedMemo<u64, bool>,
+    /// Exact-problem memo: most decisions repeat a problem this worker
+    /// already decided. Keyed by the whole problem in the instance's own
+    /// null numbering, so renamed copies of a problem are separate
+    /// entries. Its hits and misses are reported as L1 hits and misses.
+    exact: ExactCache,
     /// This worker observed the wall-clock deadline.
     timed_out: bool,
     /// This worker observed a fired [`CancelToken`].
@@ -432,16 +368,11 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(cfg: &ChaseConfig, shared: Arc<SharedMemos>) -> WorkerCtx {
+    fn new(cfg: &ChaseConfig) -> WorkerCtx {
         WorkerCtx {
-            bfs_memo: HashMap::new(),
-            consist_memo: HashMap::new(),
-            exact: HashMap::new(),
-            exact_cap: cfg.solver_cache_capacity,
-            exact_hits: 0,
-            solver_cache: SolverCache::new(cfg.solver_cache_capacity),
-            shared,
-            share_l2: false,
+            bfs_memo: BoundedMemo::new(BFS_MEMO_CAP),
+            consist_memo: BoundedMemo::new(CONSIST_MEMO_CAP),
+            exact: ExactCache::new(cfg.solver_cache_capacity),
             timed_out: false,
             cancelled: false,
         }
@@ -462,65 +393,11 @@ impl WorkerCtx {
 
     /// Is `p` satisfiable? The worker's one decision path, for
     /// `IsConsistent` and every Tree-SAT leaf alike: the exact-problem
-    /// memo, then canonicalization and the canonical L1, then the shared
-    /// L2 tier (multi-thread runs only), then one solve of the canonical
-    /// problem. Every tier stores answers that are pure functions of its
-    /// full key, so the path never changes an answer.
+    /// memo, then one solve (one solver call per check, as in the paper's
+    /// §4.2). The memo stores a pure function of its full key, so the path
+    /// never changes an answer.
     pub(crate) fn decide(&mut self, p: &Problem) -> bool {
-        let exact = {
-            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
-            self.exact.get(p).copied()
-        };
-        if let Some(sat) = exact {
-            self.exact_hits += 1;
-            return sat;
-        }
-        let sat = self.decide_canonical(p);
-        if self.exact.len() >= self.exact_cap {
-            self.exact.clear();
-        }
-        self.exact.insert(p.clone(), sat);
-        sat
-    }
-
-    /// The canonical tiers of [`WorkerCtx::decide`].
-    fn decide_canonical(&mut self, p: &Problem) -> bool {
-        let canon = {
-            let _s = trace::span_phase("canonicalize", "solver", Phase::Canon);
-            canonicalize(p)
-        };
-        let l1 = {
-            let _s = trace::span_phase("l1_lookup", "solver", Phase::Solver);
-            self.solver_cache.lookup_sat(&canon)
-        };
-        if let Some(sat) = l1 {
-            return sat;
-        }
-        // L1 miss → consult the shared L2 tier (multi-thread runs only): a
-        // sibling worker may already have decided an isomorphic problem. L2
-        // stores canonical-space outcomes, so a hit back-fills L1 directly.
-        if self.share_l2 {
-            let l2 = {
-                let _s = trace::span_phase("l2_lookup", "solver", Phase::Solver);
-                self.shared.solver.get(&canon.key)
-            };
-            if let Some(result) = l2 {
-                let sat = result.is_some();
-                self.solver_cache.insert_canonical(canon.key, result);
-                return sat;
-            }
-        }
-        let _s = trace::span_phase("solve", "solver", Phase::Solver);
-        let sat = self.solver_cache.solve_canonical(&canon).is_sat();
-        // The canonical-space outcome is a pure function of the key, so
-        // publishing to L2 is race-benign (first writer wins, all writers
-        // agree).
-        if self.share_l2 {
-            if let Some(result) = self.solver_cache.peek_canonical(&canon.key) {
-                self.shared.solver.insert(canon.key, result);
-            }
-        }
-        sat
+        self.exact.is_sat(p)
     }
 }
 
@@ -529,9 +406,9 @@ impl WorkerCtx {
 /// `limit` (pruning inside `bfs_inner`) and on `universal_fresh`
 /// (`Handle-Universal`'s fresh-null branch), and consistency answers
 /// depend on `enforce_keys` — so entries are only reusable by a run with
-/// the *same* triple. The canonical-problem memo is parameter-independent
-/// (the canonical problem encodes the key clauses) and stays warm across
-/// any parameter change.
+/// the *same* triple. The exact-problem memo is parameter-independent
+/// (the problem encodes the key clauses) and stays warm across any
+/// parameter change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheParams {
     limit: usize,
@@ -557,8 +434,6 @@ struct CacheParams {
 pub struct ChaseCaches {
     ctxs: Vec<WorkerCtx>,
     params: Option<CacheParams>,
-    /// The shared (L2) memo tier every worker context points at.
-    shared: Arc<SharedMemos>,
     /// The session's resident worker pool, spawned once (lazily, on the
     /// first multi-thread run) and reused by every subsequent run. `None`
     /// until then.
@@ -632,8 +507,6 @@ pub struct Chase<'a> {
     /// The session's resident pool when `threads > 1` (see
     /// [`ChaseCaches::ensure_pool`]); `None` runs every root inline.
     pool: Option<Arc<ResidentPool>>,
-    /// The shared (L2) memo tier, for the stats snapshot.
-    shared: Arc<SharedMemos>,
     /// Steal/batch counters of this run's fan-outs.
     run_counters: RunCounters,
     /// Dedupe totals accumulated over this run's drives.
@@ -688,8 +561,6 @@ impl<'a> Chase<'a> {
         ctxs.truncate(threads);
         for ctx in &mut ctxs {
             ctx.reset_run_flags();
-            // A lone worker has no sibling to share solver answers with.
-            ctx.share_l2 = threads > 1;
             if !param_safe {
                 // These memos' answers depend on the run parameters (see
                 // [`CacheParams`]); a differing run must not see them.
@@ -697,9 +568,7 @@ impl<'a> Chase<'a> {
             }
         }
         while ctxs.len() < threads {
-            let mut ctx = WorkerCtx::new(cfg, Arc::clone(&caches.shared));
-            ctx.share_l2 = threads > 1;
-            ctxs.push(ctx);
+            ctxs.push(WorkerCtx::new(cfg));
         }
         let query_key = {
             let mut h = DefaultHasher::new();
@@ -725,7 +594,6 @@ impl<'a> Chase<'a> {
             // A sequential run may inherit a pool from an earlier
             // multi-thread run on the same caches; it must not fan out.
             pool: caches.pool.clone().filter(|_| threads > 1),
-            shared: Arc::clone(&caches.shared),
             run_counters: RunCounters::default(),
             dedupe_acc: DedupeStats::default(),
             stats_base: ChaseStats::default(),
@@ -740,18 +608,6 @@ impl<'a> Chase<'a> {
     /// for the next run.
     pub fn recycle_into(self, caches: &mut ChaseCaches) {
         caches.ctxs = self.ctxs;
-    }
-
-    /// Hit/miss/eviction counters of the canonical-problem memo, summed
-    /// over all worker contexts.
-    pub fn solver_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for c in &self.ctxs {
-            total.hits += c.solver_cache.stats.hits;
-            total.misses += c.solver_cache.stats.misses;
-            total.evictions += c.solver_cache.stats.evictions;
-        }
-        total
     }
 
     /// Every counter at its current cumulative value (caches persist
@@ -770,12 +626,11 @@ impl<'a> Chase<'a> {
             dedupe_offers: self.dedupe_acc.offers,
             dedupe_duplicates: self.dedupe_acc.duplicates,
             dedupe_iso_checks: self.dedupe_acc.iso_checks,
-            solver_l2: self.shared.solver.stats.snapshot(),
             ..ChaseStats::default()
         };
         for c in &self.ctxs {
-            s.solver_l1_hits += c.solver_cache.stats.hits + c.exact_hits;
-            s.solver_l1_misses += c.solver_cache.stats.misses;
+            s.solver_l1_hits += c.exact.hits;
+            s.solver_l1_misses += c.exact.misses;
         }
         s
     }
@@ -788,7 +643,7 @@ impl<'a> Chase<'a> {
         let phases = trace::phase_totals();
         ChaseStats {
             phase_solver_ns: phases[0].saturating_sub(self.phase_base[0]),
-            phase_canon_ns: phases[1].saturating_sub(self.phase_base[1]),
+            phase_canon_ns: 0,
             phase_dedupe_ns: phases[2].saturating_sub(self.phase_base[2]),
             phase_sched_ns: phases[3].saturating_sub(self.phase_base[3]),
             waves: 0,
@@ -800,7 +655,7 @@ impl<'a> Chase<'a> {
             dedupe_iso_checks: cur.dedupe_iso_checks,
             solver_l1_hits: cur.solver_l1_hits - base.solver_l1_hits,
             solver_l1_misses: cur.solver_l1_misses - base.solver_l1_misses,
-            solver_l2: sub_counts(cur.solver_l2, base.solver_l2),
+            solver_l2: MemoCounts::default(),
             sat_l2: MemoCounts::default(),
             incr_extends: 0,
             incr_fallbacks: 0,
@@ -1178,14 +1033,8 @@ impl Engine<'_> {
         }
         consistency_checks_metric().inc();
         let ans = self.decide(&to_problem(inst, self.cfg.enforce_keys));
-        self.memoize_consistency(key, ans);
+        self.ctx.consist_memo.insert(key, ans);
         ans
-    }
-
-    fn memoize_consistency(&mut self, key: u64, ans: bool) {
-        if self.ctx.consist_memo.len() < 1_000_000 {
-            self.ctx.consist_memo.insert(key, ans);
-        }
     }
 
     /// `Tree-Chase-BFS` (Algorithm 1) for recursive (sub-formula) calls,
@@ -1212,7 +1061,7 @@ impl Engine<'_> {
         let res = self.bfs_inner(q, h0, i0);
         // Results truncated by timeout/cancellation must not poison the
         // cache (it outlives the run now that sessions recycle contexts).
-        if !self.ctx.timed_out && !self.ctx.cancelled && self.ctx.bfs_memo.len() < 400_000 {
+        if !self.ctx.timed_out && !self.ctx.cancelled {
             self.ctx.bfs_memo.insert(key, res.clone());
         }
         res
@@ -1725,52 +1574,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_l2_entries_cross_worker_boundaries() {
-        // White-box: an `IsConsistent` answer decided on one worker context
-        // is published to the shared tier, and a *different* context wired
-        // to the same tier hits it there instead of solving.
+    fn exact_memo_keys_on_the_instance_numbering() {
+        // White-box: one worker context solves an instance's problem once
+        // and answers the repeat from its exact memo; the same instance
+        // with its nulls created in another order is a new problem.
         let s = schema();
         let q = parse_query(&s, "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) }").unwrap();
-        let cfg = ChaseConfig::with_limit(4);
-        let shared = Arc::new(SharedMemos::default());
-        let worker = || {
-            let mut ctx = WorkerCtx::new(&cfg, Arc::clone(&shared));
-            ctx.share_l2 = true;
-            ctx
-        };
-        let (mut a, mut b) = (worker(), worker());
         let serves = s.rel_id("Serves").unwrap();
-        let mut inst = CInstance::new(Arc::clone(&s));
-        let cols: Vec<Ent> = (0..3)
-            .map(|c| Ent::Null(inst.fresh_null(format!("v{c}"), s.attr_domain(serves, c))))
-            .collect();
-        inst.add_cond(Cond::Lit(Lit::cmp(
-            cols[2].clone(),
-            SolverOp::Gt,
-            Value::real(3.0),
-        )));
-        inst.add_tuple(serves, cols);
-        let decide = |ctx: &mut WorkerCtx| {
+        // Serves(v0, v1, v2) with v2 > 3.0, nulls created in `order`.
+        let build = |order: [usize; 3]| {
+            let mut inst = CInstance::new(Arc::clone(&s));
+            let mut cols = vec![Ent::Const(Value::real(0.0)); 3];
+            for c in order {
+                cols[c] = Ent::Null(inst.fresh_null(format!("v{c}"), s.attr_domain(serves, c)));
+            }
+            inst.add_cond(Cond::Lit(Lit::cmp(
+                cols[2].clone(),
+                SolverOp::Gt,
+                Value::real(3.0),
+            )));
+            inst.add_tuple(serves, cols);
+            inst
+        };
+        let decide = |cfg: &ChaseConfig, ctx: &mut WorkerCtx, inst: &CInstance| {
             Engine {
                 query: &q,
-                cfg: &cfg,
+                cfg,
                 universal_fresh: true,
                 deadline: None,
                 cancel: None,
                 query_key: 0,
                 ctx,
             }
-            .consistent(&inst)
+            .decide(&to_problem(inst, cfg.enforce_keys))
         };
-        assert!(decide(&mut a));
-        let after_a = shared.solver.stats.snapshot();
-        assert_eq!((after_a.hits, after_a.inserts), (0, 1));
-        // B has never seen the problem in its own L1 yet hits the shared
-        // tier, which back-fills its L1.
-        assert!(decide(&mut b));
-        assert_eq!(shared.solver.stats.snapshot().hits, 1);
-        assert_eq!(b.solver_cache.stats.misses, 1);
-        assert_eq!(b.solver_cache.len(), 1);
+        let cfg = ChaseConfig::with_limit(4);
+        let mut ctx = WorkerCtx::new(&cfg);
+        let inst = build([0, 1, 2]);
+        assert!(decide(&cfg, &mut ctx, &inst));
+        assert_eq!((ctx.exact.misses, ctx.exact.hits), (1, 0));
+        assert!(decide(&cfg, &mut ctx, &inst));
+        assert_eq!((ctx.exact.misses, ctx.exact.hits), (1, 1));
+        let renamed = build([2, 1, 0]);
+        assert_ne!(to_problem(&inst, false), to_problem(&renamed, false));
+        assert!(decide(&cfg, &mut ctx, &renamed));
+        assert_eq!((ctx.exact.misses, ctx.exact.hits), (2, 1));
+        // The cold reference solves every time and looks nothing up.
+        let cold = cfg.clone().solver_cache(false);
+        let mut ctx = WorkerCtx::new(&cold);
+        assert!(decide(&cold, &mut ctx, &inst));
+        assert!(decide(&cold, &mut ctx, &inst));
+        assert_eq!(
+            (ctx.exact.misses, ctx.exact.hits, ctx.exact.len()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -1834,9 +1691,9 @@ mod tests {
         assert_eq!((st.incr_extends, st.incr_fallbacks), (0, 0));
         assert_eq!(st.sat_l2, MemoCounts::default());
         assert_eq!(st.sat_l1_hit_rate(), 0.0);
-        // Multi-thread workers share the L2 tier, and per-run baselining
-        // makes a fresh chase over the warm caches start from zero, not
-        // from the cumulative counters.
+        // Workers share no memo tier, and per-run baselining makes a fresh
+        // chase over the warm caches start from zero, not from the
+        // cumulative counters.
         let q = parse_query(&s, join).unwrap();
         let cfg = ChaseConfig::with_limit(7).threads(2);
         let mut caches = ChaseCaches::new();
@@ -1848,13 +1705,9 @@ mod tests {
         );
         let st1 = chase.stats();
         assert!(st1.solver_l1_hits + st1.solver_l1_misses > 0);
-        assert!(
-            st1.solver_l2.inserts > 0,
-            "multi-thread runs must publish decided steps to the shared tier"
-        );
+        assert_eq!(st1.solver_l2, MemoCounts::default());
         chase.recycle_into(&mut caches);
         let st2 = Chase::new_reusing(&q, &cfg, true, &mut caches).stats();
         assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
-        assert_eq!(st2.solver_l2.inserts, 0);
     }
 }

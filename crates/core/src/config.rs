@@ -96,6 +96,10 @@ impl std::fmt::Display for Variant {
     }
 }
 
+/// Default entry bound of each worker's exact-problem memo
+/// ([`ChaseConfig::solver_cache_capacity`]).
+pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
+
 /// Parameters of one chase run.
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
@@ -109,11 +113,13 @@ pub struct ChaseConfig {
     pub enforce_keys: bool,
     /// Optional cap on accepted satisfying instances (before minimization).
     pub max_results: Option<usize>,
-    /// Memoize solver outcomes on canonicalized problems
-    /// ([`cqi_solver::SolverCache`]), so structurally isomorphic
-    /// `IsConsistent` subproblems are decided once per chase run.
+    /// Memoize solver outcomes per worker, keyed by the exact problem, so
+    /// an `IsConsistent` or Tree-SAT question the worker already decided
+    /// costs one lookup. `false` is the cold reference: every decision is
+    /// one solve.
     pub solver_cache: bool,
-    /// Capacity of the canonical-problem memo (entries, LRU-evicted).
+    /// Capacity of each worker's exact-problem memo (entries; the memo is
+    /// cleared when full). Defaults to [`DEFAULT_CACHE_CAPACITY`].
     pub solver_cache_capacity: usize,
     /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
     /// default) runs every root search on the calling thread, `0` uses all
@@ -147,7 +153,7 @@ impl ChaseConfig {
             enforce_keys: false,
             max_results: None,
             solver_cache: true,
-            solver_cache_capacity: cqi_solver::cache::DEFAULT_CACHE_CAPACITY,
+            solver_cache_capacity: DEFAULT_CACHE_CAPACITY,
             threads: 1,
             cancel: None,
             trace: false,
@@ -231,7 +237,7 @@ mod tests {
         assert_eq!(c.timeout, Some(Duration::from_secs(5)));
         assert!(c.enforce_keys);
         assert_eq!(c.max_results, Some(3));
-        // The canonical-problem memo defaults on.
+        // The exact-problem memo defaults on.
         assert!(c.solver_cache);
         let cold = c.solver_cache(false).solver_cache_capacity(16);
         assert!(!cold.solver_cache);

@@ -16,10 +16,10 @@
 //! A [`SatCtx`] hands every leaf's solver question (`φ ∧ ¬lit` for a
 //! condition leaf, `φ ∧ image = row` for a negated relational leaf) to the
 //! decider it was built with. The chase passes its worker's decision path —
-//! exact-problem memo, canonical L1, shared L2 at `threads > 1`, then one
-//! solve — so Tree-SAT shares every memo tier with `IsConsistent`, inside
-//! nested BFS steps and in the validation of accepted instances alike. The
-//! one-shot [`tree_sat`] and [`tree_sat_with`] solve every leaf cold.
+//! the exact-problem memo, then one solve — so Tree-SAT shares that memo
+//! with `IsConsistent`, inside nested BFS steps and in the validation of
+//! accepted instances alike. The one-shot [`tree_sat`] and
+//! [`tree_sat_with`] solve every leaf cold.
 
 use std::collections::HashMap;
 

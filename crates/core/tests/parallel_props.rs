@@ -71,8 +71,8 @@ proptest! {
     /// `run_variant` with a parallel config returns the same c-solution as
     /// the sequential default, across variants, limits, key enforcement,
     /// and thread budgets. Multi-thread runs fan their root jobs
-    /// out over a resident pool whose workers share the L2 memo tier — so
-    /// this property also pins the tiered memo to the sequential baseline.
+    /// out over a resident pool, each worker with its own memos — so this
+    /// property also pins per-worker memo state to the sequential baseline.
     #[test]
     fn parallel_run_variant_matches_sequential(
         qi in any::<u64>(),
@@ -106,8 +106,7 @@ proptest! {
     /// thread budgets, instance by instance, in order: the strongest form
     /// of the determinism guarantee. The parallel run fans its root jobs
     /// out over the resident pool [`Chase::new_reusing`] spawns, so worker
-    /// hand-off, the job-order merge, and shared-L2 memo traffic are all on
-    /// the tested path.
+    /// hand-off and the job-order merge are on the tested path.
     #[test]
     fn parallel_accepted_stream_is_byte_identical(
         qi in any::<u64>(),

@@ -9,7 +9,7 @@
 //! * With `enforce_keys`, key constraints add EGD clauses
 //!   `(⋁ₖ t.k ≠ u.k) ∨ t.a = u.a` so that no possible world violates a key.
 
-use cqi_solver::{Clause, Ent, Lit, Model, Outcome, Problem, SolverCache, SolverOp};
+use cqi_solver::{Clause, Ent, Lit, Model, Outcome, Problem, SolverOp};
 
 use crate::cinstance::{CInstance, Cond};
 
@@ -117,19 +117,6 @@ pub fn is_consistent(inst: &CInstance, enforce_keys: bool) -> bool {
 /// Consistency with a witness model for the labeled nulls.
 pub fn consistent_model(inst: &CInstance, enforce_keys: bool) -> Option<Model> {
     match cqi_solver::solve(&to_problem(inst, enforce_keys)) {
-        Outcome::Sat(m) => Some(m),
-        Outcome::Unsat => None,
-    }
-}
-
-/// [`consistent_model`] through a [`SolverCache`]. Nulls mentioned by no
-/// condition may come back unassigned (ground with `Model::complete`).
-pub fn consistent_model_cached(
-    inst: &CInstance,
-    enforce_keys: bool,
-    cache: &mut SolverCache,
-) -> Option<Model> {
-    match cache.solve(&to_problem(inst, enforce_keys)) {
         Outcome::Sat(m) => Some(m),
         Outcome::Unsat => None,
     }
@@ -262,11 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_model_agrees_and_completes() {
-        // The cached witness agrees with the uncached one on satisfying
-        // the conditions, and its contract — nulls mentioned by no
-        // condition come back unassigned — is discharged by
-        // `Model::complete`, exactly as grounding does.
+    fn model_completes_unmentioned_nulls() {
+        // The witness satisfies the conditions, and `Model::complete`
+        // leaves a value for every null, including one no condition
+        // mentions, exactly as grounding does.
         let s = schema();
         let mut inst = CInstance::new(s.clone());
         let serves = s.rel_id("Serves").unwrap();
@@ -275,19 +261,11 @@ mod tests {
         let p2 = inst.fresh_null("p2", pd);
         let unused = inst.fresh_null("p3", pd);
         inst.add_cond(Cond::Lit(Lit::cmp(p1, SolverOp::Gt, p2)));
-        let mut cache = cqi_solver::SolverCache::default();
-        for round in 0..2 {
-            let mut m = consistent_model_cached(&inst, true, &mut cache).unwrap();
-            assert!(m.get(p1).unwrap().as_f64() > m.get(p2).unwrap().as_f64());
-            m.complete(&inst.null_types());
-            assert!(m.get(unused).is_some(), "complete() grounds unmentioned nulls");
-            if round == 1 {
-                assert!(cache.stats.hits >= 1, "second call must hit");
-            }
-        }
-        // Unsat answers flow through the cache too.
+        let mut m = consistent_model(&inst, true).unwrap();
+        assert!(m.get(p1).unwrap().as_f64() > m.get(p2).unwrap().as_f64());
+        m.complete(&inst.null_types());
+        assert!(m.get(unused).is_some(), "complete() grounds unmentioned nulls");
         inst.add_cond(Cond::Lit(Lit::cmp(p2, SolverOp::Gt, p1)));
-        assert!(consistent_model_cached(&inst, true, &mut cache).is_none());
         assert!(consistent_model(&inst, true).is_none());
     }
 

@@ -1,14 +1,14 @@
-//! Property tests for the consistency fast path: the memoized
-//! (canonical-cache) check must agree with the from-scratch `IsConsistent`
-//! on randomly generated c-instances, including negated atoms and key
-//! constraints.
+//! Property tests for the memoized consistency path: deciding an
+//! instance's problem through the exact memo must agree with the
+//! from-scratch `IsConsistent` on randomly generated c-instances, including
+//! negated atoms and key constraints.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cqi_instance::consistency::{is_consistent, to_problem};
 use cqi_instance::{CInstance, Cond};
 use cqi_schema::{DomainType, Schema, Value};
-use cqi_solver::{Lit, NullId, SolverCache, SolverOp};
+use cqi_solver::{ExactCache, Lit, NullId, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,10 +35,11 @@ fn schema() -> Arc<Schema> {
     )
 }
 
-/// A shared cache across all cases — cross-case hits are the point.
-fn shared_cache() -> &'static Mutex<SolverCache> {
-    static CACHE: OnceLock<Mutex<SolverCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(SolverCache::default()))
+/// One memo shared by all cases, so entries from earlier cases are live
+/// while later ones are decided.
+fn shared_cache() -> &'static Mutex<ExactCache> {
+    static CACHE: OnceLock<Mutex<ExactCache>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(ExactCache::new(8192)))
 }
 
 /// Builds a random c-instance: Serves/Likes rows over shared nulls, price
@@ -102,8 +103,8 @@ fn build(seed: u64) -> CInstance {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Cached and uncached `IsConsistent` agree, with keys on and off,
-    /// across a cache shared by all 256 cases.
+    /// Memoized and from-scratch `IsConsistent` agree, with keys on and
+    /// off, across a memo shared by all 256 cases.
     #[test]
     fn memoized_consistency_agrees(seed in any::<u64>()) {
         let inst = build(seed);
@@ -118,13 +119,14 @@ proptest! {
 
 #[test]
 fn shared_cache_accumulates_hits() {
-    // Isomorphic instances from different seeds must eventually hit; at
-    // minimum, re-checking the same instance does.
+    // Re-checking an instance hits: its problem is built in the
+    // instance's own null numbering, so it is the same key.
     let cache = shared_cache();
     let inst = build(12345);
     let a = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
-    let hits_before = cache.lock().unwrap().stats.hits;
+    let hits_before = cache.lock().unwrap().hits;
     let b = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
     assert_eq!(a, b);
-    assert!(cache.lock().unwrap().stats.hits > hits_before);
+    assert_eq!(a, is_consistent(&inst, true));
+    assert!(cache.lock().unwrap().hits > hits_before);
 }

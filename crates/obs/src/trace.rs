@@ -45,9 +45,11 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// Engine phases for the wall-time breakdown. Only leaf spans carry one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Solver decisions: L1/L2 memo lookups and fresh solves (DPLL).
+    /// Solver decisions: memo lookups and fresh solves (DPLL).
     Solver,
-    /// Canonicalization of solver problems (color refinement, keys).
+    /// Canonicalization of solver problems. No span carries it any more
+    /// (the chase keys its memo on the exact problem); kept so the phase
+    /// breakdown keeps its four entries for the benchmark ledger.
     Canon,
     /// Isomorphism dedupe: offers, confirms.
     Dedupe,

@@ -2,10 +2,10 @@
 //!
 //! Execution substrate for the chase: the FIFO frontier [`drive`] that runs
 //! one root search, the single-owner [`VisitedSet`] it deduplicates
-//! through (keyed on isomorphism invariants), a lock-striped shared memo
-//! ([`StripedMemo`]) for cross-worker solver-result sharing, and a
-//! work-stealing [`ResidentPool`] behind the [`Exec`] handle that fans
-//! whole root searches out across workers.
+//! through (keyed on isomorphism invariants), and a work-stealing
+//! [`ResidentPool`] behind the [`Exec`] handle that fans whole root
+//! searches out across workers. Workers share no memo: each keeps its own,
+//! in [`BoundedMemo`]s.
 //!
 //! ## Determinism model
 //!
@@ -19,9 +19,9 @@
 //! 1. **every root is driven sequentially** by [`drive`] on one worker
 //!    context, with its own [`VisitedSet`], so its accepted stream is the
 //!    same whichever worker runs it;
-//! 2. **worker state is speed-only** — memo contexts and the shared
-//!    [`StripedMemo`] tier hold pure functions of their keys, so which
-//!    worker computed an entry never changes an answer; and
+//! 2. **worker state is speed-only** — each worker's memo contexts hold
+//!    pure functions of their keys, so which worker runs a root never
+//!    changes an answer; and
 //! 3. **results are merged in job order** — [`Exec::run`] returns results
 //!    in item order, and the chase concatenates the per-root streams in
 //!    the order a sequential run would have produced them.
@@ -38,7 +38,7 @@ pub mod scheduler;
 pub mod sync;
 
 pub use dedupe::{DedupeStats, SetKey, VisitedSet};
-pub use memo::{MemoCounts, MemoStats, StripedMemo};
+pub use memo::{BoundedMemo, MemoCounts};
 pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
 pub use scheduler::{drive, Expansion, FrontierTask};
 

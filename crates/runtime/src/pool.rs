@@ -3,8 +3,8 @@
 //!
 //! [`Exec::run`] runs one closure over an indexed slice of items on up to
 //! `ctxs.len()` workers. Each worker owns one mutable context (the chase
-//! threads its per-worker `SolverCache` and sub-BFS memos through
-//! here) and pulls work from its own bounded deque; idle workers
+//! threads its per-worker solver and sub-BFS memos through here) and
+//! pulls work from its own bounded deque; idle workers
 //! *batch-steal* half of a victim's remaining ranges in one lock
 //! acquisition. Results are tagged with their item index and returned in
 //! item order, so callers observe a deterministic, sequential-equivalent

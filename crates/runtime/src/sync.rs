@@ -10,8 +10,8 @@
 //!
 //! Rules for runtime code:
 //!
-//! - `pool.rs` and `memo.rs` must route **all** synchronization through
-//!   this module: `sync::Mutex`, `sync::Condvar`, `sync::atomic::*`,
+//! - `pool.rs` must route **all** synchronization through this module:
+//!   `sync::Mutex`, `sync::Condvar`, `sync::atomic::*`,
 //!   `sync::thread::spawn`.
 //! - Pure *statistics* counters (never read back to make a control-flow
 //!   decision) use [`counter::Counter`], which is deliberately **not**
@@ -19,14 +19,12 @@
 //!   blow up the model state space for nothing. This is also the one
 //!   designated home of `Ordering::Relaxed` in this crate (enforced by
 //!   `cqi-lint`).
-//! - Hash-based placement that must be replay-deterministic under the
-//!   model uses [`hash::RandomState`].
 
 #[cfg(not(feature = "model-check"))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+pub use std::sync::{Condvar, Mutex};
 
 #[cfg(feature = "model-check")]
-pub use loom::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+pub use loom::sync::{Condvar, Mutex};
 
 /// Atomics for *protocol* state (read back to make decisions): modeled
 /// under `model-check`. `Ordering` is always the std enum; the modeled
@@ -41,26 +39,14 @@ pub mod atomic {
     pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 }
 
-/// Thread spawn/scope used by the pool and the memo tests: managed (gated
-/// by the model checker's scheduler) under `model-check`, plain
-/// `std::thread` otherwise.
+/// Thread spawn used by the pool: managed (gated by the model checker's
+/// scheduler) under `model-check`, plain `std::thread` otherwise.
 pub mod thread {
     #[cfg(not(feature = "model-check"))]
-    pub use std::thread::{scope, spawn, JoinHandle};
+    pub use std::thread::{spawn, JoinHandle};
 
     #[cfg(feature = "model-check")]
-    pub use loom::thread::{scope, spawn, JoinHandle};
-}
-
-/// Hasher state for hash-based placement (memo stripe selection): std's
-/// seeded `RandomState` normally, a fixed-seed hasher under the model so
-/// replayed executions keep identical placement.
-pub mod hash {
-    #[cfg(not(feature = "model-check"))]
-    pub use std::collections::hash_map::RandomState;
-
-    #[cfg(feature = "model-check")]
-    pub use loom::hash::FixedState as RandomState;
+    pub use loom::thread::{spawn, JoinHandle};
 }
 
 /// Monotonic statistics counters, exempt from model instrumentation.

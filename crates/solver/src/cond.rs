@@ -67,8 +67,7 @@ impl SolverOp {
     }
 }
 
-/// One atomic constraint. The derived order is arbitrary but total — it
-/// gives [`crate::canon`] a deterministic literal sort.
+/// One atomic constraint. The derived order is arbitrary but total.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lit {
     /// `lhs op rhs`.

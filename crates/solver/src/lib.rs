@@ -38,11 +38,17 @@
 //! (pigeonhole-style integer disequalities) the solver may answer `Unsat`
 //! conservatively — never the reverse. Property tests compare against brute
 //! force on small domains.
+//!
+//! [`solve`] and [`is_sat`] decide each problem from scratch. The chase
+//! decides through [`ExactCache`] ([`cache`]), a per-worker memo keyed by
+//! the exact problem. Answers are not invariant under renaming the nulls:
+//! witness search assigns text classes in an order derived from the
+//! numbering, so in rare corners two numberings of one problem get
+//! different answers (the `Unsat` one is the conservative one).
 
 #![deny(unsafe_code)]
 
 pub mod cache;
-pub mod canon;
 pub mod cond;
 pub mod dpll;
 pub mod ent;
@@ -53,7 +59,7 @@ pub mod strings;
 pub mod theory;
 pub mod unionfind;
 
-pub use cache::{CacheStats, SolverCache};
+pub use cache::ExactCache;
 pub use cond::{Clause, Lit, Problem, SolverOp};
 pub use ent::{Ent, NullId};
 pub use model::Model;

@@ -354,8 +354,11 @@ impl Dfa {
             let mut next = Vec::new();
             for (st, s) in &layer {
                 for (sym, &nxt) in self.trans[*st].iter().enumerate() {
-                    // Prune states from which no accepting state is
-                    // reachable to keep the frontier small.
+                    // No pruning: successors that cannot reach an accepting
+                    // state stay in the layer, and the cap below keeps the
+                    // first 4096 in order. A non-empty DFA can therefore
+                    // yield no word at all (ROADMAP.md, "LIKE witnesses get
+                    // lost").
                     let mut s2 = s.clone();
                     s2.push(alpha.char_of(sym));
                     next.push((nxt, s2));

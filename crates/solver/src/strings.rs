@@ -215,9 +215,6 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
                         hi = Some((v.clone(), strict));
                     }
                 }
-            } else if let Some(v) = &p.pinned[j] {
-                // Unreachable: pinned are pre-assigned. Kept for clarity.
-                let _ = v;
             }
         }
         let taboo: Vec<&String> = p
@@ -257,7 +254,7 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
         };
         let candidate = match &like_cands[i] {
             Some(cands) => cands.iter().find(|s| ok(s)).cloned(),
-            None => plain_candidates(&lo, &hi).into_iter().find(|s| ok(s)),
+            None => plain_candidates(&lo, &hi).find(|s| ok(s)),
         };
         match candidate {
             Some(v) => vals[i] = Some(v),
@@ -274,68 +271,61 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
     }
 }
 
-/// Candidate strings for an order-constrained class without LIKE patterns.
-fn plain_candidates(lo: &Option<(String, bool)>, hi: &Option<(String, bool)>) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    // A generic pool of short distinct strings.
-    let pool = || {
-        let mut v: Vec<String> = Vec::new();
-        for c in 'a'..='z' {
-            v.push(c.to_string());
-        }
-        for c in 'a'..='z' {
-            v.push(format!("{c}{c}"));
-        }
-        for i in 0..64 {
-            v.push(format!("s{i}"));
-        }
-        v
+/// A generic pool of short distinct strings: `a`..`z`, `aa`..`zz`,
+/// `s0`..`s63`.
+fn pool() -> impl Iterator<Item = String> {
+    ('a'..='z')
+        .map(|c| c.to_string())
+        .chain(('a'..='z').map(|c| format!("{c}{c}")))
+        .chain((0..64).map(|i| format!("s{i}")))
+}
+
+/// Candidate strings for an order-constrained class without LIKE patterns,
+/// built one at a time: the caller keeps the first that fits, so the order
+/// is part of the answer.
+fn plain_candidates<'a>(
+    lo: &'a Option<(String, bool)>,
+    hi: &'a Option<(String, bool)>,
+) -> Box<dyn Iterator<Item = String> + 'a> {
+    // The bound itself, when it is not strict.
+    let inclusive = |b: &'a Option<(String, bool)>| {
+        b.iter()
+            .filter(|(_, strict)| !strict)
+            .map(|(v, _)| v.clone())
     };
     match (lo, hi) {
-        (None, None) => out = pool(),
-        (Some((l, strict)), None) => {
-            if !strict {
-                out.push(l.clone());
-            }
-            // Extensions of `l` are strictly greater.
-            for c in ['0', 'a', 'm', 'z'] {
-                out.push(format!("{l}{c}"));
-            }
-            for i in 0..32 {
-                out.push(format!("{l}x{i}"));
-            }
-            out.extend(pool().into_iter().filter(|s| s > l));
-        }
-        (None, Some((h, strict))) => {
-            if !strict {
-                out.push(h.clone());
-            }
-            out.push(String::new()); // "" is ≤ everything
-            out.extend(pool().into_iter().filter(|s| s < h));
-            // Prefixes of h are strictly smaller.
-            let chars: Vec<char> = h.chars().collect();
-            for k in 0..chars.len() {
-                out.push(chars[..k].iter().collect());
-            }
-        }
-        (Some((l, ls)), Some((h, hs))) => {
-            if !ls {
-                out.push(l.clone());
-            }
-            if !hs {
-                out.push(h.clone());
-            }
-            // Extensions of l with successively smaller characters.
-            for c in ['0', '!', '\u{1}', 'a', 'm'] {
-                out.push(format!("{l}{c}"));
-            }
-            for i in 0..32 {
-                out.push(format!("{l}x{i}"));
-            }
-            out.extend(pool().into_iter().filter(|s| s > l && s < h));
-        }
+        (None, None) => Box::new(pool()),
+        (Some((l, _)), None) => Box::new(
+            inclusive(lo)
+                // Extensions of `l` are strictly greater.
+                .chain(
+                    ['0', 'a', 'm', 'z']
+                        .into_iter()
+                        .map(move |c| format!("{l}{c}")),
+                )
+                .chain((0..32).map(move |i| format!("{l}x{i}")))
+                .chain(pool().filter(move |s| s > l)),
+        ),
+        (None, Some((h, _))) => Box::new(
+            inclusive(hi)
+                .chain(std::iter::once(String::new())) // "" is ≤ everything
+                .chain(pool().filter(move |s| s < h))
+                // Prefixes of h are strictly smaller.
+                .chain(h.char_indices().map(move |(i, _)| h[..i].to_string())),
+        ),
+        (Some((l, _)), Some((h, _))) => Box::new(
+            inclusive(lo)
+                .chain(inclusive(hi))
+                // Extensions of l with successively smaller characters.
+                .chain(
+                    ['0', '!', '\u{1}', 'a', 'm']
+                        .into_iter()
+                        .map(move |c| format!("{l}{c}")),
+                )
+                .chain((0..32).map(move |i| format!("{l}x{i}")))
+                .chain(pool().filter(move |s| s > l && s < h)),
+        ),
     }
-    out
 }
 
 fn verify(p: &TextProblem, vals: &[String]) -> bool {
@@ -373,6 +363,92 @@ fn verify(p: &TextProblem, vals: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The eager candidate builder that [`plain_candidates`] replaced, kept
+    /// as the reference for its order.
+    fn eager_plain_candidates(
+        lo: &Option<(String, bool)>,
+        hi: &Option<(String, bool)>,
+    ) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        let pool = || {
+            let mut v: Vec<String> = Vec::new();
+            for c in 'a'..='z' {
+                v.push(c.to_string());
+            }
+            for c in 'a'..='z' {
+                v.push(format!("{c}{c}"));
+            }
+            for i in 0..64 {
+                v.push(format!("s{i}"));
+            }
+            v
+        };
+        match (lo, hi) {
+            (None, None) => out = pool(),
+            (Some((l, strict)), None) => {
+                if !strict {
+                    out.push(l.clone());
+                }
+                for c in ['0', 'a', 'm', 'z'] {
+                    out.push(format!("{l}{c}"));
+                }
+                for i in 0..32 {
+                    out.push(format!("{l}x{i}"));
+                }
+                out.extend(pool().into_iter().filter(|s| s > l));
+            }
+            (None, Some((h, strict))) => {
+                if !strict {
+                    out.push(h.clone());
+                }
+                out.push(String::new());
+                out.extend(pool().into_iter().filter(|s| s < h));
+                let chars: Vec<char> = h.chars().collect();
+                for k in 0..chars.len() {
+                    out.push(chars[..k].iter().collect());
+                }
+            }
+            (Some((l, ls)), Some((h, hs))) => {
+                if !ls {
+                    out.push(l.clone());
+                }
+                if !hs {
+                    out.push(h.clone());
+                }
+                for c in ['0', '!', '\u{1}', 'a', 'm'] {
+                    out.push(format!("{l}{c}"));
+                }
+                for i in 0..32 {
+                    out.push(format!("{l}x{i}"));
+                }
+                out.extend(pool().into_iter().filter(|s| s > l && s < h));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_candidates_keep_the_eager_order() {
+        let values = ["", "a", "m", "s7", "zz", "éñ日"];
+        let mut bounds: Vec<Option<(String, bool)>> = vec![None];
+        for v in values {
+            for strict in [false, true] {
+                bounds.push(Some((v.to_string(), strict)));
+            }
+        }
+        for lo in &bounds {
+            for hi in &bounds {
+                let lazy: Vec<String> = plain_candidates(lo, hi).collect();
+                assert_eq!(lazy, eager_plain_candidates(lo, hi), "lo={lo:?} hi={hi:?}");
+            }
+        }
+        // The no-bound pool and a multi-byte upper bound's char prefixes.
+        assert_eq!(plain_candidates(&None, &None).count(), 116);
+        let hi = Some(("éñ日".to_string(), true));
+        let tail: Vec<String> = plain_candidates(&None, &hi).skip(1 + 116).collect();
+        assert_eq!(tail, ["", "é", "éñ"]);
+    }
 
     #[test]
     fn unconstrained_classes_get_distinct_defaults() {

@@ -1,9 +1,9 @@
 //! Property tests for the solver's memoized path and its order engine: the
-//! memo must agree with the from-scratch decision procedure on random
+//! exact memo must agree with the from-scratch decision procedure on random
 //! problems, and satisfiable answers must come with verifying models.
 
 use cqi_schema::{DomainType, Value};
-use cqi_solver::{canon, Ent, Lit, NullId, Problem, SolverCache, SolverOp};
+use cqi_solver::{Ent, ExactCache, Lit, NullId, Problem, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,85 +100,24 @@ fn random_problem(seed: u64) -> Problem {
     p
 }
 
-/// Renames nulls by a rotation, producing an isomorphic problem.
-fn rotate_problem(p: &Problem, shift: usize) -> Problem {
-    let n = p.null_types.len();
-    let map = |e: &Ent| match e {
-        Ent::Null(m) => Ent::Null(NullId(((m.index() + shift) % n) as u32)),
-        c => c.clone(),
-    };
-    let map_lit = |l: &Lit| match l {
-        Lit::Cmp { lhs, op, rhs } => Lit::Cmp {
-            lhs: map(lhs),
-            op: *op,
-            rhs: map(rhs),
-        },
-        Lit::Like { negated, ent, pattern } => Lit::Like {
-            negated: *negated,
-            ent: map(ent),
-            pattern: pattern.clone(),
-        },
-    };
-    let mut types = vec![DomainType::Int; n];
-    for (i, t) in p.null_types.iter().enumerate() {
-        types[(i + shift) % n] = *t;
-    }
-    Problem {
-        null_types: types,
-        conj: p.conj.iter().map(map_lit).collect(),
-        clauses: p
-            .clauses
-            .iter()
-            .map(|c| c.iter().map(map_lit).collect())
-            .collect(),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The memo cache agrees with the from-scratch solver, on both the miss
+    /// The exact memo agrees with the from-scratch solver on both the miss
     /// and the hit path, and Sat answers verify.
     #[test]
     fn memoized_agrees_with_scratch(seed in any::<u64>()) {
         let p = random_problem(seed);
         let scratch = cqi_solver::solve(&p);
-        let mut cache = SolverCache::default();
-        let miss = cache.solve(&p);
-        let hit = cache.solve(&p);
-        prop_assert_eq!(scratch.is_sat(), miss.is_sat(), "miss path");
-        prop_assert_eq!(scratch.is_sat(), hit.is_sat(), "hit path");
-        prop_assert!(cache.stats.hits >= 1);
-        if let cqi_solver::Outcome::Sat(m) = hit {
-            prop_assert!(m.verify(&p.conj, &p.clauses), "cached model must verify");
+        let mut cache = ExactCache::new(16);
+        let miss = cache.is_sat(&p);
+        let hit = cache.is_sat(&p);
+        prop_assert_eq!(scratch.is_sat(), miss, "miss path");
+        prop_assert_eq!(scratch.is_sat(), hit, "hit path");
+        prop_assert_eq!((cache.misses, cache.hits), (1, 1));
+        if let cqi_solver::Outcome::Sat(m) = scratch {
+            prop_assert!(m.verify(&p.conj, &p.clauses), "model must verify");
         }
-    }
-
-    /// Renamed (rotated) problems agree through a shared cache, and their
-    /// remapped models verify against the renamed problem.
-    #[test]
-    fn renamed_problems_agree_through_cache(seed in any::<u64>(), shift in any::<u64>()) {
-        let p = random_problem(seed);
-        let shift = (shift as usize) % p.null_types.len().max(1);
-        let q = rotate_problem(&p, shift);
-        let mut cache = SolverCache::default();
-        let a = cache.solve(&p);
-        let b = cache.solve(&q);
-        prop_assert_eq!(a.is_sat(), cqi_solver::solve(&p).is_sat());
-        prop_assert_eq!(b.is_sat(), cqi_solver::solve(&q).is_sat());
-        prop_assert_eq!(a.is_sat(), b.is_sat(), "isomorphic problems must agree");
-        if let cqi_solver::Outcome::Sat(m) = b {
-            prop_assert!(m.verify(&q.conj, &q.clauses), "remapped model must verify");
-        }
-    }
-
-    /// Canonicalization maps renamings to one key (the memo-hit invariant).
-    #[test]
-    fn canonical_key_is_renaming_invariant(seed in any::<u64>(), shift in any::<u64>()) {
-        let p = random_problem(seed);
-        let shift = (shift as usize) % p.null_types.len().max(1);
-        let q = rotate_problem(&p, shift);
-        prop_assert_eq!(canon::canonicalize(&p).key, canon::canonicalize(&q).key);
     }
 
     /// The order solver on random systems with pins, integer classes and
