@@ -2,7 +2,7 @@
 //!
 //! Correctness tooling for the workspace, run as two blocking CI gates:
 //!
-//! - **Concurrency model checking** ([`models`], behind the
+//! - **Concurrency model checking** (`models`, behind the
 //!   `model-check` feature; `cqi-mcheck` binary): the runtime's one
 //!   hand-rolled protocol — `ResidentPool`'s ticketed injector (nested
 //!   submission, the `BatchGuard` panic path, idle wakeups) — runs under

@@ -1,4 +1,4 @@
-//! Cosette-style single counterexamples [15]: decide whether two queries
+//! Cosette-style single counterexamples \[15\]: decide whether two queries
 //! differ — and exhibit one ground witness — using only the queries and the
 //! schema (no input database). We reuse the chase with `max_results = 1`
 //! and ground the first consistent c-instance.

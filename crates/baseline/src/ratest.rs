@@ -1,4 +1,4 @@
-//! RATest-style minimal ground counterexamples [41].
+//! RATest-style minimal ground counterexamples \[41\].
 //!
 //! RATest explains why a student query is wrong by exhibiting a *small*
 //! sub-instance of a given database on which the wrong and correct queries

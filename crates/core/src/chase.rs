@@ -18,9 +18,9 @@
 //! frontier through [`cqi_runtime::drive`] on one worker context, with the
 //! `visited` check backed by a [`cqi_runtime::VisitedSet`] keyed on the
 //! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
-//! ([`WorkerCtx`]: solver memos, sub-BFS results) only affects speed. Every
+//! (`WorkerCtx`: solver memos, sub-BFS results) only affects speed. Every
 //! solver question of the chase — `IsConsistent` and each Tree-SAT leaf —
-//! goes through one worker-level path, [`WorkerCtx::decide`]: the worker's
+//! goes through one worker-level path, `WorkerCtx::decide`: the worker's
 //! exact-problem memo, then one solve. Problems are keyed in the
 //! instance's own null numbering, which is deterministic per instance, so
 //! the memo never changes an answer. The only parallel axis is across
@@ -428,7 +428,7 @@ struct CacheParams {
 /// `cqi::Session` keeps one across explain calls: repeated or similar
 /// queries over one schema hit warm caches instead of re-deriving every
 /// `IsConsistent` answer. Memos whose entries *are* sensitive to run
-/// parameters are fingerprinted by [`CacheParams`] and cleared when a
+/// parameters are fingerprinted by `CacheParams` and cleared when a
 /// reusing run differs.
 #[derive(Default)]
 pub struct ChaseCaches {

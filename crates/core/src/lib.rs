@@ -62,4 +62,4 @@ pub use session::{ExplainRequest, QueryInput, Session, SolutionStream};
 pub use solution::{AcceptedInstance, CSolution, Interrupted, SatInstance};
 pub use treesat::tree_sat;
 pub use testgen::{generate_selective_instance, generate_test_matrix};
-pub use variants::{run_variant, run_variant_observed};
+pub use variants::run_variant;

@@ -65,7 +65,7 @@ use cqi_sql::sql_to_drc;
 use crate::chase::ChaseCaches;
 use crate::config::{CancelToken, ChaseConfig, Variant};
 use crate::solution::{AcceptedInstance, CSolution};
-use crate::variants::{run_variant_batch, run_variant_observed};
+use crate::variants::run_variant_observed;
 
 /// A query in any of the supported front-ends. `Drc`/`Sql` sources are
 /// compiled against the session's schema; a pre-parsed [`SyntaxTree`]
@@ -337,9 +337,8 @@ impl Session {
                 let mut bundle = checkout(&caches);
                 // A failed send means the consumer dropped the stream:
                 // halt the drive instead of exploring for nobody.
-                let sol = run_variant_observed(&tree, variant, &cfg, &mut bundle, &mut |acc| {
-                    tx.send(acc).is_ok()
-                });
+                let mut send = |acc| tx.send(acc).is_ok();
+                let sol = run_variant_observed(&tree, variant, &cfg, &mut bundle, Some(&mut send));
                 checkin(&caches, bundle);
                 sol
             })
@@ -364,15 +363,19 @@ impl Session {
         let compiled = self.compile(req.input)?;
         let cfg = self.effective_cfg(&req);
         let mut caches = self.checkout_caches();
-        let sol = run_variant_observed(compiled.as_ref(), req.variant, &cfg, &mut caches, observer);
+        let sol = run_variant_observed(
+            compiled.as_ref(),
+            req.variant,
+            &cfg,
+            &mut caches,
+            Some(observer),
+        );
         self.checkin_caches(caches);
         Ok(sol)
     }
 
     /// Batch explain: the drop-in replacement for
     /// [`run_variant`](crate::run_variant), with session cache reuse.
-    /// Skips the per-acceptance streaming machinery entirely (no instance
-    /// clones — the original `run_variant` cost profile).
     pub fn explain_collect(&self, req: ExplainRequest<'_>) -> Result<CSolution, QueryError> {
         if req.deepening.is_some() {
             return self.explain_deepening(req).map(|(sol, _)| sol);
@@ -380,7 +383,7 @@ impl Session {
         let compiled = self.compile(req.input)?;
         let cfg = self.effective_cfg(&req);
         let mut caches = self.checkout_caches();
-        let sol = run_variant_batch(compiled.as_ref(), req.variant, &cfg, &mut caches);
+        let sol = run_variant_observed(compiled.as_ref(), req.variant, &cfg, &mut caches, None);
         self.checkin_caches(caches);
         Ok(sol)
     }
@@ -410,7 +413,7 @@ impl Session {
             let mut cfg = base.clone();
             cfg.limit = limit;
             cfg.timeout = Some(budget.saturating_sub(start.elapsed()));
-            let sol = run_variant_batch(compiled.as_ref(), req.variant, &cfg, &mut caches);
+            let sol = run_variant_observed(compiled.as_ref(), req.variant, &cfg, &mut caches, None);
             let finished = sol.interrupted.is_none();
             if best
                 .as_ref()

@@ -30,41 +30,19 @@ pub fn run_variant(tree: &SyntaxTree, variant: Variant, cfg: &ChaseConfig) -> CS
         .expect("pre-parsed trees compile unconditionally")
 }
 
-/// The engine behind [`Session::explain`] and [`run_variant`]: runs one
-/// variant, calling `observer` with every accepted instance — already
-/// validated against the *original* tree and annotated with coverage — in
-/// the deterministic accepted order, as the drive produces it (per step
-/// within one root, per job batch under root fan-out). `observer` returning `false` halts the drive; the
-/// instances streamed so far still make up the returned solution, flagged
-/// [`Interrupted::Cancelled`].
-pub fn run_variant_observed(
+/// The engine behind every [`Session`] explain call: runs one variant,
+/// calling `observer` (when there is one) with every accepted instance —
+/// already validated against the *original* tree and annotated with
+/// coverage — in the deterministic accepted order, as the drive produces it
+/// (per step within one root, per job batch under root fan-out). `observer`
+/// returning `false` halts the drive; the instances accepted so far still
+/// make up the returned solution, flagged [`Interrupted::Cancelled`].
+pub(crate) fn run_variant_observed(
     tree: &SyntaxTree,
     variant: Variant,
     cfg: &ChaseConfig,
     caches: &mut ChaseCaches,
-    observer: &mut dyn FnMut(AcceptedInstance) -> bool,
-) -> CSolution {
-    run_variant_inner(tree, variant, cfg, caches, Some(observer))
-}
-
-/// Batch form of [`run_variant_observed`]: no per-acceptance callback, so
-/// the validated instances are taken at drive end by *moving* the accepted
-/// log (no instance clones — the original `run_variant` cost profile).
-pub(crate) fn run_variant_batch(
-    tree: &SyntaxTree,
-    variant: Variant,
-    cfg: &ChaseConfig,
-    caches: &mut ChaseCaches,
-) -> CSolution {
-    run_variant_inner(tree, variant, cfg, caches, None)
-}
-
-fn run_variant_inner(
-    tree: &SyntaxTree,
-    variant: Variant,
-    cfg: &ChaseConfig,
-    caches: &mut ChaseCaches,
-    observer: Option<&mut dyn FnMut(AcceptedInstance) -> bool>,
+    mut observer: Option<&mut dyn FnMut(AcceptedInstance) -> bool>,
 ) -> CSolution {
     let q = tree.query();
     let universal_fresh = variant.universal_fresh_nulls();
@@ -77,43 +55,31 @@ fn run_variant_inner(
     let explain_span = cqi_obs::trace::span("explain", "request");
     let mut chase = Chase::new_reusing(q, cfg, universal_fresh, caches);
 
-    let (entries, raw_accepted) = match observer {
-        Some(observer) => {
-            // Streaming: each validated instance goes to the consumer at
-            // acceptance time, while the search is still running; the
-            // batch result is unchanged.
-            let mut entries: Vec<(CInstance, Coverage, Duration)> = Vec::new();
-            let mut emit = |inst: &CInstance, coverage: Option<&Coverage>, t: Duration| {
-                let Some(coverage) = coverage else {
-                    return true;
-                };
-                let acc = AcceptedInstance {
-                    ordinal: entries.len(),
-                    inst: inst.clone(),
-                    coverage: coverage.clone(),
-                    accepted_at: t,
-                };
-                entries.push((inst.clone(), coverage.clone(), t));
-                observer(acc)
-            };
-            drive_phases(&mut chase, tree, variant, &mut emit);
-            let raw = chase.accepted.len();
-            (entries, raw)
-        }
-        None => {
-            // Batch: drive with a no-op observer, then keep the validated
-            // instances by moving the accepted log (zero clones on the hot
-            // benchmark path).
-            drive_phases(&mut chase, tree, variant, &mut |_, _, _| true);
-            let accepted = std::mem::take(&mut chase.accepted);
-            let raw = accepted.len();
-            let entries = accepted
-                .into_iter()
-                .filter_map(|(inst, coverage, t)| Some((inst, coverage?, t)))
-                .collect();
-            (entries, raw)
-        }
-    };
+    // Streaming: each validated instance goes to the consumer at
+    // acceptance time, while the search is still running, as its own
+    // (cheap, storage-sharing) clone.
+    let mut ordinal = 0;
+    drive_phases(&mut chase, tree, variant, &mut |inst, coverage, t| {
+        let (Some(observer), Some(coverage)) = (observer.as_mut(), coverage) else {
+            return true;
+        };
+        let acc = AcceptedInstance {
+            ordinal,
+            inst: inst.clone(),
+            coverage: coverage.clone(),
+            accepted_at: t,
+        };
+        ordinal += 1;
+        observer(acc)
+    });
+    // The solution keeps the validated instances of the accepted log, in
+    // log order: the same instances the observer saw.
+    let accepted = std::mem::take(&mut chase.accepted);
+    let raw_accepted = accepted.len();
+    let entries = accepted
+        .into_iter()
+        .filter_map(|(inst, coverage, t)| Some((inst, coverage?, t)))
+        .collect();
 
     let interrupted = if chase.cancelled || chase.halted {
         Some(Interrupted::Cancelled)

@@ -21,7 +21,7 @@ fn var_range(q: &Query, db: &GroundInstance, v: VarId) -> Vec<Value> {
     out.into_iter().collect()
 }
 
-/// Public view of [`var_range`] for the coverage computation.
+/// Public view of `var_range` for the coverage computation.
 pub fn var_range_pub(q: &Query, db: &GroundInstance, v: VarId) -> Vec<Value> {
     var_range(q, db, v)
 }

@@ -77,22 +77,34 @@ impl DigestChains {
 /// A conditional instance: one v-table per relation plus the global
 /// condition, plus bookkeeping the chase needs (null registry and per-domain
 /// entity pools).
+///
+/// The four heap parts (`tables`, `global`, `nulls` and the domain pools)
+/// sit behind [`Arc`], so a clone costs a few reference counts rather than
+/// a deep copy. Each mutator copies only the part it changes, and only
+/// while another instance still shares it (`Arc::make_mut`): a child the
+/// chase derives from its parent by adding a tuple copies the tables, the
+/// pools only if a new entity joins one, the null registry only if FK
+/// repair pads a row, and never the global condition. Memoized, revisited
+/// and returned instances therefore share storage with the instances they
+/// were cloned from.
 #[derive(Clone, Debug)]
 pub struct CInstance {
     pub schema: Arc<Schema>,
     /// `tables[rel][row][col]`; rows are deduplicated, insertion-ordered.
-    pub tables: Vec<Vec<Vec<Ent>>>,
+    pub tables: Arc<Vec<Vec<Vec<Ent>>>>,
     /// Conjunction of atomic conditions.
-    pub global: Vec<Cond>,
-    pub nulls: Vec<NullInfo>,
+    pub global: Arc<Vec<Cond>>,
+    pub nulls: Arc<Vec<NullInfo>>,
     /// `domains[d]` — the entities "in the domain" of `d`, i.e. the pool a
     /// quantified variable of that domain may be mapped to (Algorithm 5/6).
     /// Don't-care nulls are excluded.
-    domains: Vec<Vec<Ent>>,
+    domains: Arc<Vec<Vec<Ent>>>,
     /// Incremental digest state; see [`DigestChains`]. The chains only see
     /// mutations made through the methods of this type — the pub fields are
     /// read openly across the workspace but written nowhere else, and the
     /// debug cross-check in `iso::exact_digest` enforces that discipline.
+    /// (`Arc::make_mut` is callable from outside, so the `Arc` alone does
+    /// not keep other code from writing them.)
     chains: DigestChains,
     /// Combined exact digest, filled lazily by `iso::exact_digest` and
     /// cleared by every digest-affecting mutation. Cloning an instance
@@ -108,10 +120,10 @@ impl CInstance {
         let ndom = schema.num_domains();
         CInstance {
             schema,
-            tables: vec![Vec::new(); nrel],
-            global: Vec::new(),
-            nulls: Vec::new(),
-            domains: vec![Vec::new(); ndom],
+            tables: Arc::new(vec![Vec::new(); nrel]),
+            global: Arc::new(Vec::new()),
+            nulls: Arc::new(Vec::new()),
+            domains: Arc::new(vec![Vec::new(); ndom]),
             chains: DigestChains::new(nrel),
             digest_memo: OnceLock::new(),
             sig_memo: OnceLock::new(),
@@ -158,13 +170,13 @@ impl CInstance {
             name.push('\'');
         }
         let id = NullId(self.nulls.len() as u32);
-        self.nulls.push(NullInfo {
+        Arc::make_mut(&mut self.nulls).push(NullInfo {
             name,
             domain: d,
             ty: self.schema.domain_type(d),
             dont_care: false,
         });
-        self.domains[d.index()].push(Ent::Null(id));
+        Arc::make_mut(&mut self.domains)[d.index()].push(Ent::Null(id));
         self.invalidate_caches();
         id
     }
@@ -172,7 +184,7 @@ impl CInstance {
     /// Creates a don't-care null (rendered `∗`, excluded from pools).
     pub fn fresh_dont_care(&mut self, d: DomainId) -> NullId {
         let id = NullId(self.nulls.len() as u32);
-        self.nulls.push(NullInfo {
+        Arc::make_mut(&mut self.nulls).push(NullInfo {
             name: "*".to_owned(),
             domain: d,
             ty: self.schema.domain_type(d),
@@ -191,9 +203,8 @@ impl CInstance {
     /// mentioned by the query participate in quantifier iteration).
     pub fn add_const_to_domain(&mut self, d: DomainId, v: Value) {
         let e = Ent::Const(v);
-        let pool = &mut self.domains[d.index()];
-        if !pool.contains(&e) {
-            pool.push(e);
+        if !self.domains[d.index()].contains(&e) {
+            Arc::make_mut(&mut self.domains)[d.index()].push(e);
         }
     }
 
@@ -217,13 +228,12 @@ impl CInstance {
                 continue;
             }
             let d = self.schema.attr_domain(rel, col);
-            let pool = &mut self.domains[d.index()];
-            if !pool.contains(cell) {
-                pool.push(cell.clone());
+            if !self.domains[d.index()].contains(cell) {
+                Arc::make_mut(&mut self.domains)[d.index()].push(cell.clone());
             }
         }
         self.chains.rels[rel.index()] = chain_hash(self.chains.rels[rel.index()], &tuple);
-        self.tables[rel.index()].push(tuple.clone());
+        Arc::make_mut(&mut self.tables)[rel.index()].push(tuple.clone());
         self.invalidate_caches();
         self.repair_foreign_keys(rel, &tuple);
         true
@@ -288,7 +298,7 @@ impl CInstance {
             return false;
         }
         self.chains.conds = chain_hash(self.chains.conds, &cond);
-        self.global.push(cond);
+        Arc::make_mut(&mut self.global).push(cond);
         self.invalidate_caches();
         true
     }
@@ -497,5 +507,145 @@ mod tests {
         let p2 = inst.fresh_null("p2", pd);
         inst.add_cond(Cond::Lit(Lit::cmp(p1, SolverOp::Gt, p2)));
         assert_eq!(inst.size(), 1);
+    }
+
+    /// A source for the copy-on-write tests: a `Serves` row whose FK repair
+    /// pads a `Bar` and a `Beer` row, a `NotIn` condition, and a constant
+    /// in the price pool.
+    fn cow_source(s: &Arc<Schema>) -> CInstance {
+        let serves = s.rel_id("Serves").unwrap();
+        let likes = s.rel_id("Likes").unwrap();
+        let mut inst = CInstance::new(Arc::clone(s));
+        let x1 = inst.fresh_null("x1", s.attr_domain(serves, 0));
+        let b1 = inst.fresh_null("b1", s.attr_domain(serves, 1));
+        let p1 = inst.fresh_null("p1", s.attr_domain(serves, 2));
+        let d1 = inst.fresh_null("d1", s.attr_domain(likes, 0));
+        inst.add_tuple(serves, vec![x1.into(), b1.into(), p1.into()]);
+        inst.add_cond(Cond::NotIn {
+            rel: likes,
+            tuple: vec![d1.into(), b1.into()],
+        });
+        inst.add_const_to_domain(s.attr_domain(serves, 2), Value::real(2.5));
+        inst
+    }
+
+    type Step = Box<dyn Fn(&mut CInstance)>;
+
+    /// The five mutators, in the order the isolation test applies them.
+    /// Null ids are those `cow_source` hands out: x1, b1, p1, d1 = 0..4.
+    fn cow_steps(s: &Arc<Schema>) -> Vec<Step> {
+        let serves = s.rel_id("Serves").unwrap();
+        let likes = s.rel_id("Likes").unwrap();
+        let bar = s.rel_id("Bar").unwrap();
+        let pd = s.attr_domain(serves, 2);
+        let bar_addr = s.attr_domain(bar, 1);
+        let (b1, p1, d1) = (NullId(1), NullId(2), NullId(3));
+        vec![
+            Box::new(move |i: &mut CInstance| {
+                i.fresh_null("p1", pd);
+            }),
+            Box::new(move |i: &mut CInstance| {
+                i.fresh_dont_care(bar_addr);
+            }),
+            Box::new(move |i: &mut CInstance| i.add_const_to_domain(pd, Value::real(3.0))),
+            Box::new(move |i: &mut CInstance| {
+                // Pads a `Drinker` row for d1.
+                i.add_tuple(likes, vec![d1.into(), b1.into()]);
+            }),
+            Box::new(move |i: &mut CInstance| {
+                i.add_cond(Cond::Lit(Lit::cmp(p1, SolverOp::Gt, Value::real(2.5))));
+            }),
+        ]
+    }
+
+    /// Which of the four shared parts two instances still share:
+    /// `[tables, global, nulls, pools]`.
+    fn shared(a: &CInstance, b: &CInstance) -> [bool; 4] {
+        [
+            Arc::ptr_eq(&a.tables, &b.tables),
+            Arc::ptr_eq(&a.global, &b.global),
+            Arc::ptr_eq(&a.nulls, &b.nulls),
+            Arc::ptr_eq(&a.domains, &b.domains),
+        ]
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_source_untouched() {
+        let s = beers_schema();
+        let render = |i: &CInstance| (crate::exact_digest(i), crate::signature(i), i.to_string());
+        let contents = |i: &CInstance| {
+            let parts = (
+                (*i.tables).clone(),
+                (*i.global).clone(),
+                (*i.nulls).clone(),
+                (*i.domains).clone(),
+            );
+            (parts, render(i))
+        };
+        let src = cow_source(&s);
+        let before = contents(&src);
+        let steps = cow_steps(&s);
+        let mut copy = src.clone();
+        for (i, step) in steps.iter().enumerate() {
+            step(&mut copy);
+            assert_eq!(contents(&src), before, "step {i} changed the source");
+            let mut scratch = cow_source(&s);
+            steps[..=i].iter().for_each(|st| st(&mut scratch));
+            assert_eq!(render(&copy), render(&scratch), "step {i}");
+        }
+    }
+
+    #[test]
+    fn mutators_unshare_only_the_part_they_change() {
+        let s = beers_schema();
+        let serves = s.rel_id("Serves").unwrap();
+        let likes = s.rel_id("Likes").unwrap();
+        let pd = s.attr_domain(serves, 2);
+        let (x1, b1, p1, d1) = (NullId(0), NullId(1), NullId(2), NullId(3));
+        let src = cow_source(&s);
+        assert_eq!(shared(&src, &src.clone()), [true; 4]);
+
+        let mut c = src.clone();
+        c.add_cond(Cond::Lit(Lit::cmp(p1, SolverOp::Gt, Value::real(2.5))));
+        assert_eq!(shared(&src, &c), [true, false, true, true]);
+        // A duplicate condition copies nothing.
+        let mut c = src.clone();
+        assert!(!c.add_cond(Cond::NotIn {
+            rel: likes,
+            tuple: vec![d1.into(), b1.into()]
+        }));
+        assert_eq!(shared(&src, &c), [true; 4]);
+
+        let mut c = src.clone();
+        c.fresh_null("p2", pd);
+        assert_eq!(shared(&src, &c), [true, true, false, false]);
+        let mut c = src.clone();
+        c.fresh_dont_care(pd);
+        assert_eq!(shared(&src, &c), [true, true, false, true]);
+
+        // The constant is already pooled.
+        let mut c = src.clone();
+        c.add_const_to_domain(pd, Value::real(2.5));
+        assert_eq!(shared(&src, &c), [true; 4]);
+        c.add_const_to_domain(pd, Value::real(4.0));
+        assert_eq!(shared(&src, &c), [true, true, true, false]);
+
+        // Every entity already pooled, both FK parents present: only the
+        // tables are copied.
+        let mut c = src.clone();
+        assert!(c.add_tuple(serves, vec![x1.into(), b1.into(), Value::real(2.5).into()]));
+        assert_eq!(shared(&src, &c), [false, true, true, true]);
+        // A new entity joins the price pool.
+        let mut c = src.clone();
+        assert!(c.add_tuple(serves, vec![x1.into(), b1.into(), Value::real(9.0).into()]));
+        assert_eq!(shared(&src, &c), [false, true, true, false]);
+        // FK repair pads a `Drinker` row with a fresh don't-care null.
+        let mut c = src.clone();
+        assert!(c.add_tuple(likes, vec![d1.into(), b1.into()]));
+        assert_eq!(shared(&src, &c), [false, true, false, true]);
+        // A duplicate row copies nothing.
+        let mut c = src.clone();
+        assert!(!c.add_tuple(serves, vec![x1.into(), b1.into(), p1.into()]));
+        assert_eq!(shared(&src, &c), [true; 4]);
     }
 }

@@ -16,7 +16,7 @@ use crate::cinstance::{CInstance, Cond};
 /// Builds the satisfiability problem for `inst`'s possible worlds.
 pub fn to_problem(inst: &CInstance, enforce_keys: bool) -> Problem {
     let mut p = Problem::new(inst.null_types());
-    for cond in &inst.global {
+    for cond in inst.global.iter() {
         match cond {
             Cond::Lit(l) => p.assert(l.clone()),
             Cond::NotIn { rel, tuple } => {

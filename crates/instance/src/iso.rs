@@ -46,7 +46,7 @@ fn null_colors(inst: &CInstance) -> Vec<u64> {
                 }
             }
         }
-        for cond in &inst.global {
+        for cond in inst.global.iter() {
             match cond {
                 Cond::Lit(Lit::Cmp { lhs, op, rhs }) => {
                     if let Ent::Null(m) = lhs {
@@ -284,7 +284,7 @@ fn check_mapping(a: &CInstance, b: &CInstance, map: &[Option<NullId>]) -> bool {
             },
         })
         .collect();
-    let mut target = b.global.clone();
+    let mut target = b.global.to_vec();
     let key = |c: &Cond| format!("{c:?}");
     mapped.sort_by_key(key);
     target.sort_by_key(key);

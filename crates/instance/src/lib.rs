@@ -6,7 +6,11 @@
 //!   relation whose cells hold labeled nulls or constants, plus a *global
 //!   condition* (a conjunction of atomic conditions, including negated
 //!   relational atoms), plus per-domain pools of entities that drive the
-//!   chase's quantifier handling.
+//!   chase's quantifier handling. Its four heap parts are shared
+//!   copy-on-write: a clone costs a few reference counts, and each mutator
+//!   copies only the part it changes, and only while that part is shared.
+//!   The chase memoizes, revisits and returns many clones of each instance
+//!   and extends only a few of them.
 //! * [`GroundInstance`] — ordinary finite instances with constant tuples.
 //! * Consistency (`PWD(I) ≠ ∅`, Definition 5) by reduction to
 //!   [`cqi_solver`], including the clause expansion of negated relational

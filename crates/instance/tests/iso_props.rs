@@ -9,7 +9,7 @@ use cqi_instance::{
     CInstance, Cond,
 };
 use cqi_schema::{DomainType, Schema, Value};
-use cqi_solver::{Lit, NullId, SolverOp};
+use cqi_solver::{Ent, Lit, NullId, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
@@ -138,7 +138,7 @@ proptest! {
                 prop_assert!(ground_instance(&inst, true).is_none());
             }
             Some(model) => {
-                for cond in &inst.global {
+                for cond in inst.global.iter() {
                     if let Cond::Lit(l) = cond {
                         prop_assert_eq!(model.eval_lit(l), Some(true), "{:?}", l);
                     }
@@ -147,6 +147,49 @@ proptest! {
                 prop_assert!(g.num_tuples() <= inst.num_tuples(), "worlds may merge, not grow");
             }
         }
+    }
+
+    /// Clones share storage copy-on-write: running every mutator on a clone
+    /// never changes the source's digest or signature, nor whether the
+    /// source is isomorphic to a fresh build.
+    #[test]
+    fn mutating_a_clone_leaves_the_source_alone(
+        seed in any::<u64>(),
+        s1 in any::<u64>(),
+        s2 in any::<u64>(),
+    ) {
+        let a = build(seed, s1);
+        let fresh = build(seed, s2);
+        let (digest, sig, iso) = (exact_digest(&a), signature(&a), is_isomorphic(&a, &fresh));
+        let likes = a.schema.rel_id("Likes").unwrap();
+        let serves = a.schema.rel_id("Serves").unwrap();
+        let (bd, pd) = (a.schema.attr_domain(serves, 0), a.schema.attr_domain(serves, 2));
+        let beer = a.tables[likes.index()][0][1].clone();
+        // The id the first step's fresh null gets.
+        let bar = Ent::Null(NullId(a.num_nulls() as u32));
+        let mut b = a.clone();
+        let steps: [&dyn Fn(&mut CInstance); 5] = [
+            &|i| {
+                i.fresh_null("n0", bd);
+            },
+            &|i| {
+                i.fresh_dont_care(pd);
+            },
+            &|i| i.add_const_to_domain(pd, Value::real(7.0)),
+            &|i| {
+                i.add_tuple(serves, vec![bar.clone(), beer.clone(), Value::real(7.0).into()]);
+            },
+            &|i| {
+                i.add_cond(Cond::Lit(Lit::cmp(beer.clone(), SolverOp::Ne, Value::str("x"))));
+            },
+        ];
+        for step in steps {
+            step(&mut b);
+            prop_assert_eq!(exact_digest(&a), digest);
+            prop_assert_eq!(signature(&a), sig);
+            prop_assert_eq!(is_isomorphic(&a, &fresh), iso);
+        }
+        prop_assert!(!is_isomorphic(&a, &b));
     }
 
     /// The exact digest is stable (pure function of the instance).

@@ -17,7 +17,7 @@
 //! | [`datasets`] | `cqi-datasets` | Beers + TPC-H schemas and workloads |
 //! | [`baseline`] | `cqi-baseline` | RATest/Cosette-style baselines |
 //! | [`sql`] | `cqi-sql` | SQL→DRC front-end |
-//! | [`bench`] | `cqi-bench` | experiment harness (`reproduce` binary) |
+//! | [`bench`](mod@bench) | `cqi-bench` | experiment harness (`reproduce` binary) |
 //! | [`fuzz`] | `cqi-fuzz` | differential fuzzing campaign (`cqi-fuzz` binary) |
 //!
 //! The repo-level integration tests (`tests/`) and runnable examples

@@ -187,7 +187,7 @@ mod chase_soundness {
     use std::time::Duration;
 
     use cqi_core::cover::coverage_of_cinstance_keys;
-    use cqi_core::{run_variant, ChaseConfig, ExplainRequest, Session, Variant};
+    use cqi_core::{run_variant, CSolution, ChaseConfig, ExplainRequest, Session, Variant};
     use cqi_datasets::{beers_queries, beers_schema};
     use cqi_drc::SyntaxTree;
     use cqi_fuzz::check_solution;
@@ -242,20 +242,36 @@ mod chase_soundness {
     /// The chase validates and covers each accepted instance once, on the
     /// worker that accepted it, through that worker's solver memo. Every
     /// instance a run streams or returns, batch and streaming paths alike,
-    /// must carry exactly the coverage a cold recomputation gives.
+    /// must carry exactly the coverage a cold recomputation gives. The
+    /// warm session's memos share storage with the instances they return,
+    /// so its batch answers must also equal a fresh session's, instance by
+    /// instance.
     #[test]
     fn carried_coverage_matches_cold_recomputation() {
-        let session = Session::new(beers_schema()).config(
-            ChaseConfig::with_limit(6)
-                .enforce_keys(true)
-                .timeout(Duration::from_secs(10)),
-        );
+        let cfg = ChaseConfig::with_limit(6)
+            .enforce_keys(true)
+            .timeout(Duration::from_secs(10));
+        let session = Session::new(beers_schema()).config(cfg.clone());
+        let rendered = |sol: &CSolution| {
+            let instances: Vec<_> = sol
+                .instances
+                .iter()
+                .map(|si| (si.inst.to_string(), si.coverage.clone()))
+                .collect();
+            (instances, sol.raw_accepted)
+        };
         for dq in beers_queries() {
             let tree = SyntaxTree::new(dq.query.clone());
             let cold = |inst: &_| coverage_of_cinstance_keys(&dq.query, inst, true);
             for variant in Variant::ALL {
                 let req = || ExplainRequest::tree(&tree).variant(variant);
                 let batch = session.explain_collect(req()).unwrap();
+                assert_eq!(
+                    rendered(&batch),
+                    rendered(&run_variant(&tree, variant, &cfg)),
+                    "{} [{variant}] warm session against a fresh one",
+                    dq.name
+                );
                 let mut streamed = 0;
                 let stream = session
                     .explain_with(req(), &mut |acc| {
