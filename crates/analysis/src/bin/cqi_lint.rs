@@ -58,10 +58,7 @@ fn run() -> i32 {
     for f in &findings {
         println!("{f}");
     }
-    println!(
-        "cqi-lint: {} findings across {files} files",
-        findings.len()
-    );
+    println!("cqi-lint: {} findings across {files} files", findings.len());
 
     if let Some(path) = report_path {
         let section = json_obj([

@@ -80,10 +80,7 @@ fn run() -> i32 {
                                 Some(v) => json_obj([
                                     ("kind", json_str(&v.kind)),
                                     ("message", json_str(&v.message)),
-                                    (
-                                        "schedule",
-                                        json_arr(v.schedule.iter().map(|s| json_str(s))),
-                                    ),
+                                    ("schedule", json_arr(v.schedule.iter().map(|s| json_str(s)))),
                                 ]),
                             },
                         ),

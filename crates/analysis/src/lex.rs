@@ -218,7 +218,12 @@ fn mask_string(chars: &[char], mut i: usize, code: &mut String, line: &mut usize
 
 /// Masks a prefixed/raw string starting at its first prefix char; returns
 /// the index after the closing delimiter.
-fn mask_prefixed_string(chars: &[char], mut i: usize, code: &mut String, line: &mut usize) -> usize {
+fn mask_prefixed_string(
+    chars: &[char],
+    mut i: usize,
+    code: &mut String,
+    line: &mut usize,
+) -> usize {
     let mut raw = false;
     while i < chars.len() && matches!(chars[i], 'r' | 'b' | 'c') {
         raw |= chars[i] == 'r';

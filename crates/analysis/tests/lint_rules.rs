@@ -17,7 +17,11 @@ fn rules(findings: &[cqi_analysis::lint::Finding]) -> Vec<&'static str> {
 fn unsafe_without_safety_fires_both_unsafe_rules() {
     let src = include_str!("fixtures/unsafe_bad.rs");
     let out = lint_source(LIB, src, &LintConfig::strict());
-    assert_eq!(rules(&out), ["unsafe-allowlist", "unsafe-safety"], "{out:?}");
+    assert_eq!(
+        rules(&out),
+        ["unsafe-allowlist", "unsafe-safety"],
+        "{out:?}"
+    );
     assert!(out.iter().all(|f| f.line == 6), "{out:?}");
 }
 

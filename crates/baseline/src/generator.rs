@@ -98,8 +98,7 @@ pub fn generate_database_with_stats(
                 // Foreign-key columns: sample a parent row.
                 let mut fk_ok = true;
                 for fk in &fks {
-                    let parents: Vec<Vec<Value>> =
-                        db.rows(fk.parent).cloned().collect();
+                    let parents: Vec<Vec<Value>> = db.rows(fk.parent).cloned().collect();
                     if parents.is_empty() {
                         fk_ok = false;
                         break;
@@ -130,8 +129,7 @@ pub fn generate_database_with_stats(
                 // different payload.
                 let collides = schema.keys_of(rel).any(|key| {
                     db.rows(rel).any(|existing| {
-                        key.attrs.iter().all(|k| existing[*k] == tuple[*k])
-                            && existing != &tuple
+                        key.attrs.iter().all(|k| existing[*k] == tuple[*k]) && existing != &tuple
                     })
                 });
                 if collides {
@@ -217,8 +215,14 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -276,7 +280,11 @@ mod tests {
             assert_eq!(stats.per_relation.len(), s.relations().len());
             // Every requested row is classified exactly once.
             for tally in &stats.per_relation {
-                assert_eq!(tally.inserted + tally.duplicates + tally.abandoned, 10, "seed {seed}");
+                assert_eq!(
+                    tally.inserted + tally.duplicates + tally.abandoned,
+                    10,
+                    "seed {seed}"
+                );
             }
             // The reported size is the true size.
             assert_eq!(stats.inserted(), db.num_tuples(), "seed {seed}");

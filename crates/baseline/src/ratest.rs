@@ -114,8 +114,14 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[

@@ -21,17 +21,18 @@ fn bench_variants(c: &mut Criterion) {
     for name in subset {
         let dq = queries.iter().find(|q| q.name == name).unwrap();
         let tree = SyntaxTree::new(dq.query.clone());
-        for v in [Variant::DisjEO, Variant::DisjAdd, Variant::ConjEO, Variant::ConjAdd] {
-            g.bench_with_input(
-                BenchmarkId::new(v.name(), name),
-                &tree,
-                |b, tree| {
-                    let cfg = ChaseConfig::with_limit(8)
-                        .enforce_keys(true)
-                        .timeout(Duration::from_secs(10));
-                    b.iter(|| black_box(run_variant(black_box(tree), v, &cfg)));
-                },
-            );
+        for v in [
+            Variant::DisjEO,
+            Variant::DisjAdd,
+            Variant::ConjEO,
+            Variant::ConjAdd,
+        ] {
+            g.bench_with_input(BenchmarkId::new(v.name(), name), &tree, |b, tree| {
+                let cfg = ChaseConfig::with_limit(8)
+                    .enforce_keys(true)
+                    .timeout(Duration::from_secs(10));
+                b.iter(|| black_box(run_variant(black_box(tree), v, &cfg)));
+            });
         }
     }
     g.finish();
@@ -81,5 +82,10 @@ fn bench_cache_knobs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_variants, bench_running_example, bench_cache_knobs);
+criterion_group!(
+    benches,
+    bench_variants,
+    bench_running_example,
+    bench_cache_knobs
+);
 criterion_main!(benches);

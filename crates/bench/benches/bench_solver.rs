@@ -89,8 +89,12 @@ fn bench_i0_consistency(c: &mut Criterion) {
     let dd = s.attr_domain(likes, 0);
     let d1 = inst.fresh_null("d1", dd);
     let b1 = inst.fresh_null("b1", ed);
-    let xs: Vec<_> = (0..3).map(|i| inst.fresh_null(format!("x{i}"), bd)).collect();
-    let ps: Vec<_> = (0..3).map(|i| inst.fresh_null(format!("p{i}"), pd)).collect();
+    let xs: Vec<_> = (0..3)
+        .map(|i| inst.fresh_null(format!("x{i}"), bd))
+        .collect();
+    let ps: Vec<_> = (0..3)
+        .map(|i| inst.fresh_null(format!("p{i}"), pd))
+        .collect();
     for (x, p) in xs.iter().zip(&ps) {
         inst.add_tuple(serves, vec![(*x).into(), b1.into(), (*p).into()]);
     }

@@ -167,7 +167,10 @@ fn main() -> ExitCode {
     let mut compared = 0usize;
     for b in &baseline {
         let Some(f) = fresh.iter().find(|f| f.id == b.id) else {
-            println!("  [gone]   {} (baseline {:.1} ns, not in fresh run)", b.id, b.mean_ns);
+            println!(
+                "  [gone]   {} (baseline {:.1} ns, not in fresh run)",
+                b.id, b.mean_ns
+            );
             continue;
         };
         let ratio = f.mean_ns / b.mean_ns;
@@ -257,9 +260,27 @@ mod tests {
         let run2 = parse_rows(r#"[{"id": "a", "mean_ns": 7}, {"id": "c", "mean_ns": 3}]"#);
         let merged = min_merge(vec![run1, run2]);
         assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0], Row { id: "a".into(), mean_ns: 7.0 });
-        assert_eq!(merged[1], Row { id: "b".into(), mean_ns: 5.0 });
-        assert_eq!(merged[2], Row { id: "c".into(), mean_ns: 3.0 });
+        assert_eq!(
+            merged[0],
+            Row {
+                id: "a".into(),
+                mean_ns: 7.0
+            }
+        );
+        assert_eq!(
+            merged[1],
+            Row {
+                id: "b".into(),
+                mean_ns: 5.0
+            }
+        );
+        assert_eq!(
+            merged[2],
+            Row {
+                id: "c".into(),
+                mean_ns: 3.0
+            }
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 
 use cqi_bench::casestudy::print_case_study;
 use cqi_bench::harness::{
-    self, coverage_series, joint_coverage_size_series, print_series, run_workload,
-    runtime_series, time_to_first_series, RunRecord, SeriesSink, XMeasure,
+    self, coverage_series, joint_coverage_size_series, print_series, run_workload, runtime_series,
+    time_to_first_series, RunRecord, SeriesSink, XMeasure,
 };
 use cqi_bench::userstudy::print_user_study;
 use cqi_core::{cq_neg_universal_solution, ChaseConfig, ExplainRequest, Session, Variant};
@@ -82,9 +82,7 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--trace-out" => {
                 i += 1;
-                o.trace_out = Some(
-                    args.get(i).expect("--trace-out takes a file path").into(),
-                );
+                o.trace_out = Some(args.get(i).expect("--trace-out takes a file path").into());
             }
             other => panic!("unknown option `{other}`"),
         }
@@ -112,7 +110,12 @@ fn emit_series(
 /// Per-variant time-to-first summary over one workload (§5.1: the metric
 /// the streaming `Session` API surfaces live), printed and mirrored into
 /// `figures.json`.
-fn emit_time_to_first_summary(o: &mut Opts, label: &str, variants: &[Variant], records: &[RunRecord]) {
+fn emit_time_to_first_summary(
+    o: &mut Opts,
+    label: &str,
+    variants: &[Variant],
+    records: &[RunRecord],
+) {
     println!("\n== {label}: time to first instance (s) ==");
     let mut rows: Vec<Vec<String>> = Vec::new();
     for v in variants {
@@ -162,12 +165,12 @@ fn emit_run_config(o: &mut Opts, cmd: &str) {
         vec!["command".to_owned(), cmd.to_owned()],
         vec!["threads".to_owned(), o.threads.to_string()],
         vec!["threads_resolved".to_owned(), resolved.to_string()],
-        vec![
-            "resident_pool".to_owned(),
-            (resolved > 1).to_string(),
-        ],
+        vec!["resident_pool".to_owned(), (resolved > 1).to_string()],
         vec!["solver_cache".to_owned(), defaults.solver_cache.to_string()],
-        vec!["timeout_s".to_owned(), format!("{}", o.timeout.as_secs_f64())],
+        vec![
+            "timeout_s".to_owned(),
+            format!("{}", o.timeout.as_secs_f64()),
+        ],
         vec!["beers_limit".to_owned(), o.beers_limit.to_string()],
         vec!["tpch_limit".to_owned(), o.tpch_limit.to_string()],
         vec!["quick".to_owned(), o.quick.to_string()],
@@ -204,21 +207,40 @@ fn emit_engine_stats(o: &mut Opts, label: &str, records: &[RunRecord]) {
     );
     let rows = vec![
         vec!["steals".to_owned(), t.steals.to_string()],
-        vec!["resident_batches".to_owned(), t.resident_batches.to_string()],
+        vec![
+            "resident_batches".to_owned(),
+            t.resident_batches.to_string(),
+        ],
         vec!["dedupe_offers".to_owned(), t.dedupe_offers.to_string()],
-        vec!["dedupe_duplicates".to_owned(), t.dedupe_duplicates.to_string()],
-        vec!["dedupe_iso_checks".to_owned(), t.dedupe_iso_checks.to_string()],
-        vec!["solver_l1_hit_rate".to_owned(), format!("{:.4}", t.solver_l1_hit_rate())],
+        vec![
+            "dedupe_duplicates".to_owned(),
+            t.dedupe_duplicates.to_string(),
+        ],
+        vec![
+            "dedupe_iso_checks".to_owned(),
+            t.dedupe_iso_checks.to_string(),
+        ],
+        vec![
+            "solver_l1_hit_rate".to_owned(),
+            format!("{:.4}", t.solver_l1_hit_rate()),
+        ],
         vec!["digest_hits".to_owned(), t.digest_hits.to_string()],
-        vec!["digest_recomputes".to_owned(), t.digest_recomputes.to_string()],
+        vec![
+            "digest_recomputes".to_owned(),
+            t.digest_recomputes.to_string(),
+        ],
         vec![
             "digest_hit_rate".to_owned(),
             format!("{:.4}", t.digest_hit_rate()),
         ],
     ];
     if let Some(sink) = o.sink.as_mut() {
-        sink.emit_table(&format!("{label}: engine counters"), &["key", "value"], &rows)
-            .expect("writing engine counters to --out-dir");
+        sink.emit_table(
+            &format!("{label}: engine counters"),
+            &["key", "value"],
+            &rows,
+        )
+        .expect("writing engine counters to --out-dir");
     }
 }
 
@@ -235,12 +257,7 @@ fn main() {
         "fig13" => limit_sensitivity(&mut opts, Variant::ConjAdd, "Fig. 13"),
         "interactivity" => interactivity(&mut opts),
         "table2" => print_case_study(10, opts.timeout.max(Duration::from_secs(20))),
-        "userstudy" => print_user_study(
-            13,
-            opts.timeout.max(Duration::from_secs(20)),
-            42,
-            22,
-        ),
+        "userstudy" => print_user_study(13, opts.timeout.max(Duration::from_secs(20)), 42, 22),
         "cqneg" => cqneg(),
         "all" => {
             table1(&mut opts);
@@ -356,7 +373,15 @@ fn table1(o: &mut Opts) {
     if let Some(sink) = o.sink.as_mut() {
         sink.emit_table(
             "Table 1: dataset statistics",
-            &["dataset", "source", "queries", "mean_atoms", "mean_quantifiers", "mean_ors", "mean_height"],
+            &[
+                "dataset",
+                "source",
+                "queries",
+                "mean_atoms",
+                "mean_quantifiers",
+                "mean_ors",
+                "mean_height",
+            ],
             &rows,
         )
         .expect("writing table1 to --out-dir");
@@ -503,13 +528,17 @@ fn interactivity(o: &mut Opts) {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (label, qs, cfg) in [
         ("Beers", beers_subset(o.quick), beers_cfg(o)),
-        ("TPC-H", {
-            let mut qs = tpch_queries();
-            if o.quick {
-                qs.truncate(8);
-            }
-            qs
-        }, tpch_cfg(o)),
+        (
+            "TPC-H",
+            {
+                let mut qs = tpch_queries();
+                if o.quick {
+                    qs.truncate(8);
+                }
+                qs
+            },
+            tpch_cfg(o),
+        ),
     ] {
         let variants = [Variant::DisjAdd, Variant::ConjAdd];
         let records = run_workload(&qs, &variants, &cfg, false);
@@ -560,7 +589,10 @@ fn cqneg() {
     )
     .unwrap();
     let sol = cq_neg_universal_solution(&SyntaxTree::new(drc), true).unwrap();
-    println!("DRC 'beers not liked by some drinker': {} instance(s)", sol.instances.len());
+    println!(
+        "DRC 'beers not liked by some drinker': {} instance(s)",
+        sol.instances.len()
+    );
     for si in &sol.instances {
         print!("{}", si.inst);
     }
@@ -572,7 +604,10 @@ fn cqneg() {
     )
     .unwrap();
     let sol = cq_neg_universal_solution(&SyntaxTree::new(sql), true).unwrap();
-    println!("SQL QB (Fig. 9b) via sql front-end: {} instance(s)", sol.instances.len());
+    println!(
+        "SQL QB (Fig. 9b) via sql front-end: {} instance(s)",
+        sol.instances.len()
+    );
     for si in &sol.instances {
         print!("{}", si.inst);
     }

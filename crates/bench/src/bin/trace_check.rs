@@ -53,9 +53,11 @@ fn parse_spans(text: &str) -> Vec<Span> {
         };
         let obj = &rest[obj_start..obj_start + obj_len + 1];
         if field_str(obj, "ph").as_deref() == Some("X") {
-            if let (Some(name), Some(ts), Some(dur)) =
-                (field_str(obj, "name"), field_num(obj, "ts"), field_num(obj, "dur"))
-            {
+            if let (Some(name), Some(ts), Some(dur)) = (
+                field_str(obj, "name"),
+                field_num(obj, "ts"),
+                field_num(obj, "dur"),
+            ) {
                 spans.push(Span { name, ts, dur });
             }
         }
@@ -124,7 +126,9 @@ fn validate(text: &str) -> Vec<String> {
     };
     let waves = nested_in_explain(&WAVE_NAMES);
     if waves == 0 {
-        errs.push(format!("no wave-level span ({WAVE_NAMES:?}) inside `explain`"));
+        errs.push(format!(
+            "no wave-level span ({WAVE_NAMES:?}) inside `explain`"
+        ));
     }
     let solver = nested_in_explain(&SOLVER_NAMES);
     if solver == 0 {
@@ -157,7 +161,11 @@ fn main() -> ExitCode {
     for e in &errs {
         eprintln!("trace_check: FAIL: {e}");
     }
-    if errs.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
+    if errs.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -192,8 +200,7 @@ mod tests {
 
     #[test]
     fn missing_explain_fails() {
-        let errs =
-            validate(r#"{"traceEvents": [{"ph": "X", "name": "wave", "ts": 0, "dur": 1}]}"#);
+        let errs = validate(r#"{"traceEvents": [{"ph": "X", "name": "wave", "ts": 0, "dur": 1}]}"#);
         assert!(errs[0].contains("explain"));
     }
 

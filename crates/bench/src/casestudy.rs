@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use cqi_baseline::ratest;
-use cqi_core::{run_variant, ChaseConfig, CSolution, Variant};
+use cqi_core::{run_variant, CSolution, ChaseConfig, Variant};
 use cqi_datasets::{beers_schema, user_study_queries};
 use cqi_drc::{parse_query, Query, SyntaxTree};
 
@@ -53,12 +53,11 @@ pub fn case_studies() -> Vec<CaseStudy> {
 }
 
 /// Runs `Disj-Add` on `wrong − correct` (Table 2's configuration).
-pub fn universal_solution_for(
-    cs: &CaseStudy,
-    limit: usize,
-    timeout: Duration,
-) -> CSolution {
-    let diff = cs.wrong.difference(&cs.correct).expect("compatible queries");
+pub fn universal_solution_for(cs: &CaseStudy, limit: usize, timeout: Duration) -> CSolution {
+    let diff = cs
+        .wrong
+        .difference(&cs.correct)
+        .expect("compatible queries");
     let tree = SyntaxTree::new(diff);
     let cfg = ChaseConfig::with_limit(limit)
         .enforce_keys(true)

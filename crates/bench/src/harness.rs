@@ -399,12 +399,17 @@ impl SeriesSink {
             csv.push('\n');
         }
         std::fs::write(self.dir.join(format!("{slug}.csv")), csv)?;
-        let cols: Vec<String> = header.iter().map(|h| format!("\"{}\"", json_escape(h))).collect();
+        let cols: Vec<String> = header
+            .iter()
+            .map(|h| format!("\"{}\"", json_escape(h)))
+            .collect();
         let json_rows: Vec<String> = rows
             .iter()
             .map(|r| {
-                let cells: Vec<String> =
-                    r.iter().map(|c| format!("\"{}\"", json_escape(c))).collect();
+                let cells: Vec<String> = r
+                    .iter()
+                    .map(|c| format!("\"{}\"", json_escape(c)))
+                    .collect();
                 format!("[{}]", cells.join(", "))
             })
             .collect();
@@ -425,7 +430,11 @@ impl SeriesSink {
             writeln!(
                 out,
                 "  {e}{}",
-                if i + 1 < self.json_entries.len() { "," } else { "" }
+                if i + 1 < self.json_entries.len() {
+                    ","
+                } else {
+                    ""
+                }
             )?;
         }
         writeln!(out, "]")?;

@@ -56,9 +56,7 @@ fn q1_errors() -> Vec<ErrorSpec> {
             in_ground: |db| {
                 let drinker = db.schema.rel_id("Drinker").unwrap();
                 db.rows(drinker).any(|r| match &r[0] {
-                    cqi_schema::Value::Str(s) => {
-                        s.starts_with("Eve") && !s.starts_with("Eve ")
-                    }
+                    cqi_schema::Value::Str(s) => s.starts_with("Eve") && !s.starts_with("Eve "),
                     _ => false,
                 })
             },
@@ -112,7 +110,10 @@ pub struct Artifacts {
 }
 
 /// Generates the real artifacts (chase + baseline) for both study queries.
-pub fn build_artifacts(limit: usize, timeout: Duration) -> Vec<(String, Artifacts, Vec<ErrorSpec>)> {
+pub fn build_artifacts(
+    limit: usize,
+    timeout: Duration,
+) -> Vec<(String, Artifacts, Vec<ErrorSpec>)> {
     let schema = beers_schema();
     let css = case_studies();
     let mut out = Vec::new();
@@ -133,9 +134,7 @@ pub fn build_artifacts(limit: usize, timeout: Duration) -> Vec<(String, Artifact
                 .iter()
                 .enumerate()
                 .skip(1)
-                .max_by_key(|(_, si)| {
-                    si.coverage.symmetric_difference(&first_cov).count()
-                })
+                .max_by_key(|(_, si)| si.coverage.symmetric_difference(&first_cov).count())
                 .map(|(i, _)| (i, ()))
                 .unwrap();
             insts.swap(1, best);
@@ -289,13 +288,16 @@ pub fn preference_split(
     abstraction_aversion: f64,
 ) -> PreferenceSplit {
     let ci_score = (ci_hist.one + 2 * ci_hist.two) as f64 / ci_hist.total().max(1) as f64;
-    let conc_score =
-        (conc_hist.one + 2 * conc_hist.two) as f64 / conc_hist.total().max(1) as f64;
+    let conc_score = (conc_hist.one + 2 * conc_hist.two) as f64 / conc_hist.total().max(1) as f64;
     let raw_ci = ci_score / (ci_score + conc_score + 1e-9);
     let prefer_ci = (raw_ci - abstraction_aversion).clamp(0.05, 0.95);
     // The paper reports ~9.5% (undergrad) and ~18% (graduate) with no
     // preference; reuse the aversion parameter's sign as the group marker.
-    let no_pref = if abstraction_aversion > 0.432 { 0.10 } else { 0.18 };
+    let no_pref = if abstraction_aversion > 0.432 {
+        0.10
+    } else {
+        0.18
+    };
     PreferenceSplit {
         prefer_cinstances: 100.0 * prefer_ci * (1.0 - no_pref),
         prefer_concrete: 100.0 * (1.0 - prefer_ci) * (1.0 - no_pref),
@@ -347,7 +349,11 @@ pub fn print_user_study(limit: usize, timeout: Duration, n_undergrad: usize, n_g
         // Fig. 15: preferences.
         let ci = &total[2].1;
         let conc = &total[0].1;
-        let aversion = if group == "undergraduate" { 0.435 } else { 0.43 };
+        let aversion = if group == "undergraduate" {
+            0.435
+        } else {
+            0.43
+        };
         let split = preference_split(ci, conc, aversion);
         println!("== Fig. 15 ({group}) ==");
         println!(
@@ -357,8 +363,8 @@ pub fn print_user_study(limit: usize, timeout: Duration, n_undergrad: usize, n_g
         // Fig. 16: usefulness of the second c-instance — fraction of
         // simulated participants whose second-instance run strictly
         // improved their count.
-        let gain = (total[2].1.two as f64 - total[1].1.two as f64)
-            / total[1].1.total().max(1) as f64;
+        let gain =
+            (total[2].1.two as f64 - total[1].1.two as f64) / total[1].1.total().max(1) as f64;
         let agree = (0.55 + gain).clamp(0.0, 0.9) * 100.0;
         println!("== Fig. 16 ({group}) ==");
         println!(

@@ -37,9 +37,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cqi_drc::{Atom, Coverage, Formula, Query, Term, VarId};
-use cqi_obs::trace::{self, Phase};
 use cqi_instance::consistency::to_problem;
 use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
+use cqi_obs::trace::{self, Phase};
 use cqi_runtime::{
     drive, BoundedMemo, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool,
     RunCounters, SetKey,
@@ -233,22 +233,26 @@ impl ChaseStats {
                     &[("outcome", "recompute")],
                 ),
                 phase_ns: [
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Solver.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Canon.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Dedupe.name(),
-                    )]),
-                    r.counter("cqi_phase_ns_total", "traced time per phase (ns)", &[(
-                        "phase",
-                        Phase::Sched.name(),
-                    )]),
+                    r.counter(
+                        "cqi_phase_ns_total",
+                        "traced time per phase (ns)",
+                        &[("phase", Phase::Solver.name())],
+                    ),
+                    r.counter(
+                        "cqi_phase_ns_total",
+                        "traced time per phase (ns)",
+                        &[("phase", Phase::Canon.name())],
+                    ),
+                    r.counter(
+                        "cqi_phase_ns_total",
+                        "traced time per phase (ns)",
+                        &[("phase", Phase::Dedupe.name())],
+                    ),
+                    r.counter(
+                        "cqi_phase_ns_total",
+                        "traced time per phase (ns)",
+                        &[("phase", Phase::Sched.name())],
+                    ),
                 ],
             }
         });
@@ -680,9 +684,7 @@ impl<'a> Chase<'a> {
     }
 
     fn cancel_fired(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     fn collect_ctx_flags(&mut self) {
@@ -816,15 +818,11 @@ impl<'a> Chase<'a> {
                     ctx.timed_out = true;
                     return (Vec::new(), DedupeStats::default());
                 }
-                if cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled)
-                {
+                if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     ctx.cancelled = true;
                     return (Vec::new(), DedupeStats::default());
                 }
-                let (i0, h0) =
-                    bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
+                let (i0, h0) = bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
                 let task = RootTask {
                     query,
                     cfg,
@@ -1288,16 +1286,15 @@ impl Engine<'_> {
 /// Materializes a conjunction of atoms into a copy of `inst` under `h`
 /// (the body of `Add-to-Ins`, also used directly by the CQ¬ fast path and
 /// the `*-Add` seeding).
-pub fn materialize(
-    query: &Query,
-    inst: &CInstance,
-    conj: &[Atom],
-    h: &Hom,
-) -> Option<CInstance> {
+pub fn materialize(query: &Query, inst: &CInstance, conj: &[Atom], h: &Hom) -> Option<CInstance> {
     let mut j = inst.clone();
     for atom in conj {
         match atom {
-            Atom::Rel { negated, rel, terms } => {
+            Atom::Rel {
+                negated,
+                rel,
+                terms,
+            } => {
                 let mut tuple: Vec<Ent> = Vec::with_capacity(terms.len());
                 for (col, t) in terms.iter().enumerate() {
                     let d = query.schema.attr_domain(*rel, col);
@@ -1558,7 +1555,13 @@ mod tests {
         assert!(bfs2 >= bfs && consist2 >= consist);
         // Limit change: cleared before the run starts.
         let chase = Chase::new_reusing(&q, &cfg6, true, &mut caches);
-        assert_eq!((chase.ctxs[0].bfs_memo.len(), chase.ctxs[0].consist_memo.len()), (0, 0));
+        assert_eq!(
+            (
+                chase.ctxs[0].bfs_memo.len(),
+                chase.ctxs[0].consist_memo.len()
+            ),
+            (0, 0)
+        );
         chase.recycle_into(&mut caches);
         // universal_fresh change: cleared too.
         run(&cfg6, true, &mut caches);
@@ -1663,10 +1666,13 @@ mod tests {
                 .config(ChaseConfig::with_limit(8).threads(threads));
             let mut items = Vec::new();
             let sol = session
-                .explain_with(crate::ExplainRequest::drc(src).variant(variant), &mut |acc| {
-                    items.push(format!("{}", acc.inst));
-                    true
-                })
+                .explain_with(
+                    crate::ExplainRequest::drc(src).variant(variant),
+                    &mut |acc| {
+                        items.push(format!("{}", acc.inst));
+                        true
+                    },
+                )
                 .unwrap();
             (items, sol.stats)
         };
@@ -1685,9 +1691,15 @@ mod tests {
         let (par, st) = explain(FORALL_DISJ, crate::Variant::ConjAdd, 2);
         assert!(!seq.is_empty());
         assert_eq!(seq, par);
-        assert!(st.resident_batches > 0, "root jobs must fan out through the resident pool");
+        assert!(
+            st.resident_batches > 0,
+            "root jobs must fan out through the resident pool"
+        );
         assert!(st.dedupe_offers > 0);
-        assert_eq!((st.waves, st.spilled_waves, st.subsumed_subtrees), (0, 0, 0));
+        assert_eq!(
+            (st.waves, st.spilled_waves, st.subsumed_subtrees),
+            (0, 0, 0)
+        );
         assert_eq!((st.incr_extends, st.incr_fallbacks), (0, 0));
         assert_eq!(st.sat_l2, MemoCounts::default());
         assert_eq!(st.sat_l1_hit_rate(), 0.0);

@@ -254,7 +254,10 @@ mod tests {
         // Clones share one flag — firing the caller's copy is visible
         // through the config's.
         assert!(cfg.cancel.unwrap().is_cancelled());
-        assert!(ChaseConfig::with_limit(3).cancel.is_none(), "off by default");
+        assert!(
+            ChaseConfig::with_limit(3).cancel.is_none(),
+            "off by default"
+        );
     }
 
     #[test]

@@ -163,10 +163,7 @@ mod tests {
         let q = parse_query(&s, "{ (x1) | exists b1, p1 (Serves(x1, b1, p1)) }").unwrap();
         let trees = conjunctive_trees(&q.formula);
         assert_eq!(trees.len(), 1);
-        assert_eq!(
-            format!("{:?}", trees[0]),
-            format!("{:?}", q.formula)
-        );
+        assert_eq!(format!("{:?}", trees[0]), format!("{:?}", q.formula));
     }
 
     #[test]

@@ -73,8 +73,14 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
                 .relation(
                     "Likes",
                     &[("drinker", DomainType::Text), ("beer", DomainType::Text)],
@@ -122,11 +128,7 @@ mod tests {
     fn unsatisfiable_cq_neg_yields_empty_solution() {
         // Likes(d,b) ∧ ¬Likes(d,b).
         let s = schema();
-        let q = parse_query(
-            &s,
-            "{ (b) | exists d . Likes(d, b) and not Likes(d, b) }",
-        )
-        .unwrap();
+        let q = parse_query(&s, "{ (b) | exists d . Likes(d, b) and not Likes(d, b) }").unwrap();
         let sol = cq_neg_universal_solution(&SyntaxTree::new(q), false).unwrap();
         assert!(sol.instances.is_empty());
     }

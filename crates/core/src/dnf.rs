@@ -66,10 +66,7 @@ mod tests {
     #[test]
     fn and_of_ors_cross_product() {
         // (a ∨ b) ∧ (c ∨ d) → 4 conjunctions of 2 atoms each.
-        let f = Formula::and(
-            Formula::or(atom(0), atom(1)),
-            Formula::or(atom(2), atom(3)),
-        );
+        let f = Formula::and(Formula::or(atom(0), atom(1)), Formula::or(atom(2), atom(3)));
         let dnf = tree_to_conj(&f);
         assert_eq!(dnf.len(), 4);
         assert!(dnf.iter().all(|c| c.len() == 2));

@@ -60,6 +60,6 @@ pub use cover::coverage_of_cinstance;
 pub use cqneg::cq_neg_universal_solution;
 pub use session::{ExplainRequest, QueryInput, Session, SolutionStream};
 pub use solution::{AcceptedInstance, CSolution, Interrupted, SatInstance};
-pub use treesat::tree_sat;
 pub use testgen::{generate_selective_instance, generate_test_matrix};
+pub use treesat::tree_sat;
 pub use variants::run_variant;

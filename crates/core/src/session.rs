@@ -573,11 +573,15 @@ mod tests {
     #[test]
     fn parse_errors_surface_without_panicking() {
         let session = Session::new(schema());
-        assert!(session.explain_collect(ExplainRequest::drc("{ nope")).is_err());
+        assert!(session
+            .explain_collect(ExplainRequest::drc("{ nope"))
+            .is_err());
         assert!(session
             .explain_collect(ExplainRequest::sql("SELECT FROM"))
             .is_err());
-        assert!(session.explain(ExplainRequest::sql("SELECT x FROM Nope")).is_err());
+        assert!(session
+            .explain(ExplainRequest::sql("SELECT x FROM Nope"))
+            .is_err());
     }
 
     #[test]
@@ -721,9 +725,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel(); // fire before the drive even starts
         let sol = session
-            .explain_collect(
-                ExplainRequest::drc(JOIN_QUERY).limit(8).cancel(token),
-            )
+            .explain_collect(ExplainRequest::drc(JOIN_QUERY).limit(8).cancel(token))
             .unwrap();
         assert_eq!(sol.interrupted, Some(crate::Interrupted::Cancelled));
         // And mid-drive: cancel from the callback after the first instance.
@@ -774,7 +776,10 @@ mod tests {
         let forall_query = "{ (x1, b1) | exists p1 . Serves(x1, b1, p1) \
              and forall p2, x2 (not Serves(x2, b1, p2) or p2 <= p1) }";
         let render = |sol: &CSolution| -> Vec<String> {
-            sol.instances.iter().map(|si| format!("{}", si.inst)).collect()
+            sol.instances
+                .iter()
+                .map(|si| format!("{}", si.inst))
+                .collect()
         };
         for src in [JOIN_QUERY, forall_query] {
             let warm = Session::new(schema());
@@ -883,11 +888,17 @@ mod tests {
         let warm = Session::new(schema());
         let q_a = "{ (b1) | exists d1 (Likes(d1, b1)) }";
         let q_b = "{ (b1) | exists person (Likes(person, b1)) }";
-        warm.explain_collect(ExplainRequest::drc(q_a).limit(4)).unwrap();
+        warm.explain_collect(ExplainRequest::drc(q_a).limit(4))
+            .unwrap();
         let render = |sol: &CSolution| -> Vec<String> {
-            sol.instances.iter().map(|si| format!("{}", si.inst)).collect()
+            sol.instances
+                .iter()
+                .map(|si| format!("{}", si.inst))
+                .collect()
         };
-        let w = warm.explain_collect(ExplainRequest::drc(q_b).limit(4)).unwrap();
+        let w = warm
+            .explain_collect(ExplainRequest::drc(q_b).limit(4))
+            .unwrap();
         let c = Session::new(schema())
             .explain_collect(ExplainRequest::drc(q_b).limit(4))
             .unwrap();

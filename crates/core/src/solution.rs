@@ -141,8 +141,7 @@ impl CSolution {
         if self.instances.is_empty() {
             return 0.0;
         }
-        self.instances.iter().map(|i| i.size() as f64).sum::<f64>()
-            / self.instances.len() as f64
+        self.instances.iter().map(|i| i.size() as f64).sum::<f64>() / self.instances.len() as f64
     }
 
     pub fn coverages(&self) -> impl Iterator<Item = &Coverage> {

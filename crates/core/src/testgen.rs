@@ -49,8 +49,9 @@ pub fn generate_test_matrix(
     assert!(queries.len() <= 16, "subset enumeration is exponential");
     let mut out = BTreeMap::new();
     for pattern in 0u32..(1 << queries.len()) {
-        let positive: Vec<bool> =
-            (0..queries.len()).map(|i| pattern & (1 << i) != 0).collect();
+        let positive: Vec<bool> = (0..queries.len())
+            .map(|i| pattern & (1 << i) != 0)
+            .collect();
         if let Some(g) = generate_selective_instance(queries, &positive, cfg)? {
             out.insert(pattern, g);
         }

@@ -47,7 +47,11 @@ pub(crate) fn cmp_to_solver_op(op: CmpOp) -> Option<SolverOp> {
 /// Resolves a term under a homomorphism; `None` encodes a wildcard.
 fn resolve(h: &Hom, t: &Term) -> Option<Ent> {
     match t {
-        Term::Var(v) => Some(h[v.index()].clone().expect("free variable bound by closure")),
+        Term::Var(v) => Some(
+            h[v.index()]
+                .clone()
+                .expect("free variable bound by closure"),
+        ),
         Term::Const(c) => Some(Ent::Const(c.clone())),
         Term::Wildcard => None,
     }
@@ -169,9 +173,12 @@ impl<'a> SatCtx<'a> {
     /// Is one leaf satisfied under `h` (Algorithm 7 lines 4–8)?
     pub fn leaf(&mut self, h: &Hom, atom: &Atom) -> bool {
         match atom {
-            Atom::Rel { negated: false, rel, terms } => {
-                let pattern: Vec<Option<Ent>> =
-                    terms.iter().map(|t| resolve(h, t)).collect();
+            Atom::Rel {
+                negated: false,
+                rel,
+                terms,
+            } => {
+                let pattern: Vec<Option<Ent>> = terms.iter().map(|t| resolve(h, t)).collect();
                 self.inst.tables[rel.index()].iter().any(|row| {
                     pattern
                         .iter()
@@ -179,20 +186,28 @@ impl<'a> SatCtx<'a> {
                         .all(|(p, cell)| p.as_ref().is_none_or(|p| p == cell))
                 })
             }
-            Atom::Rel { negated: true, rel, terms } => {
+            Atom::Rel {
+                negated: true,
+                rel,
+                terms,
+            } => {
                 // Certain absence: no row of R can coincide with the image
                 // in any possible world. (A syntactic ¬R(...) condition in
                 // φ(I) makes the corresponding rows unmatchable through its
                 // clause expansion.)
-                let pattern: Vec<Option<Ent>> =
-                    terms.iter().map(|t| resolve(h, t)).collect();
+                let pattern: Vec<Option<Ent>> = terms.iter().map(|t| resolve(h, t)).collect();
                 let inst = self.inst;
                 !inst.tables[rel.index()]
                     .iter()
                     .enumerate()
                     .any(|(i, row)| self.row_matchable(rel.0, i, &pattern, row))
             }
-            Atom::Cmp { negated, lhs, op, rhs } => {
+            Atom::Cmp {
+                negated,
+                lhs,
+                op,
+                rhs,
+            } => {
                 let (Some(a), Some(b)) = (resolve(h, lhs), resolve(h, rhs)) else {
                     return false;
                 };
@@ -200,9 +215,7 @@ impl<'a> SatCtx<'a> {
                 if let (Ent::Const(ca), Ent::Const(cb)) = (&a, &b) {
                     let truth = match op {
                         CmpOp::Like => match (ca, cb) {
-                            (Value::Str(s), Value::Str(p)) => {
-                                cqi_solver::nfa::like_match(p, s)
-                            }
+                            (Value::Str(s), Value::Str(p)) => cqi_solver::nfa::like_match(p, s),
                             _ => false,
                         },
                         other => cmp_to_solver_op(*other)
@@ -412,8 +425,7 @@ mod tests {
         let b1 = inst.fresh_null("b1", ed);
         let dc = inst.fresh_dont_care(pd);
         inst.add_tuple(serves, vec![x1.into(), b1.into(), dc.into()]);
-        let q_pos =
-            parse_query(&s, "{ (x1) | exists b1 (Serves(x1, b1, *)) }").unwrap();
+        let q_pos = parse_query(&s, "{ (x1) | exists b1 (Serves(x1, b1, *)) }").unwrap();
         assert!(tree_sat(&q_pos, &inst));
         let q = parse_query(
             &s,

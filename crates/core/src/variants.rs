@@ -172,10 +172,7 @@ fn drive_phases(
 /// Builds the initial c-instance for an `*-Add` re-seed: the uncovered leaf
 /// atom is materialized over fresh labeled nulls, and output variables
 /// occurring in it are pre-bound in the homomorphism.
-fn seed_for_leaf(
-    q: &cqi_drc::Query,
-    atom: &Atom,
-) -> Option<(CInstance, Hom)> {
+fn seed_for_leaf(q: &cqi_drc::Query, atom: &Atom) -> Option<(CInstance, Hom)> {
     let mut inst = CInstance::new(q.schema.clone());
     let mut h: Hom = vec![None; q.vars.len()];
     // Fresh nulls for every variable of the atom.
@@ -247,9 +244,7 @@ mod tests {
 
     #[test]
     fn disjunction_yields_multiple_coverages() {
-        let t = tree(
-            "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }",
-        );
+        let t = tree("{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }");
         let sol = run_variant(&t, Variant::DisjEO, &ChaseConfig::with_limit(6));
         // At least the >3-only and <1-only coverages.
         assert!(sol.num_coverages() >= 2, "got {}", sol.num_coverages());
@@ -260,9 +255,8 @@ mod tests {
         // ∀d1 (¬Likes(d1, b1)) is vacuously satisfied with an empty drinker
         // pool, so the plain chase never covers the ¬Likes leaf; the Add
         // seeding materializes it.
-        let t = tree(
-            "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }",
-        );
+        let t =
+            tree("{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }");
         let cfg = ChaseConfig::with_limit(6);
         let eo = run_variant(&t, Variant::DisjEO, &cfg);
         let add = run_variant(&t, Variant::DisjAdd, &cfg);

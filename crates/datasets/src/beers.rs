@@ -15,9 +15,18 @@ use crate::{DatasetQuery, QueryKind};
 pub fn beers_schema() -> Arc<Schema> {
     Arc::new(
         Schema::builder()
-            .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-            .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-            .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+            .relation(
+                "Drinker",
+                &[("name", DomainType::Text), ("addr", DomainType::Text)],
+            )
+            .relation(
+                "Beer",
+                &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+            )
+            .relation(
+                "Bar",
+                &[("name", DomainType::Text), ("addr", DomainType::Text)],
+            )
             .relation(
                 "Serves",
                 &[
@@ -71,10 +80,7 @@ pub fn beers_k0(schema: &Arc<Schema>) -> GroundInstance {
         "Bar",
         &["Restaurante Raffaele".into(), "7357 Dalton Walks".into()],
     );
-    g.insert_named(
-        "Likes",
-        &["Eve Edwards".into(), "American Pale Ale".into()],
-    );
+    g.insert_named("Likes", &["Eve Edwards".into(), "American Pale Ale".into()]);
     g.insert_named(
         "Serves",
         &[
@@ -326,7 +332,10 @@ mod tests {
         assert_eq!(qs.len(), 35);
         let correct = qs.iter().filter(|q| q.kind == QueryKind::Correct).count();
         let wrong = qs.iter().filter(|q| q.kind == QueryKind::Wrong).count();
-        let diff = qs.iter().filter(|q| q.kind == QueryKind::Difference).count();
+        let diff = qs
+            .iter()
+            .filter(|q| q.kind == QueryKind::Difference)
+            .count();
         assert_eq!((correct, wrong, diff), (5, 10, 20));
     }
 

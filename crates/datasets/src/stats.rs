@@ -71,8 +71,16 @@ mod tests {
             "mean atoms {}",
             stats.mean_atoms
         );
-        assert!((stats.mean_ors - 2.17).abs() < 0.01, "mean or {}", stats.mean_ors);
-        assert!((stats.mean_height - 9.54).abs() < 0.01, "mean height {}", stats.mean_height);
+        assert!(
+            (stats.mean_ors - 2.17).abs() < 0.01,
+            "mean or {}",
+            stats.mean_ors
+        );
+        assert!(
+            (stats.mean_height - 9.54).abs() < 0.01,
+            "mean height {}",
+            stats.mean_height
+        );
         assert!(stats.mean_quantifiers > 8.0 && stats.mean_quantifiers < 18.0);
     }
 
@@ -90,7 +98,11 @@ mod tests {
             "mean atoms {}",
             stats.mean_atoms
         );
-        assert!((stats.mean_ors - 4.18).abs() < 0.01, "mean or {}", stats.mean_ors);
+        assert!(
+            (stats.mean_ors - 4.18).abs() < 0.01,
+            "mean or {}",
+            stats.mean_ors
+        );
         assert!(stats.mean_quantifiers > 10.0);
     }
 

@@ -304,7 +304,10 @@ mod tests {
         assert_eq!(qs.len(), 28);
         let correct = qs.iter().filter(|q| q.kind == QueryKind::Correct).count();
         let wrong = qs.iter().filter(|q| q.kind == QueryKind::Wrong).count();
-        let diff = qs.iter().filter(|q| q.kind == QueryKind::Difference).count();
+        let diff = qs
+            .iter()
+            .filter(|q| q.kind == QueryKind::Difference)
+            .count();
         assert_eq!((correct, wrong, diff), (4, 8, 16));
     }
 

@@ -114,12 +114,21 @@ pub enum Atom {
 impl Atom {
     pub fn negate(&self) -> Atom {
         match self {
-            Atom::Rel { negated, rel, terms } => Atom::Rel {
+            Atom::Rel {
+                negated,
+                rel,
+                terms,
+            } => Atom::Rel {
                 negated: !negated,
                 rel: *rel,
                 terms: terms.clone(),
             },
-            Atom::Cmp { negated, lhs, op, rhs } => Atom::Cmp {
+            Atom::Cmp {
+                negated,
+                lhs,
+                op,
+                rhs,
+            } => Atom::Cmp {
                 negated: !negated,
                 lhs: lhs.clone(),
                 op: *op,
@@ -247,14 +256,32 @@ pub struct VarInfo {
 /// Errors from query construction/validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    Parse { pos: usize, msg: String },
+    Parse {
+        pos: usize,
+        msg: String,
+    },
     UnknownRelation(String),
-    ArityMismatch { rel: String, expected: usize, got: usize },
-    DomainConflict { var: String, detail: String },
-    UnknownDomain { var: String },
-    NotSafe { detail: String },
-    OutputVarMismatch { detail: String },
-    TypeError { detail: String },
+    ArityMismatch {
+        rel: String,
+        expected: usize,
+        got: usize,
+    },
+    DomainConflict {
+        var: String,
+        detail: String,
+    },
+    UnknownDomain {
+        var: String,
+    },
+    NotSafe {
+        detail: String,
+    },
+    OutputVarMismatch {
+        detail: String,
+    },
+    TypeError {
+        detail: String,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -263,7 +290,10 @@ impl fmt::Display for QueryError {
             QueryError::Parse { pos, msg } => write!(f, "parse error at byte {pos}: {msg}"),
             QueryError::UnknownRelation(r) => write!(f, "unknown relation `{r}`"),
             QueryError::ArityMismatch { rel, expected, got } => {
-                write!(f, "relation `{rel}` has arity {expected}, atom has {got} terms")
+                write!(
+                    f,
+                    "relation `{rel}` has arity {expected}, atom has {got} terms"
+                )
             }
             QueryError::DomainConflict { var, detail } => {
                 write!(f, "variable `{var}` used in conflicting domains: {detail}")
@@ -373,7 +403,10 @@ mod tests {
                 rhs: Term::Const(Value::Int(1)),
             })
         };
-        let f = Formula::and(atom(a), Formula::Exists(b, Box::new(Formula::and(atom(b), atom(c)))));
+        let f = Formula::and(
+            atom(a),
+            Formula::Exists(b, Box::new(Formula::and(atom(b), atom(c)))),
+        );
         assert_eq!(f.free_vars(), vec![a, c]);
     }
 

@@ -118,13 +118,19 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, QueryError> {
                         }
                     }
                 }
-                out.push(Spanned { tok: Tok::Str(s), pos });
+                out.push(Spanned {
+                    tok: Tok::Str(s),
+                    pos,
+                });
                 i = j;
                 continue;
             }
             _ => {}
         }
-        if c.is_ascii_digit() || c == '.' || (c == '-' && rest[1..].starts_with(|d: char| d.is_ascii_digit())) {
+        if c.is_ascii_digit()
+            || c == '.'
+            || (c == '-' && rest[1..].starts_with(|d: char| d.is_ascii_digit()))
+        {
             let mut j = i;
             if c == '-' {
                 j += 1;
@@ -134,7 +140,10 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, QueryError> {
                 let b = bytes[j];
                 if b.is_ascii_digit() {
                     j += 1;
-                } else if b == b'.' && !saw_dot && bytes.get(j + 1).is_some_and(|d| d.is_ascii_digit()) {
+                } else if b == b'.'
+                    && !saw_dot
+                    && bytes.get(j + 1).is_some_and(|d| d.is_ascii_digit())
+                {
                     saw_dot = true;
                     j += 1;
                 } else {
@@ -254,12 +263,15 @@ mod tests {
 
     #[test]
     fn numbers() {
-        assert_eq!(toks("42 2.25 -3 19930701"), vec![
-            Tok::Int(42),
-            Tok::Real(2.25),
-            Tok::Int(-3),
-            Tok::Int(19930701)
-        ]);
+        assert_eq!(
+            toks("42 2.25 -3 19930701"),
+            vec![
+                Tok::Int(42),
+                Tok::Real(2.25),
+                Tok::Int(-3),
+                Tok::Int(19930701)
+            ]
+        );
     }
 
     #[test]
@@ -312,10 +324,9 @@ mod tests {
 
     #[test]
     fn bang_equals() {
-        assert_eq!(toks("x != y"), vec![
-            Tok::Ident("x".into()),
-            Tok::Ne,
-            Tok::Ident("y".into())
-        ]);
+        assert_eq!(
+            toks("x != y"),
+            vec![Tok::Ident("x".into()), Tok::Ne, Tok::Ident("y".into())]
+        );
     }
 }

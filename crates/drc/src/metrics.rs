@@ -155,11 +155,7 @@ mod tests {
 
     #[test]
     fn formula_metrics_without_closure() {
-        let q = parse_query(
-            &schema(),
-            "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) }",
-        )
-        .unwrap();
+        let q = parse_query(&schema(), "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) }").unwrap();
         let m = Metrics::of_formula(&q.formula);
         assert_eq!(m.size, 3); // ∃x1 ∃p1 leaf
         assert_eq!(m.quantifiers, 2);

@@ -27,18 +27,32 @@ pub fn negate(f: Formula) -> Formula {
 
 fn negate_atom(a: Atom) -> Atom {
     match a {
-        Atom::Rel { negated, rel, terms } => Atom::Rel {
+        Atom::Rel {
+            negated,
+            rel,
+            terms,
+        } => Atom::Rel {
             negated: !negated,
             rel,
             terms,
         },
-        Atom::Cmp { negated: true, lhs, op, rhs } => Atom::Cmp {
+        Atom::Cmp {
+            negated: true,
+            lhs,
+            op,
+            rhs,
+        } => Atom::Cmp {
             negated: false,
             lhs,
             op,
             rhs,
         },
-        Atom::Cmp { negated: false, lhs, op, rhs } => match op.negate() {
+        Atom::Cmp {
+            negated: false,
+            lhs,
+            op,
+            rhs,
+        } => match op.negate() {
             Some(dual) => Atom::Cmp {
                 negated: false,
                 lhs,
@@ -80,19 +94,30 @@ fn rename_unique(f: &Formula, names: &mut Vec<String>, seen: &mut Vec<bool>) -> 
         };
         match f {
             Formula::Atom(a) => Formula::Atom(match a {
-                Atom::Rel { negated, rel, terms } => Atom::Rel {
+                Atom::Rel {
+                    negated,
+                    rel,
+                    terms,
+                } => Atom::Rel {
                     negated: *negated,
                     rel: *rel,
                     terms: terms.iter().map(|t| map_term(t, stack)).collect(),
                 },
-                Atom::Cmp { negated, lhs, op, rhs } => Atom::Cmp {
+                Atom::Cmp {
+                    negated,
+                    lhs,
+                    op,
+                    rhs,
+                } => Atom::Cmp {
                     negated: *negated,
                     lhs: map_term(lhs, stack),
                     op: *op,
                     rhs: map_term(rhs, stack),
                 },
             }),
-            Formula::And(l, r) => Formula::and(go(l, stack, names, seen), go(r, stack, names, seen)),
+            Formula::And(l, r) => {
+                Formula::and(go(l, stack, names, seen), go(r, stack, names, seen))
+            }
             Formula::Or(l, r) => Formula::or(go(l, stack, names, seen), go(r, stack, names, seen)),
             Formula::Exists(v, b) | Formula::Forall(v, b) => {
                 let already = seen.get(v.index()).copied().unwrap_or(false);
@@ -149,8 +174,7 @@ fn infer_domains(
                                 // Same variable in two *unrelated* domains:
                                 // legal only if the types agree (the chase
                                 // will then treat it under its first domain).
-                                let (tp, td) =
-                                    (schema.domain_type(prev), schema.domain_type(d));
+                                let (tp, td) = (schema.domain_type(prev), schema.domain_type(d));
                                 if tp != td {
                                     err = Some(QueryError::DomainConflict {
                                         var: names[v.index()].clone(),
@@ -246,7 +270,10 @@ pub fn build_query(
     for v in &free {
         if !out_vars.contains(v) {
             return Err(QueryError::OutputVarMismatch {
-                detail: format!("`{}` is free but not an output variable", var_names[v.index()]),
+                detail: format!(
+                    "`{}` is free but not an output variable",
+                    var_names[v.index()]
+                ),
             });
         }
     }
@@ -267,7 +294,12 @@ pub fn build_query(
     // in at least one positive relational atom.
     let mut positive: Vec<bool> = vec![false; var_names.len()];
     formula.for_each_atom(&mut |a| {
-        if let Atom::Rel { negated: false, terms, .. } = a {
+        if let Atom::Rel {
+            negated: false,
+            terms,
+            ..
+        } = a
+        {
             for t in terms {
                 if let Term::Var(v) = t {
                     positive[v.index()] = true;
@@ -331,11 +363,7 @@ pub fn build_query(
 pub fn difference(q1: &Query, q2: &Query) -> Result<Query, QueryError> {
     if q1.out_vars.len() != q2.out_vars.len() {
         return Err(QueryError::OutputVarMismatch {
-            detail: format!(
-                "arity {} vs {}",
-                q1.out_vars.len(),
-                q2.out_vars.len()
-            ),
+            detail: format!("arity {} vs {}", q1.out_vars.len(), q2.out_vars.len()),
         });
     }
     let mut names = q1.vars.iter().map(|v| v.name.clone()).collect::<Vec<_>>();
@@ -362,7 +390,13 @@ pub fn difference(q1: &Query, q2: &Query) -> Result<Query, QueryError> {
         (false, false) => format!("{} - {}", q1.label, q2.label),
         _ => String::new(),
     };
-    build_query(Arc::clone(&q1.schema), q1.out_vars.clone(), body, names, label)
+    build_query(
+        Arc::clone(&q1.schema),
+        q1.out_vars.clone(),
+        body,
+        names,
+        label,
+    )
 }
 
 /// Combines several queries into one *Boolean* query whose body is the
@@ -394,7 +428,13 @@ pub fn combine(queries: &[&Query], positive: &[bool]) -> Result<Query, QueryErro
         parts.push(if *pos { closed } else { negate(closed) });
     }
     let body = Formula::and_all(parts);
-    build_query(Arc::clone(&first.schema), Vec::new(), body, names, String::new())
+    build_query(
+        Arc::clone(&first.schema),
+        Vec::new(),
+        body,
+        names,
+        String::new(),
+    )
 }
 
 fn remap_formula(f: &Formula, map: &HashMap<VarId, VarId>) -> Formula {
@@ -403,12 +443,21 @@ fn remap_formula(f: &Formula, map: &HashMap<VarId, VarId>) -> Formula {
         other => other.clone(),
     };
     match f {
-        Formula::Atom(Atom::Rel { negated, rel, terms }) => Formula::Atom(Atom::Rel {
+        Formula::Atom(Atom::Rel {
+            negated,
+            rel,
+            terms,
+        }) => Formula::Atom(Atom::Rel {
             negated: *negated,
             rel: *rel,
             terms: terms.iter().map(mt).collect(),
         }),
-        Formula::Atom(Atom::Cmp { negated, lhs, op, rhs }) => Formula::Atom(Atom::Cmp {
+        Formula::Atom(Atom::Cmp {
+            negated,
+            lhs,
+            op,
+            rhs,
+        }) => Formula::Atom(Atom::Cmp {
             negated: *negated,
             lhs: mt(lhs),
             op: *op,
@@ -542,11 +591,7 @@ mod tests {
     #[test]
     fn unsafe_output_var_rejected() {
         let s = schema();
-        let e = parse_query(
-            &s,
-            "{ (x1) | forall b1, p1 (not Serves(x1, b1, p1)) }",
-        )
-        .unwrap_err();
+        let e = parse_query(&s, "{ (x1) | forall b1, p1 (not Serves(x1, b1, p1)) }").unwrap_err();
         assert!(matches!(e, QueryError::NotSafe { .. }));
     }
 

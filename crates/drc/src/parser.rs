@@ -396,9 +396,18 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -487,8 +496,11 @@ mod tests {
 
     #[test]
     fn wildcard_in_atom() {
-        let q = parse_query(&schema(), "{ (d1) | exists a (Drinker(d1, a)) and exists b1 (Likes(d1, b1) and Beer(b1, *)) }")
-            .unwrap();
+        let q = parse_query(
+            &schema(),
+            "{ (d1) | exists a (Drinker(d1, a)) and exists b1 (Likes(d1, b1) and Beer(b1, *)) }",
+        )
+        .unwrap();
         let mut wild = 0;
         q.formula.for_each_atom(&mut |a| {
             if let Atom::Rel { terms, .. } = a {
@@ -519,7 +531,12 @@ mod tests {
         .unwrap();
         let mut neg_like = false;
         q.formula.for_each_atom(&mut |a| {
-            if let Atom::Cmp { negated: true, op: CmpOp::Like, .. } = a {
+            if let Atom::Cmp {
+                negated: true,
+                op: CmpOp::Like,
+                ..
+            } = a
+            {
                 neg_like = true;
             }
         });

@@ -46,7 +46,11 @@ fn write_term(q: &Query, t: &Term, out: &mut String) {
 
 fn write_atom(q: &Query, a: &Atom, out: &mut String) {
     match a {
-        Atom::Rel { negated, rel, terms } => {
+        Atom::Rel {
+            negated,
+            rel,
+            terms,
+        } => {
             if *negated {
                 out.push_str("not ");
             }
@@ -60,7 +64,12 @@ fn write_atom(q: &Query, a: &Atom, out: &mut String) {
             }
             out.push(')');
         }
-        Atom::Cmp { negated, lhs, op, rhs } => {
+        Atom::Cmp {
+            negated,
+            lhs,
+            op,
+            rhs,
+        } => {
             if *negated {
                 out.push_str("not (");
             }

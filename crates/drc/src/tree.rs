@@ -199,7 +199,10 @@ mod tests {
     fn leaves_enumerated_in_dfs_order() {
         let t = tree();
         assert_eq!(t.num_leaves(), 3);
-        assert!(matches!(t.leaf(LeafId(0)), Atom::Rel { negated: false, .. }));
+        assert!(matches!(
+            t.leaf(LeafId(0)),
+            Atom::Rel { negated: false, .. }
+        ));
         assert!(matches!(t.leaf(LeafId(1)), Atom::Rel { negated: true, .. }));
         assert!(matches!(t.leaf(LeafId(2)), Atom::Cmp { .. }));
     }

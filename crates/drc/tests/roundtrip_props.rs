@@ -14,8 +14,14 @@ use rand::{Rng, SeedableRng};
 fn schema() -> Arc<Schema> {
     Arc::new(
         Schema::builder()
-            .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-            .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
+            .relation(
+                "Drinker",
+                &[("name", DomainType::Text), ("addr", DomainType::Text)],
+            )
+            .relation(
+                "Beer",
+                &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+            )
             .relation(
                 "Serves",
                 &[

@@ -15,11 +15,7 @@ use crate::eval::{eval_atom, satisfying_assignments, Assignment};
 
 /// `cov(Q, K, α)` for one satisfying assignment of the output variables
 /// (given as values parallel to `q.out_vars`).
-pub fn coverage_under_assignment(
-    q: &Query,
-    db: &GroundInstance,
-    alpha: &[Value],
-) -> Coverage {
+pub fn coverage_under_assignment(q: &Query, db: &GroundInstance, alpha: &[Value]) -> Coverage {
     let mut asg: Assignment = vec![None; q.vars.len()];
     for (v, c) in q.out_vars.iter().zip(alpha) {
         asg[v.index()] = Some(c.clone());
@@ -111,9 +107,18 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -200,17 +205,9 @@ mod tests {
             "{ (x1, b1) | exists p1 (Serves(x1, b1, p1) and p1 > 3.0) }",
         )
         .unwrap();
-        let full = coverage_under_assignment(
-            &q,
-            &k0(&s),
-            &["Tadim".into(), "APA".into()],
-        );
+        let full = coverage_under_assignment(&q, &k0(&s), &["Tadim".into(), "APA".into()]);
         assert_eq!(full.len(), 2);
-        let partial = coverage_under_assignment(
-            &q,
-            &k0(&s),
-            &["RM".into(), "APA".into()],
-        );
+        let partial = coverage_under_assignment(&q, &k0(&s), &["RM".into(), "APA".into()]);
         // Serves(RM, APA, p1) holds for p1=2.25 but 2.25 > 3.0 fails;
         // the Serves leaf is still covered under the (non-satisfying)
         // assignment — callers gate on satisfying assignments.

@@ -37,7 +37,11 @@ fn resolve(asg: &Assignment, t: &Term) -> Option<Value> {
 /// Evaluates one atom under a (sufficiently defined) assignment.
 pub fn eval_atom(db: &GroundInstance, asg: &Assignment, atom: &Atom) -> bool {
     match atom {
-        Atom::Rel { negated, rel, terms } => {
+        Atom::Rel {
+            negated,
+            rel,
+            terms,
+        } => {
             let pattern: Vec<Option<Value>> = terms.iter().map(|t| resolve(asg, t)).collect();
             let found = db.rows(*rel).any(|row| {
                 pattern
@@ -47,7 +51,12 @@ pub fn eval_atom(db: &GroundInstance, asg: &Assignment, atom: &Atom) -> bool {
             });
             found != *negated
         }
-        Atom::Cmp { negated, lhs, op, rhs } => {
+        Atom::Cmp {
+            negated,
+            lhs,
+            op,
+            rhs,
+        } => {
             let (Some(a), Some(b)) = (resolve(asg, lhs), resolve(asg, rhs)) else {
                 return false;
             };
@@ -77,9 +86,7 @@ pub fn eval_atom(db: &GroundInstance, asg: &Assignment, atom: &Atom) -> bool {
 fn eval_formula(q: &Query, db: &GroundInstance, asg: &mut Assignment, f: &Formula) -> bool {
     match f {
         Formula::Atom(a) => eval_atom(db, asg, a),
-        Formula::And(l, r) => {
-            eval_formula(q, db, asg, l) && eval_formula(q, db, asg, r)
-        }
+        Formula::And(l, r) => eval_formula(q, db, asg, l) && eval_formula(q, db, asg, r),
         Formula::Or(l, r) => eval_formula(q, db, asg, l) || eval_formula(q, db, asg, r),
         Formula::Exists(v, b) => {
             let range = var_range(q, db, *v);
@@ -165,9 +172,18 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -193,18 +209,29 @@ mod tests {
     fn k0(s: &Arc<Schema>) -> GroundInstance {
         let mut g = GroundInstance::new(Arc::clone(s));
         g.insert_named("Drinker", &["Eve Edwards".into(), "32767 Magic Way".into()]);
-        g.insert_named("Beer", &["American Pale Ale".into(), "Sierra Nevada".into()]);
+        g.insert_named(
+            "Beer",
+            &["American Pale Ale".into(), "Sierra Nevada".into()],
+        );
         for bar in ["Restaurant Memory", "Tadim", "Restaurante Raffaele"] {
             g.insert_named("Bar", &[bar.into(), format!("{bar} addr").into()]);
         }
         g.insert_named("Likes", &["Eve Edwards".into(), "American Pale Ale".into()]);
         g.insert_named(
             "Serves",
-            &["Restaurant Memory".into(), "American Pale Ale".into(), Value::real(2.25)],
+            &[
+                "Restaurant Memory".into(),
+                "American Pale Ale".into(),
+                Value::real(2.25),
+            ],
         );
         g.insert_named(
             "Serves",
-            &["Restaurante Raffaele".into(), "American Pale Ale".into(), Value::real(2.75)],
+            &[
+                "Restaurante Raffaele".into(),
+                "American Pale Ale".into(),
+                Value::real(2.75),
+            ],
         );
         g.insert_named(
             "Serves",

@@ -11,8 +11,7 @@ use crate::spec::{CaseSpec, Mutation};
 /// splitmix64: decorrelates per-case seeds from the master seed so
 /// neighbouring cases don't share RNG prefixes.
 pub fn case_seed(master_seed: u64, index: usize) -> u64 {
-    let mut z = master_seed
-        .wrapping_add((index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let mut z = master_seed.wrapping_add((index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -87,13 +86,22 @@ pub struct SweepSummary {
 
 impl SweepSummary {
     pub fn passed(&self) -> usize {
-        self.cases.iter().filter(|c| matches!(c.outcome, CaseOutcome::Passed)).count()
+        self.cases
+            .iter()
+            .filter(|c| matches!(c.outcome, CaseOutcome::Passed))
+            .count()
     }
     pub fn skipped(&self) -> usize {
-        self.cases.iter().filter(|c| matches!(c.outcome, CaseOutcome::Skipped(_))).count()
+        self.cases
+            .iter()
+            .filter(|c| matches!(c.outcome, CaseOutcome::Skipped(_)))
+            .count()
     }
     pub fn divergences(&self) -> usize {
-        self.cases.iter().filter(|c| matches!(c.outcome, CaseOutcome::Diverged { .. })).count()
+        self.cases
+            .iter()
+            .filter(|c| matches!(c.outcome, CaseOutcome::Diverged { .. }))
+            .count()
     }
     pub fn accepted(&self) -> usize {
         self.cases.iter().map(|c| c.accepted).sum()
@@ -123,10 +131,7 @@ impl SweepSummary {
 }
 
 /// Runs one case end to end, shrinking on divergence.
-pub fn run_one(
-    index: usize,
-    opts: &SweepOptions,
-) -> (CaseRecord, usize, usize) {
+pub fn run_one(index: usize, opts: &SweepOptions) -> (CaseRecord, usize, usize) {
     let seed = case_seed(opts.master_seed, index);
     let case = gen_case(seed, &opts.knobs);
     let cfg = CaseConfig::for_case(index, Duration::from_millis(opts.deadline_ms));
@@ -140,7 +145,10 @@ pub fn run_one(
             CaseOutcome::Diverged {
                 kind,
                 detail: d.detail.clone(),
-                shrunk: Box::new(Shrunk { spec: min.value, steps: min.steps }),
+                shrunk: Box::new(Shrunk {
+                    spec: min.value,
+                    steps: min.steps,
+                }),
             }
         }
         (None, Some(why)) => CaseOutcome::Skipped(why.clone()),
@@ -164,7 +172,10 @@ pub fn run_one(
 
 /// The bounded, seed-pinned deterministic sweep (the CI mode).
 pub fn sweep(opts: &SweepOptions) -> SweepSummary {
-    let mut summary = SweepSummary { master_seed: opts.master_seed, ..Default::default() };
+    let mut summary = SweepSummary {
+        master_seed: opts.master_seed,
+        ..Default::default()
+    };
     for index in 0..opts.cases {
         let (record, baseline, crossvariant) = run_one(index, opts);
         summary.baseline_total += baseline;
@@ -191,7 +202,11 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let opts = SweepOptions { cases: 12, deadline_ms: 4000, ..Default::default() };
+        let opts = SweepOptions {
+            cases: 12,
+            deadline_ms: 4000,
+            ..Default::default()
+        };
         let a = sweep(&opts);
         let b = sweep(&opts);
         assert_eq!(a.passed(), b.passed());
@@ -214,7 +229,10 @@ mod tests {
             ..Default::default()
         };
         let summary = sweep(&opts);
-        assert!(summary.divergences() > 0, "no divergence from injected bug in 48 cases");
+        assert!(
+            summary.divergences() > 0,
+            "no divergence from injected bug in 48 cases"
+        );
         for c in &summary.cases {
             if let CaseOutcome::Diverged { shrunk, .. } = &c.outcome {
                 assert!(

@@ -11,8 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cqi_schema::{DomainType, Value};
 use cqi_drc::CmpOp;
+use cqi_schema::{DomainType, Value};
 
 use crate::spec::{
     AtomSpec, CaseSpec, CmpSpec, FkSpec, ForallSpec, ForallTerm, KeySpec, QuerySpec, RelSpec,
@@ -119,7 +119,10 @@ fn gen_schema(rng: &mut StdRng, knobs: &GenKnobs) -> SchemaSpec {
     if knobs.keys {
         for (i, r) in relations.iter().enumerate() {
             if pct(rng, 50) {
-                keys.push(KeySpec { rel: i, attrs: vec![rng.gen_range(0..r.attrs.len())] });
+                keys.push(KeySpec {
+                    rel: i,
+                    attrs: vec![rng.gen_range(0..r.attrs.len())],
+                });
             }
         }
     }
@@ -152,7 +155,11 @@ fn gen_schema(rng: &mut StdRng, knobs: &GenKnobs) -> SchemaSpec {
             });
         }
     }
-    SchemaSpec { relations, keys, fks }
+    SchemaSpec {
+        relations,
+        keys,
+        fks,
+    }
 }
 
 /// Generates one query over `schema`. `forced_arity` pins the output arity
@@ -198,7 +205,11 @@ fn gen_query(
                 }
             })
             .collect();
-        atoms.push(AtomSpec { negated: false, rel, terms });
+        atoms.push(AtomSpec {
+            negated: false,
+            rel,
+            terms,
+        });
     }
 
     // Negated atoms reuse anchored variables (or stay free of them).
@@ -224,7 +235,11 @@ fn gen_query(
                 }
             })
             .collect();
-        atoms.push(AtomSpec { negated: true, rel, terms });
+        atoms.push(AtomSpec {
+            negated: true,
+            rel,
+            terms,
+        });
     }
 
     // Comparisons.
@@ -235,7 +250,14 @@ fn gen_query(
         }
         let v = rng.gen_range(0..vars.len());
         let ty = vars[v];
-        let ord_ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        let ord_ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
         let cmp = match ty {
             DomainType::Int | DomainType::Real => {
                 let op = ord_ops[rng.gen_range(0..ord_ops.len())];
@@ -244,7 +266,12 @@ fn gen_query(
                     _ if knobs.constants => TermSpec::Const(random_const(rng, ty)),
                     _ => continue,
                 };
-                CmpSpec { negated: false, lhs: TermSpec::Var(v), op, rhs }
+                CmpSpec {
+                    negated: false,
+                    lhs: TermSpec::Var(v),
+                    op,
+                    rhs,
+                }
             }
             DomainType::Text => {
                 if knobs.constants && pct(rng, 50) {
@@ -263,7 +290,12 @@ fn gen_query(
                         _ => continue,
                     };
                     let op = if pct(rng, 50) { CmpOp::Eq } else { CmpOp::Ne };
-                    CmpSpec { negated: false, lhs: TermSpec::Var(v), op, rhs }
+                    CmpSpec {
+                        negated: false,
+                        lhs: TermSpec::Var(v),
+                        op,
+                        rhs,
+                    }
                 }
             }
         };
@@ -296,17 +328,14 @@ fn gen_query(
                 }
             })
             .collect();
-        let guard = bound_types
-            .iter()
-            .enumerate()
-            .find_map(|(bi, bty)| {
-                if !matches!(bty, DomainType::Int | DomainType::Real) || !pct(rng, 60) {
-                    return None;
-                }
-                let outer = pick_var(rng, &vars, *bty)?;
-                let ops = [CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt];
-                Some((bi, ops[rng.gen_range(0..ops.len())], outer))
-            });
+        let guard = bound_types.iter().enumerate().find_map(|(bi, bty)| {
+            if !matches!(bty, DomainType::Int | DomainType::Real) || !pct(rng, 60) {
+                return None;
+            }
+            let outer = pick_var(rng, &vars, *bty)?;
+            let ops = [CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt];
+            Some((bi, ops[rng.gen_range(0..ops.len())], outer))
+        });
         foralls.push(ForallSpec { rel, terms, guard });
     }
 
@@ -326,7 +355,13 @@ fn gen_query(
         out_vars.push(pool.swap_remove(rng.gen_range(0..pool.len())));
     }
 
-    Some(QuerySpec { num_vars: vars.len(), atoms, cmps, foralls, out_vars })
+    Some(QuerySpec {
+        num_vars: vars.len(),
+        atoms,
+        cmps,
+        foralls,
+        out_vars,
+    })
 }
 
 /// Generates the deterministic case for `seed`: same seed, same case, on
@@ -335,7 +370,8 @@ pub fn gen_case(seed: u64, knobs: &GenKnobs) -> CaseSpec {
     // Defensive retries: generated specs are valid by construction, but a
     // build failure must surface as a skipped draw, not a panic mid-sweep.
     for attempt in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let mut rng =
+            StdRng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
         let schema = gen_schema(&mut rng, knobs);
         let Some(query) = gen_query(&mut rng, &schema, knobs, None) else {
             continue;
@@ -345,13 +381,20 @@ pub fn gen_case(seed: u64, knobs: &GenKnobs) -> CaseSpec {
         } else {
             None
         };
-        let case = CaseSpec { schema, query, second };
+        let case = CaseSpec {
+            schema,
+            query,
+            second,
+        };
         match case.build(None) {
             Ok(_) => {
                 if let Some(s) = &case.second {
                     let schema = case.schema.build().expect("schema just built");
                     if s.build(&schema, None).is_err() {
-                        return CaseSpec { second: None, ..case };
+                        return CaseSpec {
+                            second: None,
+                            ..case
+                        };
                     }
                 }
                 return case;
@@ -370,7 +413,11 @@ mod tests {
     fn generation_is_deterministic_per_seed() {
         let knobs = GenKnobs::default();
         for seed in 0..50 {
-            assert_eq!(gen_case(seed, &knobs), gen_case(seed, &knobs), "seed {seed}");
+            assert_eq!(
+                gen_case(seed, &knobs),
+                gen_case(seed, &knobs),
+                "seed {seed}"
+            );
         }
     }
 
@@ -379,7 +426,9 @@ mod tests {
         let knobs = GenKnobs::default();
         for seed in 0..150 {
             let case = gen_case(seed, &knobs);
-            let (schema, q) = case.build(None).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            let (schema, q) = case
+                .build(None)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
             let printed = cqi_drc::pretty::query_to_string(&q);
             let back = cqi_drc::parse_query(&schema, &printed)
                 .unwrap_or_else(|e| panic!("seed {seed}: {printed}\n{e:?}"));
@@ -392,7 +441,8 @@ mod tests {
             );
             if let Some(s) = &case.second {
                 assert_eq!(s.out_vars.len(), case.query.out_vars.len(), "seed {seed}");
-                s.build(&schema, None).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+                s.build(&schema, None)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
             }
         }
     }
@@ -423,7 +473,9 @@ mod tests {
         // And with the full default knobs the features do appear somewhere.
         let full = GenKnobs::default();
         let cases: Vec<CaseSpec> = (0..200).map(|s| gen_case(s, &full)).collect();
-        assert!(cases.iter().any(|c| c.query.atoms.iter().any(|a| a.negated)));
+        assert!(cases
+            .iter()
+            .any(|c| c.query.atoms.iter().any(|a| a.negated)));
         assert!(cases.iter().any(|c| !c.query.cmps.is_empty()));
         assert!(cases.iter().any(|c| !c.query.foralls.is_empty()));
         assert!(cases.iter().any(|c| c.second.is_some()));

@@ -41,16 +41,17 @@ fn parse_args() -> Result<Args, String> {
     let mut soak = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
             "--cases" => {
-                opts.cases = value("--cases")?.parse().map_err(|e| format!("--cases: {e}"))?
+                opts.cases = value("--cases")?
+                    .parse()
+                    .map_err(|e| format!("--cases: {e}"))?
             }
             "--seed" => {
-                opts.master_seed =
-                    value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
+                opts.master_seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
             }
             "--deadline-ms" => {
                 opts.deadline_ms = value("--deadline-ms")?
@@ -76,11 +77,21 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let expect_divergence = opts.mutation.is_some();
-    Ok(Args { opts, out, soak, expect_divergence })
+    Ok(Args {
+        opts,
+        out,
+        soak,
+        expect_divergence,
+    })
 }
 
 fn print_record(r: &cqi_fuzz::CaseRecord, opts: &SweepOptions) {
-    if let CaseOutcome::Diverged { kind, detail, shrunk } = &r.outcome {
+    if let CaseOutcome::Diverged {
+        kind,
+        detail,
+        shrunk,
+    } = &r.outcome
+    {
         let seed = r.seed;
         eprintln!(
             "{}",

@@ -137,11 +137,7 @@ pub struct CaseReport {
 /// one). Returns the number of instances checked.
 ///
 /// This is the exact oracle `tests/soundness_props.rs` reuses.
-pub fn check_solution(
-    q: &Query,
-    sol: &CSolution,
-    enforce_keys: bool,
-) -> Result<usize, Divergence> {
+pub fn check_solution(q: &Query, sol: &CSolution, enforce_keys: bool) -> Result<usize, Divergence> {
     for (i, si) in sol.instances.iter().enumerate() {
         let Some(g) = ground_instance(&si.inst, enforce_keys) else {
             return Err(Divergence {
@@ -260,17 +256,16 @@ pub fn run_case(
     // Cross-variant agreement: Add dominates its EO base's coverage union.
     if mutation.is_none() {
         if let Some(eo) = eo_counterpart(cfg.variant) {
-            let eo_sol =
-                match session.explain_collect(ExplainRequest::tree(&tree).variant(eo)) {
-                    Ok(sol) => sol,
-                    Err(e) => {
-                        report.divergence = Some(Divergence {
-                            kind: DivergenceKind::SpecBuild,
-                            detail: format!("explain eo: {e:?}"),
-                        });
-                        return report;
-                    }
-                };
+            let eo_sol = match session.explain_collect(ExplainRequest::tree(&tree).variant(eo)) {
+                Ok(sol) => sol,
+                Err(e) => {
+                    report.divergence = Some(Divergence {
+                        kind: DivergenceKind::SpecBuild,
+                        detail: format!("explain eo: {e:?}"),
+                    });
+                    return report;
+                }
+            };
             report.accepted += eo_sol.instances.len();
             match check_solution(&oracle_q, &eo_sol, cfg.enforce_keys) {
                 Ok(n) => report.checked += n,
@@ -306,9 +301,7 @@ pub fn run_case(
         let total_vars = |q: &crate::spec::QuerySpec| {
             q.num_vars + q.foralls.iter().map(|f| f.num_bound()).sum::<usize>()
         };
-        if total_vars(&case.query) <= BASELINE_MAX_VARS
-            && total_vars(second) <= BASELINE_MAX_VARS
-        {
+        if total_vars(&case.query) <= BASELINE_MAX_VARS && total_vars(second) <= BASELINE_MAX_VARS {
             let q2 = match second.build(&schema, None) {
                 Ok(q) => q,
                 Err(e) => {

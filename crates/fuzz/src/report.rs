@@ -21,7 +21,11 @@ pub fn render(summary: &SweepSummary) -> String {
     let _ = writeln!(s, "  \"instances_accepted\": {},", summary.accepted());
     let _ = writeln!(s, "  \"instances_checked\": {},", summary.checked());
     let _ = writeln!(s, "  \"baseline_checks\": {},", summary.baseline_checks());
-    let _ = writeln!(s, "  \"crossvariant_checks\": {},", summary.crossvariant_checks());
+    let _ = writeln!(
+        s,
+        "  \"crossvariant_checks\": {},",
+        summary.crossvariant_checks()
+    );
     s.push_str("  \"kind_counts\": {");
     let counts = summary.kind_counts();
     for (i, (kind, n)) in counts.iter().enumerate() {
@@ -34,7 +38,12 @@ pub fn render(summary: &SweepSummary) -> String {
     s.push_str("  \"failures\": [");
     let mut first = true;
     for c in &summary.cases {
-        let CaseOutcome::Diverged { kind, detail, shrunk } = &c.outcome else {
+        let CaseOutcome::Diverged {
+            kind,
+            detail,
+            shrunk,
+        } = &c.outcome
+        else {
             continue;
         };
         if !first {
@@ -54,9 +63,17 @@ pub fn render(summary: &SweepSummary) -> String {
             "      \"shrunk_relations\": {},",
             shrunk.spec.schema.relations.len()
         );
-        let _ = writeln!(s, "      \"shrunk_atoms\": {},", shrunk.spec.query.num_atoms());
+        let _ = writeln!(
+            s,
+            "      \"shrunk_atoms\": {},",
+            shrunk.spec.query.num_atoms()
+        );
         let _ = writeln!(s, "      \"shrink_steps\": {},", shrunk.steps);
-        let _ = writeln!(s, "      \"ddl\": \"{}\",", json_escape(&shrunk.spec.schema.to_ddl()));
+        let _ = writeln!(
+            s,
+            "      \"ddl\": \"{}\",",
+            json_escape(&shrunk.spec.schema.to_ddl())
+        );
         let _ = writeln!(s, "      \"drc\": \"{}\"", json_escape(&shrunk.spec.drc()));
         s.push_str("    }");
     }
@@ -69,7 +86,12 @@ pub fn render(summary: &SweepSummary) -> String {
 
 /// A human-readable one-paragraph repro, printed to stderr on failure so a
 /// divergence is actionable straight from the CI log.
-pub fn render_repro(seed: u64, kind: DivergenceKind, detail: &str, case: &crate::spec::CaseSpec) -> String {
+pub fn render_repro(
+    seed: u64,
+    kind: DivergenceKind,
+    detail: &str,
+    case: &crate::spec::CaseSpec,
+) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "=== divergence: {} (seed {seed}) ===", kind.as_str());
     let _ = writeln!(s, "{detail}");
@@ -115,7 +137,10 @@ mod tests {
             mutation: Some(Mutation::NegateFirstCmp),
             deadline_ms: 4000,
         });
-        assert!(summary.divergences() > 0, "injected bug not caught in 48 cases");
+        assert!(
+            summary.divergences() > 0,
+            "injected bug not caught in 48 cases"
+        );
         let j = render(&summary);
         assert!(json_well_formed(&j), "{j}");
         assert!(j.contains("\"kind\": \"ground-unsat\""), "{j}");

@@ -40,7 +40,13 @@ pub fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
 
     // Drop the whole second query.
     if case.second.is_some() {
-        push(CaseSpec { second: None, ..case.clone() }, &mut out);
+        push(
+            CaseSpec {
+                second: None,
+                ..case.clone()
+            },
+            &mut out,
+        );
     }
 
     // Drop whole conjuncts, per query.
@@ -117,8 +123,11 @@ pub fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
                     if let Some(s) = simpler_value(v) {
                         let mut c = case.clone();
                         let target = &mut query_at_mut(&mut c, qi).cmps[i];
-                        *(if side == 0 { &mut target.lhs } else { &mut target.rhs }) =
-                            TermSpec::Const(s);
+                        *(if side == 0 {
+                            &mut target.lhs
+                        } else {
+                            &mut target.rhs
+                        }) = TermSpec::Const(s);
                         push(c, &mut out);
                     }
                 }
@@ -150,11 +159,19 @@ fn query_count(case: &CaseSpec) -> usize {
 }
 
 fn query_at(case: &CaseSpec, i: usize) -> &QuerySpec {
-    if i == 0 { &case.query } else { case.second.as_ref().unwrap() }
+    if i == 0 {
+        &case.query
+    } else {
+        case.second.as_ref().unwrap()
+    }
 }
 
 fn query_at_mut(case: &mut CaseSpec, i: usize) -> &mut QuerySpec {
-    if i == 0 { &mut case.query } else { case.second.as_mut().unwrap() }
+    if i == 0 {
+        &mut case.query
+    } else {
+        case.second.as_mut().unwrap()
+    }
 }
 
 /// A strictly simpler constant of the same type, or `None` when the value
@@ -303,7 +320,12 @@ mod tests {
         // weakest possible predicate, so the minimum is a single atom.
         let min = shrink_case(case, |c| c.query.atoms.iter().any(|a| !a.negated));
         assert!(min.value.second.is_none());
-        assert_eq!(min.value.query.num_atoms(), 1, "from {before}: {:?}", min.value);
+        assert_eq!(
+            min.value.query.num_atoms(),
+            1,
+            "from {before}: {:?}",
+            min.value
+        );
         assert!(min.value.schema.relations.len() <= 1 + min.value.schema.fks.len());
         min.value.build(None).unwrap();
     }
@@ -315,12 +337,18 @@ mod tests {
             .map(|s| gen_case(s, &knobs))
             .find(|c| c.query.foralls.iter().any(|f| f.guard.is_some()))
             .expect("no guarded forall in 400 seeds");
-        let f = case.query.foralls.iter().find(|f| f.guard.is_some()).unwrap();
+        let f = case
+            .query
+            .foralls
+            .iter()
+            .find(|f| f.guard.is_some())
+            .unwrap();
         let rel = f.rel;
         for ai in 0..case.schema.relations[rel].attrs.len() {
             if let Some(mut c) = drop_attr(&case, rel, ai) {
                 if c.normalize() {
-                    c.build(None).unwrap_or_else(|e| panic!("attr {ai}: {e:?}\n{c:?}"));
+                    c.build(None)
+                        .unwrap_or_else(|e| panic!("attr {ai}: {e:?}\n{c:?}"));
                 }
             }
         }

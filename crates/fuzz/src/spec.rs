@@ -110,7 +110,11 @@ impl SchemaSpec {
         }
         for fk in &self.fks {
             let c: Vec<String> = fk.child_attrs.iter().map(|a| format!("\"a{a}\"")).collect();
-            let p: Vec<String> = fk.parent_attrs.iter().map(|a| format!("\"a{a}\"")).collect();
+            let p: Vec<String> = fk
+                .parent_attrs
+                .iter()
+                .map(|a| format!("\"a{a}\""))
+                .collect();
             s.push_str(&format!(
                 "    .foreign_key(\"{}\", &[{}], \"{}\", &[{}])\n",
                 self.relations[fk.child].name,
@@ -330,12 +334,12 @@ pub struct CaseSpec {
 
 impl CaseSpec {
     /// Builds the schema plus the primary query.
-    pub fn build(
-        &self,
-        mutation: Option<Mutation>,
-    ) -> Result<(Arc<Schema>, Query), BuildError> {
+    pub fn build(&self, mutation: Option<Mutation>) -> Result<(Arc<Schema>, Query), BuildError> {
         let schema = self.schema.build().map_err(BuildError::Schema)?;
-        let q = self.query.build(&schema, mutation).map_err(BuildError::Query)?;
+        let q = self
+            .query
+            .build(&schema, mutation)
+            .map_err(BuildError::Query)?;
         Ok((schema, q))
     }
 
@@ -366,7 +370,10 @@ impl CaseSpec {
     /// query (no positive atom left) — shrink candidates that do this are
     /// discarded by the caller.
     pub fn normalize(&mut self) -> bool {
-        for qs in [Some(&mut self.query), self.second.as_mut()].into_iter().flatten() {
+        for qs in [Some(&mut self.query), self.second.as_mut()]
+            .into_iter()
+            .flatten()
+        {
             if !normalize_query(qs) {
                 return false;
             }
@@ -374,7 +381,10 @@ impl CaseSpec {
 
         // Relations referenced by any remaining atom of either query.
         let mut used_rel = vec![false; self.schema.relations.len()];
-        for qs in [Some(&self.query), self.second.as_ref()].into_iter().flatten() {
+        for qs in [Some(&self.query), self.second.as_ref()]
+            .into_iter()
+            .flatten()
+        {
             for a in &qs.atoms {
                 used_rel[a.rel] = true;
             }
@@ -431,7 +441,10 @@ impl CaseSpec {
             fk.child = remap[fk.child].unwrap();
             fk.parent = remap[fk.parent].unwrap();
         }
-        for qs in [Some(&mut self.query), self.second.as_mut()].into_iter().flatten() {
+        for qs in [Some(&mut self.query), self.second.as_mut()]
+            .into_iter()
+            .flatten()
+        {
             for a in &mut qs.atoms {
                 a.rel = remap[a.rel].unwrap();
             }
@@ -541,10 +554,19 @@ mod tests {
         CaseSpec {
             schema: SchemaSpec {
                 relations: vec![
-                    RelSpec { name: "R0".into(), attrs: vec![DomainType::Int, DomainType::Text] },
-                    RelSpec { name: "R1".into(), attrs: vec![DomainType::Int] },
+                    RelSpec {
+                        name: "R0".into(),
+                        attrs: vec![DomainType::Int, DomainType::Text],
+                    },
+                    RelSpec {
+                        name: "R1".into(),
+                        attrs: vec![DomainType::Int],
+                    },
                 ],
-                keys: vec![KeySpec { rel: 0, attrs: vec![0] }],
+                keys: vec![KeySpec {
+                    rel: 0,
+                    attrs: vec![0],
+                }],
                 fks: vec![],
             },
             query: QuerySpec {
@@ -555,7 +577,11 @@ mod tests {
                         rel: 0,
                         terms: vec![TermSpec::Var(0), TermSpec::Var(1)],
                     },
-                    AtomSpec { negated: true, rel: 1, terms: vec![TermSpec::Var(0)] },
+                    AtomSpec {
+                        negated: true,
+                        rel: 1,
+                        terms: vec![TermSpec::Var(0)],
+                    },
                 ],
                 cmps: vec![CmpSpec {
                     negated: false,
@@ -600,8 +626,14 @@ mod tests {
     fn mutations_change_the_built_query() {
         let case = tiny_case();
         let (schema, q) = case.build(None).unwrap();
-        let dropped = case.query.build(&schema, Some(Mutation::DropFirstCmp)).unwrap();
-        let negated = case.query.build(&schema, Some(Mutation::NegateFirstCmp)).unwrap();
+        let dropped = case
+            .query
+            .build(&schema, Some(Mutation::DropFirstCmp))
+            .unwrap();
+        let negated = case
+            .query
+            .build(&schema, Some(Mutation::NegateFirstCmp))
+            .unwrap();
         let count = |q: &Query| {
             let mut n = 0;
             q.formula.for_each_atom(&mut |_| n += 1);

@@ -288,9 +288,10 @@ impl CInstance {
             (Cond::NotIn { rel: r1, tuple: t1 }, Cond::NotIn { rel: r2, tuple: t2 }) => {
                 r1 == r2
                     && t1.len() == t2.len()
-                    && t1.iter().zip(t2).all(|(a, b)| {
-                        a == b || (self.is_dont_care(a) && self.is_dont_care(b))
-                    })
+                    && t1
+                        .iter()
+                        .zip(t2)
+                        .all(|(a, b)| a == b || (self.is_dont_care(a) && self.is_dont_care(b)))
             }
             (a, b) => a == b,
         });
@@ -338,9 +339,10 @@ impl CInstance {
 
     /// Iterates all `(rel, row)` pairs.
     pub fn tuples(&self) -> impl Iterator<Item = (RelId, &Vec<Ent>)> {
-        self.tables.iter().enumerate().flat_map(|(ri, rows)| {
-            rows.iter().map(move |r| (RelId(ri as u32), r))
-        })
+        self.tables
+            .iter()
+            .enumerate()
+            .flat_map(|(ri, rows)| rows.iter().map(move |r| (RelId(ri as u32), r)))
     }
 }
 
@@ -353,9 +355,18 @@ mod tests {
     pub(crate) fn beers_schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[

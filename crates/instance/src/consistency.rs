@@ -221,8 +221,14 @@ mod tests {
         inst.add_tuple(serves, vec![x.into(), b.into(), p1.into()]);
         inst.add_tuple(serves, vec![x.into(), b.into(), p2.into()]);
         inst.add_cond(Cond::Lit(Lit::cmp(p1, SolverOp::Gt, p2)));
-        assert!(is_consistent(&inst, false), "without keys: two rows may differ");
-        assert!(!is_consistent(&inst, true), "with keys: p1 = p2 forced, p1 > p2 fails");
+        assert!(
+            is_consistent(&inst, false),
+            "without keys: two rows may differ"
+        );
+        assert!(
+            !is_consistent(&inst, true),
+            "with keys: p1 = p2 forced, p1 > p2 fails"
+        );
     }
 
     #[test]
@@ -264,7 +270,10 @@ mod tests {
         let mut m = consistent_model(&inst, true).unwrap();
         assert!(m.get(p1).unwrap().as_f64() > m.get(p2).unwrap().as_f64());
         m.complete(&inst.null_types());
-        assert!(m.get(unused).is_some(), "complete() grounds unmentioned nulls");
+        assert!(
+            m.get(unused).is_some(),
+            "complete() grounds unmentioned nulls"
+        );
         inst.add_cond(Cond::Lit(Lit::cmp(p2, SolverOp::Gt, p1)));
         assert!(consistent_model(&inst, true).is_none());
     }

@@ -32,7 +32,11 @@ impl CInstance {
                 op.symbol(),
                 self.ent_name(rhs)
             ),
-            Lit::Like { negated, ent, pattern } => {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => {
                 if *negated {
                     format!("not ({} like '{}')", self.ent_name(ent), pattern)
                 } else {
@@ -187,7 +191,10 @@ mod tests {
     fn dont_care_renders_star() {
         let s = Arc::new(
             Schema::builder()
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .build()
                 .unwrap(),
         );
@@ -204,7 +211,10 @@ mod tests {
     fn ground_instance_display() {
         let s = Arc::new(
             Schema::builder()
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .build()
                 .unwrap(),
         );

@@ -132,7 +132,10 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[

@@ -42,9 +42,18 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -83,8 +92,12 @@ mod tests {
         let dd = s.attr_domain(likes, 0);
         let d1 = inst.fresh_null("d1", dd);
         let b1 = inst.fresh_null("b1", ed);
-        let xs: Vec<_> = (1..=3).map(|i| inst.fresh_null(format!("x{i}"), bd)).collect();
-        let ps: Vec<_> = (1..=3).map(|i| inst.fresh_null(format!("p{i}"), pd)).collect();
+        let xs: Vec<_> = (1..=3)
+            .map(|i| inst.fresh_null(format!("x{i}"), bd))
+            .collect();
+        let ps: Vec<_> = (1..=3)
+            .map(|i| inst.fresh_null(format!("p{i}"), pd))
+            .collect();
         for (x, p) in xs.iter().zip(&ps) {
             inst.add_tuple(serves, vec![(*x).into(), b1.into(), (*p).into()]);
         }
@@ -99,10 +112,7 @@ mod tests {
         // 3 serves rows with distinct prices.
         let serves_rows: Vec<_> = g.rows(serves).collect();
         assert_eq!(serves_rows.len(), 3);
-        let mut prices: Vec<f64> = serves_rows
-            .iter()
-            .map(|r| r[2].as_f64().unwrap())
-            .collect();
+        let mut prices: Vec<f64> = serves_rows.iter().map(|r| r[2].as_f64().unwrap()).collect();
         prices.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(prices[0] < prices[1] && prices[1] < prices[2]);
         // One drinker named "Eve ...".

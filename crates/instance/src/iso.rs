@@ -56,7 +56,11 @@ fn null_colors(inst: &CInstance) -> Vec<u64> {
                         occ[m.index()].push(h(&(4u8, format!("{op:?}"), ent_desc(lhs, &color))));
                     }
                 }
-                Cond::Lit(Lit::Like { negated, ent, pattern }) => {
+                Cond::Lit(Lit::Like {
+                    negated,
+                    ent,
+                    pattern,
+                }) => {
                     if let Ent::Null(m) = ent {
                         occ[m.index()].push(h(&(5u8, negated, pattern)));
                     }
@@ -98,7 +102,10 @@ pub mod digest_stats {
 
     /// `(hits, recomputes)` since process start.
     pub fn snapshot() -> (u64, u64) {
-        (HITS.load(Ordering::SeqCst), RECOMPUTES.load(Ordering::SeqCst))
+        (
+            HITS.load(Ordering::SeqCst),
+            RECOMPUTES.load(Ordering::SeqCst),
+        )
     }
 }
 
@@ -172,9 +179,11 @@ fn signature_uncached(inst: &CInstance) -> u64 {
             Cond::Lit(Lit::Cmp { lhs, op, rhs }) => {
                 h(&(10u8, format!("{op:?}"), ent_sig(lhs), ent_sig(rhs)))
             }
-            Cond::Lit(Lit::Like { negated, ent, pattern }) => {
-                h(&(11u8, negated, pattern, ent_sig(ent)))
-            }
+            Cond::Lit(Lit::Like {
+                negated,
+                ent,
+                pattern,
+            }) => h(&(11u8, negated, pattern, ent_sig(ent))),
             Cond::NotIn { rel, tuple } => {
                 let cells: Vec<u64> = tuple.iter().map(&ent_sig).collect();
                 h(&(12u8, rel.0, cells))
@@ -266,7 +275,11 @@ fn check_mapping(a: &CInstance, b: &CInstance, map: &[Option<NullId>]) -> bool {
                 op: *op,
                 rhs: apply(map, rhs),
             },
-            Lit::Like { negated, ent, pattern } => Lit::Like {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => Lit::Like {
                 negated: *negated,
                 ent: apply(map, ent),
                 pattern: pattern.clone(),
@@ -400,7 +413,11 @@ mod tests {
             let b = inst.fresh_null("b", ed);
             inst.add_tuple(
                 serves,
-                vec![x.into(), b.into(), Ent::Const(cqi_schema::Value::real(price))],
+                vec![
+                    x.into(),
+                    b.into(),
+                    Ent::Const(cqi_schema::Value::real(price)),
+                ],
             );
             inst
         };
@@ -424,11 +441,7 @@ mod tests {
         let s = schema();
         let a = two_row_instance(&s, false);
         let mut b = two_row_instance(&s, false);
-        b.add_cond(Cond::Lit(Lit::cmp(
-            NullId(3),
-            SolverOp::Ne,
-            NullId(1),
-        )));
+        b.add_cond(Cond::Lit(Lit::cmp(NullId(3), SolverOp::Ne, NullId(1))));
         assert!(!is_isomorphic(&a, &b));
     }
 
@@ -442,9 +455,17 @@ mod tests {
         let s = schema();
         let a = two_row_instance(&s, false);
         let b = two_row_instance(&s, false);
-        assert_eq!(exact_digest(&a), exact_digest(&b), "same build, same digest");
+        assert_eq!(
+            exact_digest(&a),
+            exact_digest(&b),
+            "same build, same digest"
+        );
         let cloned = a.clone();
-        assert_eq!(exact_digest(&cloned), exact_digest(&a), "clone keeps digest");
+        assert_eq!(
+            exact_digest(&cloned),
+            exact_digest(&a),
+            "clone keeps digest"
+        );
         assert_eq!(signature(&cloned), signature(&a));
 
         let before = exact_digest(&a);

@@ -122,8 +122,7 @@ impl GroundInstance {
             let rows: Vec<String> = self
                 .rows(rid)
                 .map(|row| {
-                    let cells: Vec<String> =
-                        row.iter().map(|v| json_str(&v.to_string())).collect();
+                    let cells: Vec<String> = row.iter().map(|v| json_str(&v.to_string())).collect();
                     format!("[{}]", cells.join(", "))
                 })
                 .collect();

@@ -152,7 +152,10 @@ impl Histogram {
 
     /// Per-bucket (non-cumulative) counts.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -425,12 +428,18 @@ fn sample_line(
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", label_escape(v)))
         .collect();
-    parts.extend(extra.iter().map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))));
+    parts.extend(
+        extra
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))),
+    );
     format!("{name}{{{}}} {value}\n", parts.join(","))
 }
 
 fn label_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 pub(crate) fn json_escape(s: &str) -> String {
@@ -555,7 +564,8 @@ mod tests {
     fn exposition_lines_are_well_formed() {
         let r = Registry::new();
         r.counter("cqi_test_waves_total", "waves", &[]).add(7);
-        r.gauge("cqi_test_depth", "depth", &[("worker", "0")]).set(-3);
+        r.gauge("cqi_test_depth", "depth", &[("worker", "0")])
+            .set(-3);
         let h = r.histogram("cqi_test_ns", "latencies", &[("phase", "solver")]);
         h.observe(5);
         h.observe(5000);
@@ -579,7 +589,10 @@ mod tests {
         assert!(saw_inf, "histogram must end in a +Inf bucket");
         // Histogram bucket counts are cumulative: the +Inf line equals count.
         let inf_line = text.lines().rfind(|l| l.contains("le=\"+Inf\"")).unwrap();
-        assert!(inf_line.ends_with(" 2"), "cumulative +Inf ≠ count: {inf_line}");
+        assert!(
+            inf_line.ends_with(" 2"),
+            "cumulative +Inf ≠ count: {inf_line}"
+        );
     }
 
     #[test]

@@ -601,8 +601,7 @@ mod tests {
         let out = Exec::resident(&pool).run(&mut ctxs, &outer, |_, _, x| {
             let inner: Vec<usize> = (0..50).collect();
             let mut inner_ctxs = vec![(); 2];
-            let inner_out =
-                Exec::resident(&pool).run(&mut inner_ctxs, &inner, |_, _, y| y + x);
+            let inner_out = Exec::resident(&pool).run(&mut inner_ctxs, &inner, |_, _, y| y + x);
             inner_out.iter().sum::<usize>()
         });
         let expect: Vec<usize> = (0..8).map(|x| (0..50).map(|y| y + x).sum()).collect();

@@ -23,4 +23,4 @@ pub use constraint::{ForeignKey, Key};
 pub use domain::{DomainId, DomainType};
 pub use relation::{AttrId, Attribute, RelId, Relation};
 pub use schema::{Schema, SchemaBuilder, SchemaError};
-pub use value::{R64, Value};
+pub use value::{Value, R64};

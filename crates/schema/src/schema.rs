@@ -100,17 +100,10 @@ pub struct SchemaBuilder {
 
 impl SchemaBuilder {
     /// Declares a relation with `(attribute, type)` columns.
-    pub fn relation(
-        mut self,
-        name: &str,
-        attrs: &[(&str, DomainType)],
-    ) -> Self {
+    pub fn relation(mut self, name: &str, attrs: &[(&str, DomainType)]) -> Self {
         self.relations.push((
             name.to_owned(),
-            attrs
-                .iter()
-                .map(|(n, t)| ((*n).to_owned(), *t))
-                .collect(),
+            attrs.iter().map(|(n, t)| ((*n).to_owned(), *t)).collect(),
         ));
         self
     }
@@ -240,11 +233,7 @@ impl SchemaBuilder {
                         context: format!("{child}.{ca} ({ct}) vs {par}.{pa} ({pt})"),
                     });
                 }
-                union(
-                    &mut parent,
-                    slot_of[&(crid, cai)],
-                    slot_of[&(prid, pai)],
-                );
+                union(&mut parent, slot_of[&(crid, cai)], slot_of[&(prid, pai)]);
                 fk.child = crid;
                 fk.parent = prid;
                 fk.child_attrs.push(cai);
@@ -292,7 +281,10 @@ impl SchemaBuilder {
                 let (_, ai) = resolve(&by_name, &relations, rel, a)?;
                 idxs.push(ai);
             }
-            keys.push(Key { rel: rid, attrs: idxs });
+            keys.push(Key {
+                rel: rid,
+                attrs: idxs,
+            });
         }
 
         Ok(Schema {
@@ -311,8 +303,14 @@ mod tests {
 
     fn beers_like() -> Schema {
         Schema::builder()
-            .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-            .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
+            .relation(
+                "Drinker",
+                &[("name", DomainType::Text), ("addr", DomainType::Text)],
+            )
+            .relation(
+                "Beer",
+                &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+            )
             .relation(
                 "Serves",
                 &[

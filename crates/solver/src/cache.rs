@@ -97,7 +97,11 @@ mod tests {
     fn eviction_keeps_capacity_bounded_and_answers_correct() {
         let mut cache = ExactCache::new(8);
         for i in 0..40 {
-            assert!(cache.is_sat(&window(0, i, i + 2)), "window ({i}, {})", i + 2);
+            assert!(
+                cache.is_sat(&window(0, i, i + 2)),
+                "window ({i}, {})",
+                i + 2
+            );
             assert!(cache.len() <= 8);
         }
         // Evicted entries re-solve correctly.

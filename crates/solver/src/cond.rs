@@ -114,7 +114,11 @@ impl Lit {
                 op: op.negate(),
                 rhs: rhs.clone(),
             },
-            Lit::Like { negated, ent, pattern } => Lit::Like {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => Lit::Like {
                 negated: !negated,
                 ent: ent.clone(),
                 pattern: pattern.clone(),
@@ -153,7 +157,11 @@ impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Lit::Cmp { lhs, op, rhs } => write!(f, "{lhs:?} {} {rhs:?}", op.symbol()),
-            Lit::Like { negated, ent, pattern } => {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => {
                 if *negated {
                     write!(f, "not ({ent:?} like '{pattern}')")
                 } else {

@@ -43,10 +43,7 @@ fn search(
     }
     // If the current partial model already satisfies the next clause, we
     // can skip branching on it (the model is a witness).
-    if clauses[idx]
-        .iter()
-        .any(|l| model.eval_lit(l) == Some(true))
-    {
+    if clauses[idx].iter().any(|l| model.eval_lit(l) == Some(true)) {
         // Still need to confirm the *rest* under the clause's truth; branch
         // on the satisfied literal first for a cheap path.
         let order: Vec<&Lit> = {

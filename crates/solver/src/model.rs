@@ -46,7 +46,11 @@ impl Model {
                 let (a, b) = (self.resolve(lhs)?, self.resolve(rhs)?);
                 op.eval(&a, &b)
             }
-            Lit::Like { negated, ent, pattern } => {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => {
                 let v = self.resolve(ent)?;
                 match v {
                     Value::Str(s) => Some(like_match(pattern, &s) != *negated),
@@ -59,9 +63,9 @@ impl Model {
     /// Checks that every conjunct holds and every clause has a true literal.
     pub fn verify(&self, conj: &[Lit], clauses: &[Clause]) -> bool {
         conj.iter().all(|l| self.eval_lit(l) == Some(true))
-            && clauses.iter().all(|c| {
-                c.iter().any(|l| self.eval_lit(l) == Some(true))
-            })
+            && clauses
+                .iter()
+                .all(|c| c.iter().any(|l| self.eval_lit(l) == Some(true)))
     }
 
     // The loop index doubles as the null id for the defaults table; an

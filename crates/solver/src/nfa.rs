@@ -388,8 +388,7 @@ pub fn like_witness(positive: &[&str], negative: &[&str]) -> Option<String> {
     }
     let w = prod.shortest_accepted(&alpha)?;
     debug_assert!(
-        positive.iter().all(|p| like_match(p, &w))
-            && negative.iter().all(|p| !like_match(p, &w)),
+        positive.iter().all(|p| like_match(p, &w)) && negative.iter().all(|p| !like_match(p, &w)),
         "automata witness {w:?} disagrees with direct matcher"
     );
     Some(w)

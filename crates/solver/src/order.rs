@@ -297,11 +297,7 @@ fn candidate(p: &OrderProblem, csr: &OrderCsr) -> Option<Vec<f64>> {
     let base = if p.pinned.iter().all(Option::is_none) {
         1.0
     } else {
-        let min_pinned = p
-            .pinned
-            .iter()
-            .flatten()
-            .fold(0.0f64, |acc, v| acc.min(*v));
+        let min_pinned = p.pinned.iter().flatten().fold(0.0f64, |acc, v| acc.min(*v));
         min_pinned.floor() - (n as f64) - 2.0
     };
 

@@ -128,7 +128,10 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
     for i in 0..n {
         for j in i + 1..n {
             if le[i][j] && le[j][i] {
-                if p.neqs.iter().any(|&(a, b)| (a, b) == (i, j) || (a, b) == (j, i)) {
+                if p.neqs
+                    .iter()
+                    .any(|&(a, b)| (a, b) == (i, j) || (a, b) == (j, i))
+                {
                     return None;
                 }
                 if let (Some(a), Some(b)) = (&p.pinned[i], &p.pinned[j]) {
@@ -189,7 +192,10 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
         if let Some(j) = (0..n).find(|&j| j != i && le[i][j] && le[j][i] && vals[j].is_some()) {
             let v = vals[j].clone().unwrap();
             // Must still satisfy i's LIKE constraints.
-            if p.likes[i].iter().any(|(neg, pat)| like_match(pat, &v) == *neg) {
+            if p.likes[i]
+                .iter()
+                .any(|(neg, pat)| like_match(pat, &v) == *neg)
+            {
                 return None;
             }
             vals[i] = Some(v);
@@ -205,13 +211,19 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
             if let Some(v) = &vals[j] {
                 if le[j][i] {
                     let strict = lt[j][i];
-                    if lo.as_ref().is_none_or(|(cur, cs)| v > cur || (v == cur && strict && !cs)) {
+                    if lo
+                        .as_ref()
+                        .is_none_or(|(cur, cs)| v > cur || (v == cur && strict && !cs))
+                    {
                         lo = Some((v.clone(), strict));
                     }
                 }
                 if le[i][j] {
                     let strict = lt[i][j];
-                    if hi.as_ref().is_none_or(|(cur, cs)| v < cur || (v == cur && strict && !cs)) {
+                    if hi
+                        .as_ref()
+                        .is_none_or(|(cur, cs)| v < cur || (v == cur && strict && !cs))
+                    {
                         hi = Some((v.clone(), strict));
                     }
                 }
@@ -250,7 +262,9 @@ pub fn solve_text(p: &TextProblem) -> Option<Vec<String>> {
             if taboo.contains(&s) {
                 return false;
             }
-            p.likes[i].iter().all(|(neg, pat)| like_match(pat, s) != *neg)
+            p.likes[i]
+                .iter()
+                .all(|(neg, pat)| like_match(pat, s) != *neg)
         };
         let candidate = match &like_cands[i] {
             Some(cands) => cands.iter().find(|s| ok(s)).cloned(),
@@ -492,8 +506,16 @@ mod tests {
         let mut p = TextProblem::new(3);
         p.pinned[0] = Some("apple".into());
         p.pinned[2] = Some("banana".into());
-        p.edges.push(OrderEdge { from: 0, to: 1, strict: true });
-        p.edges.push(OrderEdge { from: 1, to: 2, strict: true });
+        p.edges.push(OrderEdge {
+            from: 0,
+            to: 1,
+            strict: true,
+        });
+        p.edges.push(OrderEdge {
+            from: 1,
+            to: 2,
+            strict: true,
+        });
         let v = solve_text(&p).unwrap();
         assert!(v[1].as_str() > "apple" && v[1].as_str() < "banana");
     }
@@ -501,16 +523,32 @@ mod tests {
     #[test]
     fn strict_cycle_unsat() {
         let mut p = TextProblem::new(2);
-        p.edges.push(OrderEdge { from: 0, to: 1, strict: true });
-        p.edges.push(OrderEdge { from: 1, to: 0, strict: false });
+        p.edges.push(OrderEdge {
+            from: 0,
+            to: 1,
+            strict: true,
+        });
+        p.edges.push(OrderEdge {
+            from: 1,
+            to: 0,
+            strict: false,
+        });
         assert!(solve_text(&p).is_none());
     }
 
     #[test]
     fn forced_equal_with_neq_unsat() {
         let mut p = TextProblem::new(2);
-        p.edges.push(OrderEdge { from: 0, to: 1, strict: false });
-        p.edges.push(OrderEdge { from: 1, to: 0, strict: false });
+        p.edges.push(OrderEdge {
+            from: 0,
+            to: 1,
+            strict: false,
+        });
+        p.edges.push(OrderEdge {
+            from: 1,
+            to: 0,
+            strict: false,
+        });
         p.neqs.push((0, 1));
         assert!(solve_text(&p).is_none());
     }
@@ -520,7 +558,11 @@ mod tests {
         let mut p = TextProblem::new(2);
         p.pinned[0] = Some("b".into());
         p.pinned[1] = Some("a".into());
-        p.edges.push(OrderEdge { from: 0, to: 1, strict: false });
+        p.edges.push(OrderEdge {
+            from: 0,
+            to: 1,
+            strict: false,
+        });
         assert!(solve_text(&p).is_none());
     }
 
@@ -551,8 +593,16 @@ mod tests {
         let mut p = TextProblem::new(3);
         p.pinned[0] = Some("a".into());
         p.pinned[2] = Some("a0".into());
-        p.edges.push(OrderEdge { from: 0, to: 1, strict: true });
-        p.edges.push(OrderEdge { from: 1, to: 2, strict: true });
+        p.edges.push(OrderEdge {
+            from: 0,
+            to: 1,
+            strict: true,
+        });
+        p.edges.push(OrderEdge {
+            from: 1,
+            to: 2,
+            strict: true,
+        });
         let v = solve_text(&p).unwrap();
         assert!(v[1].as_str() > "a" && v[1].as_str() < "a0");
     }

@@ -126,7 +126,11 @@ impl Saturation {
                 }
                 true
             }
-            Lit::Like { negated, ent, pattern } => match ent {
+            Lit::Like {
+                negated,
+                ent,
+                pattern,
+            } => match ent {
                 Ent::Const(v) => match v {
                     Value::Str(s) => crate::nfa::like_match(pattern, s) != *negated,
                     _ => false, // LIKE on a number
@@ -225,14 +229,22 @@ impl Saturation {
                     if strict && i == j {
                         return None; // x < x
                     }
-                    op_num.edges.push(OrderEdge { from: i, to: j, strict });
+                    op_num.edges.push(OrderEdge {
+                        from: i,
+                        to: j,
+                        strict,
+                    });
                 }
                 _ => match (text_idx[ca], text_idx[cb]) {
                     (Some(i), Some(j)) => {
                         if strict && i == j {
                             return None;
                         }
-                        op_text.edges.push(OrderEdge { from: i, to: j, strict });
+                        op_text.edges.push(OrderEdge {
+                            from: i,
+                            to: j,
+                            strict,
+                        });
                     }
                     _ => return None, // mixed kinds (already guarded, defensive)
                 },

@@ -42,7 +42,9 @@ fn random_ent(rng: &mut StdRng, types: &[DomainType], want: DomainType) -> Ent {
     Ent::Const(match want {
         DomainType::Int => Value::Int(rng.gen_range(-3..6)),
         DomainType::Real => Value::real(rng.gen_range(-3..6) as f64 / 2.0),
-        DomainType::Text => Value::str(["a", "b", "Eve E", "Eve Edwards", "beer"][rng.gen_range(0..5)]),
+        DomainType::Text => {
+            Value::str(["a", "b", "Eve E", "Eve Edwards", "beer"][rng.gen_range(0..5)])
+        }
     })
 }
 

@@ -111,8 +111,16 @@ fn order_three_distinct_ints_in_two_slots_unsat() {
     p.pinned[3] = Some(7.0);
     p.pinned[4] = Some(8.0);
     for i in 0..3 {
-        p.edges.push(OrderEdge { from: 3, to: i, strict: false });
-        p.edges.push(OrderEdge { from: i, to: 4, strict: false });
+        p.edges.push(OrderEdge {
+            from: 3,
+            to: i,
+            strict: false,
+        });
+        p.edges.push(OrderEdge {
+            from: i,
+            to: 4,
+            strict: false,
+        });
     }
     p.neqs.push((0, 1));
     p.neqs.push((1, 2));
@@ -127,8 +135,16 @@ fn order_dense_window_fits_many_distinct_reals() {
     p.pinned[3] = Some(7.0);
     p.pinned[4] = Some(8.0);
     for i in 0..3 {
-        p.edges.push(OrderEdge { from: 3, to: i, strict: true });
-        p.edges.push(OrderEdge { from: i, to: 4, strict: true });
+        p.edges.push(OrderEdge {
+            from: 3,
+            to: i,
+            strict: true,
+        });
+        p.edges.push(OrderEdge {
+            from: i,
+            to: 4,
+            strict: true,
+        });
     }
     p.neqs.push((0, 1));
     p.neqs.push((1, 2));
@@ -177,8 +193,16 @@ fn strings_chain_between_pins_with_neq() {
     let mut p = TextProblem::new(3);
     p.pinned[0] = Some("m".into());
     p.pinned[2] = Some("n".into());
-    p.edges.push(OrderEdge { from: 0, to: 1, strict: false });
-    p.edges.push(OrderEdge { from: 1, to: 2, strict: false });
+    p.edges.push(OrderEdge {
+        from: 0,
+        to: 1,
+        strict: false,
+    });
+    p.edges.push(OrderEdge {
+        from: 1,
+        to: 2,
+        strict: false,
+    });
     p.neqs.push((0, 1));
     p.neqs.push((1, 2));
     let v = solve_text(&p).unwrap();

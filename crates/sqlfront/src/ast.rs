@@ -54,7 +54,9 @@ pub enum SqlCond {
 pub enum SelectItem {
     /// `*` (all columns of all tables, in FROM order) or qualified `t.*`
     /// (all columns of the table aliased `t`).
-    Wildcard { alias: Option<String> },
+    Wildcard {
+        alias: Option<String>,
+    },
     Col(ColRef),
 }
 

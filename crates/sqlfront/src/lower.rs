@@ -75,7 +75,8 @@ impl<'a> Lowerer<'a> {
         local_start: usize,
         col: &ColRef,
     ) -> Result<VarId, QueryError> {
-        self.resolve_raw(scope, local_start, col).map(|v| self.find(v))
+        self.resolve_raw(scope, local_start, col)
+            .map(|v| self.find(v))
     }
 
     fn resolve_raw(
@@ -107,7 +108,10 @@ impl<'a> Lowerer<'a> {
                 pos: 0,
                 msg: format!(
                     "cannot resolve column `{}{}`",
-                    col.alias.as_deref().map(|a| format!("{a}.")).unwrap_or_default(),
+                    col.alias
+                        .as_deref()
+                        .map(|a| format!("{a}."))
+                        .unwrap_or_default(),
                     col.attr
                 ),
             })
@@ -169,7 +173,11 @@ impl<'a> Lowerer<'a> {
             parts.push(Formula::Atom(Atom::Rel {
                 negated: false,
                 rel: frame.rel,
-                terms: frame.vars.iter().map(|v| Term::Var(self.find(*v))).collect(),
+                terms: frame
+                    .vars
+                    .iter()
+                    .map(|v| Term::Var(self.find(*v)))
+                    .collect(),
             }));
         }
         for c in residual {
@@ -256,7 +264,11 @@ impl<'a> Lowerer<'a> {
                     rhs: r,
                 })
             }
-            SqlCond::Like { negated, col, pattern } => {
+            SqlCond::Like {
+                negated,
+                col,
+                pattern,
+            } => {
                 let l = self.term(col, scope, local_start)?;
                 Formula::Atom(Atom::Cmp {
                     negated: *negated,
@@ -328,9 +340,18 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
-                .relation("Drinker", &[("name", DomainType::Text), ("addr", DomainType::Text)])
-                .relation("Beer", &[("name", DomainType::Text), ("brewer", DomainType::Text)])
-                .relation("Bar", &[("name", DomainType::Text), ("addr", DomainType::Text)])
+                .relation(
+                    "Drinker",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
+                .relation(
+                    "Beer",
+                    &[("name", DomainType::Text), ("brewer", DomainType::Text)],
+                )
+                .relation(
+                    "Bar",
+                    &[("name", DomainType::Text), ("addr", DomainType::Text)],
+                )
                 .relation(
                     "Serves",
                     &[
@@ -429,9 +450,18 @@ mod tests {
             g.insert_named("Bar", &[bar.into(), "x".into()]);
         }
         g.insert_named("Likes", &["Eve Edwards".into(), "APA".into()]);
-        g.insert_named("Serves", &["RM".into(), "APA".into(), cqi_schema::Value::real(2.25)]);
-        g.insert_named("Serves", &["RR".into(), "APA".into(), cqi_schema::Value::real(2.75)]);
-        g.insert_named("Serves", &["Tadim".into(), "APA".into(), cqi_schema::Value::real(3.5)]);
+        g.insert_named(
+            "Serves",
+            &["RM".into(), "APA".into(), cqi_schema::Value::real(2.25)],
+        );
+        g.insert_named(
+            "Serves",
+            &["RR".into(), "APA".into(), cqi_schema::Value::real(2.75)],
+        );
+        g.insert_named(
+            "Serves",
+            &["Tadim".into(), "APA".into(), cqi_schema::Value::real(3.5)],
+        );
 
         let sql = sql_to_drc(
             &s,
@@ -481,9 +511,18 @@ mod tests {
         use cqi_instance::GroundInstance;
         let mut g = GroundInstance::new(Arc::clone(&s));
         g.insert_named("Likes", &["Eve Edwards".into(), "APA".into()]);
-        g.insert_named("Serves", &["RM".into(), "APA".into(), cqi_schema::Value::real(2.25)]);
-        g.insert_named("Serves", &["RR".into(), "APA".into(), cqi_schema::Value::real(2.75)]);
-        assert_eq!(cqi_eval::evaluate(&joined, &g), cqi_eval::evaluate(&comma, &g));
+        g.insert_named(
+            "Serves",
+            &["RM".into(), "APA".into(), cqi_schema::Value::real(2.25)],
+        );
+        g.insert_named(
+            "Serves",
+            &["RR".into(), "APA".into(), cqi_schema::Value::real(2.75)],
+        );
+        assert_eq!(
+            cqi_eval::evaluate(&joined, &g),
+            cqi_eval::evaluate(&comma, &g)
+        );
         assert!(!cqi_eval::evaluate(&joined, &g).is_empty());
     }
 
@@ -497,11 +536,7 @@ mod tests {
         .unwrap();
         // Serves has 3 columns; Likes' stay existentially closed.
         assert_eq!(q.out_vars.len(), 3);
-        let all = sql_to_drc(
-            &s,
-            "SELECT * FROM Serves s JOIN Likes l ON l.beer = s.beer",
-        )
-        .unwrap();
+        let all = sql_to_drc(&s, "SELECT * FROM Serves s JOIN Likes l ON l.beer = s.beer").unwrap();
         assert_eq!(all.out_vars.len(), 5);
         // The joined beer column is one shared variable, present in both
         // the s.* slice and the full * expansion.

@@ -177,7 +177,10 @@ impl P {
                 from.push(self.table_ref()?);
                 continue;
             }
-            if self.is_kw("left") || self.is_kw("right") || self.is_kw("full") || self.is_kw("outer")
+            if self.is_kw("left")
+                || self.is_kw("right")
+                || self.is_kw("full")
+                || self.is_kw("outer")
             {
                 return Err(self.err(
                     "outer joins are not supported — only [INNER|CROSS] JOIN ... ON \
@@ -240,9 +243,7 @@ impl P {
         let relation = self.ident()?;
         // Optional alias (an identifier that is not a clause keyword).
         let alias = match self.peek() {
-            Some(Tok::Ident(s))
-                if !CLAUSE_KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k)) =>
-            {
+            Some(Tok::Ident(s)) if !CLAUSE_KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k)) => {
                 let a = s.clone();
                 self.i += 1;
                 a
@@ -278,7 +279,11 @@ impl P {
     }
 
     fn unary_cond(&mut self) -> Result<SqlCond, QueryError> {
-        if self.is_kw("not") && self.peek2().is_some_and(|t| matches!(t, Tok::Ident(s) if s.eq_ignore_ascii_case("exists"))) {
+        if self.is_kw("not")
+            && self
+                .peek2()
+                .is_some_and(|t| matches!(t, Tok::Ident(s) if s.eq_ignore_ascii_case("exists")))
+        {
             self.i += 2;
             return Ok(SqlCond::Exists {
                 negated: true,
@@ -385,7 +390,8 @@ mod tests {
 
     #[test]
     fn parses_simple_select() {
-        let q = parse_sql("SELECT l.beer, s.bar FROM Likes l, Serves s WHERE l.beer = s.beer").unwrap();
+        let q =
+            parse_sql("SELECT l.beer, s.bar FROM Likes l, Serves s WHERE l.beer = s.beer").unwrap();
         assert_eq!(q.left.cols.len(), 2);
         assert_eq!(q.left.from.len(), 2);
         assert!(q.except.is_none());
@@ -403,9 +409,7 @@ mod tests {
         fn has_not_exists(c: &SqlCond) -> bool {
             match c {
                 SqlCond::Exists { negated, .. } => *negated,
-                SqlCond::And(l, r) | SqlCond::Or(l, r) => {
-                    has_not_exists(l) || has_not_exists(r)
-                }
+                SqlCond::And(l, r) | SqlCond::Or(l, r) => has_not_exists(l) || has_not_exists(r),
                 SqlCond::Not(i) => has_not_exists(i),
                 _ => false,
             }
@@ -425,10 +429,7 @@ mod tests {
 
     #[test]
     fn parses_except() {
-        let q = parse_sql(
-            "SELECT b.name FROM Beer b EXCEPT SELECT l.beer FROM Likes l",
-        )
-        .unwrap();
+        let q = parse_sql("SELECT b.name FROM Beer b EXCEPT SELECT l.beer FROM Likes l").unwrap();
         assert!(q.except.is_some());
     }
 

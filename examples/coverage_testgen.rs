@@ -62,7 +62,15 @@ fn main() {
         tree.num_leaves()
     );
     for (id, atom) in tree.leaves() {
-        let mark = if exercised.contains(&id) { "✓" } else { "✗" };
-        println!("  {mark} L{}: {}", id.0, cqi_drc::pretty::atom_to_string(&q, atom));
+        let mark = if exercised.contains(&id) {
+            "✓"
+        } else {
+            "✗"
+        };
+        println!(
+            "  {mark} L{}: {}",
+            id.0,
+            cqi_drc::pretty::atom_to_string(&q, atom)
+        );
     }
 }

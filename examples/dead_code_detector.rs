@@ -42,10 +42,7 @@ fn main() {
     for si in &sol.instances {
         covered.extend(si.coverage.iter().copied());
     }
-    println!(
-        "{} c-instance(s) found; leaf report:",
-        sol.instances.len()
-    );
+    println!("{} c-instance(s) found; leaf report:", sol.instances.len());
     let mut dead = Vec::new();
     for (id, atom) in tree.leaves() {
         let reachable = covered.contains(&id);

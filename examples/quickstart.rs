@@ -41,7 +41,10 @@ fn main() {
     .with_label("QB");
 
     let diff = qb.difference(&qa).expect("compatible queries");
-    println!("difference query: {}", cqi_drc::pretty::query_to_string(&diff));
+    println!(
+        "difference query: {}",
+        cqi_drc::pretty::query_to_string(&diff)
+    );
 
     let tree = SyntaxTree::new(diff);
     let cfg = ChaseConfig::with_limit(10)

@@ -16,9 +16,8 @@ use cqi::prelude::*;
 use cqi_datasets::beers_schema;
 
 fn main() {
-    let session = Session::new(beers_schema()).config(
-        ChaseConfig::with_limit(10).enforce_keys(true),
-    );
+    let session =
+        Session::new(beers_schema()).config(ChaseConfig::with_limit(10).enforce_keys(true));
 
     // QB (wrong: non-lowest price, LIKE lost its space) EXCEPT QA
     // (correct): every answer is a way the two queries differ.

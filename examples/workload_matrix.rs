@@ -26,12 +26,9 @@ fn main() {
         )
         .unwrap()
         .with_label("premium"),
-        parse_query(
-            &schema,
-            "{ (d1) | exists x1, t1 (Frequents(d1, x1, t1)) }",
-        )
-        .unwrap()
-        .with_label("regular"),
+        parse_query(&schema, "{ (d1) | exists x1, t1 (Frequents(d1, x1, t1)) }")
+            .unwrap()
+            .with_label("regular"),
     ];
     let refs: Vec<&cqi_drc::Query> = queries.iter().collect();
 

@@ -75,8 +75,8 @@ pub use cqi_instance as instance;
 pub use cqi_obs as obs;
 pub use cqi_runtime as runtime;
 pub use cqi_schema as schema;
-pub use cqi_sql as sql;
 pub use cqi_solver as solver;
+pub use cqi_sql as sql;
 
 /// The names most programs start from, in one import — centered on the
 /// streaming [`Session`](cqi_core::Session) API, with the batch

@@ -102,8 +102,7 @@ fn ratest_ground_example_is_less_informative() {
     // instance; the universal solution has strictly more facets than one.
     let s = beers_schema();
     let (correct, wrong) = q2_pair();
-    let ce = cqi_baseline::ratest(&s, &correct, &wrong, 60)
-        .expect("RATest finds a counterexample");
+    let ce = cqi_baseline::ratest(&s, &correct, &wrong, 60).expect("RATest finds a counterexample");
     assert!(ce.num_tuples() >= 2);
     let sol = solve(10);
     assert!(sol.num_coverages() > 1);

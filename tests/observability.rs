@@ -120,7 +120,10 @@ fn traced_solution_carries_valid_chrome_trace() {
             "\"cat\": \"solver\"",
             "\"name\": \"thread_name\"",
         ] {
-            assert!(trace.contains(needle), "threads={threads}: missing {needle}");
+            assert!(
+                trace.contains(needle),
+                "threads={threads}: missing {needle}"
+            );
         }
         // Complete events only (plus "M" metadata): every span is ph=X.
         assert!(trace.contains("\"ph\": \"X\""));
@@ -134,7 +137,10 @@ fn phase_breakdown_sums_to_at_most_wall_time_single_threaded() {
     let tree = SyntaxTree::new(parse_query(&s, QUERIES[1]).unwrap());
     let (_, sol) = streamed(&s, &tree, Variant::ConjAdd, 6, 1, true);
     let phase_total = sol.stats.phase_total_ns();
-    assert!(phase_total > 0, "a traced run must attribute some phase time");
+    assert!(
+        phase_total > 0,
+        "a traced run must attribute some phase time"
+    );
     assert!(
         phase_total <= sol.total_time.as_nanos() as u64,
         "leaf-only attribution must keep the breakdown conservative: \
@@ -144,7 +150,10 @@ fn phase_breakdown_sums_to_at_most_wall_time_single_threaded() {
     );
     // The breakdown reaches the one-line summary too.
     let line = format!("{}", sol.stats);
-    assert!(line.contains("phases"), "traced stats display the breakdown: {line}");
+    assert!(
+        line.contains("phases"),
+        "traced stats display the breakdown: {line}"
+    );
 }
 
 #[test]
@@ -162,14 +171,18 @@ fn untraced_runs_attribute_no_phase_time() {
 fn exposition_line_ok(line: &str) -> bool {
     let rest = match line.find('{') {
         Some(open) => {
-            let Some(close) = line.rfind('}') else { return false };
+            let Some(close) = line.rfind('}') else {
+                return false;
+            };
             if !name_ok(&line[..open]) || close < open {
                 return false;
             }
             &line[close + 1..]
         }
         None => {
-            let Some(sp) = line.find(' ') else { return false };
+            let Some(sp) = line.find(' ') else {
+                return false;
+            };
             if !name_ok(&line[..sp]) {
                 return false;
             }
@@ -196,7 +209,10 @@ fn metrics_exposition_parses_line_by_line() {
     let _ = streamed(&s, &tree, Variant::ConjAdd, 4, 1, false);
 
     let text = cqi::obs::global().render_text();
-    assert!(!text.is_empty(), "a completed run must have published metrics");
+    assert!(
+        !text.is_empty(),
+        "a completed run must have published metrics"
+    );
     let mut samples = 0;
     for line in text.lines() {
         if line.is_empty() || line.starts_with('#') {
@@ -212,5 +228,7 @@ fn metrics_exposition_parses_line_by_line() {
         "labeled counters render as name{{k=\"v\",...}}: {text}"
     );
     // The JSON rendering of the same registry is well-formed.
-    assert!(cqi::instance::json_well_formed(&cqi::obs::global().render_json()));
+    assert!(cqi::instance::json_well_formed(
+        &cqi::obs::global().render_json()
+    ));
 }

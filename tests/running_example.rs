@@ -110,7 +110,10 @@ fn i0_shape_appears_at_limit_13() {
         "a three-Serves-row instance (I0's shape) should appear at limit 13; got {} instances",
         sol.instances.len()
     );
-    assert!(sol.num_coverages() >= 2, "I0 and I1 have different coverages");
+    assert!(
+        sol.num_coverages() >= 2,
+        "I0 and I1 have different coverages"
+    );
 }
 
 #[test]

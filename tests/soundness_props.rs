@@ -144,7 +144,7 @@ proptest! {
 // ---------- NNF semantics ----------
 
 mod nnf {
-    
+
     use cqi_datasets::{beers_k0, beers_schema};
     use cqi_drc::normalize::negate;
     use cqi_drc::parse_query;
@@ -210,7 +210,12 @@ mod chase_soundness {
             for variant in Variant::ALL {
                 let sol = run_variant(&tree, variant, &cfg);
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
-                    panic!("{} [{variant:?}]: {}: {}", dq.name, d.kind.as_str(), d.detail);
+                    panic!(
+                        "{} [{variant:?}]: {}: {}",
+                        dq.name,
+                        d.kind.as_str(),
+                        d.detail
+                    );
                 }
             }
         }
@@ -233,7 +238,12 @@ mod chase_soundness {
             for variant in [Variant::ConjAdd, Variant::DisjEO] {
                 let sol = run_variant(&tree, variant, &cfg);
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
-                    panic!("{} [{variant:?}]: {}: {}", dq.name, d.kind.as_str(), d.detail);
+                    panic!(
+                        "{} [{variant:?}]: {}: {}",
+                        dq.name,
+                        d.kind.as_str(),
+                        d.detail
+                    );
                 }
             }
         }

@@ -55,7 +55,10 @@ fn sql_except_chases_to_counterexamples() {
         .enforce_keys(true)
         .timeout(Duration::from_secs(60));
     let sol = run_variant(&tree, Variant::DisjEO, &cfg);
-    assert!(!sol.instances.is_empty(), "the SQL EXCEPT query is satisfiable");
+    assert!(
+        !sol.instances.is_empty(),
+        "the SQL EXCEPT query is satisfiable"
+    );
     let g = ground_instance(&sol.instances[0].inst, true).unwrap();
     assert!(cqi_eval::satisfies(&diff, &g));
 }
@@ -86,9 +89,7 @@ fn sql_cq_neg_takes_the_fast_path() {
         .enforce_keys(true)
         .timeout(Duration::from_secs(30));
     let chased = run_variant(&tree, Variant::ConjAdd, &cfg);
-    assert!(chased
-        .coverages()
-        .any(|c| c.len() == tree.num_leaves()));
+    assert!(chased.coverages().any(|c| c.len() == tree.num_leaves()));
 }
 
 #[test]

@@ -220,7 +220,11 @@ fn accepted_instances_render_well_formed_json() {
     let mut n = 0;
     let sol = session
         .explain_with(ExplainRequest::drc(QUERIES[1]).limit(6), &mut |acc| {
-            assert!(cqi::instance::json_well_formed(&acc.to_json()), "{}", acc.to_json());
+            assert!(
+                cqi::instance::json_well_formed(&acc.to_json()),
+                "{}",
+                acc.to_json()
+            );
             n += 1;
             true
         })
