@@ -12,6 +12,18 @@
 //! instance size guarantees termination (Proposition 3.1 makes an unbounded
 //! search undecidable).
 //!
+//! The chase walks the node table of its root formula
+//! ([`CompiledFormula`], built once per request and shared by every root
+//! job and worker that chases the formula), not the bare syntax tree: a
+//! node's free variables (bound by lines 2–5 of Algorithm 1), its sub-BFS
+//! memo key, its quantifier test, its DNF and its three `∨` cases are each
+//! derived once per request, never per chase step. The acceptance checks
+//! run Tree-SAT under homomorphisms that already bind every free variable,
+//! so they skip its `∃`-closure. Like the paper's, the nested `visited`
+//! check first compares cheap properties — the shape
+//! ([`cqi_instance::same_shape`]), then the cached signature — and only
+//! then tries mappings.
+//!
 //! ## Execution model (`cqi-runtime`)
 //!
 //! Each root search is one FIFO BFS: [`Chase`] drives its top-level
@@ -36,20 +48,22 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqi_drc::{Atom, Coverage, Formula, Query, Term, VarId};
+use cqi_drc::{Atom, Coverage, Query, Term, VarId};
 use cqi_instance::consistency::to_problem;
-use cqi_instance::{digest_stats, exact_digest, is_isomorphic, signature, CInstance, Cond};
+use cqi_instance::{
+    digest_stats, exact_digest, is_isomorphic, same_shape, signature, CInstance, Cond,
+};
 use cqi_obs::trace::{self, Phase};
 use cqi_runtime::{
     drive, BoundedMemo, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool,
     RunCounters, SetKey,
 };
+use cqi_schema::Schema;
 use cqi_solver::{Ent, ExactCache, Problem};
 
+use crate::compiled::{CompiledFormula, Node, Shape};
 use crate::config::{CancelToken, ChaseConfig};
-use crate::conjtree::expand_disj_node;
 use crate::cover::validated_coverage;
-use crate::dnf::{has_quantifier, tree_to_conj};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
 /// Execution counters of one chase run: root fan-out and work-stealing
@@ -410,19 +424,28 @@ impl WorkerCtx {
 /// `limit` (pruning inside `bfs_inner`) and on `universal_fresh`
 /// (`Handle-Universal`'s fresh-null branch), and consistency answers
 /// depend on `enforce_keys` — so entries are only reusable by a run with
-/// the *same* triple. The exact-problem memo is parameter-independent
-/// (the problem encodes the key clauses) and stays warm across any
-/// parameter change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the *same* triple, over the same schema. The exact-problem memo is
+/// parameter-independent (the problem encodes the key clauses) and stays
+/// warm across any parameter change.
 struct CacheParams {
     limit: usize,
     enforce_keys: bool,
     universal_fresh: bool,
-    /// Identity of the schema the memoized digests were computed under
-    /// (instance digests are only comparable within one schema; a
-    /// pre-parsed `QueryInput::Tree` may carry a different schema than the
-    /// session's).
-    schema: usize,
+    /// The schema the memoized digests were computed under (instance
+    /// digests are only comparable within one schema, and consistency
+    /// answers depend on its keys; a pre-parsed `QueryInput::Tree` may
+    /// carry a different schema than the session's). Held, not just its
+    /// address: a schema allocated where a freed one lived must not match.
+    schema: Arc<Schema>,
+}
+
+impl PartialEq for CacheParams {
+    fn eq(&self, other: &CacheParams) -> bool {
+        self.limit == other.limit
+            && self.enforce_keys == other.enforce_keys
+            && self.universal_fresh == other.universal_fresh
+            && Arc::ptr_eq(&self.schema, &other.schema)
+    }
 }
 
 /// Opaque, reusable chase worker state: the solver memos and sub-BFS caches
@@ -468,10 +491,11 @@ impl ChaseCaches {
 /// One top-level root search: a (sub)formula chased from a seed instance
 /// under pre-bound output variables. `run_variant` batches these —
 /// one per conjunctive tree, plus one per (uncovered leaf × tree) in the
-/// `*-Add` phase — and [`Chase::run_roots`] fans the batch out across
-/// workers when `threads > 1`.
+/// `*-Add` phase, all jobs of one tree sharing its compiled table — and
+/// [`Chase::run_roots`] fans the batch out across workers when
+/// `threads > 1`.
 pub struct RootJob<'f> {
-    pub formula: &'f Formula,
+    pub formula: &'f CompiledFormula,
     pub seed: CInstance,
     pub h: Hom,
 }
@@ -556,9 +580,9 @@ impl<'a> Chase<'a> {
             limit: cfg.limit,
             enforce_keys: cfg.enforce_keys,
             universal_fresh,
-            schema: std::sync::Arc::as_ptr(&query.schema) as *const u8 as usize,
+            schema: Arc::clone(&query.schema),
         };
-        let param_safe = caches.params == Some(params);
+        let param_safe = caches.params.as_ref() == Some(&params);
         caches.params = Some(params);
         caches.ensure_pool(threads);
         let mut ctxs: Vec<WorkerCtx> = std::mem::take(&mut caches.ctxs);
@@ -695,7 +719,7 @@ impl<'a> Chase<'a> {
     /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,
     /// logging accepted instances. A single root is one sequential drive on
     /// the first worker context, whatever the thread budget.
-    pub fn run_root(&mut self, formula: &Formula, seed: CInstance, seed_h: Hom) {
+    pub fn run_root(&mut self, formula: &CompiledFormula, seed: CInstance, seed_h: Hom) {
         self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
     }
 
@@ -706,7 +730,7 @@ impl<'a> Chase<'a> {
     /// halts the drive (the streaming API's consumer-gone/cancel path).
     pub fn run_root_observed(
         &mut self,
-        formula: &Formula,
+        formula: &CompiledFormula,
         seed: CInstance,
         seed_h: Hom,
         observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
@@ -723,14 +747,15 @@ impl<'a> Chase<'a> {
             return;
         }
         let _root_span = trace::span("root_job", "chase");
-        let (i0, h0) = bind_free_vars(self.query, formula, seed, seed_h);
+        let root = formula.root();
+        let (i0, h0) = bind_free_vars(self.query, root.free_vars(), seed, seed_h);
         let task = RootTask {
             query: self.query,
             cfg: self.cfg,
             universal_fresh: self.universal_fresh,
             deadline: self.deadline,
             cancel: self.cancel.as_ref(),
-            formula,
+            root,
             h0: &h0,
             query_key: self.query_key,
         };
@@ -822,14 +847,16 @@ impl<'a> Chase<'a> {
                     ctx.cancelled = true;
                     return (Vec::new(), DedupeStats::default());
                 }
-                let (i0, h0) = bind_free_vars(query, job.formula, job.seed.clone(), job.h.clone());
+                let root = job.formula.root();
+                let (i0, h0) =
+                    bind_free_vars(query, root.free_vars(), job.seed.clone(), job.h.clone());
                 let task = RootTask {
                     query,
                     cfg,
                     universal_fresh,
                     deadline,
                     cancel: cancel.as_ref(),
-                    formula: job.formula,
+                    root,
                     h0: &h0,
                     query_key,
                 };
@@ -871,15 +898,15 @@ impl<'a> Chase<'a> {
 }
 
 /// Lines 2–5 of Algorithm 1: bind unbound free variables to fresh labeled
-/// nulls.
+/// nulls, in the order of `free` (a node's [`Node::free_vars`]).
 fn bind_free_vars(
     query: &Query,
-    formula: &Formula,
+    free: &[VarId],
     mut inst: CInstance,
     mut h: Hom,
 ) -> (CInstance, Hom) {
     h.resize(query.vars.len(), None);
-    for v in formula.free_vars() {
+    for &v in free {
         if h[v.index()].is_none() {
             let d = query.var_domain(v);
             let n = inst.fresh_null(query.var_name(v), d);
@@ -901,7 +928,7 @@ struct RootTask<'t> {
     universal_fresh: bool,
     deadline: Option<Instant>,
     cancel: Option<&'t CancelToken>,
-    formula: &'t Formula,
+    root: Node<'t>,
     h0: &'t Hom,
     query_key: u64,
 }
@@ -949,15 +976,16 @@ impl FrontierTask for RootTask<'_> {
             query_key: self.query_key,
             ctx,
         };
-        // Line 13: IsConsistent(I) ∧ Tree-SAT under the root homomorphism.
-        // Every popped child passed IsConsistent when it was generated, so
-        // that check is a digest-memo hit; running it first keeps the
-        // Tree-SAT context alive to validate and cover an accepted instance.
+        // Line 13: IsConsistent(I) ∧ Tree-SAT under the root homomorphism,
+        // which binds every free variable of the root. Every popped child
+        // passed IsConsistent when it was generated, so that check is a
+        // digest-memo hit; running it first keeps the Tree-SAT context alive
+        // to validate and cover an accepted instance.
         if engine.consistent(inst) {
             let (query, keys) = (self.query, self.cfg.enforce_keys);
             let mut decide = |p: &Problem| engine.decide(p);
             let mut sat = SatCtx::new(query, inst, keys, &mut decide);
-            if sat.tree_sat(self.formula, self.h0) {
+            if sat.tree_sat_bound(self.root.formula(), self.h0) {
                 let coverage = validated_coverage(&mut sat);
                 return Expansion {
                     accepted: Some((inst.clone(), coverage)),
@@ -967,7 +995,7 @@ impl FrontierTask for RootTask<'_> {
         }
         // Lines 16–19: expand.
         let mut children = Vec::new();
-        for j in engine.tree_chase(self.formula, inst, self.h0) {
+        for j in engine.tree_chase(self.root, inst, self.h0) {
             if engine.stopped() {
                 break;
             }
@@ -1037,12 +1065,12 @@ impl Engine<'_> {
 
     /// `Tree-Chase-BFS` (Algorithm 1) for recursive (sub-formula) calls,
     /// memoized on (subtree, instance, relevant homomorphism entries).
-    fn bfs(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
+    fn bfs(&mut self, q: Node<'_>, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         // Key: query identity (variable names/domains — see
         // `Chase::query_key`) + subtree content + exact instance + the
         // homomorphism entries its free variables see. Content, not
         // identity: the memo outlives the query that filled it.
-        let fkey = hash_of(&(self.query_key, q));
+        let fkey = hash_of(&(self.query_key, q.key()));
         let ikey = exact_digest(i0);
         let hkey = {
             let mut hh = DefaultHasher::new();
@@ -1071,17 +1099,21 @@ impl Engine<'_> {
     /// ([`bfs_step`](Self::bfs_step)). An instance's step never reads
     /// `visited`, and its children join the next wave, so this visits
     /// exactly what a plain FIFO queue would, in the same order.
-    fn bfs_inner(&mut self, q: &Formula, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
-        let (i0, h0) = bind_free_vars(self.query, q, i0.clone(), h0.clone());
+    fn bfs_inner(&mut self, q: Node<'_>, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
+        let (i0, h0) = bind_free_vars(self.query, q.free_vars(), i0.clone(), h0.clone());
         let mut res: Vec<CInstance> = Vec::new();
         let mut frontier: Vec<CInstance> = vec![i0];
-        let mut visited: Vec<(u64, CInstance)> = Vec::new();
+        // Admitted instances, each with its signature once something asked.
+        let mut visited: Vec<(Option<u64>, CInstance)> = Vec::new();
         while !frontier.is_empty() {
             if self.stopped() {
                 break;
             }
             let _wave_span = trace::span("nested_wave", "chase");
-            // Line 10: size bound and visited (isomorphism) check.
+            // Line 10: size bound and visited (isomorphism) check. Like the
+            // paper's, it first compares cheap properties: the shape, then
+            // the signature (computed only for an instance whose shape
+            // another one shares), before it tries mappings.
             let mut wave: Vec<CInstance> = Vec::new();
             {
                 let _s = trace::span_phase("nested_admit", "dedupe", Phase::Dedupe);
@@ -1089,11 +1121,13 @@ impl Engine<'_> {
                     if inst.size() > self.cfg.limit {
                         continue;
                     }
-                    let sig = signature(&inst);
-                    if visited
-                        .iter()
-                        .any(|(s, v)| *s == sig && is_isomorphic(v, &inst))
-                    {
+                    let mut sig = None;
+                    if visited.iter_mut().any(|(vsig, v)| {
+                        same_shape(v, &inst)
+                            && *vsig.get_or_insert_with(|| signature(v))
+                                == *sig.get_or_insert_with(|| signature(&inst))
+                            && is_isomorphic(v, &inst)
+                    }) {
                         continue;
                     }
                     visited.push((sig, inst.clone()));
@@ -1119,14 +1153,15 @@ impl Engine<'_> {
     /// (Tree-SAT ∧ IsConsistent) or expand it and pre-filter the children.
     /// Pure with respect to the BFS bookkeeping — it reads neither
     /// `visited` nor any sibling.
-    fn bfs_step(&mut self, q: &Formula, h0: &Hom, inst: &CInstance) -> (bool, Vec<CInstance>) {
-        // Line 13: Tree-SAT under the *current* homomorphism (recursive
-        // calls must verify satisfaction at the handler's chosen
-        // mapping, not under blanket ∃-closure — otherwise the
-        // Handle-Universal merge would accept bodies satisfied by some
-        // other entity) ∧ IsConsistent(I).
+    fn bfs_step(&mut self, q: Node<'_>, h0: &Hom, inst: &CInstance) -> (bool, Vec<CInstance>) {
+        // Line 13: Tree-SAT under the *current* homomorphism, which binds
+        // every free variable of `q` (recursive calls must verify
+        // satisfaction at the handler's chosen mapping, not under blanket
+        // ∃-closure — otherwise the Handle-Universal merge would accept
+        // bodies satisfied by some other entity) ∧ IsConsistent(I).
         let (query, keys) = (self.query, self.cfg.enforce_keys);
-        let sat = SatCtx::new(query, inst, keys, &mut |p| self.decide(p)).tree_sat(q, h0);
+        let sat =
+            SatCtx::new(query, inst, keys, &mut |p| self.decide(p)).tree_sat_bound(q.formula(), h0);
         if sat && self.consistent(inst) {
             return (true, Vec::new());
         }
@@ -1145,12 +1180,12 @@ impl Engine<'_> {
     }
 
     /// `Tree-Chase` (Algorithm 2): dispatch on the root operator.
-    fn tree_chase(&mut self, q: &Formula, inst: &CInstance, h: &Hom) -> Vec<CInstance> {
-        if !has_quantifier(q) {
+    fn tree_chase(&mut self, q: Node<'_>, inst: &CInstance, h: &Hom) -> Vec<CInstance> {
+        if q.is_quantifier_free() {
             // Lines 2–7: materialize each DNF conjunction.
             let mut res = Vec::new();
-            for conj in tree_to_conj(q) {
-                if let Some(j) = materialize(self.query, inst, &conj, h) {
+            for conj in q.dnf() {
+                if let Some(j) = materialize(self.query, inst, conj, h) {
                     if self.consistent(&j) {
                         res.push(j);
                     }
@@ -1158,12 +1193,12 @@ impl Engine<'_> {
             }
             return res;
         }
-        match q {
-            Formula::And(l, r) => self.handle_conjunction(l, r, inst, h),
-            Formula::Or(l, r) => self.handle_disjunction(l, r, inst, h),
-            Formula::Exists(v, b) => self.handle_existential(*v, b, inst, h),
-            Formula::Forall(v, b) => self.handle_universal(*v, b, inst, h),
-            Formula::Atom(_) => unreachable!("atom has no quantifier"),
+        match q.shape() {
+            Shape::And(l, r) => self.handle_conjunction(l, r, inst, h),
+            Shape::Or(..) => self.handle_disjunction(q, inst, h),
+            Shape::Exists(v, b) => self.handle_existential(v, b, inst, h),
+            Shape::Forall(v, b) => self.handle_universal(v, b, inst, h),
+            Shape::Atom(_) => unreachable!("atom has no quantifier"),
         }
     }
 
@@ -1171,8 +1206,8 @@ impl Engine<'_> {
     /// its solutions.
     fn handle_conjunction(
         &mut self,
-        l: &Formula,
-        r: &Formula,
+        l: Node<'_>,
+        r: Node<'_>,
         inst: &CInstance,
         h: &Hom,
     ) -> Vec<CInstance> {
@@ -1188,20 +1223,15 @@ impl Engine<'_> {
         res
     }
 
-    /// Algorithm 4: expand the root `∨` into its three conjunctive cases.
-    fn handle_disjunction(
-        &mut self,
-        l: &Formula,
-        r: &Formula,
-        inst: &CInstance,
-        h: &Hom,
-    ) -> Vec<CInstance> {
+    /// Algorithm 4: expand the root `∨` into its three conjunctive cases
+    /// (compiled once per request, on the first visit).
+    fn handle_disjunction(&mut self, q: Node<'_>, inst: &CInstance, h: &Hom) -> Vec<CInstance> {
         let mut res = Vec::new();
-        for case in expand_disj_node(l, r) {
+        for case in q.disjunction_cases() {
             if self.stopped() {
                 break;
             }
-            res.extend(self.bfs(&case, h, inst));
+            res.extend(self.bfs(case, h, inst));
         }
         res
     }
@@ -1211,7 +1241,7 @@ impl Engine<'_> {
     fn handle_existential(
         &mut self,
         v: VarId,
-        body: &Formula,
+        body: Node<'_>,
         inst: &CInstance,
         h: &Hom,
     ) -> Vec<CInstance> {
@@ -1240,7 +1270,7 @@ impl Engine<'_> {
     fn handle_universal(
         &mut self,
         v: VarId,
-        body: &Formula,
+        body: Node<'_>,
         inst: &CInstance,
         h: &Hom,
     ) -> Vec<CInstance> {
@@ -1395,7 +1425,11 @@ mod tests {
         let q = parse_query(&s, src).unwrap();
         let mut chase = Chase::new(&q, cfg, true);
         let seed = CInstance::new(Arc::clone(&s));
-        chase.run_root(&q.formula.clone(), seed, vec![None; q.vars.len()]);
+        chase.run_root(
+            &CompiledFormula::new(q.formula.clone()),
+            seed,
+            vec![None; q.vars.len()],
+        );
         chase.accepted.into_iter().map(|(i, ..)| i).collect()
     }
 
@@ -1494,7 +1528,7 @@ mod tests {
         let cfg = ChaseConfig::with_limit(12).timeout(Duration::from_millis(1));
         let mut chase = Chase::new(&q, &cfg, true);
         chase.run_root(
-            &q.formula.clone(),
+            &CompiledFormula::new(q.formula.clone()),
             CInstance::new(Arc::clone(&s)),
             vec![None; q.vars.len()],
         );
@@ -1509,7 +1543,7 @@ mod tests {
         let cfg = ChaseConfig::with_limit(8).max_results(1);
         let mut chase = Chase::new(&q, &cfg, true);
         chase.run_root(
-            &q.formula.clone(),
+            &CompiledFormula::new(q.formula.clone()),
             CInstance::new(Arc::clone(&s)),
             vec![None; q.vars.len()],
         );
@@ -1532,7 +1566,7 @@ mod tests {
         let run = |cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
             let mut chase = Chase::new_reusing(&q, cfg, fresh, caches);
             chase.run_root(
-                &q.formula.clone(),
+                &CompiledFormula::new(q.formula.clone()),
                 CInstance::new(Arc::clone(&s)),
                 vec![None; q.vars.len()],
             );
@@ -1711,7 +1745,7 @@ mod tests {
         let mut caches = ChaseCaches::new();
         let mut chase = Chase::new_reusing(&q, &cfg, true, &mut caches);
         chase.run_root(
-            &q.formula.clone(),
+            &CompiledFormula::new(q.formula.clone()),
             CInstance::new(Arc::clone(&s)),
             vec![None; q.vars.len()],
         );

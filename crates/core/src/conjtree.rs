@@ -6,6 +6,13 @@
 //! equivalence-preserving under quantifiers — only soundness
 //! (`converted ⇒ original`) holds — which is exactly the
 //! completeness-for-speed trade the `Conj-*` variants make.
+//!
+//! Duplicate trees are pruned by structure (hashing and `Eq`), not by
+//! rendering each tree. The chase compiles each surviving tree once per
+//! request, and `Handle-Disjunction`'s three cases of each `∨` node once
+//! per request, into node tables ([`crate::compiled`]).
+
+use std::collections::HashSet;
 
 use cqi_drc::normalize::negate;
 use cqi_drc::Formula;
@@ -27,12 +34,23 @@ pub fn expand_disj_node(l: &Formula, r: &Formula) -> [Formula; 3] {
 /// `∃`-block) are left in place, exactly as the paper's Example 11 does —
 /// its second converted formula retains `∀x3,p4 (¬Serves ∨ p3 ≥ p4)`; the
 /// residual `∨`s are handled by `Handle-Disjunction` during the chase.
-/// Duplicate trees are pruned.
+/// Duplicate trees are pruned, the first of each kept: trees compare by
+/// structure (`Formula`'s `Eq`), so `R64`'s `0.0` and `-0.0` are one
+/// constant, while `Int(2)` and `Real(2.0)` stay two (a redundant root
+/// costs time, never an answer).
 pub fn conjunctive_trees(f: &Formula) -> Vec<Formula> {
-    let mut out = convert(f);
-    let mut seen = std::collections::HashSet::new();
-    out.retain(|t| seen.insert(format!("{t:?}")));
-    out
+    dedupe(convert(f))
+}
+
+/// Keeps the first of every group of equal trees, in order.
+fn dedupe(mut trees: Vec<Formula>) -> Vec<Formula> {
+    let keep: Vec<bool> = {
+        let mut seen = HashSet::with_capacity(trees.len());
+        trees.iter().map(|t| seen.insert(t)).collect()
+    };
+    let mut keep = keep.into_iter();
+    trees.retain(|_| keep.next() == Some(true));
+    trees
 }
 
 fn convert(f: &Formula) -> Vec<Formula> {
@@ -95,9 +113,49 @@ pub fn is_or_free(f: &Formula) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqi_drc::parse_query;
-    use cqi_schema::{DomainType, Schema};
+    use cqi_datasets::{beers_queries, tpch_queries};
+    use cqi_drc::{parse_query, Atom, CmpOp, Term, VarId};
+    use cqi_schema::{DomainType, Schema, Value};
     use std::sync::Arc;
+
+    /// The dedupe `conjunctive_trees` ran before it compared trees by
+    /// structure: by their Debug strings.
+    fn dedupe_by_debug(mut trees: Vec<Formula>) -> Vec<Formula> {
+        let mut seen = HashSet::new();
+        trees.retain(|t| seen.insert(format!("{t:?}")));
+        trees
+    }
+
+    #[test]
+    fn structural_dedupe_keeps_the_debug_reference_trees() {
+        let mut total = 0;
+        let queries: Vec<_> = beers_queries().into_iter().chain(tpch_queries()).collect();
+        for dq in &queries {
+            let trees = convert(&dq.query.formula);
+            total += trees.len();
+            assert_eq!(dedupe(trees.clone()), dedupe_by_debug(trees), "{}", dq.name);
+        }
+        assert!(total > queries.len(), "the dataset has ∨ nodes to expand");
+    }
+
+    #[test]
+    fn signed_zeros_are_one_constant_and_int_and_real_are_two() {
+        // Debug prints `0.0` and `-0.0` apart, and `2` and `2.0` alike.
+        let leaf = |c: Value| {
+            Formula::Atom(Atom::Cmp {
+                negated: false,
+                lhs: Term::Var(VarId(0)),
+                op: CmpOp::Lt,
+                rhs: Term::Const(c),
+            })
+        };
+        let zeros = vec![leaf(Value::real(0.0)), leaf(Value::real(-0.0))];
+        assert_eq!(dedupe(zeros.clone()), vec![leaf(Value::real(0.0))]);
+        assert_eq!(dedupe_by_debug(zeros).len(), 2);
+        let twos = vec![leaf(Value::Int(2)), leaf(Value::real(2.0))];
+        assert_eq!(dedupe(twos.clone()), twos);
+        assert_eq!(dedupe_by_debug(twos).len(), 1);
+    }
 
     fn schema() -> Arc<Schema> {
         Arc::new(

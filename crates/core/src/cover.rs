@@ -58,7 +58,8 @@ fn coverage(ctx: &mut SatCtx<'_>) -> Coverage {
 fn enumerate_alphas(ctx: &mut SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage) {
     let q = ctx.query;
     if i == q.out_vars.len() {
-        if ctx.tree_sat(&q.formula, h) {
+        // The output variables are the formula's free variables.
+        if ctx.tree_sat_bound(&q.formula, h) {
             let mut next = 0u32;
             walk(ctx, h, &q.formula, &mut next, cov);
         }

@@ -35,8 +35,11 @@ pub fn tree_to_conj(f: &Formula) -> Vec<Vec<Atom>> {
     }
 }
 
-/// Does the formula contain any quantifier?
-pub fn has_quantifier(f: &Formula) -> bool {
+/// Does the formula contain any quantifier? The chase reads this from its
+/// node table ([`crate::compiled`]); this is the reference the table's
+/// flags are tested against.
+#[cfg(test)]
+pub(crate) fn has_quantifier(f: &Formula) -> bool {
     match f {
         Formula::Atom(_) => false,
         Formula::And(l, r) | Formula::Or(l, r) => has_quantifier(l) || has_quantifier(r),

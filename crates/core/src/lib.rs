@@ -43,6 +43,7 @@
 #![deny(unsafe_code)]
 
 pub mod chase;
+pub mod compiled;
 pub mod config;
 pub mod conjtree;
 pub mod cover;

@@ -765,6 +765,45 @@ mod tests {
     }
 
     #[test]
+    fn warm_session_keeps_schemas_apart_at_a_reused_address() {
+        // A pre-parsed tree carries its own schema. Each schema below is
+        // freed after its request, so the next one is usually allocated at
+        // the same address; the warm memos must still never answer a
+        // request with what they learned under the other schema's keys. A
+        // key on `Likes.drinker` makes two beers liked by one drinker
+        // inconsistent, so every second request has no instance at all.
+        let query = "{ (d1) | exists b1, b2 (Likes(d1, b1) and Likes(d1, b2) and b1 != b2) }";
+        let build = |keyed: bool| {
+            let likes = [("drinker", DomainType::Text), ("beer", DomainType::Text)];
+            let mut b = Schema::builder().relation("Likes", &likes);
+            if keyed {
+                b = b.key("Likes", &["drinker"]);
+            }
+            Arc::new(b.build().unwrap())
+        };
+        let cfg = ChaseConfig::with_limit(5).enforce_keys(true);
+        let warm = Session::new(build(false)).config(cfg.clone());
+        let render = |sol: &CSolution| -> Vec<String> {
+            sol.instances
+                .iter()
+                .map(|si| format!("{} {:?}", si.inst, si.coverage))
+                .collect()
+        };
+        for i in 0..40 {
+            let keyed = i % 2 == 1;
+            let s = build(keyed);
+            let tree = SyntaxTree::new(parse_query(&s, query).unwrap());
+            let hot = warm.explain_collect(ExplainRequest::tree(&tree)).unwrap();
+            let fresh = Session::new(Arc::clone(&s))
+                .config(cfg.clone())
+                .explain_collect(ExplainRequest::tree(&tree))
+                .unwrap();
+            assert_eq!(render(&hot), render(&fresh), "request {i}, keyed: {keyed}");
+            assert_eq!(hot.instances.is_empty(), keyed, "request {i}");
+        }
+    }
+
+    #[test]
     fn warm_caches_respect_per_request_limit_and_variant() {
         // The bfs/consistency memos depend on the size limit and the
         // variant's fresh-null policy; a session explaining the same query

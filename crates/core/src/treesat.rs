@@ -11,7 +11,10 @@
 //!   an SMT solver.)
 //! * Quantifiers range over the instance's per-domain entity pools; free
 //!   variables left unbound by the caller's homomorphism are existentially
-//!   closed at entry (lines 1–3).
+//!   closed at entry (lines 1–3). The chase's own checks (acceptance in the
+//!   BFS and the coverage walk) bind every free variable before they ask,
+//!   and enter through a crate-private entry that skips the closure and
+//!   the free-variable scan it needs.
 //!
 //! A [`SatCtx`] hands every leaf's solver question (`φ ∧ ¬lit` for a
 //! condition leaf, `φ ∧ image = row` for a negated relational leaf) to the
@@ -267,6 +270,16 @@ impl<'a> SatCtx<'a> {
                 true
             }
         }
+    }
+
+    /// [`SatCtx::tree_sat`] under a homomorphism that already binds every
+    /// free variable of `formula`, so there is nothing to close: the chase's
+    /// acceptance checks and the coverage walk bind them before they ask.
+    /// An unbound free variable panics at its first leaf.
+    pub(crate) fn tree_sat_bound(&mut self, formula: &Formula, h: &Hom) -> bool {
+        let mut h = h.clone();
+        h.resize(self.query.vars.len(), None);
+        self.sat(&mut h, formula)
     }
 
     /// `Tree-SAT(Q, I, f)`: satisfiability of `formula` under the partial

@@ -5,11 +5,12 @@
 
 use std::time::Duration;
 
-use cqi_drc::{Atom, Coverage, Formula, SyntaxTree, Term};
+use cqi_drc::{Atom, Coverage, SyntaxTree, Term};
 use cqi_instance::CInstance;
 use cqi_solver::Ent;
 
 use crate::chase::{materialize, Chase, ChaseCaches, RootJob};
+use crate::compiled::CompiledFormula;
 use crate::config::{ChaseConfig, Variant};
 use crate::conjtree::conjunctive_trees;
 use crate::session::{ExplainRequest, Session};
@@ -110,7 +111,9 @@ pub(crate) fn run_variant_observed(
 /// re-seeds — as batches of independent root searches routed through
 /// [`Chase::run_roots_observed`]: with `cfg.threads != 1` whole roots fan
 /// out across workers, each root's frontier driven sequentially by
-/// [`cqi_runtime::drive`], with identical output either way.
+/// [`cqi_runtime::drive`], with identical output either way. Each root
+/// formula is compiled once ([`CompiledFormula`]) and shared by every job
+/// that chases it, the re-seeds included.
 fn drive_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,
@@ -118,11 +121,14 @@ fn drive_phases(
     observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
 ) {
     let q = tree.query();
-    let formulas: Vec<Formula> = if variant.is_conjunctive() {
+    let formulas: Vec<CompiledFormula> = if variant.is_conjunctive() {
         conjunctive_trees(&q.formula)
     } else {
         vec![q.formula.clone()]
-    };
+    }
+    .into_iter()
+    .map(CompiledFormula::new)
+    .collect();
     let empty_h: Hom = vec![None; q.vars.len()];
     chase.run_roots_observed(
         formulas

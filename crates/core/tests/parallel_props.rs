@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cqi_core::chase::{Chase, ChaseCaches, RootJob};
+use cqi_core::compiled::CompiledFormula;
 use cqi_core::conjtree::conjunctive_trees;
 use cqi_core::{run_variant, ChaseConfig, Variant};
 use cqi_drc::{parse_query, SyntaxTree};
@@ -126,11 +127,14 @@ proptest! {
             1 => Some(3),
             _ => None,
         };
-        let formulas = if variant.is_conjunctive() {
+        let formulas: Vec<CompiledFormula> = if variant.is_conjunctive() {
             conjunctive_trees(&q.formula)
         } else {
             vec![q.formula.clone()]
-        };
+        }
+        .into_iter()
+        .map(CompiledFormula::new)
+        .collect();
         let run = |cfg: &ChaseConfig| -> Vec<String> {
             let mut chase =
                 Chase::new_reusing(&q, cfg, variant.universal_fresh_nulls(), &mut ChaseCaches::new());

@@ -23,8 +23,9 @@ pub struct NullInfo {
 
 /// One atomic condition of a global condition (§3.2): either a (possibly
 /// negated) comparison/LIKE literal, or a negated relational atom
-/// `¬R(e₁..e_k)`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// `¬R(e₁..e_k)`. The derived order is arbitrary but total, like
+/// [`Lit`]'s: it sorts condition lists for multiset comparison.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cond {
     Lit(Lit),
     NotIn { rel: RelId, tuple: Vec<Ent> },

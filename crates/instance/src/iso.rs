@@ -3,9 +3,13 @@
 //! variables; it first compares certain properties of the c-instances ...
 //! and then it checks all possible mappings").
 //!
-//! [`signature`] is a cheap renaming-invariant hash (color refinement) used
-//! to bucket candidates; [`is_isomorphic`] is the exact backtracking check
-//! run only within a bucket.
+//! The properties come in three tiers of cost. [`same_shape`] compares
+//! counts (nulls, conditions, rows per table) and reads no cell.
+//! [`signature`] is a renaming-invariant hash (color refinement), cached on
+//! the instance, used to bucket candidates; it hashes operators and
+//! constants as values, never their rendered text. [`is_isomorphic`] is the
+//! exact backtracking check run only within a bucket; it compares the
+//! mapped conditions as multisets, sorted by their derived order.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -21,28 +25,36 @@ fn h<T: Hash>(t: &T) -> u64 {
 }
 
 /// Renaming-invariant colors for the nulls of `inst` (a few rounds of color
-/// refinement over table and condition occurrences).
+/// refinement over table and condition occurrences). Each round hashes
+/// every null's color once, then its occurrences; the buffers are
+/// allocated once and reused by every round.
 fn null_colors(inst: &CInstance) -> Vec<u64> {
-    let n = inst.num_nulls();
     let mut color: Vec<u64> = inst
         .nulls
         .iter()
         .map(|info| h(&(info.domain.0, info.dont_care)))
         .collect();
+    // What a cell holding each null looks like this round.
+    let mut null_desc: Vec<u64> = Vec::with_capacity(color.len());
+    // One (null, descriptor) pair per occurrence of a null.
+    let mut occ: Vec<(u32, u64)> = Vec::new();
+    let mut cells: Vec<u64> = Vec::new();
     for _round in 0..3 {
-        // Occurrence descriptors per null.
-        let mut occ: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let ent_desc = |e: &Ent, color: &[u64]| -> u64 {
+        null_desc.clear();
+        null_desc.extend(color.iter().map(|c| h(&(1u8, c))));
+        let ent_desc = |e: &Ent| -> u64 {
             match e {
-                Ent::Null(m) => h(&(1u8, color[m.index()])),
+                Ent::Null(m) => null_desc[m.index()],
                 Ent::Const(v) => h(&(2u8, v)),
             }
         };
+        occ.clear();
         for (rel, row) in inst.tuples() {
-            let row_sig: Vec<u64> = row.iter().map(|e| ent_desc(e, &color)).collect();
+            cells.clear();
+            cells.extend(row.iter().map(ent_desc));
             for (col, e) in row.iter().enumerate() {
                 if let Ent::Null(m) = e {
-                    occ[m.index()].push(h(&(0u8, rel.0, col as u32, &row_sig)));
+                    occ.push((m.0, h(&(0u8, rel.0, col as u32, &cells))));
                 }
             }
         }
@@ -50,10 +62,10 @@ fn null_colors(inst: &CInstance) -> Vec<u64> {
             match cond {
                 Cond::Lit(Lit::Cmp { lhs, op, rhs }) => {
                     if let Ent::Null(m) = lhs {
-                        occ[m.index()].push(h(&(3u8, format!("{op:?}"), ent_desc(rhs, &color))));
+                        occ.push((m.0, h(&(3u8, op, ent_desc(rhs)))));
                     }
                     if let Ent::Null(m) = rhs {
-                        occ[m.index()].push(h(&(4u8, format!("{op:?}"), ent_desc(lhs, &color))));
+                        occ.push((m.0, h(&(4u8, op, ent_desc(lhs)))));
                     }
                 }
                 Cond::Lit(Lit::Like {
@@ -62,22 +74,32 @@ fn null_colors(inst: &CInstance) -> Vec<u64> {
                     pattern,
                 }) => {
                     if let Ent::Null(m) = ent {
-                        occ[m.index()].push(h(&(5u8, negated, pattern)));
+                        occ.push((m.0, h(&(5u8, negated, pattern))));
                     }
                 }
                 Cond::NotIn { rel, tuple } => {
-                    let sig: Vec<u64> = tuple.iter().map(|e| ent_desc(e, &color)).collect();
+                    cells.clear();
+                    cells.extend(tuple.iter().map(ent_desc));
                     for (pos, e) in tuple.iter().enumerate() {
                         if let Ent::Null(m) = e {
-                            occ[m.index()].push(h(&(6u8, rel.0, pos as u32, &sig)));
+                            occ.push((m.0, h(&(6u8, rel.0, pos as u32, &cells))));
                         }
                     }
                 }
             }
         }
-        for i in 0..n {
-            occ[i].sort_unstable();
-            color[i] = h(&(color[i], &occ[i]));
+        // A null's next color: its color and its sorted descriptors.
+        occ.sort_unstable();
+        let mut groups = occ.chunk_by(|a, b| a.0 == b.0).peekable();
+        for (i, c) in color.iter_mut().enumerate() {
+            let mine = groups.next_if(|g| g[0].0 as usize == i).unwrap_or(&[]);
+            let mut s = DefaultHasher::new();
+            c.hash(&mut s);
+            mine.len().hash(&mut s);
+            for (_, d) in mine {
+                d.hash(&mut s);
+            }
+            *c = s.finish();
         }
     }
     color
@@ -166,42 +188,53 @@ fn signature_uncached(inst: &CInstance) -> u64 {
             Ent::Const(v) => h(&(2u8, v)),
         }
     };
-    let mut table_sigs: Vec<u64> = Vec::new();
-    for (rel, row) in inst.tuples() {
-        let cells: Vec<u64> = row.iter().map(&ent_sig).collect();
-        table_sigs.push(h(&(rel.0, cells)));
-    }
+    // A row or `¬R` tuple: its relation, then its cells in order.
+    let row_sig = |tag: u8, rel: u32, cells: &[Ent]| -> u64 {
+        let mut s = DefaultHasher::new();
+        (tag, rel).hash(&mut s);
+        for e in cells {
+            ent_sig(e).hash(&mut s);
+        }
+        s.finish()
+    };
+    let mut table_sigs: Vec<u64> = inst
+        .tuples()
+        .map(|(rel, row)| row_sig(0, rel.0, row))
+        .collect();
     table_sigs.sort_unstable();
     let mut cond_sigs: Vec<u64> = inst
         .global
         .iter()
         .map(|c| match c {
-            Cond::Lit(Lit::Cmp { lhs, op, rhs }) => {
-                h(&(10u8, format!("{op:?}"), ent_sig(lhs), ent_sig(rhs)))
-            }
+            Cond::Lit(Lit::Cmp { lhs, op, rhs }) => h(&(10u8, op, ent_sig(lhs), ent_sig(rhs))),
             Cond::Lit(Lit::Like {
                 negated,
                 ent,
                 pattern,
             }) => h(&(11u8, negated, pattern, ent_sig(ent))),
-            Cond::NotIn { rel, tuple } => {
-                let cells: Vec<u64> = tuple.iter().map(&ent_sig).collect();
-                h(&(12u8, rel.0, cells))
-            }
+            Cond::NotIn { rel, tuple } => row_sig(12, rel.0, tuple),
         })
         .collect();
     cond_sigs.sort_unstable();
     h(&(table_sigs, cond_sigs))
 }
 
+/// The cheap necessary conditions [`is_isomorphic`] starts with: equal
+/// null counts, condition counts and per-table row counts. Reads no
+/// table cell, allocates nothing.
+pub fn same_shape(a: &CInstance, b: &CInstance) -> bool {
+    a.num_nulls() == b.num_nulls()
+        && a.global.len() == b.global.len()
+        && a.tables
+            .iter()
+            .map(Vec::len)
+            .eq(b.tables.iter().map(Vec::len))
+}
+
 /// Exact isomorphism check: does a bijection between the labeled nulls of
 /// `a` and `b` map tables to tables and conditions to conditions?
 pub fn is_isomorphic(a: &CInstance, b: &CInstance) -> bool {
-    if a.num_nulls() != b.num_nulls()
-        || a.global.len() != b.global.len()
-        || a.tables.iter().map(Vec::len).collect::<Vec<_>>()
-            != b.tables.iter().map(Vec::len).collect::<Vec<_>>()
-    {
+    if !same_shape(a, b) {
         return false;
     }
     let ca = null_colors(a);
@@ -298,9 +331,8 @@ fn check_mapping(a: &CInstance, b: &CInstance, map: &[Option<NullId>]) -> bool {
         })
         .collect();
     let mut target = b.global.to_vec();
-    let key = |c: &Cond| format!("{c:?}");
-    mapped.sort_by_key(key);
-    target.sort_by_key(key);
+    mapped.sort_unstable();
+    target.sort_unstable();
     mapped == target
 }
 

@@ -35,5 +35,5 @@ pub mod json;
 pub use cinstance::{CInstance, Cond, NullInfo};
 pub use ground::GroundInstance;
 pub use grounding::ground_instance;
-pub use iso::{digest_stats, exact_digest, is_isomorphic, signature};
+pub use iso::{digest_stats, exact_digest, is_isomorphic, same_shape, signature};
 pub use json::{json_escape, json_well_formed};

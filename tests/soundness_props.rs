@@ -225,6 +225,8 @@ mod chase_soundness {
     /// their accepted instances are exactly the witnesses that one side
     /// returns and the other does not, so an unsound acceptance here is a
     /// bogus counterexample downstream (cf. the cosette regression test).
+    /// All six variants, at limit 6: at limit 8, Q5A-Q5B under Disj-Add
+    /// still accepts an unsound instance (ROADMAP item 2).
     #[test]
     fn grounded_difference_results_satisfy_queries() {
         let cfg = ChaseConfig::with_limit(6)
@@ -235,7 +237,7 @@ mod chase_soundness {
             .filter(|q| q.kind == cqi_datasets::QueryKind::Difference)
         {
             let tree = SyntaxTree::new(dq.query.clone());
-            for variant in [Variant::ConjAdd, Variant::DisjEO] {
+            for variant in Variant::ALL {
                 let sol = run_variant(&tree, variant, &cfg);
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
                     panic!(
