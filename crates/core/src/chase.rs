@@ -19,17 +19,18 @@
 //! memo key, its quantifier test, its DNF and its three `∨` cases are each
 //! derived once per request, never per chase step. The acceptance checks
 //! run Tree-SAT under homomorphisms that already bind every free variable,
-//! so they skip its `∃`-closure. Like the paper's, the nested `visited`
-//! check first compares cheap properties — the shape
-//! ([`cqi_instance::same_shape`]), then the cached signature — and only
-//! then tries mappings.
+//! so they skip its `∃`-closure.
 //!
-//! ## Execution model (`cqi-runtime`)
+//! ## Execution model
 //!
-//! Each root search is one FIFO BFS: [`Chase`] drives its top-level
-//! frontier through [`cqi_runtime::drive`] on one worker context, with the
-//! `visited` check backed by a [`cqi_runtime::VisitedSet`] keyed on the
-//! [`signature`]/[`exact_digest`] iso-invariants. All mutable worker state
+//! Root and nested searches run one body of Algorithm 1,
+//! `Engine::search`: a FIFO queue on one worker context, with one
+//! `visited` set, a [`cqi_instance::IsoClasses`]. Like the paper's, that
+//! check first compares cheap properties — the shape, then the cached
+//! signature — and only then tries mappings. A search hands each
+//! instance it accepts, with the Tree-SAT context that accepted it, to its
+//! caller: a root search validates and covers it there and logs it, a
+//! nested one returns it. All mutable worker state
 //! (`WorkerCtx`: solver memos, sub-BFS results) only affects speed. Every
 //! solver question of the chase — `IsConsistent` and each Tree-SAT leaf —
 //! goes through one worker-level path, `WorkerCtx::decide`: the worker's
@@ -42,28 +43,26 @@
 //! ([`Chase::run_roots`]), and merge their results in job order, so
 //! parallel runs accept the *same instances in the same order* as
 //! sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
+//! How a run schedules its roots — inline or fanned out, the job-order
+//! merge, the observer — lives in the crate's `scheduler` module; this
+//! module holds the run's state and stats, and the engine.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cqi_drc::{Atom, Coverage, Query, Term, VarId};
 use cqi_instance::consistency::to_problem;
-use cqi_instance::{
-    digest_stats, exact_digest, is_isomorphic, same_shape, signature, CInstance, Cond,
-};
+use cqi_instance::{digest_stats, exact_digest, CInstance, Cond, IsoClasses, OfferCounts};
 use cqi_obs::trace::{self, Phase};
-use cqi_runtime::{
-    drive, BoundedMemo, DedupeStats, Exec, Expansion, FrontierTask, MemoCounts, ResidentPool,
-    RunCounters, SetKey,
-};
+use cqi_runtime::{BoundedMemo, MemoCounts, ResidentPool, RunCounters};
 use cqi_schema::Schema;
 use cqi_solver::{Ent, ExactCache, Problem};
 
 use crate::compiled::{CompiledFormula, Node, Shape};
 use crate::config::{CancelToken, ChaseConfig};
-use crate::cover::validated_coverage;
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
 /// Execution counters of one chase run: root fan-out and work-stealing
@@ -81,11 +80,13 @@ pub struct ChaseStats {
     pub steals: u64,
     /// Root-job fan-outs dispatched to the resident pool.
     pub resident_batches: u64,
-    /// Duplicate-detection offers across all drives.
+    /// Offers to the `visited` sets of the root searches (nested searches
+    /// dedupe the same way but are not counted).
     pub dedupe_offers: u64,
     /// Offers rejected as duplicates.
     pub dedupe_duplicates: u64,
-    /// Signature collisions needing a full isomorphism check.
+    /// Shape-and-signature matches between an offer and a kept instance,
+    /// each settled by a full isomorphism check.
     pub dedupe_iso_checks: u64,
     /// Per-worker exact-problem memo hits/misses, summed over workers.
     pub solver_l1_hits: u64,
@@ -118,7 +119,7 @@ pub struct ChaseStats {
     /// Always 0: the chase has no canonicalization phase any more. Kept
     /// public for the benchmark ledger, which still reads it.
     pub phase_canon_ns: u64,
-    /// Time in isomorphism dedupe (visited-set offers + nested admission).
+    /// Time in isomorphism dedupe (the `visited` offers of every search).
     pub phase_dedupe_ns: u64,
     /// Time in scheduling (root fan-out result collection).
     pub phase_sched_ns: u64,
@@ -380,9 +381,9 @@ pub(crate) struct WorkerCtx {
     /// entries. Its hits and misses are reported as L1 hits and misses.
     exact: ExactCache,
     /// This worker observed the wall-clock deadline.
-    timed_out: bool,
+    pub(crate) timed_out: bool,
     /// This worker observed a fired [`CancelToken`].
-    cancelled: bool,
+    pub(crate) cancelled: bool,
 }
 
 impl WorkerCtx {
@@ -421,7 +422,7 @@ impl WorkerCtx {
 
 /// The answer-affecting run parameters the `bfs_memo`/`consist_memo`
 /// contents were computed under. The sub-BFS results depend on the size
-/// `limit` (pruning inside `bfs_inner`) and on `universal_fresh`
+/// `limit` (pruning inside `Engine::search`) and on `universal_fresh`
 /// (`Handle-Universal`'s fresh-null branch), and consistency answers
 /// depend on `enforce_keys` — so entries are only reusable by a run with
 /// the *same* triple, over the same schema. The exact-problem memo is
@@ -505,9 +506,6 @@ pub struct RootJob<'f> {
 /// wall-clock acceptance offset.
 pub type AcceptedInstance = (CInstance, Option<Coverage>, Duration);
 
-/// What a root search accepts: the instance and its validated coverage.
-type RootAccept = (CInstance, Option<Coverage>);
-
 /// One chase run (possibly over several trees, for the `Conj-*` and `*-Add`
 /// variants, which all feed the same accepted-instance log).
 pub struct Chase<'a> {
@@ -517,8 +515,8 @@ pub struct Chase<'a> {
     /// (the `EO` variants disable this).
     pub universal_fresh: bool,
     pub start: Instant,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) cancel: Option<CancelToken>,
     pub timed_out: bool,
     /// A [`CancelToken`] fired mid-drive.
     pub cancelled: bool,
@@ -526,19 +524,19 @@ pub struct Chase<'a> {
     /// stopped), halting the drive early. Distinct from the `max_results`
     /// cap, which is a *requested* completion.
     pub halted: bool,
-    done: bool,
+    pub(crate) done: bool,
     /// Satisfying consistent instances accepted at the top level, with
     /// acceptance timestamps (drives the §5.1 interactivity metrics).
     pub accepted: Vec<AcceptedInstance>,
     /// One memo context per worker; `ctxs[0]` drives single roots.
-    ctxs: Vec<WorkerCtx>,
+    pub(crate) ctxs: Vec<WorkerCtx>,
     /// The session's resident pool when `threads > 1` (see
     /// [`ChaseCaches::ensure_pool`]); `None` runs every root inline.
-    pool: Option<Arc<ResidentPool>>,
+    pub(crate) pool: Option<Arc<ResidentPool>>,
     /// Steal/batch counters of this run's fan-outs.
-    run_counters: RunCounters,
-    /// Dedupe totals accumulated over this run's drives.
-    dedupe_acc: DedupeStats,
+    pub(crate) run_counters: RunCounters,
+    /// Dedupe totals accumulated over this run's root searches.
+    pub(crate) dedupe_acc: OfferCounts,
     /// Cumulative cache counters at construction — subtracted so
     /// [`Chase::stats`] reports per-run deltas despite session-persistent
     /// caches.
@@ -553,7 +551,7 @@ pub struct Chase<'a> {
     /// differently, and fresh nulls inherit `query.var_name`/`var_domain`
     /// — so shape alone must not hit another query's cached results when
     /// a session reuses [`ChaseCaches`].
-    query_key: u64,
+    pub(crate) query_key: u64,
 }
 
 impl<'a> Chase<'a> {
@@ -623,7 +621,7 @@ impl<'a> Chase<'a> {
             // multi-thread run on the same caches; it must not fan out.
             pool: caches.pool.clone().filter(|_| threads > 1),
             run_counters: RunCounters::default(),
-            dedupe_acc: DedupeStats::default(),
+            dedupe_acc: OfferCounts::default(),
             stats_base: ChaseStats::default(),
             phase_base: trace::phase_totals(),
             query_key,
@@ -695,206 +693,6 @@ impl<'a> Chase<'a> {
             digest_recomputes: cur.digest_recomputes.saturating_sub(base.digest_recomputes),
         }
     }
-
-    fn absorb_drive(&mut self, st: DedupeStats) {
-        self.dedupe_acc.offers += st.offers;
-        self.dedupe_acc.duplicates += st.duplicates;
-        self.dedupe_acc.iso_checks += st.iso_checks;
-    }
-
-    fn deadline_passed(&self) -> bool {
-        // lint:allow(wall-clock) deadline enforcement needs a real clock
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    fn cancel_fired(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    fn collect_ctx_flags(&mut self) {
-        self.timed_out |= self.ctxs.iter().any(|c| c.timed_out);
-        self.cancelled |= self.ctxs.iter().any(|c| c.cancelled);
-    }
-
-    /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,
-    /// logging accepted instances. A single root is one sequential drive on
-    /// the first worker context, whatever the thread budget.
-    pub fn run_root(&mut self, formula: &CompiledFormula, seed: CInstance, seed_h: Hom) {
-        self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
-    }
-
-    /// [`Chase::run_root`] with an acceptance observer: `observer` is
-    /// called with every instance (and its validated coverage and
-    /// acceptance timestamp) the moment it enters the log, in the same
-    /// deterministic order as the final `accepted` log. Returning `false`
-    /// halts the drive (the streaming API's consumer-gone/cancel path).
-    pub fn run_root_observed(
-        &mut self,
-        formula: &CompiledFormula,
-        seed: CInstance,
-        seed_h: Hom,
-        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
-    ) {
-        if self.done {
-            return;
-        }
-        if self.deadline_passed() {
-            self.timed_out = true;
-            return;
-        }
-        if self.cancel_fired() {
-            self.cancelled = true;
-            return;
-        }
-        let _root_span = trace::span("root_job", "chase");
-        let root = formula.root();
-        let (i0, h0) = bind_free_vars(self.query, root.free_vars(), seed, seed_h);
-        let task = RootTask {
-            query: self.query,
-            cfg: self.cfg,
-            universal_fresh: self.universal_fresh,
-            deadline: self.deadline,
-            cancel: self.cancel.as_ref(),
-            root,
-            h0: &h0,
-            query_key: self.query_key,
-        };
-        let start = self.start;
-        let max = self.cfg.max_results;
-        let accepted = &mut self.accepted;
-        let mut done = false;
-        let mut halted = false;
-        let mut sink = |(inst, coverage): RootAccept| {
-            let t = start.elapsed();
-            let keep_streaming = observer(&inst, coverage.as_ref(), t);
-            accepted.push((inst, coverage, t));
-            if !keep_streaming {
-                halted = true;
-                done = true;
-                return false;
-            }
-            if max.is_some_and(|m| accepted.len() >= m) {
-                done = true;
-                false
-            } else {
-                true
-            }
-        };
-        let dedupe = drive(&task, &mut self.ctxs[0], vec![i0], &mut sink);
-        self.absorb_drive(dedupe);
-        self.done |= done;
-        self.halted |= halted;
-        self.collect_ctx_flags();
-    }
-
-    /// Runs a batch of independent root searches. With a thread budget and
-    /// more than one job, whole roots are fanned out across the resident
-    /// pool (each driven sequentially on its worker's context) and the
-    /// accepted instances are merged in job order — identical output to
-    /// running the jobs one by one.
-    pub fn run_roots(&mut self, jobs: Vec<RootJob<'_>>) {
-        self.run_roots_observed(jobs, &mut |_, _, _| true);
-    }
-
-    /// [`Chase::run_roots`] with an acceptance observer (see
-    /// [`Chase::run_root_observed`]). Under job-level fan-out the observer
-    /// fires at the deterministic job-order merge.
-    pub fn run_roots_observed(
-        &mut self,
-        jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
-    ) {
-        if jobs.is_empty() || self.done {
-            return;
-        }
-        if let Some(pool) = self.pool.clone().filter(|_| jobs.len() > 1) {
-            self.run_roots_parallel(&pool, jobs, observer);
-        } else {
-            for job in jobs {
-                if self.timed_out || self.cancelled || self.done {
-                    break;
-                }
-                self.run_root_observed(job.formula, job.seed, job.h, observer);
-            }
-        }
-    }
-
-    fn run_roots_parallel(
-        &mut self,
-        pool: &ResidentPool,
-        jobs: Vec<RootJob<'_>>,
-        observer: &mut dyn FnMut(&CInstance, Option<&Coverage>, Duration) -> bool,
-    ) {
-        let query = self.query;
-        let cfg = self.cfg;
-        let universal_fresh = self.universal_fresh;
-        let deadline = self.deadline;
-        let cancel = self.cancel.clone();
-        let max = cfg.max_results;
-        let start = self.start;
-        let query_key = self.query_key;
-        let exec = Exec::resident(pool).with_counters(&self.run_counters);
-        let _fanout_span = trace::span("root_job_fanout", "chase");
-        let per_job: Vec<(Vec<AcceptedInstance>, DedupeStats)> =
-            exec.run(&mut self.ctxs, &jobs, |ctx, _, job| {
-                let _job_span = trace::span("root_job", "chase");
-                // lint:allow(wall-clock) deadline enforcement needs a real clock
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    ctx.timed_out = true;
-                    return (Vec::new(), DedupeStats::default());
-                }
-                if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    ctx.cancelled = true;
-                    return (Vec::new(), DedupeStats::default());
-                }
-                let root = job.formula.root();
-                let (i0, h0) =
-                    bind_free_vars(query, root.free_vars(), job.seed.clone(), job.h.clone());
-                let task = RootTask {
-                    query,
-                    cfg,
-                    universal_fresh,
-                    deadline,
-                    cancel: cancel.as_ref(),
-                    root,
-                    h0: &h0,
-                    query_key,
-                };
-                let mut acc: Vec<AcceptedInstance> = Vec::new();
-                let mut sink = |(inst, coverage): RootAccept| {
-                    // Timestamp at the moment of acceptance, not at merge —
-                    // the §5.1 interactivity metrics read these.
-                    acc.push((inst, coverage, start.elapsed()));
-                    // No single job ever needs more than the global cap.
-                    max.is_none_or(|m| acc.len() < m)
-                };
-                let st = drive(&task, ctx, vec![i0], &mut sink);
-                (acc, st)
-            });
-        // Deterministic merge: job order, truncated at the global cap
-        // exactly where a sequential run would have stopped. (The log stays
-        // in job order; timestamps are wall-clock and may interleave across
-        // jobs, as they legitimately do.) The observer fires here, at the
-        // merge point — job-level fan-out is a batch barrier, unlike the
-        // per-item flushing of a single root's drive.
-        'merge: for (acc, st) in per_job {
-            self.absorb_drive(st);
-            for (inst, coverage, t) in acc {
-                let keep_streaming = observer(&inst, coverage.as_ref(), t);
-                self.accepted.push((inst, coverage, t));
-                if !keep_streaming {
-                    self.halted = true;
-                    self.done = true;
-                    break 'merge;
-                }
-                if max.is_some_and(|m| self.accepted.len() >= m) {
-                    self.done = true;
-                    break 'merge;
-                }
-            }
-        }
-        self.collect_ctx_flags();
-    }
 }
 
 /// Lines 2–5 of Algorithm 1: bind unbound free variables to fresh labeled
@@ -916,110 +714,16 @@ fn bind_free_vars(
     (inst, h)
 }
 
-/// The top-level frontier of one root search, as a [`FrontierTask`]: admit
-/// by the size limit, dedupe by the [`signature`]/[`exact_digest`]
-/// iso-invariants with [`is_isomorphic`] confirming collisions, and expand
-/// via `IsConsistent` + `Tree-SAT` + `Tree-Chase` on the worker's context.
-/// An accepted instance leaves with its original-tree validation and
-/// coverage, computed on the Tree-SAT context that accepted it.
-struct RootTask<'t> {
-    query: &'t Query,
-    cfg: &'t ChaseConfig,
-    universal_fresh: bool,
-    deadline: Option<Instant>,
-    cancel: Option<&'t CancelToken>,
-    root: Node<'t>,
-    h0: &'t Hom,
-    query_key: u64,
-}
-
-impl FrontierTask for RootTask<'_> {
-    type Item = CInstance;
-    type Ctx = WorkerCtx;
-    type Accept = RootAccept;
-
-    fn admit(&self, inst: &CInstance) -> bool {
-        inst.size() <= self.cfg.limit
-    }
-
-    fn keys(&self, inst: &CInstance) -> SetKey {
-        SetKey {
-            signature: signature(inst),
-            digest: exact_digest(inst),
-        }
-    }
-
-    fn is_duplicate(&self, a: &CInstance, b: &CInstance) -> bool {
-        is_isomorphic(a, b)
-    }
-
-    fn stopped(&self, ctx: &mut WorkerCtx) -> bool {
-        // lint:allow(wall-clock) deadline enforcement needs a real clock
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            ctx.timed_out = true;
-            return true;
-        }
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            ctx.cancelled = true;
-            return true;
-        }
-        false
-    }
-
-    fn expand(&self, ctx: &mut WorkerCtx, inst: &CInstance) -> Expansion<CInstance, RootAccept> {
-        let mut engine = Engine {
-            query: self.query,
-            cfg: self.cfg,
-            universal_fresh: self.universal_fresh,
-            deadline: self.deadline,
-            cancel: self.cancel,
-            query_key: self.query_key,
-            ctx,
-        };
-        // Line 13: IsConsistent(I) ∧ Tree-SAT under the root homomorphism,
-        // which binds every free variable of the root. Every popped child
-        // passed IsConsistent when it was generated, so that check is a
-        // digest-memo hit; running it first keeps the Tree-SAT context alive
-        // to validate and cover an accepted instance.
-        if engine.consistent(inst) {
-            let (query, keys) = (self.query, self.cfg.enforce_keys);
-            let mut decide = |p: &Problem| engine.decide(p);
-            let mut sat = SatCtx::new(query, inst, keys, &mut decide);
-            if sat.tree_sat_bound(self.root.formula(), self.h0) {
-                let coverage = validated_coverage(&mut sat);
-                return Expansion {
-                    accepted: Some((inst.clone(), coverage)),
-                    children: Vec::new(),
-                };
-            }
-        }
-        // Lines 16–19: expand.
-        let mut children = Vec::new();
-        for j in engine.tree_chase(self.root, inst, self.h0) {
-            if engine.stopped() {
-                break;
-            }
-            if j.size() <= self.cfg.limit && engine.consistent(&j) {
-                children.push(j);
-            }
-        }
-        Expansion {
-            accepted: None,
-            children,
-        }
-    }
-}
-
-/// The recursive chase engine: all of Algorithms 1–6 below the top level,
+/// The chase engine: Algorithms 1–6, root and nested searches alike,
 /// operating on one worker's memo context.
-struct Engine<'e> {
-    query: &'e Query,
-    cfg: &'e ChaseConfig,
-    universal_fresh: bool,
-    deadline: Option<Instant>,
-    cancel: Option<&'e CancelToken>,
-    query_key: u64,
-    ctx: &'e mut WorkerCtx,
+pub(crate) struct Engine<'e> {
+    pub(crate) query: &'e Query,
+    pub(crate) cfg: &'e ChaseConfig,
+    pub(crate) universal_fresh: bool,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) cancel: Option<&'e CancelToken>,
+    pub(crate) query_key: u64,
+    pub(crate) ctx: &'e mut WorkerCtx,
 }
 
 impl Engine<'_> {
@@ -1064,7 +768,8 @@ impl Engine<'_> {
     }
 
     /// `Tree-Chase-BFS` (Algorithm 1) for recursive (sub-formula) calls,
-    /// memoized on (subtree, instance, relevant homomorphism entries).
+    /// memoized on (subtree, instance, relevant homomorphism entries): the
+    /// instances [`search`](Self::search) accepts, in acceptance order.
     fn bfs(&mut self, q: Node<'_>, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
         // Key: query identity (variable names/domains — see
         // `Chase::query_key`) + subtree content + exact instance + the
@@ -1084,7 +789,11 @@ impl Engine<'_> {
         if let Some(cached) = self.ctx.bfs_memo.get(&key) {
             return cached.clone();
         }
-        let res = self.bfs_inner(q, h0, i0);
+        let mut res = Vec::new();
+        self.search(q, i0.clone(), h0.clone(), &mut |_, inst| {
+            res.push(inst.clone());
+            true
+        });
         // Results truncated by timeout/cancellation must not poison the
         // cache (it outlives the run now that sessions recycle contexts).
         if !self.ctx.timed_out && !self.ctx.cancelled {
@@ -1093,90 +802,69 @@ impl Engine<'_> {
         res
     }
 
-    /// `Tree-Chase-BFS` body, walked one FIFO generation (wave) at a time:
-    /// each wave is first admitted (size bound + visited isomorphism check,
-    /// in pop order), then every admitted instance is accepted or expanded
-    /// ([`bfs_step`](Self::bfs_step)). An instance's step never reads
-    /// `visited`, and its children join the next wave, so this visits
-    /// exactly what a plain FIFO queue would, in the same order.
-    fn bfs_inner(&mut self, q: Node<'_>, h0: &Hom, i0: &CInstance) -> Vec<CInstance> {
-        let (i0, h0) = bind_free_vars(self.query, q.free_vars(), i0.clone(), h0.clone());
-        let mut res: Vec<CInstance> = Vec::new();
-        let mut frontier: Vec<CInstance> = vec![i0];
-        // Admitted instances, each with its signature once something asked.
-        let mut visited: Vec<(Option<u64>, CInstance)> = Vec::new();
-        while !frontier.is_empty() {
+    /// `Tree-Chase-BFS` (Algorithm 1), the one body of every search, root
+    /// and nested: a FIFO queue from `seed` with the free variables of `q`
+    /// bound (lines 2–5), one `visited` set (line 10), and for each popped
+    /// instance either acceptance (line 13) or expansion (lines 16–19).
+    /// `accept` receives each accepted instance with the Tree-SAT context
+    /// that accepted it; returning `false` ends the search. Returns the
+    /// `visited` set's counts.
+    pub(crate) fn search(
+        &mut self,
+        q: Node<'_>,
+        seed: CInstance,
+        seed_h: Hom,
+        accept: &mut dyn FnMut(&mut SatCtx<'_>, &CInstance) -> bool,
+    ) -> OfferCounts {
+        let (i0, h0) = bind_free_vars(self.query, q.free_vars(), seed, seed_h);
+        let mut visited = IsoClasses::default();
+        let mut queue = VecDeque::from([i0]);
+        while let Some(inst) = queue.pop_front() {
             if self.stopped() {
                 break;
             }
-            let _wave_span = trace::span("nested_wave", "chase");
-            // Line 10: size bound and visited (isomorphism) check. Like the
-            // paper's, it first compares cheap properties: the shape, then
-            // the signature (computed only for an instance whose shape
-            // another one shares), before it tries mappings.
-            let mut wave: Vec<CInstance> = Vec::new();
-            {
-                let _s = trace::span_phase("nested_admit", "dedupe", Phase::Dedupe);
-                for inst in std::mem::take(&mut frontier) {
-                    if inst.size() > self.cfg.limit {
-                        continue;
+            // Line 10: the size bound, then the `visited` check modulo
+            // renaming of nulls.
+            if inst.size() > self.cfg.limit {
+                continue;
+            }
+            let first_of_class = {
+                let _s = trace::span_phase("dedupe_offer", "dedupe", Phase::Dedupe);
+                visited.offer(&inst)
+            };
+            if !first_of_class {
+                continue;
+            }
+            // Line 13: IsConsistent(I) ∧ Tree-SAT under the current
+            // homomorphism, which binds every free variable of `q` (nested
+            // calls must verify satisfaction at the handler's chosen
+            // mapping, not under blanket ∃-closure — otherwise the
+            // Handle-Universal merge would accept bodies satisfied by some
+            // other entity). Every popped child passed IsConsistent when it
+            // was generated, so that check is a digest-memo hit; running it
+            // first keeps the Tree-SAT context alive for `accept`.
+            if self.consistent(&inst) {
+                let (query, keys) = (self.query, self.cfg.enforce_keys);
+                let mut decide = |p: &Problem| self.decide(p);
+                let mut sat = SatCtx::new(query, &inst, keys, &mut decide);
+                if sat.tree_sat_bound(q.formula(), &h0) {
+                    if !accept(&mut sat, &inst) {
+                        break;
                     }
-                    let mut sig = None;
-                    if visited.iter_mut().any(|(vsig, v)| {
-                        same_shape(v, &inst)
-                            && *vsig.get_or_insert_with(|| signature(v))
-                                == *sig.get_or_insert_with(|| signature(&inst))
-                            && is_isomorphic(v, &inst)
-                    }) {
-                        continue;
-                    }
-                    visited.push((sig, inst.clone()));
-                    wave.push(inst);
+                    continue;
                 }
             }
-            for inst in wave {
+            // Lines 16–19: expand.
+            for j in self.tree_chase(q, &inst, &h0) {
                 if self.stopped() {
                     break;
                 }
-                let (accepted, children) = self.bfs_step(q, &h0, &inst);
-                if accepted {
-                    res.push(inst);
-                } else {
-                    frontier.extend(children);
+                if j.size() <= self.cfg.limit && self.consistent(&j) {
+                    queue.push_back(j);
                 }
             }
         }
-        res
-    }
-
-    /// One step of Algorithm 1 for an already-admitted instance: accept it
-    /// (Tree-SAT ∧ IsConsistent) or expand it and pre-filter the children.
-    /// Pure with respect to the BFS bookkeeping — it reads neither
-    /// `visited` nor any sibling.
-    fn bfs_step(&mut self, q: Node<'_>, h0: &Hom, inst: &CInstance) -> (bool, Vec<CInstance>) {
-        // Line 13: Tree-SAT under the *current* homomorphism, which binds
-        // every free variable of `q` (recursive calls must verify
-        // satisfaction at the handler's chosen mapping, not under blanket
-        // ∃-closure — otherwise the Handle-Universal merge would accept
-        // bodies satisfied by some other entity) ∧ IsConsistent(I).
-        let (query, keys) = (self.query, self.cfg.enforce_keys);
-        let sat =
-            SatCtx::new(query, inst, keys, &mut |p| self.decide(p)).tree_sat_bound(q.formula(), h0);
-        if sat && self.consistent(inst) {
-            return (true, Vec::new());
-        }
-        // Lines 16–19: expand.
-        let expansions = self.tree_chase(q, inst, h0);
-        let mut children = Vec::new();
-        for j in expansions {
-            if self.stopped() {
-                break;
-            }
-            if j.size() <= self.cfg.limit && self.consistent(&j) {
-                children.push(j);
-            }
-        }
-        (false, children)
+        visited.counts()
     }
 
     /// `Tree-Chase` (Algorithm 2): dispatch on the root operator.
@@ -1392,14 +1080,15 @@ pub fn materialize(query: &Query, inst: &CInstance, conj: &[Atom], h: &Hom) -> O
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqi_drc::parse_query;
+    use cqi_instance::is_isomorphic;
     use cqi_schema::{DomainType, Schema, Value};
     use cqi_solver::{Lit, SolverOp};
     use std::sync::Arc;
 
-    fn schema() -> Arc<Schema> {
+    pub(crate) fn schema() -> Arc<Schema> {
         Arc::new(
             Schema::builder()
                 .relation(
@@ -1538,16 +1227,99 @@ mod tests {
 
     #[test]
     fn max_results_short_circuits() {
+        // A capped log is the first `k` entries of the uncapped log,
+        // instances and coverage alike.
         let s = schema();
-        let q = parse_query(&s, "{ (b1) | exists d1 (Likes(d1, b1)) }").unwrap();
-        let cfg = ChaseConfig::with_limit(8).max_results(1);
+        let q = parse_query(&s, FORALL_DISJ).unwrap();
+        let log = |cfg: &ChaseConfig| -> Vec<(String, Option<Coverage>)> {
+            let mut chase = Chase::new(&q, cfg, true);
+            chase.run_root(
+                &CompiledFormula::new(q.formula.clone()),
+                CInstance::new(Arc::clone(&s)),
+                vec![None; q.vars.len()],
+            );
+            chase
+                .accepted
+                .into_iter()
+                .map(|(i, coverage, _)| (format!("{i}"), coverage))
+                .collect()
+        };
+        let full = log(&ChaseConfig::with_limit(8));
+        assert!(full.len() > 2, "need a multi-instance log");
+        for k in 1..full.len() {
+            assert_eq!(log(&ChaseConfig::with_limit(8).max_results(k)), full[..k]);
+        }
+    }
+
+    /// Generated case `gen_case(case_seed(7, 596), &GenKnobs::default())`
+    /// under Disj-Naive, limit 4, keys off. Two of its accepted instances
+    /// render identically and share an exact digest, which hashes tables,
+    /// conditions and the null count but not the nulls' domains. They
+    /// differ in one null that occurs nowhere: `f0_1` in `R0.a2`'s domain
+    /// in one, `f0_0` in `R0.a0`'s in the other. They are not isomorphic,
+    /// so the root's `visited` set keeps both.
+    #[test]
+    fn root_keeps_instances_that_differ_only_in_an_unused_nulls_domain() {
+        let s = Arc::new(
+            Schema::builder()
+                .relation(
+                    "R0",
+                    &[
+                        ("a0", DomainType::Int),
+                        ("a1", DomainType::Int),
+                        ("a2", DomainType::Text),
+                    ],
+                )
+                .relation(
+                    "R1",
+                    &[
+                        ("a0", DomainType::Int),
+                        ("a1", DomainType::Real),
+                        ("a2", DomainType::Text),
+                    ],
+                )
+                .key("R1", &["a0"])
+                .foreign_key("R0", &["a0"], "R1", &["a0"])
+                .build()
+                .unwrap(),
+        );
+        let q = parse_query(
+            &s,
+            "{ (x2, x5) | exists x0 (exists x1 (exists x3 (exists x4 (R0(x0, x1, x2) \
+             and R0(x3, x4, x5) and forall f0_0 (forall f0_1 (not R0(f0_0, x3, f0_1))))))) }",
+        )
+        .unwrap();
+        let cfg = ChaseConfig::with_limit(4);
         let mut chase = Chase::new(&q, &cfg, true);
         chase.run_root(
             &CompiledFormula::new(q.formula.clone()),
             CInstance::new(Arc::clone(&s)),
             vec![None; q.vars.len()],
         );
-        assert_eq!(chase.accepted.len(), 1);
+        let accepted: Vec<&CInstance> = chase.accepted.iter().map(|(i, ..)| i).collect();
+        let (a, b) = accepted
+            .iter()
+            .enumerate()
+            .flat_map(|(k, a)| accepted[k + 1..].iter().map(move |b| (*a, *b)))
+            .find(|(a, b)| exact_digest(a) == exact_digest(b) && !is_isomorphic(a, b))
+            .expect("two accepted instances with one digest that are not isomorphic");
+        // Equal renderings: the differing nulls occur in no tuple and no
+        // condition.
+        assert_eq!(format!("{a}"), format!("{b}"));
+        let r0 = s.rel_id("R0").unwrap();
+        let last_null = |i: &CInstance| {
+            let n = i.nulls.last().unwrap();
+            (n.name.clone(), n.domain)
+        };
+        let mut extra = [last_null(a), last_null(b)];
+        extra.sort();
+        assert_eq!(
+            extra,
+            [
+                ("f0_0".to_string(), s.attr_domain(r0, 0)),
+                ("f0_1".to_string(), s.attr_domain(r0, 2)),
+            ]
+        );
     }
 
     #[test]
@@ -1555,7 +1327,7 @@ mod tests {
         // The bfs/consistency memos are only valid under the (limit,
         // enforce_keys, universal_fresh) they were computed with; reusing
         // them across a parameter change would silently change answers
-        // (bfs_inner prunes on cfg.limit, Handle-Universal branches on
+        // (the search prunes on cfg.limit, Handle-Universal branches on
         // universal_fresh, IsConsistent depends on enforce_keys).
         let s = schema();
         let q = parse_query(
@@ -1689,7 +1461,7 @@ mod tests {
 
     /// A ∀-heavy disjunctive query: its top-level `∨` splits into two
     /// `∨`-free trees, so `Conj-*` variants run it as two root jobs.
-    const FORALL_DISJ: &str = "{ (d1) | forall b1 (exists x1, p1 . Serves(x1, b1, p1)) \
+    pub(crate) const FORALL_DISJ: &str = "{ (d1) | forall b1 (exists x1, p1 . Serves(x1, b1, p1)) \
                                and (Likes(d1, 'A') or Likes(d1, 'B')) }";
 
     #[test]

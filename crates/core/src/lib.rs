@@ -49,6 +49,7 @@ pub mod conjtree;
 pub mod cover;
 pub mod cqneg;
 pub mod dnf;
+mod scheduler;
 pub mod session;
 pub mod solution;
 pub mod testgen;

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use cqi_drc::{Atom, Coverage, SyntaxTree, Term};
+use cqi_drc::{Atom, Coverage, SyntaxTree};
 use cqi_instance::CInstance;
 use cqi_solver::Ent;
 
@@ -60,7 +60,7 @@ pub(crate) fn run_variant_observed(
     // acceptance time, while the search is still running, as its own
     // (cheap, storage-sharing) clone.
     let mut ordinal = 0;
-    drive_phases(&mut chase, tree, variant, &mut |inst, coverage, t| {
+    run_phases(&mut chase, tree, variant, &mut |inst, coverage, t| {
         let (Some(observer), Some(coverage)) = (observer.as_mut(), coverage) else {
             return true;
         };
@@ -110,11 +110,11 @@ pub(crate) fn run_variant_observed(
 /// Both phases of one variant run — the per-tree roots and the `*-Add`
 /// re-seeds — as batches of independent root searches routed through
 /// [`Chase::run_roots_observed`]: with `cfg.threads != 1` whole roots fan
-/// out across workers, each root's frontier driven sequentially by
-/// [`cqi_runtime::drive`], with identical output either way. Each root
-/// formula is compiled once ([`CompiledFormula`]) and shared by every job
-/// that chases it, the re-seeds included.
-fn drive_phases(
+/// out across workers, each root searched sequentially on its worker,
+/// with identical output either way. Each root formula is compiled once
+/// ([`CompiledFormula`]) and shared by every job that chases it, the
+/// re-seeds included.
+fn run_phases(
     chase: &mut Chase<'_>,
     tree: &SyntaxTree,
     variant: Variant,
@@ -193,10 +193,8 @@ fn seed_for_leaf(q: &cqi_drc::Query, atom: &Atom) -> Option<(CInstance, Hom)> {
     // re-bound by the chase (their nulls stay available in the pools).
     let mut h0: Hom = vec![None; q.vars.len()];
     for v in &q.out_vars {
-        if let Term::Var(_) = Term::Var(*v) {
-            if atom.vars().contains(v) {
-                h0[v.index()] = h[v.index()].clone();
-            }
+        if atom.vars().contains(v) {
+            h0[v.index()] = h[v.index()].clone();
         }
     }
     Some((seeded, h0))

@@ -6,10 +6,11 @@
 //! The properties come in three tiers of cost. [`same_shape`] compares
 //! counts (nulls, conditions, rows per table) and reads no cell.
 //! [`signature`] is a renaming-invariant hash (color refinement), cached on
-//! the instance, used to bucket candidates; it hashes operators and
-//! constants as values, never their rendered text. [`is_isomorphic`] is the
-//! exact backtracking check run only within a bucket; it compares the
-//! mapped conditions as multisets, sorted by their derived order.
+//! the instance; it hashes operators and constants as values, never their
+//! rendered text. [`is_isomorphic`] is the exact backtracking check; it
+//! compares the mapped conditions as multisets, sorted by their derived
+//! order. [`IsoClasses`](crate::IsoClasses), the `visited` set itself
+//! ([`crate::dedupe`]), runs the three tiers in that order.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -337,13 +338,13 @@ fn check_mapping(a: &CInstance, b: &CInstance, map: &[Option<NullId>]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqi_schema::{DomainType, Schema};
     use cqi_solver::SolverOp;
     use std::sync::Arc;
 
-    fn schema() -> Arc<cqi_schema::Schema> {
+    pub(crate) fn schema() -> Arc<cqi_schema::Schema> {
         Arc::new(
             Schema::builder()
                 .relation(
@@ -361,7 +362,7 @@ mod tests {
 
     /// Two serves rows with a price order, built with nulls created in
     /// different orders.
-    fn two_row_instance(s: &Arc<Schema>, swap: bool) -> CInstance {
+    pub(crate) fn two_row_instance(s: &Arc<Schema>, swap: bool) -> CInstance {
         let mut inst = CInstance::new(Arc::clone(s));
         let serves = s.rel_id("Serves").unwrap();
         let (bd, ed, pd) = (

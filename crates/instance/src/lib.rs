@@ -17,8 +17,8 @@
 //!   atoms and optional key-constraint EGDs.
 //! * Grounding: extracting one *possible world* from a consistent
 //!   c-instance via the solver's model.
-//! * Isomorphism modulo renaming of labeled nulls — the `visited` check of
-//!   Algorithm 1 (line 10).
+//! * Isomorphism modulo renaming of labeled nulls, and the `visited` set
+//!   of Algorithm 1 (line 10) built on it ([`IsoClasses`]).
 //! * Serde-free JSON rendering ([`CInstance::to_json`]) for service
 //!   responses from the streaming explanation API.
 
@@ -26,6 +26,7 @@
 
 pub mod cinstance;
 pub mod consistency;
+pub mod dedupe;
 pub mod display;
 pub mod ground;
 pub mod grounding;
@@ -33,6 +34,7 @@ pub mod iso;
 pub mod json;
 
 pub use cinstance::{CInstance, Cond, NullInfo};
+pub use dedupe::{IsoClasses, OfferCounts};
 pub use ground::GroundInstance;
 pub use grounding::ground_instance;
 pub use iso::{digest_stats, exact_digest, is_isomorphic, same_shape, signature};

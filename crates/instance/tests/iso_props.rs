@@ -1,12 +1,13 @@
 //! Property tests for c-instance isomorphism and grounding: isomorphism is
 //! an equivalence relation invariant under null renaming, signatures are
-//! iso-invariants, and grounded worlds satisfy the global condition.
+//! iso-invariants, the `visited` set keeps one instance per class, and
+//! grounded worlds satisfy the global condition.
 
 use std::sync::Arc;
 
 use cqi_instance::{
     consistency::consistent_model, exact_digest, ground_instance, is_isomorphic, signature,
-    CInstance, Cond,
+    CInstance, Cond, IsoClasses,
 };
 use cqi_schema::{DomainType, Schema, Value};
 use cqi_solver::{Ent, Lit, NullId, SolverOp};
@@ -112,6 +113,36 @@ proptest! {
         prop_assert!(is_isomorphic(&a, &b));
         prop_assert!(is_isomorphic(&b, &a), "symmetry");
         prop_assert!(is_isomorphic(&a, &a), "reflexivity");
+    }
+
+    /// The `visited` set keeps exactly what a pairwise `is_isomorphic` scan
+    /// keeps — the first instance offered of every class, in offer order —
+    /// and counts every offer and every duplicate. Seeds come from a small
+    /// pool, so classes repeat under renamings, and distinct classes share
+    /// shapes.
+    #[test]
+    fn iso_classes_keep_what_a_pairwise_scan_keeps(
+        stream in proptest::collection::vec((0u64..6, any::<u64>()), 1..24),
+    ) {
+        let mut set = IsoClasses::default();
+        let mut kept_by_set = Vec::new();
+        let mut scan: Vec<CInstance> = Vec::new();
+        let mut kept_by_scan = Vec::new();
+        for (k, &(seed, shuffle)) in stream.iter().enumerate() {
+            let inst = build(seed, shuffle);
+            if set.offer(&inst) {
+                kept_by_set.push(k);
+            }
+            if !scan.iter().any(|kept| is_isomorphic(kept, &inst)) {
+                scan.push(inst);
+                kept_by_scan.push(k);
+            }
+        }
+        prop_assert_eq!(&kept_by_set, &kept_by_scan);
+        let counts = set.counts();
+        prop_assert_eq!(counts.offers, stream.len() as u64);
+        prop_assert_eq!(counts.duplicates, (stream.len() - kept_by_scan.len()) as u64);
+        prop_assert!(counts.iso_checks >= counts.duplicates, "every duplicate is an iso verdict");
     }
 
     /// Adding one condition breaks isomorphism (and usually the signature).

@@ -1,11 +1,10 @@
 //! # cqi-runtime
 //!
-//! Execution substrate for the chase: the FIFO frontier [`drive`] that runs
-//! one root search, the single-owner [`VisitedSet`] it deduplicates
-//! through (keyed on isomorphism invariants), and a work-stealing
-//! [`ResidentPool`] behind the [`Exec`] handle that fans whole root
-//! searches out across workers. Workers share no memo: each keeps its own,
-//! in [`BoundedMemo`]s.
+//! Execution substrate for the chase: a work-stealing [`ResidentPool`]
+//! behind the [`Exec`] handle that fans whole root searches out across
+//! workers, the capacity-bounded [`BoundedMemo`] each worker keeps its
+//! memos in, and the [`sync`] shim every synchronization primitive goes
+//! through. Workers share no memo.
 //!
 //! ## Determinism model
 //!
@@ -16,9 +15,9 @@
 //! meaning — root-job fan-out — and parallel runs stay byte-identical to
 //! sequential ones because
 //!
-//! 1. **every root is driven sequentially** by [`drive`] on one worker
-//!    context, with its own [`VisitedSet`], so its accepted stream is the
-//!    same whichever worker runs it;
+//! 1. **every root is searched sequentially** on one worker context, with
+//!    its own visited set, so its accepted stream is the same whichever
+//!    worker runs it;
 //! 2. **worker state is speed-only** — each worker's memo contexts hold
 //!    pure functions of their keys, so which worker runs a root never
 //!    changes an answer; and
@@ -26,21 +25,17 @@
 //!    in item order, and the chase concatenates the per-root streams in
 //!    the order a sequential run would have produced them.
 //!
-//! See the crate-level tests plus `cqi-core`'s `parallel_props.rs` for the
-//! property suites asserting sequential ≡ parallel.
+//! See `cqi-core`'s `parallel_props.rs` for the property suite asserting
+//! sequential ≡ parallel.
 
 #![deny(unsafe_code)]
 
-pub mod dedupe;
 pub mod memo;
 pub mod pool;
-pub mod scheduler;
 pub mod sync;
 
-pub use dedupe::{DedupeStats, SetKey, VisitedSet};
 pub use memo::{BoundedMemo, MemoCounts};
 pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
-pub use scheduler::{drive, Expansion, FrontierTask};
 
 /// Resolves a user-facing thread budget: `0` means "all available
 /// parallelism", anything else is taken literally (minimum 1).

@@ -9,7 +9,7 @@
 //! | [`schema`] | `cqi-schema` | values, domains, relations, constraints |
 //! | [`solver`] | `cqi-solver` | DPLL(T)-lite condition solver |
 //! | [`obs`] | `cqi-obs` | metrics registry + span tracing (Perfetto export, text exposition) |
-//! | [`runtime`] | `cqi-runtime` | work-stealing frontier scheduler + concurrent iso-dedupe |
+//! | [`runtime`] | `cqi-runtime` | work-stealing pool for root-job fan-out + bounded memos |
 //! | [`instance`] | `cqi-instance` | c-instances, consistency, isomorphism, grounding |
 //! | [`drc`] | `cqi-drc` | DRC parser, normalizer, pretty-printer, syntax trees |
 //! | [`eval`] | `cqi-eval` | ground evaluation of DRC queries |

@@ -160,9 +160,8 @@ fn deadline_expiry_returns_partial_results_flagged() {
 #[test]
 fn cancellation_mid_drive_stops_after_the_inflight_instance() {
     // threads=1 makes this fully deterministic: the cancel fires inside
-    // the acceptance callback, and the sequential scheduler polls the
-    // token before expanding the next candidate — so exactly one instance
-    // is accepted.
+    // the acceptance callback, and the root search polls the token before
+    // it pops the next candidate — so exactly one instance is accepted.
     let s = schema();
     let session = Session::new(Arc::clone(&s));
     let batch = session
