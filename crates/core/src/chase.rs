@@ -2,10 +2,11 @@
 //! (Algorithm 2), and the four node handlers (Algorithms 3–6).
 //!
 //! The BFS explores the (implicit) chase tree: every popped c-instance is
-//! first tested with `Tree-SAT` + `IsConsistent` (satisfying instances are
-//! *results* and are not expanded further; a top-level result is validated
-//! against the original tree and covered right there, on the same worker),
-//! then expanded by the recursive `Tree-Chase`, which dispatches on the
+//! first tested with `Tree-SAT` ∧ `IsConsistent`, in that order
+//! (satisfying instances are *results* and are not expanded further; a
+//! top-level result is validated against the original tree and covered
+//! right there, on the same worker), otherwise expanded by the recursive
+//! `Tree-Chase`, which dispatches on the
 //! root operator of the current subtree and recursively re-enters the BFS
 //! on child subtrees. The `visited` set deduplicates modulo renaming of
 //! labeled nulls ([`cqi_instance::is_isomorphic`]), and the `limit` bound on
@@ -32,11 +33,18 @@
 //! caller: a root search validates and covers it there and logs it, a
 //! nested one returns it. All mutable worker state
 //! (`WorkerCtx`: solver memos, sub-BFS results) only affects speed. Every
-//! solver question of the chase — `IsConsistent` and each Tree-SAT leaf —
-//! goes through one worker-level path, `WorkerCtx::decide`: the worker's
-//! exact-problem memo, then one solve. Problems are keyed in the
-//! instance's own null numbering, which is deterministic per instance, so
-//! the memo never changes an answer. The only parallel axis is across
+//! solver question of the chase is a question about one instance's global
+//! condition φ(I), asked as (φ(I), extra literals). A generated child's
+//! `IsConsistent` (the question (φ(I), [])) is asked once, when it is
+//! generated, through a digest memo first. A popped instance's Tree-SAT
+//! leaves share one [`SatCtx`], which builds φ(I) once and answers what
+//! φ(I) already settles itself; a search's seed, which was never
+//! generated, asks its `IsConsistent` there too. What remains goes
+//! through one worker-level path,
+//! `WorkerCtx::decide`: the worker's (φ, extra) memo, then one solve.
+//! Problems are keyed in the instance's own null numbering, which is
+//! deterministic per instance, so the memo never changes an answer. The
+//! only parallel axis is across
 //! roots: multi-root runs (the `Conj-*` tree sets and the `*-Add`
 //! re-seeds) fan whole root searches out over the session's resident pool
 //! when `ChaseConfig::threads > 1`
@@ -59,7 +67,7 @@ use cqi_instance::{digest_stats, exact_digest, CInstance, Cond, IsoClasses, Offe
 use cqi_obs::trace::{self, Phase};
 use cqi_runtime::{BoundedMemo, MemoCounts, ResidentPool, RunCounters};
 use cqi_schema::Schema;
-use cqi_solver::{Ent, ExactCache, Problem};
+use cqi_solver::{Ent, ExactCache, Lit, Phi};
 
 use crate::compiled::{CompiledFormula, Node, Shape};
 use crate::config::{CancelToken, ChaseConfig};
@@ -373,12 +381,13 @@ pub(crate) struct WorkerCtx {
     /// sub-searches constantly; this cache is the difference between
     /// seconds and minutes on the harder difference queries.
     bfs_memo: BoundedMemo<(u64, u64, u64), Vec<CInstance>>,
-    /// Memoized `IsConsistent` answers by instance digest.
+    /// Memoized `IsConsistent` answers of generated children by instance
+    /// digest.
     consist_memo: BoundedMemo<u64, bool>,
-    /// Exact-problem memo: most decisions repeat a problem this worker
-    /// already decided. Keyed by the whole problem in the instance's own
-    /// null numbering, so renamed copies of a problem are separate
-    /// entries. Its hits and misses are reported as L1 hits and misses.
+    /// Exact memo: most decisions repeat a question this worker already
+    /// decided. Keyed by (φ(I), extra literals) in the instance's own null
+    /// numbering, so renamed copies of a question are separate entries.
+    /// Its hits and misses are reported as L1 hits and misses.
     exact: ExactCache,
     /// This worker observed the wall-clock deadline.
     pub(crate) timed_out: bool,
@@ -404,30 +413,37 @@ impl WorkerCtx {
         self.cancelled = false;
     }
 
-    /// Clears the param-sensitive memos (see [`CacheParams`]).
-    fn clear_param_memos(&mut self) {
-        self.bfs_memo.clear();
-        self.consist_memo.clear();
+    /// Clears the memos computed under other run parameters (see
+    /// [`CacheParams`]): the sub-BFS results unless the search parameters
+    /// match, the `IsConsistent` answers unless the consistency parameters
+    /// do.
+    fn clear_param_memos(&mut self, same_search: bool, same_consistency: bool) {
+        if !same_search {
+            self.bfs_memo.clear();
+        }
+        if !same_consistency {
+            self.consist_memo.clear();
+        }
     }
 
-    /// Is `p` satisfiable? The worker's one decision path, for
-    /// `IsConsistent` and every Tree-SAT leaf alike: the exact-problem
-    /// memo, then one solve (one solver call per check, as in the paper's
-    /// §4.2). The memo stores a pure function of its full key, so the path
+    /// Is φ ∧ extra satisfiable? The worker's one decision path, for
+    /// `IsConsistent` and every Tree-SAT leaf alike: the (φ, extra) memo,
+    /// then one solve (one solver call per check, as in the paper's §4.2).
+    /// The memo stores a pure function of the full problem, so the path
     /// never changes an answer.
-    pub(crate) fn decide(&mut self, p: &Problem) -> bool {
-        self.exact.is_sat(p)
+    pub(crate) fn decide(&mut self, phi: &Phi, extra: &[Lit]) -> bool {
+        self.exact.is_sat(phi, extra)
     }
 }
 
 /// The answer-affecting run parameters the `bfs_memo`/`consist_memo`
-/// contents were computed under. The sub-BFS results depend on the size
-/// `limit` (pruning inside `Engine::search`) and on `universal_fresh`
-/// (`Handle-Universal`'s fresh-null branch), and consistency answers
-/// depend on `enforce_keys` — so entries are only reusable by a run with
-/// the *same* triple, over the same schema. The exact-problem memo is
-/// parameter-independent (the problem encodes the key clauses) and stays
-/// warm across any parameter change.
+/// contents were computed under. Consistency answers depend only on
+/// `enforce_keys` and the schema. The sub-BFS results also depend on the
+/// size `limit` (pruning inside `Engine::search`) and on `universal_fresh`
+/// (`Handle-Universal`'s fresh-null branch), so they are only reusable by
+/// a run with the *same* four. The exact memo is parameter-independent
+/// (the problem encodes the key clauses) and stays warm across any
+/// parameter change.
 struct CacheParams {
     limit: usize,
     enforce_keys: bool,
@@ -440,12 +456,17 @@ struct CacheParams {
     schema: Arc<Schema>,
 }
 
-impl PartialEq for CacheParams {
-    fn eq(&self, other: &CacheParams) -> bool {
-        self.limit == other.limit
-            && self.enforce_keys == other.enforce_keys
+impl CacheParams {
+    /// `IsConsistent` answers computed under `self` hold under `other`.
+    fn same_consistency(&self, other: &CacheParams) -> bool {
+        self.enforce_keys == other.enforce_keys && Arc::ptr_eq(&self.schema, &other.schema)
+    }
+
+    /// Sub-BFS results computed under `self` hold under `other`.
+    fn same_search(&self, other: &CacheParams) -> bool {
+        self.same_consistency(other)
+            && self.limit == other.limit
             && self.universal_fresh == other.universal_fresh
-            && Arc::ptr_eq(&self.schema, &other.schema)
     }
 }
 
@@ -580,18 +601,19 @@ impl<'a> Chase<'a> {
             universal_fresh,
             schema: Arc::clone(&query.schema),
         };
-        let param_safe = caches.params.as_ref() == Some(&params);
+        let (same_search, same_consistency) =
+            caches.params.as_ref().map_or((false, false), |old| {
+                (old.same_search(&params), old.same_consistency(&params))
+            });
         caches.params = Some(params);
         caches.ensure_pool(threads);
         let mut ctxs: Vec<WorkerCtx> = std::mem::take(&mut caches.ctxs);
         ctxs.truncate(threads);
         for ctx in &mut ctxs {
             ctx.reset_run_flags();
-            if !param_safe {
-                // These memos' answers depend on the run parameters (see
-                // [`CacheParams`]); a differing run must not see them.
-                ctx.clear_param_memos();
-            }
+            // These memos' answers depend on the run parameters (see
+            // [`CacheParams`]); a differing run must not see them.
+            ctx.clear_param_memos(same_search, same_consistency);
         }
         while ctxs.len() < threads {
             ctxs.push(WorkerCtx::new(cfg));
@@ -742,27 +764,31 @@ impl Engine<'_> {
         false
     }
 
-    /// One solver decision: the worker's memoized path
+    /// One solver decision, φ ∧ extra: the worker's memoized path
     /// ([`WorkerCtx::decide`]) with `cfg.solver_cache`, one cold solve
-    /// without it.
-    fn decide(&mut self, p: &Problem) -> bool {
+    /// without it. A question with no extra literals is `IsConsistent`,
+    /// and is counted as such.
+    fn decide(&mut self, phi: &Phi, extra: &[Lit]) -> bool {
+        if extra.is_empty() {
+            consistency_checks_metric().inc();
+        }
         if self.cfg.solver_cache {
-            self.ctx.decide(p)
+            self.ctx.decide(phi, extra)
         } else {
             let _s = trace::span_phase("solve", "solver", Phase::Solver);
-            cqi_solver::is_sat(p)
+            phi.is_sat_with(extra)
         }
     }
 
-    /// `IsConsistent(inst)`: the per-worker digest memo, then
-    /// [`Engine::decide`] on the instance's constraint problem.
+    /// `IsConsistent` of a generated child: the per-worker digest memo,
+    /// then [`Engine::decide`] on the child's (φ(I), []).
     fn consistent(&mut self, inst: &CInstance) -> bool {
         let key = exact_digest(inst);
         if let Some(v) = self.ctx.consist_memo.get(&key) {
             return *v;
         }
-        consistency_checks_metric().inc();
-        let ans = self.decide(&to_problem(inst, self.cfg.enforce_keys));
+        let phi = Phi::new(to_problem(inst, self.cfg.enforce_keys));
+        let ans = self.decide(&phi, &[]);
         self.ctx.consist_memo.insert(key, ans);
         ans
     }
@@ -818,8 +844,10 @@ impl Engine<'_> {
     ) -> OfferCounts {
         let (i0, h0) = bind_free_vars(self.query, q.free_vars(), seed, seed_h);
         let mut visited = IsoClasses::default();
-        let mut queue = VecDeque::from([i0]);
-        while let Some(inst) = queue.pop_front() {
+        // Each queued instance, and whether it passed IsConsistent before
+        // it was queued: every generated child did, the seed did not.
+        let mut queue = VecDeque::from([(i0, false)]);
+        while let Some((inst, checked)) = queue.pop_front() {
             if self.stopped() {
                 break;
             }
@@ -835,24 +863,25 @@ impl Engine<'_> {
             if !first_of_class {
                 continue;
             }
-            // Line 13: IsConsistent(I) ∧ Tree-SAT under the current
-            // homomorphism, which binds every free variable of `q` (nested
-            // calls must verify satisfaction at the handler's chosen
-            // mapping, not under blanket ∃-closure — otherwise the
-            // Handle-Universal merge would accept bodies satisfied by some
-            // other entity). Every popped child passed IsConsistent when it
-            // was generated, so that check is a digest-memo hit; running it
-            // first keeps the Tree-SAT context alive for `accept`.
-            if self.consistent(&inst) {
-                let (query, keys) = (self.query, self.cfg.enforce_keys);
-                let mut decide = |p: &Problem| self.decide(p);
-                let mut sat = SatCtx::new(query, &inst, keys, &mut decide);
-                if sat.tree_sat_bound(q.formula(), &h0) {
-                    if !accept(&mut sat, &inst) {
-                        break;
-                    }
-                    continue;
+            // Line 13: Tree-SAT under the current homomorphism, which
+            // binds every free variable of `q` (nested calls must verify
+            // satisfaction at the handler's chosen mapping, not under
+            // blanket ∃-closure — otherwise the Handle-Universal merge
+            // would accept bodies satisfied by some other entity), then
+            // IsConsistent(I) on the same context. Only the seed asks it
+            // (the question (φ(I), [])); a generated child passed it
+            // before it was queued.
+            let (query, keys) = (self.query, self.cfg.enforce_keys);
+            let mut decide = |phi: &Phi, extra: &[Lit]| self.decide(phi, extra);
+            let mut sat = SatCtx::new(query, &inst, keys, &mut decide);
+            if checked {
+                sat.known_consistent();
+            }
+            if sat.tree_sat_bound(q.formula(), &h0) && sat.consistent() {
+                if !accept(&mut sat, &inst) {
+                    break;
                 }
+                continue;
             }
             // Lines 16–19: expand.
             for j in self.tree_chase(q, &inst, &h0) {
@@ -860,7 +889,7 @@ impl Engine<'_> {
                     break;
                 }
                 if j.size() <= self.cfg.limit && self.consistent(&j) {
-                    queue.push_back(j);
+                    queue.push_back((j, true));
                 }
             }
         }
@@ -1324,62 +1353,65 @@ pub(crate) mod tests {
 
     #[test]
     fn reused_caches_cleared_when_answer_affecting_params_change() {
-        // The bfs/consistency memos are only valid under the (limit,
-        // enforce_keys, universal_fresh) they were computed with; reusing
-        // them across a parameter change would silently change answers
-        // (the search prunes on cfg.limit, Handle-Universal branches on
-        // universal_fresh, IsConsistent depends on enforce_keys).
+        // The sub-BFS memo is only valid under the (limit, enforce_keys,
+        // universal_fresh) and schema it was computed with: the search
+        // prunes on cfg.limit and Handle-Universal branches on
+        // universal_fresh. The consistency memo depends only on
+        // enforce_keys and the schema, so it survives the other two.
         let s = schema();
-        let q = parse_query(
-            &s,
-            "{ (b1) | exists d1 (Likes(d1, b1)) and exists x1, p1 (Serves(x1, b1, p1)) }",
-        )
-        .unwrap();
-        let run = |cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
-            let mut chase = Chase::new_reusing(&q, cfg, fresh, caches);
+        let src = "{ (b1) | exists d1 (Likes(d1, b1)) and exists x1, p1 (Serves(x1, b1, p1)) }";
+        let q = parse_query(&s, src).unwrap();
+        let run = |q: &Query, cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
+            let mut chase = Chase::new_reusing(q, cfg, fresh, caches);
             chase.run_root(
                 &CompiledFormula::new(q.formula.clone()),
-                CInstance::new(Arc::clone(&s)),
+                CInstance::new(Arc::clone(&q.schema)),
                 vec![None; q.vars.len()],
             );
             chase.recycle_into(caches);
         };
-        let memo_sizes = |caches: &ChaseCaches| -> (usize, usize) {
-            let c = &caches.ctxs[0];
-            (c.bfs_memo.len(), c.consist_memo.len())
-        };
+        // The memo sizes a run with these parameters starts from.
+        let sizes_at_start =
+            |q: &Query, cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
+                let chase = Chase::new_reusing(q, cfg, fresh, caches);
+                let c = &chase.ctxs[0];
+                let sizes = (c.bfs_memo.len(), c.consist_memo.len());
+                chase.recycle_into(caches);
+                sizes
+            };
         let mut caches = ChaseCaches::new();
         let cfg4 = ChaseConfig::with_limit(4);
         let cfg6 = ChaseConfig::with_limit(6);
         let cfg6_keys = ChaseConfig::with_limit(6).enforce_keys(true);
-        run(&cfg4, true, &mut caches);
-        let (bfs, consist) = memo_sizes(&caches);
+        run(&q, &cfg4, true, &mut caches);
+        let (bfs, consist) = sizes_at_start(&q, &cfg4, true, &mut caches);
         assert!(bfs > 0 && consist > 0, "run must populate the memos");
         // Same parameters: memos survive (the warm-session fast path).
-        run(&cfg4, true, &mut caches);
-        let (bfs2, consist2) = memo_sizes(&caches);
+        run(&q, &cfg4, true, &mut caches);
+        let (bfs2, consist2) = sizes_at_start(&q, &cfg4, true, &mut caches);
         assert!(bfs2 >= bfs && consist2 >= consist);
-        // Limit change: cleared before the run starts.
-        let chase = Chase::new_reusing(&q, &cfg6, true, &mut caches);
+        // Limit change: the sub-BFS memo is cleared, the consistency memo
+        // kept.
+        assert_eq!(sizes_at_start(&q, &cfg6, true, &mut caches), (0, consist2));
+        // universal_fresh change: the same.
+        run(&q, &cfg6, true, &mut caches);
+        let (bfs6, consist6) = sizes_at_start(&q, &cfg6, true, &mut caches);
+        assert!(bfs6 > 0 && consist6 >= consist2);
+        assert_eq!(sizes_at_start(&q, &cfg6, false, &mut caches), (0, consist6));
+        // enforce_keys change: both cleared.
+        run(&q, &cfg6, false, &mut caches);
+        assert!(sizes_at_start(&q, &cfg6, false, &mut caches).1 > 0);
+        assert_eq!(sizes_at_start(&q, &cfg6_keys, false, &mut caches), (0, 0));
+        // Schema change: both cleared.
+        run(&q, &cfg6_keys, false, &mut caches);
+        let (bfs_k, consist_k) = sizes_at_start(&q, &cfg6_keys, false, &mut caches);
+        assert!(bfs_k > 0 && consist_k > 0);
+        let other = parse_query(&schema(), src).unwrap();
+        assert!(!Arc::ptr_eq(&q.schema, &other.schema));
         assert_eq!(
-            (
-                chase.ctxs[0].bfs_memo.len(),
-                chase.ctxs[0].consist_memo.len()
-            ),
+            sizes_at_start(&other, &cfg6_keys, false, &mut caches),
             (0, 0)
         );
-        chase.recycle_into(&mut caches);
-        // universal_fresh change: cleared too.
-        run(&cfg6, true, &mut caches);
-        assert!(memo_sizes(&caches).0 > 0);
-        let chase = Chase::new_reusing(&q, &cfg6, false, &mut caches);
-        assert_eq!(chase.ctxs[0].bfs_memo.len(), 0);
-        chase.recycle_into(&mut caches);
-        // enforce_keys change: cleared as well.
-        run(&cfg6, false, &mut caches);
-        assert!(memo_sizes(&caches).1 > 0);
-        let chase = Chase::new_reusing(&q, &cfg6_keys, false, &mut caches);
-        assert_eq!(chase.ctxs[0].consist_memo.len(), 0);
     }
 
     #[test]
@@ -1415,7 +1447,7 @@ pub(crate) mod tests {
                 query_key: 0,
                 ctx,
             }
-            .decide(&to_problem(inst, cfg.enforce_keys))
+            .decide(&Phi::new(to_problem(inst, cfg.enforce_keys)), &[])
         };
         let cfg = ChaseConfig::with_limit(4);
         let mut ctx = WorkerCtx::new(&cfg);

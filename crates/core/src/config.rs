@@ -113,10 +113,11 @@ pub struct ChaseConfig {
     pub enforce_keys: bool,
     /// Optional cap on accepted satisfying instances (before minimization).
     pub max_results: Option<usize>,
-    /// Memoize solver outcomes per worker, keyed by the exact problem, so
-    /// an `IsConsistent` or Tree-SAT question the worker already decided
-    /// costs one lookup. `false` is the cold reference: every decision is
-    /// one solve.
+    /// Memoize solver outcomes per worker, keyed by the exact question
+    /// (φ(I), extra literals), so an `IsConsistent` or Tree-SAT question
+    /// the worker already decided costs one lookup. `false` is the cold
+    /// reference: every question that Tree-SAT does not settle from φ(I)
+    /// itself is one solve.
     pub solver_cache: bool,
     /// Capacity of each worker's exact-problem memo (entries; the memo is
     /// cleared when full). Defaults to [`DEFAULT_CACHE_CAPACITY`].

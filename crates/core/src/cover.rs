@@ -18,7 +18,7 @@
 
 use cqi_drc::{Coverage, Formula, LeafId, Query};
 use cqi_instance::CInstance;
-use cqi_solver::Ent;
+use cqi_solver::Phi;
 
 use crate::treesat::{Hom, SatCtx};
 
@@ -30,7 +30,7 @@ pub fn coverage_of_cinstance(q: &Query, inst: &CInstance) -> Coverage {
 /// `cov(Q, I)` with key constraints taken into account during certainty
 /// checks.
 pub fn coverage_of_cinstance_keys(q: &Query, inst: &CInstance, enforce_keys: bool) -> Coverage {
-    let mut decide = cqi_solver::is_sat;
+    let mut decide = Phi::is_sat_with;
     coverage(&mut SatCtx::new(q, inst, enforce_keys, &mut decide))
 }
 
@@ -66,9 +66,9 @@ fn enumerate_alphas(ctx: &mut SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Cover
         return;
     }
     let v = q.out_vars[i];
-    let pool: Vec<Ent> = ctx.inst.domain_pool(q.var_domain(v)).to_vec();
-    for e in pool {
-        h[v.index()] = Some(e);
+    let inst = ctx.inst;
+    for e in inst.domain_pool(q.var_domain(v)) {
+        h[v.index()] = Some(e.clone());
         enumerate_alphas(ctx, h, i + 1, cov);
     }
     h[v.index()] = None;
@@ -89,7 +89,8 @@ fn walk(ctx: &mut SatCtx<'_>, h: &mut Hom, f: &Formula, next: &mut u32, cov: &mu
         }
         Formula::Exists(v, b) | Formula::Forall(v, b) => {
             let start = *next;
-            let pool: Vec<Ent> = ctx.inst.domain_pool(ctx.query.var_domain(*v)).to_vec();
+            let inst = ctx.inst;
+            let pool = inst.domain_pool(ctx.query.var_domain(*v));
             let mut end = start;
             if pool.is_empty() {
                 let mut probe = start;
@@ -97,7 +98,7 @@ fn walk(ctx: &mut SatCtx<'_>, h: &mut Hom, f: &Formula, next: &mut u32, cov: &mu
                 end = probe;
             }
             for e in pool {
-                h[v.index()] = Some(e);
+                h[v.index()] = Some(e.clone());
                 let mut sub = start;
                 walk(ctx, h, b, &mut sub, cov);
                 end = sub;

@@ -16,21 +16,35 @@
 //!   and enter through a crate-private entry that skips the closure and
 //!   the free-variable scan it needs.
 //!
-//! A [`SatCtx`] hands every leaf's solver question (`φ ∧ ¬lit` for a
-//! condition leaf, `φ ∧ image = row` for a negated relational leaf) to the
-//! decider it was built with. The chase passes its worker's decision path —
-//! the exact-problem memo, then one solve — so Tree-SAT shares that memo
-//! with `IsConsistent`, inside nested BFS steps and in the validation of
-//! accepted instances alike. The one-shot [`tree_sat`] and
-//! [`tree_sat_with`] solve every leaf cold.
+//! A [`SatCtx`] decides every question about one instance as (φ(I),
+//! extra literals): `φ ∧ ¬lit` for a condition leaf, `φ ∧ image = row` for
+//! each row against a negated relational leaf, and `IsConsistent(I)` as
+//! (φ(I), []). It builds φ(I) once, on the first question it cannot answer
+//! itself, and answers three kinds of question without the solver, each
+//! the solver's own answer:
+//!
+//! * a condition leaf whose literal is a conjunct of φ(I) is entailed
+//!   (`φ ∧ ¬lit` holds both `lit` and `¬lit`);
+//! * a row whose equalities contradict every literal of some `≠`-only
+//!   clause of φ(I) cannot match (a `¬R(x⃗)` condition with the leaf's own
+//!   image expands to exactly such clauses);
+//! * a row equal to the image adds nothing, so it asks `IsConsistent(I)`.
+//!
+//! Everything else goes to the decider the context was built with, a
+//! `FnMut(&Phi, &[Lit]) -> bool` that decides φ(I) ∧ extra. The chase
+//! passes its worker's decision path — the (φ, extra) memo, then one
+//! solve — so Tree-SAT shares that memo with `IsConsistent`, inside nested
+//! BFS steps and in the validation of accepted instances alike. The
+//! one-shot [`tree_sat`] and [`tree_sat_with`] solve every question cold
+//! ([`Phi::is_sat_with`]).
 
 use std::collections::HashMap;
 
 use cqi_drc::{Atom, CmpOp, Formula, Query, Term, VarId};
 use cqi_instance::consistency::to_problem;
-use cqi_instance::CInstance;
+use cqi_instance::{CInstance, Cond};
 use cqi_schema::Value;
-use cqi_solver::{Ent, Lit, Problem, SolverOp};
+use cqi_solver::{Ent, Lit, Phi, SolverOp};
 
 /// A (partial) homomorphism from query variables to instance entities.
 pub type Hom = Vec<Option<Ent>>;
@@ -93,84 +107,154 @@ pub(crate) fn atom_to_lit(atom: &Atom, a: &Ent, b: &Ent) -> Lit {
     lit.canonical()
 }
 
-/// Reusable satisfaction context: the instance's possible-worlds constraint
-/// system is built once and shared by every leaf entailment check, and
-/// every solver question goes to the caller's decider.
+/// φ(I), with the indices of its clauses made only of `≠` literals (the
+/// expansions of `¬R(x⃗)` conditions), which a row question may contradict
+/// outright.
+struct Base {
+    phi: Phi,
+    neq_clauses: Vec<usize>,
+}
+
+impl Base {
+    fn new(inst: &CInstance, enforce_keys: bool) -> Base {
+        let p = to_problem(inst, enforce_keys);
+        let is_neq = |l: &Lit| {
+            matches!(
+                l,
+                Lit::Cmp {
+                    op: SolverOp::Ne,
+                    ..
+                }
+            )
+        };
+        let neq_clauses = (0..p.clauses.len())
+            .filter(|&i| p.clauses[i].iter().all(is_neq))
+            .collect();
+        Base {
+            phi: Phi::new(p),
+            neq_clauses,
+        }
+    }
+
+    /// Is some `≠`-only clause false under `eqs`: is each of its literals
+    /// `a ≠ b` contradicted by an equality `a = b` (either way round)?
+    fn contradicted_by(&self, eqs: &[Lit]) -> bool {
+        let clauses = &self.phi.problem().clauses;
+        self.neq_clauses.iter().any(|&i| {
+            clauses[i].iter().all(|l| {
+                let Lit::Cmp { lhs, rhs, .. } = l else {
+                    return false;
+                };
+                eqs.iter().any(|eq| {
+                    matches!(eq, Lit::Cmp { lhs: a, rhs: b, .. }
+                        if (a == lhs && b == rhs) || (a == rhs && b == lhs))
+                })
+            })
+        })
+    }
+}
+
+/// φ(I) of `inst`, built on first use.
+fn base<'b>(slot: &'b mut Option<Base>, inst: &CInstance, enforce_keys: bool) -> &'b Base {
+    slot.get_or_insert_with(|| Base::new(inst, enforce_keys))
+}
+
+/// Reusable satisfaction context: every question about the instance is
+/// asked of one φ(I), built on first use, and every question the context
+/// does not answer itself goes to the caller's decider.
 pub struct SatCtx<'a> {
     pub query: &'a Query,
     pub inst: &'a CInstance,
-    base: Problem,
-    /// Decides each leaf's satisfiability problem: the chase passes its
-    /// worker's memoized decision path, the one-shot functions a cold
-    /// solve.
-    decide: &'a mut dyn FnMut(&Problem) -> bool,
+    enforce_keys: bool,
+    base: Option<Base>,
+    /// `IsConsistent(I)`, once asked.
+    consistent: Option<bool>,
+    /// Decides φ(I) ∧ extra: the chase passes its worker's memoized
+    /// decision path, the one-shot functions a cold solve.
+    decide: &'a mut dyn FnMut(&Phi, &[Lit]) -> bool,
     /// Entailment answers are pure functions of the (immutable) instance;
     /// Tree-SAT revisits the same literals across pool iterations, so a
     /// small memo pays for itself immediately.
     entail_cache: HashMap<Lit, bool>,
-    row_cache: HashMap<RowKey, bool>,
+    /// Answers of negated relational leaves by (relation, image).
+    absent_cache: HashMap<(u32, Vec<Option<Ent>>), bool>,
+    /// The equalities of the current row question.
+    eqs: Vec<Lit>,
 }
-
-/// (relation, resolved pattern, row index) — key of the negated-atom
-/// matchability memo.
-type RowKey = (u32, Vec<Option<Ent>>, usize);
 
 impl<'a> SatCtx<'a> {
     pub fn new(
         query: &'a Query,
         inst: &'a CInstance,
         enforce_keys: bool,
-        decide: &'a mut dyn FnMut(&Problem) -> bool,
+        decide: &'a mut dyn FnMut(&Phi, &[Lit]) -> bool,
     ) -> SatCtx<'a> {
         SatCtx {
             query,
             inst,
-            base: to_problem(inst, enforce_keys),
+            enforce_keys,
+            base: None,
+            consistent: None,
             decide,
             entail_cache: HashMap::new(),
-            row_cache: HashMap::new(),
+            absent_cache: HashMap::new(),
+            eqs: Vec::new(),
         }
     }
 
-    /// Does `φ(I)` entail `lit` — i.e. is `φ ∧ ¬lit` unsatisfiable?
+    /// Records that `IsConsistent(I)` holds, so the context never asks it.
+    pub(crate) fn known_consistent(&mut self) {
+        self.consistent = Some(true);
+    }
+
+    /// `IsConsistent(I)`: the question (φ(I), []), asked once.
+    pub(crate) fn consistent(&mut self) -> bool {
+        if let Some(c) = self.consistent {
+            return c;
+        }
+        let base = base(&mut self.base, self.inst, self.enforce_keys);
+        let c = (self.decide)(&base.phi, &[]);
+        self.consistent = Some(c);
+        c
+    }
+
+    /// Does `φ(I)` entail `lit` — i.e. is `φ ∧ ¬lit` unsatisfiable? A
+    /// conjunct of φ(I) is, without asking.
     fn entails(&mut self, lit: &Lit) -> bool {
         if let Some(v) = self.entail_cache.get(lit) {
             return *v;
         }
-        let mut p = self.base.clone();
-        p.assert(lit.negate());
-        let ans = !(self.decide)(&p);
+        let in_phi = self
+            .inst
+            .global
+            .iter()
+            .any(|c| matches!(c, Cond::Lit(l) if l == lit));
+        let ans = in_phi || {
+            let base = base(&mut self.base, self.inst, self.enforce_keys);
+            !(self.decide)(&base.phi, &[lit.negate()])
+        };
         self.entail_cache.insert(lit.clone(), ans);
         ans
     }
 
-    /// Could the entity vector match row `t` in some possible world?
-    fn row_matchable(
-        &mut self,
-        rel: u32,
-        row_idx: usize,
-        pattern: &[Option<Ent>],
-        row: &[Ent],
-    ) -> bool {
-        let key = (rel, pattern.to_vec(), row_idx);
-        if let Some(v) = self.row_cache.get(&key) {
-            return *v;
-        }
-        let mut p = self.base.clone();
+    /// Could the entity vector match row `row` in some possible world?
+    fn row_matchable(&mut self, pattern: &[Option<Ent>], row: &[Ent]) -> bool {
+        self.eqs.clear();
         for (e, cell) in pattern.iter().zip(row) {
             let Some(e) = e else { continue }; // wildcard matches anything
-            if e == cell {
-                continue;
+            if e != cell {
+                self.eqs.push(Lit::Cmp {
+                    lhs: e.clone(),
+                    op: SolverOp::Eq,
+                    rhs: cell.clone(),
+                });
             }
-            p.assert(Lit::Cmp {
-                lhs: e.clone(),
-                op: SolverOp::Eq,
-                rhs: cell.clone(),
-            });
         }
-        let ans = (self.decide)(&p);
-        self.row_cache.insert(key, ans);
-        ans
+        if self.eqs.is_empty() {
+            return self.consistent();
+        }
+        let base = base(&mut self.base, self.inst, self.enforce_keys);
+        !base.contradicted_by(&self.eqs) && (self.decide)(&base.phi, &self.eqs)
     }
 
     /// Is one leaf satisfied under `h` (Algorithm 7 lines 4–8)?
@@ -198,12 +282,16 @@ impl<'a> SatCtx<'a> {
                 // in any possible world. (A syntactic ¬R(...) condition in
                 // φ(I) makes the corresponding rows unmatchable through its
                 // clause expansion.)
-                let pattern: Vec<Option<Ent>> = terms.iter().map(|t| resolve(h, t)).collect();
+                let key = (rel.0, terms.iter().map(|t| resolve(h, t)).collect());
+                if let Some(v) = self.absent_cache.get(&key) {
+                    return *v;
+                }
                 let inst = self.inst;
-                !inst.tables[rel.index()]
+                let absent = !inst.tables[rel.index()]
                     .iter()
-                    .enumerate()
-                    .any(|(i, row)| self.row_matchable(rel.0, i, &pattern, row))
+                    .any(|row| self.row_matchable(&key.1, row));
+                self.absent_cache.insert(key, absent);
+                absent
             }
             Atom::Cmp {
                 negated,
@@ -233,22 +321,23 @@ impl<'a> SatCtx<'a> {
         }
     }
 
+    /// `f` with `v` mapped to `e`.
+    fn sat_at(&mut self, h: &mut Hom, v: VarId, e: &Ent, f: &Formula) -> bool {
+        h[v.index()] = Some(e.clone());
+        self.sat(h, f)
+    }
+
     fn sat(&mut self, h: &mut Hom, f: &Formula) -> bool {
         match f {
             Formula::Atom(a) => self.leaf(h, a),
             Formula::And(l, r) => self.sat(h, l) && self.sat(h, r),
             Formula::Or(l, r) => self.sat(h, l) || self.sat(h, r),
             Formula::Exists(v, b) => {
-                let pool = self.inst.domain_pool(self.query.var_domain(*v)).to_vec();
-                for e in pool {
-                    h[v.index()] = Some(e);
-                    if self.sat(h, b) {
-                        h[v.index()] = None;
-                        return true;
-                    }
-                }
+                let inst = self.inst;
+                let pool = inst.domain_pool(self.query.var_domain(*v));
+                let holds = pool.iter().any(|e| self.sat_at(h, *v, e, b));
                 h[v.index()] = None;
-                false
+                holds
             }
             Formula::Forall(v, b) => {
                 // The universal must also range over don't-care nulls
@@ -256,18 +345,15 @@ impl<'a> SatCtx<'a> {
                 // pool (Definition 3) but take *some* active-domain value in
                 // every possible world, so a body that fails under one of
                 // them fails in every grounding.
+                let inst = self.inst;
                 let d = self.query.var_domain(*v);
-                let mut pool = self.inst.domain_pool(d).to_vec();
-                pool.extend(self.inst.dont_cares_in_domain(d));
-                for e in pool {
-                    h[v.index()] = Some(e);
-                    if !self.sat(h, b) {
-                        h[v.index()] = None;
-                        return false;
-                    }
-                }
+                let holds = inst.domain_pool(d).iter().all(|e| self.sat_at(h, *v, e, b))
+                    && inst
+                        .dont_cares_in_domain(d)
+                        .iter()
+                        .all(|e| self.sat_at(h, *v, e, b));
                 h[v.index()] = None;
-                true
+                holds
             }
         }
     }
@@ -299,25 +385,23 @@ impl<'a> SatCtx<'a> {
         match free.split_first() {
             None => self.sat(h, formula),
             Some((v, rest)) => {
-                let pool = self.inst.domain_pool(self.query.var_domain(*v)).to_vec();
-                for e in pool {
-                    h[v.index()] = Some(e);
-                    if self.close_and_sat(formula, h, rest) {
-                        h[v.index()] = None;
-                        return true;
-                    }
-                }
+                let inst = self.inst;
+                let pool = inst.domain_pool(self.query.var_domain(*v));
+                let holds = pool.iter().any(|e| {
+                    h[v.index()] = Some(e.clone());
+                    self.close_and_sat(formula, h, rest)
+                });
                 h[v.index()] = None;
-                false
+                holds
             }
         }
     }
 }
 
 /// One-shot `Tree-SAT` under a given partial homomorphism, solving every
-/// leaf cold.
+/// question cold.
 pub fn tree_sat_with(q: &Query, inst: &CInstance, formula: &Formula, h: &Hom) -> bool {
-    SatCtx::new(q, inst, false, &mut cqi_solver::is_sat).tree_sat(formula, h)
+    SatCtx::new(q, inst, false, &mut Phi::is_sat_with).tree_sat(formula, h)
 }
 
 /// `I |= Q` with all output variables existentially closed (the acceptance
@@ -330,7 +414,6 @@ pub fn tree_sat(q: &Query, inst: &CInstance) -> bool {
 mod tests {
     use super::*;
     use cqi_drc::parse_query;
-    use cqi_instance::Cond;
     use cqi_schema::{DomainType, Schema};
     use std::sync::Arc;
 
@@ -624,5 +707,143 @@ mod tests {
             Value::str("Eve Smith"),
         )));
         assert!(tree_sat(&q, &inst));
+    }
+
+    /// Decides with a cold solve and records the extra literals of every
+    /// question the context asks.
+    fn counting(questions: &mut Vec<Vec<Lit>>) -> impl FnMut(&Phi, &[Lit]) -> bool + '_ {
+        |phi: &Phi, extra: &[Lit]| {
+            questions.push(extra.to_vec());
+            phi.is_sat_with(extra)
+        }
+    }
+
+    fn var(q: &Query, name: &str) -> VarId {
+        VarId(q.vars.iter().position(|v| v.name == name).unwrap() as u32)
+    }
+
+    /// A query whose one negated leaf is `¬Likes(d1, b1)`.
+    const NOT_LIKES: &str =
+        "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }";
+
+    fn negated_atom(f: &Formula) -> Option<&Atom> {
+        match f {
+            Formula::Atom(a @ Atom::Rel { negated: true, .. }) => Some(a),
+            Formula::Atom(_) => None,
+            Formula::And(l, r) | Formula::Or(l, r) => negated_atom(l).or_else(|| negated_atom(r)),
+            Formula::Exists(_, b) | Formula::Forall(_, b) => negated_atom(b),
+        }
+    }
+
+    #[test]
+    fn condition_leaf_in_phi_asks_nothing() {
+        // Serves(x, b, p) with the condition p > 3.0 stored as the chase
+        // stores it, canonical.
+        let s = schema();
+        let serves = s.rel_id("Serves").unwrap();
+        let mut inst = CInstance::new(Arc::clone(&s));
+        let x = inst.fresh_null("x", s.attr_domain(serves, 0));
+        let b = inst.fresh_null("b", s.attr_domain(serves, 1));
+        let p = inst.fresh_null("p", s.attr_domain(serves, 2));
+        inst.add_tuple(serves, vec![x.into(), b.into(), p.into()]);
+        inst.add_cond(Cond::Lit(
+            Lit::cmp(p, SolverOp::Gt, Value::real(3.0)).canonical(),
+        ));
+        let ask = |cond: &str| {
+            let q = parse_query(
+                &s,
+                &format!("{{ (x1, b1) | exists p1 (Serves(x1, b1, p1) and {cond}) }}"),
+            )
+            .unwrap();
+            let mut questions = Vec::new();
+            let mut decide = counting(&mut questions);
+            let sat = SatCtx::new(&q, &inst, false, &mut decide).tree_sat(&q.formula, &vec![]);
+            drop(decide);
+            (sat, questions.len())
+        };
+        assert_eq!(ask("p1 > 3.0"), (true, 0), "the leaf's literal is in φ(I)");
+        // An entailed literal that φ(I) does not hold is one question.
+        assert_eq!(ask("p1 >= 3.0"), (true, 1));
+        assert_eq!(ask("p1 > 4.0"), (false, 1));
+    }
+
+    #[test]
+    fn negated_leaf_with_its_condition_in_phi_asks_no_row_question() {
+        // Likes(d0, b), Likes(d2, b) and ¬Likes(d1, b): φ(I) holds the
+        // clauses d1 ≠ d0 and d1 ≠ d2, which the row questions of the leaf
+        // ¬Likes(d1, b) contradict.
+        let s = schema();
+        let likes = s.rel_id("Likes").unwrap();
+        let dd = s.attr_domain(likes, 0);
+        let mut inst = CInstance::new(Arc::clone(&s));
+        let b = inst.fresh_null("b", s.attr_domain(likes, 1));
+        let d0 = inst.fresh_null("d0", dd);
+        let d1 = inst.fresh_null("d1", dd);
+        let d2 = inst.fresh_null("d2", dd);
+        inst.add_tuple(likes, vec![d0.into(), b.into()]);
+        inst.add_tuple(likes, vec![d2.into(), b.into()]);
+        inst.add_cond(Cond::NotIn {
+            rel: likes,
+            tuple: vec![d1.into(), b.into()],
+        });
+        let q = parse_query(&s, NOT_LIKES).unwrap();
+        let atom = negated_atom(&q.formula).unwrap();
+        let mut h: Hom = vec![None; q.vars.len()];
+        h[var(&q, "b1").index()] = Some(b.into());
+        let mut questions = Vec::new();
+        let mut decide = counting(&mut questions);
+        let mut ctx = SatCtx::new(&q, &inst, false, &mut decide);
+        h[var(&q, "d1").index()] = Some(d1.into());
+        assert!(ctx.leaf(&h, atom), "¬Likes(d1, b) is certain");
+        drop(ctx);
+        drop(decide);
+        assert!(questions.is_empty(), "{questions:?}");
+        // A drinker without the condition could be either row's.
+        let mut wider = inst.clone();
+        let d3 = wider.fresh_null("d3", dd);
+        let mut decide = counting(&mut questions);
+        let mut ctx = SatCtx::new(&q, &wider, false, &mut decide);
+        h[var(&q, "d1").index()] = Some(d3.into());
+        assert!(!ctx.leaf(&h, atom));
+        drop(ctx);
+        drop(decide);
+        assert_eq!(
+            questions.len(),
+            1,
+            "the first row that may match ends the scan"
+        );
+    }
+
+    #[test]
+    fn row_equal_to_the_image_asks_only_is_consistent() {
+        let s = schema();
+        let likes = s.rel_id("Likes").unwrap();
+        let mut inst = CInstance::new(Arc::clone(&s));
+        let d = inst.fresh_null("d", s.attr_domain(likes, 0));
+        let b = inst.fresh_null("b", s.attr_domain(likes, 1));
+        inst.add_tuple(likes, vec![d.into(), b.into()]);
+        let q = parse_query(&s, NOT_LIKES).unwrap();
+        let atom = negated_atom(&q.formula).unwrap();
+        let mut h: Hom = vec![None; q.vars.len()];
+        h[var(&q, "d1").index()] = Some(d.into());
+        h[var(&q, "b1").index()] = Some(b.into());
+        let mut questions = Vec::new();
+        let mut decide = counting(&mut questions);
+        let mut ctx = SatCtx::new(&q, &inst, false, &mut decide);
+        assert!(!ctx.leaf(&h, atom), "the image is a row of a consistent I");
+        // The answer is IsConsistent(I), asked once for the context.
+        assert!(ctx.consistent());
+        drop(ctx);
+        drop(decide);
+        assert_eq!(questions, vec![Vec::<Lit>::new()]);
+        // A context told that I is consistent asks nothing.
+        questions.clear();
+        let mut decide = counting(&mut questions);
+        let mut ctx = SatCtx::new(&q, &inst, false, &mut decide);
+        ctx.known_consistent();
+        assert!(!ctx.leaf(&h, atom));
+        drop(ctx);
+        drop(decide);
+        assert!(questions.is_empty(), "{questions:?}");
     }
 }

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use cqi_instance::consistency::{is_consistent, to_problem};
 use cqi_instance::{CInstance, Cond};
 use cqi_schema::{DomainType, Schema, Value};
-use cqi_solver::{ExactCache, Lit, NullId, SolverOp};
+use cqi_solver::{ExactCache, Lit, NullId, Phi, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,7 +111,7 @@ proptest! {
         let cache = shared_cache();
         for keys in [false, true] {
             let plain = is_consistent(&inst, keys);
-            let cached = cache.lock().unwrap().is_sat(&to_problem(&inst, keys));
+            let cached = cache.lock().unwrap().is_sat(&Phi::new(to_problem(&inst, keys)), &[]);
             prop_assert_eq!(plain, cached, "keys={}", keys);
         }
     }
@@ -123,9 +123,15 @@ fn shared_cache_accumulates_hits() {
     // instance's own null numbering, so it is the same key.
     let cache = shared_cache();
     let inst = build(12345);
-    let a = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
+    let a = cache
+        .lock()
+        .unwrap()
+        .is_sat(&Phi::new(to_problem(&inst, true)), &[]);
     let hits_before = cache.lock().unwrap().hits;
-    let b = cache.lock().unwrap().is_sat(&to_problem(&inst, true));
+    let b = cache
+        .lock()
+        .unwrap()
+        .is_sat(&Phi::new(to_problem(&inst, true)), &[]);
     assert_eq!(a, b);
     assert_eq!(a, is_consistent(&inst, true));
     assert!(cache.lock().unwrap().hits > hits_before);

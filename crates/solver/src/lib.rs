@@ -40,8 +40,10 @@
 //! force on small domains.
 //!
 //! [`solve`] and [`is_sat`] decide each problem from scratch. The chase
-//! decides through [`ExactCache`] ([`cache`]), a per-worker memo keyed by
-//! the exact problem. Answers are not invariant under renaming the nulls:
+//! decides through [`ExactCache`] ([`cache`]), a per-worker memo that keys
+//! each question by (φ, extra): a c-instance's global condition, built and
+//! hashed once as a [`Phi`], and the few literals a check adds to it.
+//! Answers are not invariant under renaming the nulls:
 //! witness search assigns text classes in an order derived from the
 //! numbering, so in rare corners two numberings of one problem get
 //! different answers (the `Unsat` one is the conservative one).
@@ -59,7 +61,7 @@ pub mod strings;
 pub mod theory;
 pub mod unionfind;
 
-pub use cache::ExactCache;
+pub use cache::{ExactCache, Phi};
 pub use cond::{Clause, Lit, Problem, SolverOp};
 pub use ent::{Ent, NullId};
 pub use model::Model;

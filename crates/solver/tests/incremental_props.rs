@@ -3,7 +3,7 @@
 //! problems, and satisfiable answers must come with verifying models.
 
 use cqi_schema::{DomainType, Value};
-use cqi_solver::{Ent, ExactCache, Lit, NullId, Problem, SolverOp};
+use cqi_solver::{Ent, ExactCache, Lit, NullId, Phi, Problem, SolverOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,14 +112,69 @@ proptest! {
         let p = random_problem(seed);
         let scratch = cqi_solver::solve(&p);
         let mut cache = ExactCache::new(16);
-        let miss = cache.is_sat(&p);
-        let hit = cache.is_sat(&p);
+        let miss = cache.is_sat(&Phi::new(p.clone()), &[]);
+        let hit = cache.is_sat(&Phi::new(p.clone()), &[]);
         prop_assert_eq!(scratch.is_sat(), miss, "miss path");
         prop_assert_eq!(scratch.is_sat(), hit, "hit path");
         prop_assert_eq!((cache.misses, cache.hits), (1, 1));
         if let cqi_solver::Outcome::Sat(m) = scratch {
             prop_assert!(m.verify(&p.conj, &p.clauses), "model must verify");
         }
+    }
+
+    /// The memo's answer for (φ, extra) is the solver's answer for the
+    /// whole problem φ ∧ extra, wherever the conjuncts are split between
+    /// φ and extra, on the miss path and on the hit path of an equal φ in
+    /// another allocation.
+    #[test]
+    fn split_question_agrees_with_whole_problem(seed in any::<u64>()) {
+        let p = random_problem(seed);
+        let cut = StdRng::seed_from_u64(seed ^ 0x5917).gen_range(0..p.conj.len() + 1);
+        let mut phi = p.clone();
+        let extra = phi.conj.split_off(cut);
+        let whole = cqi_solver::is_sat(&p);
+        let mut cache = ExactCache::new(16);
+        prop_assert_eq!(cache.is_sat(&Phi::new(phi.clone()), &extra), whole, "miss path");
+        prop_assert_eq!(cache.is_sat(&Phi::new(phi), &extra), whole, "hit path");
+        prop_assert_eq!((cache.misses, cache.hits), (1, 1));
+    }
+
+    /// A conjunct of φ is entailed: φ ∧ ¬lit holds both lit and ¬lit, and
+    /// the solver refutes it. Tree-SAT answers such leaves without asking.
+    #[test]
+    fn conjunct_of_phi_is_entailed(seed in any::<u64>()) {
+        let p = random_problem(seed);
+        let phi = Phi::new(p.clone());
+        for lit in &p.conj {
+            prop_assert!(!phi.is_sat_with(&[lit.negate()]), "{:?} in {:?}", lit, p);
+        }
+    }
+
+    /// Equalities that contradict every literal of a `≠`-only clause of φ
+    /// make φ ∧ equalities unsatisfiable. Tree-SAT answers such row
+    /// questions without asking.
+    #[test]
+    fn equalities_falsifying_a_neq_clause_are_unsat(seed in any::<u64>()) {
+        let mut p = random_problem(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0e9);
+        let clause: Vec<Lit> = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                let want = [DomainType::Int, DomainType::Real, DomainType::Text][rng.gen_range(0..3)];
+                let lhs = random_ent(&mut rng, &p.null_types, want);
+                let rhs = random_ent(&mut rng, &p.null_types, want);
+                Lit::Cmp { lhs, op: SolverOp::Ne, rhs }
+            })
+            .collect();
+        let eqs: Vec<Lit> = clause
+            .iter()
+            .map(|l| match l {
+                Lit::Cmp { lhs, rhs, .. } if rng.gen() => Lit::cmp(lhs.clone(), SolverOp::Eq, rhs.clone()),
+                Lit::Cmp { lhs, rhs, .. } => Lit::cmp(rhs.clone(), SolverOp::Eq, lhs.clone()),
+                Lit::Like { .. } => unreachable!("the clause holds comparisons only"),
+            })
+            .collect();
+        p.assert_clause(clause);
+        prop_assert!(!Phi::new(p).is_sat_with(&eqs));
     }
 
     /// The order solver on random systems with pins, integer classes and
