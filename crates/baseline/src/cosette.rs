@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_drc::{Query, QueryError, SyntaxTree};
 use cqi_instance::{ground_instance, GroundInstance};
 
@@ -22,10 +22,15 @@ pub fn cosette(
         let diff = a.difference(b)?;
         let tree = SyntaxTree::new(diff);
         let cfg = ChaseConfig::with_limit(limit)
-            .timeout(timeout)
             .enforce_keys(true)
             .max_results(1);
-        let sol = run_variant(&tree, Variant::ConjAdd, &cfg);
+        let sol = Session::new(tree.query().schema.clone())
+            .config(cfg)
+            .explain_collect(
+                ExplainRequest::tree(&tree)
+                    .variant(Variant::ConjAdd)
+                    .deadline(timeout),
+            )?;
         if let Some(si) = sol.instances.first() {
             if let Some(g) = ground_instance(&si.inst, true) {
                 return Ok(Some(g));

@@ -38,7 +38,6 @@ fn bench_fig8_thread_scaling(c: &mut Criterion) {
         for threads in THREAD_SERIES {
             let cfg = ChaseConfig::with_limit(8)
                 .enforce_keys(true)
-                .timeout(Duration::from_secs(10))
                 .threads(threads);
             let session = Session::new(dq.query.schema.clone()).config(cfg);
             g.bench_with_input(
@@ -49,7 +48,9 @@ fn bench_fig8_thread_scaling(c: &mut Criterion) {
                         black_box(
                             session
                                 .explain_collect(
-                                    ExplainRequest::tree(black_box(tree)).variant(Variant::ConjAdd),
+                                    ExplainRequest::tree(black_box(tree))
+                                        .variant(Variant::ConjAdd)
+                                        .deadline(Duration::from_secs(10)),
                                 )
                                 .unwrap(),
                         )
@@ -70,9 +71,7 @@ fn bench_fig11_thread_scaling(c: &mut Criterion) {
     for dq in &subset {
         let tree = SyntaxTree::new(dq.query.clone());
         for threads in THREAD_SERIES {
-            let cfg = ChaseConfig::with_limit(10)
-                .timeout(Duration::from_secs(10))
-                .threads(threads);
+            let cfg = ChaseConfig::with_limit(10).threads(threads);
             let session = Session::new(dq.query.schema.clone()).config(cfg);
             g.bench_with_input(
                 BenchmarkId::new(format!("threads={threads}"), &dq.name),
@@ -82,7 +81,9 @@ fn bench_fig11_thread_scaling(c: &mut Criterion) {
                         black_box(
                             session
                                 .explain_collect(
-                                    ExplainRequest::tree(black_box(tree)).variant(Variant::ConjAdd),
+                                    ExplainRequest::tree(black_box(tree))
+                                        .variant(Variant::ConjAdd)
+                                        .deadline(Duration::from_secs(10)),
                                 )
                                 .unwrap(),
                         )

@@ -7,7 +7,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::tpch_queries;
 use cqi_drc::SyntaxTree;
 
@@ -22,8 +22,17 @@ fn bench_tpch(c: &mut Criterion) {
         let tree = SyntaxTree::new(dq.query.clone());
         for v in [Variant::DisjAdd, Variant::ConjAdd] {
             g.bench_with_input(BenchmarkId::new(v.name(), name), &tree, |b, tree| {
-                let cfg = ChaseConfig::with_limit(15).timeout(Duration::from_secs(10));
-                b.iter(|| black_box(run_variant(black_box(tree), v, &cfg)));
+                let cfg = ChaseConfig::with_limit(15);
+                let req = || {
+                    ExplainRequest::tree(black_box(tree))
+                        .variant(v)
+                        .deadline(Duration::from_secs(10))
+                };
+                // A cold run: the session is built inside the timed closure.
+                b.iter(|| {
+                    let session = Session::new(tree.query().schema.clone()).config(cfg.clone());
+                    black_box(session.explain_collect(req()).unwrap())
+                });
             });
         }
     }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_queries;
 use cqi_drc::SyntaxTree;
 
@@ -28,10 +28,17 @@ fn bench_variants(c: &mut Criterion) {
             Variant::ConjAdd,
         ] {
             g.bench_with_input(BenchmarkId::new(v.name(), name), &tree, |b, tree| {
-                let cfg = ChaseConfig::with_limit(8)
-                    .enforce_keys(true)
-                    .timeout(Duration::from_secs(10));
-                b.iter(|| black_box(run_variant(black_box(tree), v, &cfg)));
+                let cfg = ChaseConfig::with_limit(8).enforce_keys(true);
+                let req = || {
+                    ExplainRequest::tree(black_box(tree))
+                        .variant(v)
+                        .deadline(Duration::from_secs(10))
+                };
+                // A cold run: the session is built inside the timed closure.
+                b.iter(|| {
+                    let session = Session::new(tree.query().schema.clone()).config(cfg.clone());
+                    black_box(session.explain_collect(req()).unwrap())
+                });
             });
         }
     }
@@ -47,10 +54,17 @@ fn bench_running_example(c: &mut Criterion) {
     g.sample_size(10);
     for v in [Variant::DisjEO, Variant::ConjEO] {
         g.bench_function(v.name(), |b| {
-            let cfg = ChaseConfig::with_limit(10)
-                .enforce_keys(true)
-                .timeout(Duration::from_secs(30));
-            b.iter(|| black_box(run_variant(black_box(&tree), v, &cfg)));
+            let cfg = ChaseConfig::with_limit(10).enforce_keys(true);
+            let req = || {
+                ExplainRequest::tree(black_box(&tree))
+                    .variant(v)
+                    .deadline(Duration::from_secs(30))
+            };
+            // A cold run: the session is built inside the timed closure.
+            b.iter(|| {
+                let session = Session::new(tree.query().schema.clone()).config(cfg.clone());
+                black_box(session.explain_collect(req()).unwrap())
+            });
         });
     }
     g.finish();
@@ -74,9 +88,17 @@ fn bench_cache_knobs(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(label), &tree, |b, tree| {
             let cfg = ChaseConfig::with_limit(8)
                 .enforce_keys(keys)
-                .timeout(Duration::from_secs(10))
                 .solver_cache(cache);
-            b.iter(|| black_box(run_variant(black_box(tree), Variant::DisjEO, &cfg)));
+            let req = || {
+                ExplainRequest::tree(black_box(tree))
+                    .variant(Variant::DisjEO)
+                    .deadline(Duration::from_secs(10))
+            };
+            // A cold run: the session is built inside the timed closure.
+            b.iter(|| {
+                let session = Session::new(tree.query().schema.clone()).config(cfg.clone());
+                black_box(session.explain_collect(req()).unwrap())
+            });
         });
     }
     g.finish();

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cqi_baseline::{generate_database, minimal_counterexample, ratest};
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_schema, user_study_queries};
 use cqi_drc::SyntaxTree;
 
@@ -20,10 +20,17 @@ fn bench_case_study_chase(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(10));
     g.bench_function("chase_universal_solution_q1", |b| {
-        let cfg = ChaseConfig::with_limit(10)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(30));
-        b.iter(|| black_box(run_variant(black_box(&tree), Variant::DisjAdd, &cfg)));
+        let cfg = ChaseConfig::with_limit(10).enforce_keys(true);
+        let req = || {
+            ExplainRequest::tree(black_box(&tree))
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(30))
+        };
+        // A cold run: the session is built inside the timed closure.
+        b.iter(|| {
+            let session = Session::new(tree.query().schema.clone()).config(cfg.clone());
+            black_box(session.explain_collect(req()).unwrap())
+        });
     });
     g.finish();
 }

@@ -144,14 +144,12 @@ fn emit_time_to_first_summary(
 fn beers_cfg(o: &Opts) -> ChaseConfig {
     ChaseConfig::with_limit(o.beers_limit)
         .enforce_keys(true)
-        .timeout(o.timeout)
         .threads(o.threads)
 }
 
 fn tpch_cfg(o: &Opts) -> ChaseConfig {
     ChaseConfig::with_limit(o.tpch_limit)
         .enforce_keys(false)
-        .timeout(o.timeout)
         .threads(o.threads)
 }
 
@@ -302,6 +300,7 @@ fn emit_trace(o: &mut Opts, path: &std::path::Path) {
         .explain_collect(
             ExplainRequest::tree(&tree)
                 .variant(Variant::ConjAdd)
+                .deadline(o.timeout)
                 .trace(true),
         )
         .expect("pre-parsed trees compile unconditionally");
@@ -409,7 +408,7 @@ fn beers_figures(o: &mut Opts) {
         o.timeout,
         o.beers_limit
     );
-    let records = run_workload(&qs, &variants, &beers_cfg(o), true);
+    let records = run_workload(&qs, &variants, &beers_cfg(o), o.timeout, true);
     for x in XMeasure::ALL {
         emit_series(
             o,
@@ -463,7 +462,7 @@ fn tpch_figures(o: &mut Opts) {
         o.timeout,
         o.tpch_limit
     );
-    let records = run_workload(&qs, &variants, &tpch_cfg(o), true);
+    let records = run_workload(&qs, &variants, &tpch_cfg(o), o.timeout, true);
     emit_series(
         o,
         "Fig. 11 (left): running time vs # Or Below Forall + # Forall",
@@ -495,10 +494,9 @@ fn limit_sensitivity(o: &mut Opts, variant: Variant, figure: &str) {
     for limit in [6usize, 8, 10] {
         let cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(true)
-            .timeout(o.timeout)
             .threads(o.threads);
         eprintln!("{figure}: {} at limit {limit} ...", variant.name());
-        let records = run_workload(&qs, &[variant], &cfg, false);
+        let records = run_workload(&qs, &[variant], &cfg, o.timeout, false);
         emit_series(
             o,
             &format!(
@@ -541,7 +539,7 @@ fn interactivity(o: &mut Opts) {
         ),
     ] {
         let variants = [Variant::DisjAdd, Variant::ConjAdd];
-        let records = run_workload(&qs, &variants, &cfg, false);
+        let records = run_workload(&qs, &variants, &cfg, o.timeout, false);
         for v in variants {
             let stats = harness::interactivity(&records, v);
             let fmt = |d: Option<Duration>| {

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use cqi_baseline::ratest;
-use cqi_core::{run_variant, CSolution, ChaseConfig, Variant};
+use cqi_core::{CSolution, ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_schema, user_study_queries};
 use cqi_drc::{parse_query, Query, SyntaxTree};
 
@@ -59,10 +59,15 @@ pub fn universal_solution_for(cs: &CaseStudy, limit: usize, timeout: Duration) -
         .difference(&cs.correct)
         .expect("compatible queries");
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(limit)
-        .enforce_keys(true)
-        .timeout(timeout);
-    run_variant(&tree, Variant::DisjAdd, &cfg)
+    let cfg = ChaseConfig::with_limit(limit).enforce_keys(true);
+    Session::new(tree.query().schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(timeout),
+        )
+        .expect("pre-parsed trees compile unconditionally")
 }
 
 /// Prints the full Table 2 reproduction.

@@ -32,13 +32,23 @@ pub struct RunRecord {
     pub stats: cqi_core::ChaseStats,
 }
 
-/// Runs one variant over one query, through the public [`Session`] API
-/// (one-shot: each measurement gets cold caches, as the figures assume).
-pub fn run_one(dq: &DatasetQuery, variant: Variant, cfg: &ChaseConfig) -> RunRecord {
+/// Runs one variant over one query within `deadline`, through the public
+/// [`Session`] API (one-shot: each measurement gets cold caches, as the
+/// figures assume).
+pub fn run_one(
+    dq: &DatasetQuery,
+    variant: Variant,
+    cfg: &ChaseConfig,
+    deadline: Duration,
+) -> RunRecord {
     let tree = SyntaxTree::new(dq.query.clone());
     let session = Session::new(dq.query.schema.clone()).config(cfg.clone());
     let sol = session
-        .explain_collect(ExplainRequest::tree(&tree).variant(variant))
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(variant)
+                .deadline(deadline),
+        )
         .expect("pre-parsed trees compile unconditionally");
     let mut coverages = Vec::new();
     let mut sizes_by_coverage = BTreeMap::new();
@@ -65,11 +75,13 @@ pub fn run_one(dq: &DatasetQuery, variant: Variant, cfg: &ChaseConfig) -> RunRec
     }
 }
 
-/// Runs a set of variants over a whole workload.
+/// Runs a set of variants over a whole workload, each run within
+/// `deadline`.
 pub fn run_workload(
     queries: &[DatasetQuery],
     variants: &[Variant],
     cfg: &ChaseConfig,
+    deadline: Duration,
     progress: bool,
 ) -> Vec<RunRecord> {
     let mut out = Vec::with_capacity(queries.len() * variants.len());
@@ -78,7 +90,7 @@ pub fn run_workload(
             if progress {
                 eprintln!("  [{}] {} ...", v.name(), dq.name);
             }
-            out.push(run_one(dq, *v, cfg));
+            out.push(run_one(dq, *v, cfg, deadline));
         }
     }
     out
@@ -483,10 +495,8 @@ mod tests {
     fn run_one_produces_record() {
         let qs = beers_queries();
         let q2b = qs.iter().find(|q| q.name == "Q2B").unwrap();
-        let cfg = ChaseConfig::with_limit(6)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(10));
-        let rec = run_one(q2b, Variant::ConjAdd, &cfg);
+        let cfg = ChaseConfig::with_limit(6).enforce_keys(true);
+        let rec = run_one(q2b, Variant::ConjAdd, &cfg, Duration::from_secs(10));
         assert!(rec.num_coverages >= 1, "Q2B should be satisfiable");
         assert_eq!(rec.variant, Variant::ConjAdd);
     }
@@ -494,14 +504,13 @@ mod tests {
     #[test]
     fn series_group_by_measure() {
         let qs = beers_queries();
-        let cfg = ChaseConfig::with_limit(4)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(5));
+        let cfg = ChaseConfig::with_limit(4).enforce_keys(true);
         let subset: Vec<_> = qs
             .into_iter()
             .filter(|q| matches!(q.name.as_str(), "Q2A" | "Q2B"))
             .collect();
-        let records = run_workload(&subset, &[Variant::ConjEO], &cfg, false);
+        let deadline = Duration::from_secs(5);
+        let records = run_workload(&subset, &[Variant::ConjEO], &cfg, deadline, false);
         let s = runtime_series(&records, XMeasure::Quantifiers);
         assert!(!s.is_empty());
         let c = coverage_series(&records, XMeasure::Quantifiers);

@@ -28,13 +28,12 @@
 use std::time::Duration;
 
 use cqi_baseline::ratest_directed;
-use cqi_core::{run_variant, ChaseConfig, SatInstance, Variant};
+use cqi_core::SatInstance;
 use cqi_datasets::beers_schema;
-use cqi_drc::SyntaxTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::casestudy::case_studies;
+use crate::casestudy::{case_studies, universal_solution_for};
 
 /// A planted error with its exposure signatures.
 pub struct ErrorSpec {
@@ -118,12 +117,7 @@ pub fn build_artifacts(
     let css = case_studies();
     let mut out = Vec::new();
     for (i, cs) in css.into_iter().enumerate() {
-        let diff = cs.wrong.difference(&cs.correct).expect("compatible");
-        let tree = SyntaxTree::new(diff);
-        let cfg = ChaseConfig::with_limit(limit)
-            .enforce_keys(true)
-            .timeout(timeout);
-        let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+        let sol = universal_solution_for(&cs, limit, timeout);
         // First artifact: the smallest instance; second: the one whose
         // coverage differs most from the first (maximum new information).
         let mut insts = sol.instances.clone();

@@ -48,9 +48,9 @@
 //! roots: multi-root runs (the `Conj-*` tree sets and the `*-Add`
 //! re-seeds) fan whole root searches out over the session's resident pool
 //! when `ChaseConfig::threads > 1`
-//! ([`Chase::run_roots`]), and merge their results in job order, so
-//! parallel runs accept the *same instances in the same order* as
-//! sequential ones (asserted by `crates/core/tests/parallel_props.rs`).
+//! ([`Chase::run_roots_observed`]), and merge their results in job order,
+//! so parallel runs accept the *same instances in the same order* as
+//! sequential ones (asserted by the `scheduler` module's tests).
 //! How a run schedules its roots — inline or fanned out, the job-order
 //! merge, the observer — lives in the crate's `scheduler` module; this
 //! module holds the run's state and stats, and the engine.
@@ -70,7 +70,7 @@ use cqi_schema::Schema;
 use cqi_solver::{Ent, ExactCache, Lit, Phi};
 
 use crate::compiled::{CompiledFormula, Node, Shape};
-use crate::config::{CancelToken, ChaseConfig};
+use crate::config::{CancelToken, ChaseConfig, RunControls};
 use crate::treesat::{atom_to_lit, Hom, SatCtx};
 
 /// Execution counters of one chase run: root fan-out and work-stealing
@@ -118,7 +118,7 @@ pub struct ChaseStats {
     pub digest_hits: u64,
     pub digest_recomputes: u64,
     /// Wall-time phase breakdown (ns), populated only on traced runs
-    /// (`ChaseConfig::trace`) — derived from the same `cqi-obs` span
+    /// (`ExplainRequest::trace`) — derived from the same `cqi-obs` span
     /// instrumentation as the Perfetto trace. Only *leaf* spans are
     /// phase-attributed, so the components never double-count and, on a
     /// single-threaded run, sum to ≤ total wall time (multi-thread runs
@@ -370,6 +370,8 @@ fn hash_of<T: Hash>(t: &T) -> u64 {
 /// the paper's workloads fill, while bounding memory on adversarial ones.
 const BFS_MEMO_CAP: usize = 400_000;
 const CONSIST_MEMO_CAP: usize = 1_000_000;
+/// Entry bound of each worker's exact-problem memo (cleared when full).
+const EXACT_MEMO_CAP: usize = 8192;
 
 /// Per-worker mutable chase state: every memo the search consults, plus the
 /// worker-local slice of the run counters. None of it changes *answers* —
@@ -396,11 +398,11 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    fn new(cfg: &ChaseConfig) -> WorkerCtx {
+    fn new() -> WorkerCtx {
         WorkerCtx {
             bfs_memo: BoundedMemo::new(BFS_MEMO_CAP),
             consist_memo: BoundedMemo::new(CONSIST_MEMO_CAP),
-            exact: ExactCache::new(cfg.solver_cache_capacity),
+            exact: ExactCache::new(EXACT_MEMO_CAP),
             timed_out: false,
             cancelled: false,
         }
@@ -490,15 +492,10 @@ pub struct ChaseCaches {
 }
 
 impl ChaseCaches {
-    pub fn new() -> ChaseCaches {
-        ChaseCaches::default()
-    }
-
     /// Spawns (or resizes) the resident pool backing a `threads`-wide run:
     /// `threads - 1` parked workers, the calling thread being the last
     /// participant. [`Chase::new_reusing`] calls this, so every
-    /// multi-thread chase — session-backed or one-shot — fans out over a
-    /// resident pool.
+    /// multi-thread chase fans out over its session's resident pool.
     fn ensure_pool(&mut self, threads: usize) {
         let helpers = threads.saturating_sub(1);
         if helpers == 0 {
@@ -511,10 +508,10 @@ impl ChaseCaches {
 }
 
 /// One top-level root search: a (sub)formula chased from a seed instance
-/// under pre-bound output variables. `run_variant` batches these —
+/// under pre-bound output variables. A variant run batches these —
 /// one per conjunctive tree, plus one per (uncovered leaf × tree) in the
 /// `*-Add` phase, all jobs of one tree sharing its compiled table — and
-/// [`Chase::run_roots`] fans the batch out across workers when
+/// [`Chase::run_roots_observed`] fans the batch out across workers when
 /// `threads > 1`.
 pub struct RootJob<'f> {
     pub formula: &'f CompiledFormula,
@@ -576,20 +573,17 @@ pub struct Chase<'a> {
 }
 
 impl<'a> Chase<'a> {
-    pub fn new(query: &'a Query, cfg: &'a ChaseConfig, universal_fresh: bool) -> Chase<'a> {
-        Chase::new_reusing(query, cfg, universal_fresh, &mut ChaseCaches::new())
-    }
-
-    /// Like [`Chase::new`], but the worker contexts are taken from `caches`
-    /// (topped up with fresh ones if the thread budget grew); pair with
-    /// [`Chase::recycle_into`] to return them warm after the run. Reused
-    /// contexts keep the solver-cache capacity they were created with.
-    /// A `threads > 1` budget spawns the resident pool it fans out over,
-    /// once per `caches`.
+    /// A run of `query` under `cfg` that stops at `run`'s deadline or
+    /// token. Its worker contexts are taken from `caches` (topped up with
+    /// fresh ones if the thread budget grew); pair with
+    /// [`Chase::recycle_into`] to return them warm after the run. A
+    /// `threads > 1` budget spawns the resident pool it fans out over, once
+    /// per `caches`.
     pub fn new_reusing(
         query: &'a Query,
         cfg: &'a ChaseConfig,
         universal_fresh: bool,
+        run: &RunControls,
         caches: &mut ChaseCaches,
     ) -> Chase<'a> {
         // lint:allow(wall-clock) per-drive elapsed time feeds `ChaseStats`, not control flow
@@ -616,7 +610,7 @@ impl<'a> Chase<'a> {
             ctx.clear_param_memos(same_search, same_consistency);
         }
         while ctxs.len() < threads {
-            ctxs.push(WorkerCtx::new(cfg));
+            ctxs.push(WorkerCtx::new());
         }
         let query_key = {
             let mut h = DefaultHasher::new();
@@ -631,8 +625,8 @@ impl<'a> Chase<'a> {
             cfg,
             universal_fresh,
             start,
-            deadline: cfg.timeout.map(|t| start + t),
-            cancel: cfg.cancel.clone(),
+            deadline: run.deadline.map(|t| start + t),
+            cancel: run.cancel.clone(),
             timed_out: false,
             cancelled: false,
             halted: false,
@@ -1138,15 +1132,31 @@ pub(crate) mod tests {
         )
     }
 
-    fn run_with(src: &str, cfg: &ChaseConfig) -> Vec<CInstance> {
-        let s = schema();
-        let q = parse_query(&s, src).unwrap();
-        let mut chase = Chase::new(&q, cfg, true);
-        let seed = CInstance::new(Arc::clone(&s));
-        chase.run_root(
+    /// One root search of `q`'s whole formula from the empty seed, on a
+    /// chase over `caches`.
+    fn root_run<'a>(
+        q: &'a Query,
+        cfg: &'a ChaseConfig,
+        run: &RunControls,
+        caches: &mut ChaseCaches,
+    ) -> Chase<'a> {
+        let mut chase = Chase::new_reusing(q, cfg, true, run, caches);
+        chase.run_root_observed(
             &CompiledFormula::new(q.formula.clone()),
-            seed,
+            CInstance::new(Arc::clone(&q.schema)),
             vec![None; q.vars.len()],
+            &mut |_, _, _| true,
+        );
+        chase
+    }
+
+    fn run_with(src: &str, cfg: &ChaseConfig) -> Vec<CInstance> {
+        let q = parse_query(&schema(), src).unwrap();
+        let chase = root_run(
+            &q,
+            cfg,
+            &RunControls::default(),
+            &mut ChaseCaches::default(),
         );
         chase.accepted.into_iter().map(|(i, ..)| i).collect()
     }
@@ -1243,13 +1253,12 @@ pub(crate) mod tests {
              and forall x2, p2 (not Serves(x2, b1, p2) or p1 >= p2) }",
         )
         .unwrap();
-        let cfg = ChaseConfig::with_limit(12).timeout(Duration::from_millis(1));
-        let mut chase = Chase::new(&q, &cfg, true);
-        chase.run_root(
-            &CompiledFormula::new(q.formula.clone()),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
-        );
+        let cfg = ChaseConfig::with_limit(12);
+        let run = RunControls {
+            deadline: Some(Duration::from_millis(1)),
+            ..RunControls::default()
+        };
+        let chase = root_run(&q, &cfg, &run, &mut ChaseCaches::default());
         // With a 1 ms budget the search cannot finish exploring.
         assert!(chase.timed_out || !chase.accepted.is_empty());
     }
@@ -1261,17 +1270,16 @@ pub(crate) mod tests {
         let s = schema();
         let q = parse_query(&s, FORALL_DISJ).unwrap();
         let log = |cfg: &ChaseConfig| -> Vec<(String, Option<Coverage>)> {
-            let mut chase = Chase::new(&q, cfg, true);
-            chase.run_root(
-                &CompiledFormula::new(q.formula.clone()),
-                CInstance::new(Arc::clone(&s)),
-                vec![None; q.vars.len()],
-            );
-            chase
-                .accepted
-                .into_iter()
-                .map(|(i, coverage, _)| (format!("{i}"), coverage))
-                .collect()
+            root_run(
+                &q,
+                cfg,
+                &RunControls::default(),
+                &mut ChaseCaches::default(),
+            )
+            .accepted
+            .into_iter()
+            .map(|(i, coverage, _)| (format!("{i}"), coverage))
+            .collect()
         };
         let full = log(&ChaseConfig::with_limit(8));
         assert!(full.len() > 2, "need a multi-instance log");
@@ -1319,11 +1327,11 @@ pub(crate) mod tests {
         )
         .unwrap();
         let cfg = ChaseConfig::with_limit(4);
-        let mut chase = Chase::new(&q, &cfg, true);
-        chase.run_root(
-            &CompiledFormula::new(q.formula.clone()),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
+        let chase = root_run(
+            &q,
+            &cfg,
+            &RunControls::default(),
+            &mut ChaseCaches::default(),
         );
         let accepted: Vec<&CInstance> = chase.accepted.iter().map(|(i, ..)| i).collect();
         let (a, b) = accepted
@@ -1361,25 +1369,27 @@ pub(crate) mod tests {
         let s = schema();
         let src = "{ (b1) | exists d1 (Likes(d1, b1)) and exists x1, p1 (Serves(x1, b1, p1)) }";
         let q = parse_query(&s, src).unwrap();
+        let none = RunControls::default();
         let run = |q: &Query, cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
-            let mut chase = Chase::new_reusing(q, cfg, fresh, caches);
-            chase.run_root(
+            let mut chase = Chase::new_reusing(q, cfg, fresh, &none, caches);
+            chase.run_root_observed(
                 &CompiledFormula::new(q.formula.clone()),
                 CInstance::new(Arc::clone(&q.schema)),
                 vec![None; q.vars.len()],
+                &mut |_, _, _| true,
             );
             chase.recycle_into(caches);
         };
         // The memo sizes a run with these parameters starts from.
         let sizes_at_start =
             |q: &Query, cfg: &ChaseConfig, fresh: bool, caches: &mut ChaseCaches| {
-                let chase = Chase::new_reusing(q, cfg, fresh, caches);
+                let chase = Chase::new_reusing(q, cfg, fresh, &none, caches);
                 let c = &chase.ctxs[0];
                 let sizes = (c.bfs_memo.len(), c.consist_memo.len());
                 chase.recycle_into(caches);
                 sizes
             };
-        let mut caches = ChaseCaches::new();
+        let mut caches = ChaseCaches::default();
         let cfg4 = ChaseConfig::with_limit(4);
         let cfg6 = ChaseConfig::with_limit(6);
         let cfg6_keys = ChaseConfig::with_limit(6).enforce_keys(true);
@@ -1450,7 +1460,7 @@ pub(crate) mod tests {
             .decide(&Phi::new(to_problem(inst, cfg.enforce_keys)), &[])
         };
         let cfg = ChaseConfig::with_limit(4);
-        let mut ctx = WorkerCtx::new(&cfg);
+        let mut ctx = WorkerCtx::new();
         let inst = build([0, 1, 2]);
         assert!(decide(&cfg, &mut ctx, &inst));
         assert_eq!((ctx.exact.misses, ctx.exact.hits), (1, 0));
@@ -1462,7 +1472,7 @@ pub(crate) mod tests {
         assert_eq!((ctx.exact.misses, ctx.exact.hits), (2, 1));
         // The cold reference solves every time and looks nothing up.
         let cold = cfg.clone().solver_cache(false);
-        let mut ctx = WorkerCtx::new(&cold);
+        let mut ctx = WorkerCtx::new();
         assert!(decide(&cold, &mut ctx, &inst));
         assert!(decide(&cold, &mut ctx, &inst));
         assert_eq!(
@@ -1546,18 +1556,14 @@ pub(crate) mod tests {
         // cumulative counters.
         let q = parse_query(&s, join).unwrap();
         let cfg = ChaseConfig::with_limit(7).threads(2);
-        let mut caches = ChaseCaches::new();
-        let mut chase = Chase::new_reusing(&q, &cfg, true, &mut caches);
-        chase.run_root(
-            &CompiledFormula::new(q.formula.clone()),
-            CInstance::new(Arc::clone(&s)),
-            vec![None; q.vars.len()],
-        );
+        let mut caches = ChaseCaches::default();
+        let none = RunControls::default();
+        let chase = root_run(&q, &cfg, &none, &mut caches);
         let st1 = chase.stats();
         assert!(st1.solver_l1_hits + st1.solver_l1_misses > 0);
         assert_eq!(st1.solver_l2, MemoCounts::default());
         chase.recycle_into(&mut caches);
-        let st2 = Chase::new_reusing(&q, &cfg, true, &mut caches).stats();
+        let st2 = Chase::new_reusing(&q, &cfg, true, &none, &mut caches).stats();
         assert_eq!(st2.solver_l1_hits + st2.solver_l1_misses, 0);
     }
 }

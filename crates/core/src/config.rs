@@ -6,14 +6,15 @@ use std::time::Duration;
 
 /// A shareable cooperative-cancellation flag for one explain/chase run.
 ///
-/// Clone it, hand one copy to [`ChaseConfig::cancel`] (or
-/// `ExplainRequest::cancel`), keep the other, and call [`cancel`] from any
-/// thread: the chase polls the flag on the same per-step loop that checks
-/// the wall-clock deadline, stops, and returns the instances accepted so
-/// far flagged [`crate::Interrupted::Cancelled`]. When no token is
+/// Clone it, hand one copy to [`ExplainRequest::cancel`], keep the other,
+/// and call [`cancel`] from any thread: the chase polls the flag on the
+/// same per-step loop that checks the wall-clock deadline, stops, and
+/// returns the instances accepted so far flagged
+/// [`crate::Interrupted::Cancelled`]. When no token is
 /// installed the hot path only pays an `Option` check.
 ///
 /// [`cancel`]: CancelToken::cancel
+/// [`ExplainRequest::cancel`]: crate::ExplainRequest::cancel
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -96,19 +97,14 @@ impl std::fmt::Display for Variant {
     }
 }
 
-/// Default entry bound of each worker's exact-problem memo
-/// ([`ChaseConfig::solver_cache_capacity`]).
-pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
-
-/// Parameters of one chase run.
+/// Parameters of one chase run that a session keeps between requests. The
+/// run controls — deadline, cancellation and tracing — are not here: each
+/// request carries its own ([`crate::ExplainRequest`]).
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
     /// Maximum c-instance size (tuples + atomic conditions) — the `limit`
     /// of Algorithm 1, ensuring termination.
     pub limit: usize,
-    /// Wall-clock budget; on expiry the run returns the instances found so
-    /// far, flagged [`crate::Interrupted::Deadline`].
-    pub timeout: Option<Duration>,
     /// Feed key-constraint EGD clauses to the consistency check.
     pub enforce_keys: bool,
     /// Optional cap on accepted satisfying instances (before minimization).
@@ -119,9 +115,6 @@ pub struct ChaseConfig {
     /// reference: every question that Tree-SAT does not settle from φ(I)
     /// itself is one solve.
     pub solver_cache: bool,
-    /// Capacity of each worker's exact-problem memo (entries; the memo is
-    /// cleared when full). Defaults to [`DEFAULT_CACHE_CAPACITY`].
-    pub solver_cache_capacity: usize,
     /// Thread budget for root-job fan-out (`cqi-runtime`): `1` (the
     /// default) runs every root search on the calling thread, `0` uses all
     /// available parallelism, `n > 1` fans the independent root searches
@@ -132,38 +125,17 @@ pub struct ChaseConfig {
     /// instances in the same order as sequential ones: this is purely a
     /// wall-clock knob, and single-root runs never fan out.
     pub threads: usize,
-    /// Cooperative cancellation: when the token fires, the run stops at the
-    /// next per-step poll (the same loop that checks `timeout`) and returns
-    /// the instances accepted so far. `None` (the default) costs nothing on
-    /// the hot path.
-    pub cancel: Option<CancelToken>,
-    /// Capture a span trace of the run (`cqi-obs`): request → root job →
-    /// wave → solver-call spans recorded into per-thread ring buffers and
-    /// returned as Chrome trace-event JSON on `CSolution::trace`, plus the
-    /// `ChaseStats` wall-time phase breakdown. Off (the default), the
-    /// instrumentation costs one relaxed atomic load per span site; the
-    /// accepted stream is byte-identical either way.
-    pub trace: bool,
 }
 
 impl ChaseConfig {
     pub fn with_limit(limit: usize) -> ChaseConfig {
         ChaseConfig {
             limit,
-            timeout: None,
             enforce_keys: false,
             max_results: None,
             solver_cache: true,
-            solver_cache_capacity: DEFAULT_CACHE_CAPACITY,
             threads: 1,
-            cancel: None,
-            trace: false,
         }
-    }
-
-    pub fn timeout(mut self, d: Duration) -> ChaseConfig {
-        self.timeout = Some(d);
-        self
     }
 
     pub fn enforce_keys(mut self, on: bool) -> ChaseConfig {
@@ -181,23 +153,8 @@ impl ChaseConfig {
         self
     }
 
-    pub fn solver_cache_capacity(mut self, entries: usize) -> ChaseConfig {
-        self.solver_cache_capacity = entries;
-        self
-    }
-
     pub fn threads(mut self, n: usize) -> ChaseConfig {
         self.threads = n;
-        self
-    }
-
-    pub fn cancel(mut self, token: CancelToken) -> ChaseConfig {
-        self.cancel = Some(token);
-        self
-    }
-
-    pub fn trace(mut self, on: bool) -> ChaseConfig {
-        self.trace = on;
         self
     }
 
@@ -206,6 +163,27 @@ impl ChaseConfig {
     pub fn resolved_threads(&self) -> usize {
         cqi_runtime::resolve_threads(self.threads)
     }
+}
+
+/// The run controls of one request: its wall-clock budget, its
+/// cancellation token and whether it is traced. A session passes them to
+/// the run as the request set them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RunControls {
+    /// On expiry the run returns the instances found so far, flagged
+    /// [`crate::Interrupted::Deadline`].
+    pub(crate) deadline: Option<Duration>,
+    /// When the token fires, the run stops at the next per-step poll (the
+    /// same loop that checks the deadline) and returns the instances
+    /// accepted so far. `None` costs nothing on the hot path.
+    pub(crate) cancel: Option<CancelToken>,
+    /// Capture a span trace of the run (`cqi-obs`): request → root job →
+    /// solver-call spans recorded into per-thread ring buffers and returned
+    /// as Chrome trace-event JSON on `CSolution::trace`, plus the
+    /// `ChaseStats` wall-time phase breakdown. Off, the instrumentation
+    /// costs one relaxed atomic load per span site; the accepted stream is
+    /// byte-identical either way.
+    pub(crate) trace: bool,
 }
 
 impl Default for ChaseConfig {
@@ -231,34 +209,15 @@ mod tests {
     #[test]
     fn config_builders() {
         let c = ChaseConfig::with_limit(15)
-            .timeout(Duration::from_secs(5))
             .enforce_keys(true)
             .max_results(3);
         assert_eq!(c.limit, 15);
-        assert_eq!(c.timeout, Some(Duration::from_secs(5)));
         assert!(c.enforce_keys);
         assert_eq!(c.max_results, Some(3));
         // The exact-problem memo defaults on.
         assert!(c.solver_cache);
-        let cold = c.solver_cache(false).solver_cache_capacity(16);
+        let cold = c.solver_cache(false);
         assert!(!cold.solver_cache);
-        assert_eq!(cold.solver_cache_capacity, 16);
-    }
-
-    #[test]
-    fn cancel_token_is_shared_through_the_config() {
-        let tok = CancelToken::new();
-        assert!(!tok.is_cancelled());
-        let cfg = ChaseConfig::with_limit(3).cancel(tok.clone());
-        assert!(!cfg.cancel.as_ref().unwrap().is_cancelled());
-        tok.cancel();
-        // Clones share one flag — firing the caller's copy is visible
-        // through the config's.
-        assert!(cfg.cancel.unwrap().is_cancelled());
-        assert!(
-            ChaseConfig::with_limit(3).cancel.is_none(),
-            "off by default"
-        );
     }
 
     #[test]

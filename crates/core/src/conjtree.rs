@@ -10,7 +10,7 @@
 //! Duplicate trees are pruned by structure (hashing and `Eq`), not by
 //! rendering each tree. The chase compiles each surviving tree once per
 //! request, and `Handle-Disjunction`'s three cases of each `∨` node once
-//! per request, into node tables ([`crate::compiled`]).
+//! per request, into node tables (the crate's `compiled` module).
 
 use std::collections::HashSet;
 

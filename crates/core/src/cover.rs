@@ -10,11 +10,11 @@
 //! pools at quantifiers and over all satisfying assignments of the output
 //! variables at the top.
 //!
-//! The chase validates and covers each accepted instance once, on the
-//! worker and [`SatCtx`] that just accepted it (`validated_coverage`),
-//! so the leaf checks reuse that context's entailment answers and the
-//! worker's solver memo. The public functions below build a fresh context
-//! and solve cold.
+//! The chase validates and covers each accepted instance once, in one
+//! enumeration, on the worker and [`SatCtx`] that just accepted it
+//! (`validated_coverage`), so the leaf checks reuse that context's
+//! entailment answers and the worker's solver memo. The public functions
+//! below build a fresh context and solve cold.
 
 use cqi_drc::{Coverage, Formula, LeafId, Query};
 use cqi_instance::CInstance;
@@ -31,47 +31,44 @@ pub fn coverage_of_cinstance(q: &Query, inst: &CInstance) -> Coverage {
 /// checks.
 pub fn coverage_of_cinstance_keys(q: &Query, inst: &CInstance, enforce_keys: bool) -> Coverage {
     let mut decide = Phi::is_sat_with;
-    coverage(&mut SatCtx::new(q, inst, enforce_keys, &mut decide))
+    validated_coverage(&mut SatCtx::new(q, inst, enforce_keys, &mut decide)).unwrap_or_default()
 }
 
-/// Original-tree validation and coverage of an accepted instance, on the
-/// context that accepted it. Conjunctive trees and `*-Add` re-seeds only
-/// imply the original query, so the instance is re-checked against
-/// `q.formula` with an empty homomorphism first; `None` means it fails.
-/// An empty coverage is legitimate for vacuously satisfied queries (e.g. a
+/// Original-tree validation and coverage of an accepted instance, in one
+/// enumeration of the output variables' assignments, on the context that
+/// accepted it. Conjunctive trees and `*-Add` re-seeds only imply the
+/// original query, so the instance is re-checked against `q.formula`: the
+/// output variables are exactly its free variables, so it holds iff some
+/// enumerated assignment satisfies it, and `None` means none does. An
+/// empty coverage is legitimate for vacuously satisfied queries (e.g. a
 /// Boolean ∀-only query on the empty instance).
 pub(crate) fn validated_coverage(ctx: &mut SatCtx<'_>) -> Option<Coverage> {
-    let q = ctx.query;
-    if !ctx.tree_sat(&q.formula, &vec![None; q.vars.len()]) {
-        return None;
-    }
-    Some(coverage(ctx))
-}
-
-fn coverage(ctx: &mut SatCtx<'_>) -> Coverage {
     let mut cov = Coverage::new();
     let mut h: Hom = vec![None; ctx.query.vars.len()];
-    enumerate_alphas(ctx, &mut h, 0, &mut cov);
-    cov
+    enumerate_alphas(ctx, &mut h, 0, &mut cov).then_some(cov)
 }
 
-fn enumerate_alphas(ctx: &mut SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage) {
+/// Covers under every assignment of the output variables from `i` on that
+/// satisfies the formula; returns whether any did.
+fn enumerate_alphas(ctx: &mut SatCtx<'_>, h: &mut Hom, i: usize, cov: &mut Coverage) -> bool {
     let q = ctx.query;
     if i == q.out_vars.len() {
-        // The output variables are the formula's free variables.
-        if ctx.tree_sat_bound(&q.formula, h) {
-            let mut next = 0u32;
-            walk(ctx, h, &q.formula, &mut next, cov);
+        if !ctx.tree_sat_bound(&q.formula, h) {
+            return false;
         }
-        return;
+        let mut next = 0u32;
+        walk(ctx, h, &q.formula, &mut next, cov);
+        return true;
     }
     let v = q.out_vars[i];
     let inst = ctx.inst;
+    let mut any = false;
     for e in inst.domain_pool(q.var_domain(v)) {
         h[v.index()] = Some(e.clone());
-        enumerate_alphas(ctx, h, i + 1, cov);
+        any |= enumerate_alphas(ctx, h, i + 1, cov);
     }
     h[v.index()] = None;
+    any
 }
 
 fn walk(ctx: &mut SatCtx<'_>, h: &mut Hom, f: &Formula, next: &mut u32, cov: &mut Coverage) {

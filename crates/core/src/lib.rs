@@ -7,14 +7,15 @@
 //!
 //! ## Entry points
 //!
-//! * [`Session`] — the primary API: schema + tuned [`ChaseConfig`] + warm
-//!   solver caches, reusable across queries. [`Session::explain`] accepts
-//!   DRC text, SQL, or a pre-parsed tree ([`QueryInput`]) and streams
-//!   [`AcceptedInstance`]s as the chase finds them ([`SolutionStream`]),
-//!   with per-request `limit`/`deadline`/`cancel`.
-//! * [`run_variant`] — the original batch entry point, now a thin wrapper
-//!   over a one-shot session: run one of the six algorithm variants of §5
-//!   (`Disj/Conj × Naive/EO/Add`) on a query, producing a [`CSolution`].
+//! * [`Session`] — the only way to run the chase: schema + tuned
+//!   [`ChaseConfig`] + warm solver caches, reusable across queries.
+//!   [`Session::explain`] accepts DRC text, SQL, or a pre-parsed tree
+//!   ([`QueryInput`]) under one of the six algorithm variants of §5
+//!   (`Disj/Conj × Naive/EO/Add`, [`Variant`]) and streams
+//!   [`AcceptedInstance`]s as the chase finds them ([`SolutionStream`]);
+//!   [`Session::explain_collect`] returns the batch [`CSolution`]. The run
+//!   controls — deadline, cancellation, tracing — live only on the
+//!   [`ExplainRequest`].
 //! * [`cq_neg_universal_solution`] — the poly-time universal solution for
 //!   CQ¬ queries (Proposition 3.1(1)).
 //! * [`tree_sat`] — does a c-instance satisfy a query (Algorithm 7)?
@@ -42,8 +43,8 @@
 
 #![deny(unsafe_code)]
 
-pub mod chase;
-pub mod compiled;
+mod chase;
+mod compiled;
 pub mod config;
 pub mod conjtree;
 pub mod cover;
@@ -54,9 +55,9 @@ pub mod session;
 pub mod solution;
 pub mod testgen;
 pub mod treesat;
-pub mod variants;
+mod variants;
 
-pub use chase::{ChaseCaches, ChaseStats};
+pub use chase::ChaseStats;
 pub use config::{CancelToken, ChaseConfig, Variant};
 pub use cover::coverage_of_cinstance;
 pub use cqneg::cq_neg_universal_solution;
@@ -64,4 +65,3 @@ pub use session::{ExplainRequest, QueryInput, Session, SolutionStream};
 pub use solution::{AcceptedInstance, CSolution, Interrupted, SatInstance};
 pub use testgen::{generate_selective_instance, generate_test_matrix};
 pub use treesat::tree_sat;
-pub use variants::run_variant;

@@ -36,13 +36,8 @@ impl Chase<'_> {
 
     /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,
     /// logging accepted instances. A single root is one sequential search
-    /// on the first worker context, whatever the thread budget.
-    pub fn run_root(&mut self, formula: &CompiledFormula, seed: CInstance, seed_h: Hom) {
-        self.run_root_observed(formula, seed, seed_h, &mut |_, _, _| true);
-    }
-
-    /// [`Chase::run_root`] with an acceptance observer: `observer` is
-    /// called with every instance (and its validated coverage and
+    /// on the first worker context, whatever the thread budget. `observer`
+    /// is called with every instance (and its validated coverage and
     /// acceptance timestamp) the moment it enters the log, in the same
     /// deterministic order as the final `accepted` log. Returning `false`
     /// halts the drive (the streaming API's consumer-gone/cancel path).
@@ -90,14 +85,9 @@ impl Chase<'_> {
     /// more than one job, whole roots are fanned out across the resident
     /// pool (each searched sequentially on its worker's context) and the
     /// accepted instances are merged in job order — identical output to
-    /// running the jobs one by one.
-    pub fn run_roots(&mut self, jobs: Vec<RootJob<'_>>) {
-        self.run_roots_observed(jobs, &mut |_, _, _| true);
-    }
-
-    /// [`Chase::run_roots`] with an acceptance observer (see
-    /// [`Chase::run_root_observed`]). Under job-level fan-out the observer
-    /// fires at the deterministic job-order merge.
+    /// running the jobs one by one. `observer` is as for
+    /// [`Chase::run_root_observed`]; under job-level fan-out it fires at
+    /// the deterministic job-order merge.
     pub fn run_roots_observed(
         &mut self,
         jobs: Vec<RootJob<'_>>,
@@ -192,9 +182,10 @@ mod tests {
 
     use super::*;
     use crate::chase::tests::{schema, FORALL_DISJ};
-    use crate::chase::ChaseStats;
-    use crate::config::ChaseConfig;
+    use crate::chase::{ChaseCaches, ChaseStats};
+    use crate::config::{ChaseConfig, RunControls, Variant};
     use crate::conjtree::conjunctive_trees;
+    use proptest::prelude::*;
 
     /// A root search that keeps meeting renamed copies of instances it
     /// already holds: 14 of its 59 candidates at limit 6 are duplicates.
@@ -224,7 +215,8 @@ mod tests {
     ) -> Run {
         let compiled: Vec<CompiledFormula> =
             formulas.iter().cloned().map(CompiledFormula::new).collect();
-        let mut chase = Chase::new(q, cfg, true);
+        let mut caches = ChaseCaches::default();
+        let mut chase = Chase::new_reusing(q, cfg, true, &RunControls::default(), &mut caches);
         let jobs = compiled
             .iter()
             .map(|f| RootJob {
@@ -360,5 +352,114 @@ mod tests {
             first.stats.dedupe_offers,
             full.stats.dedupe_offers
         );
+    }
+
+    /// The schema of the stream property: the test schema with `Serves`
+    /// keyed by (bar, beer).
+    fn keyed_schema() -> Arc<cqi_schema::Schema> {
+        use cqi_schema::DomainType;
+        Arc::new(
+            cqi_schema::Schema::builder()
+                .relation(
+                    "Serves",
+                    &[
+                        ("bar", DomainType::Text),
+                        ("beer", DomainType::Text),
+                        ("price", DomainType::Real),
+                    ],
+                )
+                .relation(
+                    "Likes",
+                    &[("drinker", DomainType::Text), ("beer", DomainType::Text)],
+                )
+                .same_domain(("Serves", "beer"), ("Likes", "beer"))
+                .key("Serves", &["bar", "beer"])
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// A feature-covering query pool: joins, comparisons, disjunction,
+    /// universals with negation (NotIn conditions), LIKE, and constants.
+    const QUERIES: [&str; 6] = [
+        "{ (b1) | exists d1 (Likes(d1, b1)) }",
+        "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
+        "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }",
+        "{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }",
+        "{ (d1) | exists b1 (Likes(d1, b1)) and d1 like 'Eve%' }",
+        "{ (x1, b1) | exists p1 . Serves(x1, b1, p1) and forall p2, x2 (not Serves(x2, b1, p2) or p2 <= p1) }",
+    ];
+
+    fn pick<T: Copy>(xs: &[T], i: u64) -> T {
+        xs[(i as usize) % xs.len()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The raw accepted stream of a whole run — every root job of a
+        /// variant, `max_results` cuts included — is byte-identical between
+        /// thread budgets, instance by instance, in order: the strongest
+        /// form of the determinism guarantee. The parallel run fans its
+        /// root jobs out over the resident pool [`Chase::new_reusing`]
+        /// spawns, so worker hand-off and the job-order merge are on the
+        /// tested path.
+        #[test]
+        fn parallel_accepted_stream_is_byte_identical(
+            qi in any::<u64>(),
+            vi in any::<u64>(),
+            li in any::<u64>(),
+            ti in any::<u64>(),
+            cap in any::<u64>(),
+        ) {
+            let s = keyed_schema();
+            let src = QUERIES[(qi as usize) % QUERIES.len()];
+            let q = parse_query(&s, src).unwrap();
+            let variant = pick(&Variant::ALL, vi);
+            let limit = 4 + (li as usize) % 3; // 4..=6
+            let threads = pick(&[2usize, 4], ti);
+            let max_results = match cap % 4 {
+                0 => Some(1),
+                1 => Some(3),
+                _ => None,
+            };
+            let formulas: Vec<CompiledFormula> = if variant.is_conjunctive() {
+                conjunctive_trees(&q.formula)
+            } else {
+                vec![q.formula.clone()]
+            }
+            .into_iter()
+            .map(CompiledFormula::new)
+            .collect();
+            let run = |cfg: &ChaseConfig| -> Vec<String> {
+                let mut caches = ChaseCaches::default();
+                let fresh = variant.universal_fresh_nulls();
+                let mut chase =
+                    Chase::new_reusing(&q, cfg, fresh, &RunControls::default(), &mut caches);
+                chase.run_roots_observed(
+                    formulas
+                        .iter()
+                        .map(|f| RootJob {
+                            formula: f,
+                            seed: CInstance::new(Arc::clone(&s)),
+                            h: vec![None; q.vars.len()],
+                        })
+                        .collect(),
+                    &mut all,
+                );
+                chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect()
+            };
+            let mut seq_cfg = ChaseConfig::with_limit(limit);
+            seq_cfg.max_results = max_results;
+            let mut par_cfg = ChaseConfig::with_limit(limit).threads(threads);
+            par_cfg.max_results = max_results;
+            let seq = run(&seq_cfg);
+            let par = run(&par_cfg);
+            prop_assert_eq!(
+                seq, par,
+                "{} {} limit={} threads={} cap={:?}",
+                src, variant, limit, threads, max_results
+            );
+        }
     }
 }

@@ -43,14 +43,15 @@
 //!
 //! ## Migration from `run_variant`
 //!
-//! [`run_variant`](crate::run_variant) still exists and behaves exactly as
-//! before — it is now a thin wrapper over a one-shot session. The mapping:
+//! A [`Session`] is the only way to run the chase. The removed batch entry
+//! point and run controls map as follows:
 //!
 //! | before | after |
 //! |---|---|
-//! | `run_variant(&tree, v, &cfg)` | `session.explain_collect(ExplainRequest::tree(&tree).variant(v))` |
+//! | `run_variant(&tree, v, &cfg)` | `Session::new(schema).config(cfg).explain_collect(ExplainRequest::tree(&tree).variant(v))` |
+//! | `ChaseConfig::timeout(d)` | `ExplainRequest::deadline(d)`, on each request |
+//! | `ChaseConfig::cancel(token)` / `ChaseConfig::trace(on)` | `ExplainRequest::cancel(token)` (or `SolutionStream::cancel()`) / `ExplainRequest::trace(on)` |
 //! | `parse_query` vs `sql_to_drc` per front-end | `ExplainRequest::drc(src)` / `ExplainRequest::sql(src)` |
-//! | no cancellation | `req.cancel(token)` / `SolutionStream::cancel()` |
 //! | results at drive end | `SolutionStream` yields during the drive |
 
 use std::sync::mpsc;
@@ -63,7 +64,7 @@ use cqi_schema::Schema;
 use cqi_sql::sql_to_drc;
 
 use crate::chase::ChaseCaches;
-use crate::config::{CancelToken, ChaseConfig, Variant};
+use crate::config::{CancelToken, ChaseConfig, RunControls, Variant};
 use crate::solution::{AcceptedInstance, CSolution};
 use crate::variants::run_variant_observed;
 
@@ -82,8 +83,9 @@ pub enum QueryInput<'q> {
 }
 
 /// One explanation request: a query (in any front-end), an algorithm
-/// variant, and per-request overrides of the session's tuning. Built
-/// fluently:
+/// variant, per-request overrides of the session's tuning, and the run
+/// controls (deadline, cancellation, tracing), which only a request sets.
+/// Built fluently:
 ///
 /// ```ignore
 /// ExplainRequest::sql("SELECT l.beer FROM Likes l")
@@ -97,11 +99,9 @@ pub struct ExplainRequest<'q> {
     input: QueryInput<'q>,
     variant: Variant,
     limit: Option<usize>,
-    deadline: Option<Duration>,
     max_results: Option<usize>,
     threads: Option<usize>,
-    cancel: Option<CancelToken>,
-    trace: Option<bool>,
+    run: RunControls,
     deepening: Option<(usize, usize)>,
 }
 
@@ -111,11 +111,9 @@ impl<'q> ExplainRequest<'q> {
             input,
             variant: Variant::ConjAdd,
             limit: None,
-            deadline: None,
             max_results: None,
             threads: None,
-            cancel: None,
-            trace: None,
+            run: RunControls::default(),
             deepening: None,
         }
     }
@@ -151,7 +149,7 @@ impl<'q> ExplainRequest<'q> {
     ///
     /// [`Interrupted::Deadline`]: crate::Interrupted::Deadline
     pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
+        self.run.deadline = Some(d);
         self
     }
 
@@ -174,7 +172,7 @@ impl<'q> ExplainRequest<'q> {
     /// fires it. Share a token across runs only if cancelling them
     /// together is intended (tokens never reset).
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.run.cancel = Some(token);
         self
     }
 
@@ -185,16 +183,19 @@ impl<'q> ExplainRequest<'q> {
     /// breakdown. The accepted stream is byte-identical with tracing on or
     /// off; untraced requests pay one relaxed atomic load per span site.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = Some(on);
+        self.run.trace = on;
         self
     }
 
     /// Iterative deepening (§4.3's timeout-instead-of-limit mode): the
     /// drive reruns with the instance-size limit growing from
-    /// `start_limit` by `step` until the request deadline (or the
-    /// session's timeout) is exhausted, keeping the deepest completed
-    /// solution. [`Session::explain_collect`] returns that solution;
-    /// [`Session::explain_deepening`] also reports the limit it reached.
+    /// `start_limit` by `step` until the request deadline (10 s without
+    /// one) is exhausted. A level's solution replaces the kept one when its
+    /// coverage count is at least the kept one's, so the kept solution is
+    /// the last level with the most coverages, which can be the final level
+    /// the deadline interrupted. [`Session::explain_collect`] returns that
+    /// solution; [`Session::explain_deepening`] also reports the limit it
+    /// was found at.
     pub fn deepening(mut self, start_limit: usize, step: usize) -> Self {
         self.deepening = Some((start_limit, step.max(1)));
         self
@@ -237,9 +238,9 @@ impl Compiled<'_> {
 }
 
 /// A reusable explanation session: schema + tuned [`ChaseConfig`] + warm
-/// solver caches ([`ChaseCaches`]), shared across queries. The caches are
-/// speed-only state — explaining the same query through a warm or a cold
-/// session yields byte-identical streams.
+/// solver caches, shared across queries. The caches are speed-only state —
+/// explaining the same query through a warm or a cold session yields
+/// byte-identical streams. A session is the only way to run the chase.
 pub struct Session {
     schema: Arc<Schema>,
     cfg: ChaseConfig,
@@ -252,7 +253,7 @@ impl Session {
         Session {
             schema,
             cfg: ChaseConfig::default(),
-            caches: Arc::new(Mutex::new(ChaseCaches::new())),
+            caches: Arc::new(Mutex::new(ChaseCaches::default())),
         }
     }
 
@@ -286,20 +287,11 @@ impl Session {
         if let Some(l) = req.limit {
             cfg.limit = l;
         }
-        if let Some(d) = req.deadline {
-            cfg.timeout = Some(d);
-        }
         if let Some(m) = req.max_results {
             cfg.max_results = Some(m);
         }
         if let Some(t) = req.threads {
             cfg.threads = t;
-        }
-        if let Some(tok) = &req.cancel {
-            cfg.cancel = Some(tok.clone());
-        }
-        if let Some(tr) = req.trace {
-            cfg.trace = tr;
         }
         cfg
     }
@@ -325,9 +317,12 @@ impl Session {
         let tree = self.compile(req.input)?.into_owned();
         // The stream always owns a token so drop-cancellation works even
         // when the caller installed none.
-        let cancel = req.cancel.clone().unwrap_or_default();
-        let mut cfg = self.effective_cfg(&req);
-        cfg.cancel = Some(cancel.clone());
+        let cancel = req.run.cancel.clone().unwrap_or_default();
+        let cfg = self.effective_cfg(&req);
+        let run = RunControls {
+            cancel: Some(cancel.clone()),
+            ..req.run
+        };
         let variant = req.variant;
         let caches = Arc::clone(&self.caches);
         let (tx, rx) = mpsc::channel::<AcceptedInstance>();
@@ -338,7 +333,8 @@ impl Session {
                 // A failed send means the consumer dropped the stream:
                 // halt the drive instead of exploring for nobody.
                 let mut send = |acc| tx.send(acc).is_ok();
-                let sol = run_variant_observed(&tree, variant, &cfg, &mut bundle, Some(&mut send));
+                let sol =
+                    run_variant_observed(&tree, variant, &cfg, &run, &mut bundle, Some(&mut send));
                 checkin(&caches, bundle);
                 sol
             })
@@ -367,6 +363,7 @@ impl Session {
             compiled.as_ref(),
             req.variant,
             &cfg,
+            &req.run,
             &mut caches,
             Some(observer),
         );
@@ -374,8 +371,8 @@ impl Session {
         Ok(sol)
     }
 
-    /// Batch explain: the drop-in replacement for
-    /// [`run_variant`](crate::run_variant), with session cache reuse.
+    /// Batch explain: runs the request inline on the caller's thread and
+    /// returns its minimal c-solution, on the session's warm caches.
     pub fn explain_collect(&self, req: ExplainRequest<'_>) -> Result<CSolution, QueryError> {
         if req.deepening.is_some() {
             return self.explain_deepening(req).map(|(sol, _)| sol);
@@ -383,7 +380,14 @@ impl Session {
         let compiled = self.compile(req.input)?;
         let cfg = self.effective_cfg(&req);
         let mut caches = self.checkout_caches();
-        let sol = run_variant_observed(compiled.as_ref(), req.variant, &cfg, &mut caches, None);
+        let sol = run_variant_observed(
+            compiled.as_ref(),
+            req.variant,
+            &cfg,
+            &req.run,
+            &mut caches,
+            None,
+        );
         self.checkin_caches(caches);
         Ok(sol)
     }
@@ -391,29 +395,40 @@ impl Session {
     /// Iterative-deepening explain ([`ExplainRequest::deepening`], §4.3's
     /// "set a timeout parameter instead of the limit"): grows the
     /// instance-size limit until the wall-clock budget (the request
-    /// deadline, or 10 s) runs out and returns the deepest completed
-    /// solution together with the limit it was found at (or the first
-    /// level's partial solution if even that level timed out). Every level
-    /// runs on the session's warm caches. Without an explicit `deepening`
-    /// option the limit starts at 2 and grows by 2 per level.
+    /// deadline, or 10 s) runs out or a level is interrupted. A level's
+    /// solution replaces the kept one when its coverage count is at least
+    /// the kept one's, so it returns the last level with the most
+    /// coverages, which can be the final, interrupted level, together with
+    /// the limit it was found at. Every level runs on the session's warm
+    /// caches. Without an explicit `deepening` option the limit starts at 2
+    /// and grows by 2 per level.
     pub fn explain_deepening(
         &self,
         req: ExplainRequest<'_>,
     ) -> Result<(CSolution, usize), QueryError> {
         let (start_limit, step) = req.deepening.unwrap_or((2, 2));
         let compiled = self.compile(req.input)?;
-        let base = self.effective_cfg(&req);
-        let budget = base.timeout.unwrap_or(Duration::from_secs(10));
+        let mut cfg = self.effective_cfg(&req);
+        let budget = req.run.deadline.unwrap_or(Duration::from_secs(10));
         // lint:allow(wall-clock) iterative deepening spends a wall-clock budget by design
         let start = Instant::now();
         let mut caches = self.checkout_caches();
         let mut limit = start_limit;
         let mut best: Option<(CSolution, usize)> = None;
         loop {
-            let mut cfg = base.clone();
             cfg.limit = limit;
-            cfg.timeout = Some(budget.saturating_sub(start.elapsed()));
-            let sol = run_variant_observed(compiled.as_ref(), req.variant, &cfg, &mut caches, None);
+            let run = RunControls {
+                deadline: Some(budget.saturating_sub(start.elapsed())),
+                ..req.run.clone()
+            };
+            let sol = run_variant_observed(
+                compiled.as_ref(),
+                req.variant,
+                &cfg,
+                &run,
+                &mut caches,
+                None,
+            );
             let finished = sol.interrupted.is_none();
             if best
                 .as_ref()
@@ -475,8 +490,8 @@ impl SolutionStream {
     }
 
     /// Drains any remaining instances and returns the batch [`CSolution`]
-    /// (the same minimal c-solution `run_variant` computes, plus the
-    /// interruption status). Shadows `Iterator::collect` deliberately:
+    /// (the same minimal c-solution [`Session::explain_collect`] returns,
+    /// interruption status included). Shadows `Iterator::collect` deliberately:
     /// "collect the stream" recovers the old batch API.
     pub fn collect(mut self) -> CSolution {
         // Drain rather than drop the receiver: a dropped receiver would
@@ -524,7 +539,6 @@ impl Drop for SolutionStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_variant;
     use cqi_schema::DomainType;
 
     fn schema() -> Arc<Schema> {
@@ -687,8 +701,9 @@ mod tests {
     #[test]
     fn stream_matches_batch_order_and_solution() {
         let session = Session::new(schema());
-        let tree = SyntaxTree::new(parse_query(&session.schema, JOIN_QUERY).unwrap());
-        let batch = run_variant(&tree, Variant::ConjAdd, &ChaseConfig::with_limit(6));
+        let batch = Session::new(schema())
+            .explain_collect(ExplainRequest::drc(JOIN_QUERY).limit(6))
+            .unwrap();
         let stream = session
             .explain(ExplainRequest::drc(JOIN_QUERY).limit(6))
             .unwrap();
@@ -742,6 +757,71 @@ mod tests {
             .unwrap();
         assert_eq!(sol.interrupted, Some(crate::Interrupted::Cancelled));
         assert!(sol.raw_accepted >= 1);
+    }
+
+    #[test]
+    fn cancel_token_is_shared_through_the_request() {
+        let tok = CancelToken::new();
+        assert!(!tok.is_cancelled());
+        let req = ExplainRequest::drc(JOIN_QUERY).cancel(tok.clone());
+        assert!(!req.run.cancel.as_ref().unwrap().is_cancelled());
+        tok.cancel();
+        // Clones share one flag — firing the caller's copy is visible
+        // through the request's.
+        assert!(req.run.cancel.unwrap().is_cancelled());
+        assert!(
+            ExplainRequest::drc(JOIN_QUERY).run.cancel.is_none(),
+            "off by default"
+        );
+    }
+
+    /// Renders a solution's minimal instances with their coverage.
+    fn rendered(sol: &CSolution) -> Vec<String> {
+        sol.instances
+            .iter()
+            .map(|si| format!("{} {:?}", si.inst, si.coverage))
+            .collect()
+    }
+
+    /// The next request on `session` sets no run control and inherits none
+    /// from the one before: it completes, and answers as the same request
+    /// on a fresh session.
+    fn assert_next_request_completes(session: &Session) {
+        let req = || ExplainRequest::drc(JOIN_QUERY).limit(6);
+        let next = session.explain_collect(req()).unwrap();
+        let fresh = Session::new(schema()).explain_collect(req()).unwrap();
+        assert_eq!(next.interrupted, None);
+        assert!(!next.instances.is_empty());
+        assert_eq!(rendered(&next), rendered(&fresh));
+        assert_eq!(next.raw_accepted, fresh.raw_accepted);
+    }
+
+    #[test]
+    fn a_deadline_stays_with_its_request() {
+        // The chase checks the deadline at every pop, so a zero deadline
+        // stops the first request before it accepts anything.
+        let session = Session::new(schema());
+        let stopped = session
+            .explain_collect(
+                ExplainRequest::drc(JOIN_QUERY)
+                    .limit(6)
+                    .deadline(Duration::ZERO),
+            )
+            .unwrap();
+        assert_eq!(stopped.interrupted, Some(crate::Interrupted::Deadline));
+        assert_next_request_completes(&session);
+    }
+
+    #[test]
+    fn a_cancel_token_stays_with_its_request() {
+        let session = Session::new(schema());
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = session
+            .explain_collect(ExplainRequest::drc(JOIN_QUERY).limit(6).cancel(token))
+            .unwrap();
+        assert_eq!(stopped.interrupted, Some(crate::Interrupted::Cancelled));
+        assert_next_request_completes(&session);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use crate::chase::ChaseStats;
 /// Why an explain/chase run stopped before exhausting the search space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Interrupted {
-    /// The wall-clock deadline (`ChaseConfig::timeout` /
-    /// `ExplainRequest::deadline`) expired.
+    /// The request's wall-clock deadline
+    /// ([`ExplainRequest::deadline`](crate::ExplainRequest::deadline))
+    /// expired.
     Deadline,
     /// A [`crate::CancelToken`] fired mid-drive, or the streaming consumer
     /// stopped (an `explain_with` callback returned `false`, or a
@@ -122,8 +123,9 @@ pub struct CSolution {
     /// chase, e.g. the trivially-unsatisfiable short-circuit).
     pub stats: ChaseStats,
     /// Chrome trace-event JSON of the run's span tree (`cqi-obs`), captured
-    /// when the request asked for it (`ChaseConfig::trace` /
-    /// `ExplainRequest::trace`). Load it in Perfetto or `chrome://tracing`.
+    /// when the request asked for it
+    /// ([`ExplainRequest::trace`](crate::ExplainRequest::trace)). Load it in
+    /// Perfetto or `chrome://tracing`.
     /// `None` on untraced runs.
     pub trace: Option<String>,
 }

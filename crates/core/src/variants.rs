@@ -11,28 +11,14 @@ use cqi_solver::Ent;
 
 use crate::chase::{materialize, Chase, ChaseCaches, RootJob};
 use crate::compiled::CompiledFormula;
-use crate::config::{ChaseConfig, Variant};
+use crate::config::{ChaseConfig, RunControls, Variant};
 use crate::conjtree::conjunctive_trees;
-use crate::session::{ExplainRequest, Session};
 use crate::solution::{minimize, AcceptedInstance, CSolution, Interrupted};
 use crate::treesat::Hom;
 
-/// Runs one variant on a query's syntax tree and returns its minimal
-/// c-solution.
-///
-/// This is the original batch entry point, kept as a thin wrapper over a
-/// one-shot [`Session`]: prefer [`Session::explain`] for streaming results,
-/// deadlines-with-status, cancellation, and warm solver caches across
-/// queries.
-pub fn run_variant(tree: &SyntaxTree, variant: Variant, cfg: &ChaseConfig) -> CSolution {
-    Session::new(tree.query().schema.clone())
-        .config(cfg.clone())
-        .explain_collect(ExplainRequest::tree(tree).variant(variant))
-        .expect("pre-parsed trees compile unconditionally")
-}
-
-/// The engine behind every [`Session`] explain call: runs one variant,
-/// calling `observer` (when there is one) with every accepted instance —
+/// The engine behind every [`crate::Session`] explain call: runs one
+/// variant under the request's run controls `run`, calling `observer`
+/// (when there is one) with every accepted instance —
 /// already validated against the *original* tree and annotated with
 /// coverage — in the deterministic accepted order, as the drive produces it
 /// (per step within one root, per job batch under root fan-out). `observer`
@@ -42,6 +28,7 @@ pub(crate) fn run_variant_observed(
     tree: &SyntaxTree,
     variant: Variant,
     cfg: &ChaseConfig,
+    run: &RunControls,
     caches: &mut ChaseCaches,
     mut observer: Option<&mut dyn FnMut(AcceptedInstance) -> bool>,
 ) -> CSolution {
@@ -50,11 +37,11 @@ pub(crate) fn run_variant_observed(
     // Span capture is per-request: the refcount turns recording on for the
     // duration of this run only, and the guard below becomes the trace's
     // root "explain" span. Untraced runs skip both (inert guards).
-    if cfg.trace {
+    if run.trace {
         cqi_obs::trace::begin_capture();
     }
     let explain_span = cqi_obs::trace::span("explain", "request");
-    let mut chase = Chase::new_reusing(q, cfg, universal_fresh, caches);
+    let mut chase = Chase::new_reusing(q, cfg, universal_fresh, run, caches);
 
     // Streaming: each validated instance goes to the consumer at
     // acceptance time, while the search is still running, as its own
@@ -100,7 +87,7 @@ pub(crate) fn run_variant_observed(
     chase.recycle_into(caches);
     // Close the root span before draining, so it lands in the export.
     drop(explain_span);
-    if cfg.trace {
+    if run.trace {
         sol.trace = Some(cqi_obs::trace::end_capture());
     }
     sol.stats.publish_metrics();
@@ -203,6 +190,7 @@ fn seed_for_leaf(q: &cqi_drc::Query, atom: &Atom) -> Option<(CInstance, Hom)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExplainRequest, Session};
     use cqi_drc::parse_query;
     use cqi_instance::consistency::is_consistent;
     use cqi_schema::{DomainType, Schema};
@@ -233,11 +221,21 @@ mod tests {
         SyntaxTree::new(parse_query(&schema(), src).unwrap())
     }
 
+    fn session(cfg: &ChaseConfig) -> Session {
+        Session::new(schema()).config(cfg.clone())
+    }
+
+    fn request(t: &SyntaxTree, v: Variant) -> ExplainRequest<'_> {
+        ExplainRequest::tree(t).variant(v)
+    }
+
     #[test]
     fn all_variants_solve_simple_query() {
         let t = tree("{ (b1) | exists d1 (Likes(d1, b1)) }");
         for v in Variant::ALL {
-            let sol = run_variant(&t, v, &ChaseConfig::with_limit(4));
+            let sol = session(&ChaseConfig::with_limit(4))
+                .explain_collect(request(&t, v))
+                .unwrap();
             assert!(!sol.instances.is_empty(), "{v} found nothing");
             for si in &sol.instances {
                 assert!(is_consistent(&si.inst, false));
@@ -249,7 +247,9 @@ mod tests {
     #[test]
     fn disjunction_yields_multiple_coverages() {
         let t = tree("{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }");
-        let sol = run_variant(&t, Variant::DisjEO, &ChaseConfig::with_limit(6));
+        let sol = session(&ChaseConfig::with_limit(6))
+            .explain_collect(request(&t, Variant::DisjEO))
+            .unwrap();
         // At least the >3-only and <1-only coverages.
         assert!(sol.num_coverages() >= 2, "got {}", sol.num_coverages());
     }
@@ -262,8 +262,12 @@ mod tests {
         let t =
             tree("{ (b1) | exists x1, p1 (Serves(x1, b1, p1)) and forall d1 (not Likes(d1, b1)) }");
         let cfg = ChaseConfig::with_limit(6);
-        let eo = run_variant(&t, Variant::DisjEO, &cfg);
-        let add = run_variant(&t, Variant::DisjAdd, &cfg);
+        let eo = session(&cfg)
+            .explain_collect(request(&t, Variant::DisjEO))
+            .unwrap();
+        let add = session(&cfg)
+            .explain_collect(request(&t, Variant::DisjAdd))
+            .unwrap();
         assert!(add.covered_union().len() > eo.covered_union().len());
         assert_eq!(add.covered_union().len(), 2, "both leaves covered by Add");
         assert!(add.instances.iter().any(|si| si
@@ -279,8 +283,12 @@ mod tests {
             "{ (x1, b1) | exists p1 . Serves(x1, b1, p1) and forall p2, x2 (not Serves(x2, b1, p2) or p2 <= p1) }",
         );
         let cfg = ChaseConfig::with_limit(8);
-        let eo = run_variant(&t, Variant::ConjEO, &cfg);
-        let add = run_variant(&t, Variant::ConjAdd, &cfg);
+        let eo = session(&cfg)
+            .explain_collect(request(&t, Variant::ConjEO))
+            .unwrap();
+        let add = session(&cfg)
+            .explain_collect(request(&t, Variant::ConjAdd))
+            .unwrap();
         assert!(add.covered_union().len() >= eo.covered_union().len());
         assert!(!add.instances.is_empty());
     }
@@ -288,7 +296,9 @@ mod tests {
     #[test]
     fn minimality_within_coverage() {
         let t = tree("{ (b1) | exists d1 (Likes(d1, b1)) }");
-        let sol = run_variant(&t, Variant::DisjNaive, &ChaseConfig::with_limit(4));
+        let sol = session(&ChaseConfig::with_limit(4))
+            .explain_collect(request(&t, Variant::DisjNaive))
+            .unwrap();
         // The single-coverage solution must be the 1-tuple instance.
         for si in &sol.instances {
             if si.coverage.len() == 1 {
@@ -321,8 +331,8 @@ mod tests {
                 for v in Variant::ALL {
                     let memo = ChaseConfig::with_limit(7).enforce_keys(keys);
                     let cold = memo.clone().solver_cache(false);
-                    let a = run_variant(&t, v, &memo);
-                    let b = run_variant(&t, v, &cold);
+                    let a = session(&memo).explain_collect(request(&t, v)).unwrap();
+                    let b = session(&cold).explain_collect(request(&t, v)).unwrap();
                     assert_eq!(
                         render(&a),
                         render(&b),
@@ -340,10 +350,71 @@ mod tests {
             "{ (x1, b1) | exists p1, x2, p2 . Serves(x1, b1, p1) and Serves(x2, b1, p2) and p1 > p2 }",
         );
         let cfg = ChaseConfig::with_limit(6);
-        let disj = run_variant(&t, Variant::DisjEO, &cfg);
-        let conj = run_variant(&t, Variant::ConjEO, &cfg);
+        let disj = session(&cfg)
+            .explain_collect(request(&t, Variant::DisjEO))
+            .unwrap();
+        let conj = session(&cfg)
+            .explain_collect(request(&t, Variant::ConjEO))
+            .unwrap();
         let dc: std::collections::BTreeSet<_> = disj.coverages().cloned().collect();
         let cc: std::collections::BTreeSet<_> = conj.coverages().cloned().collect();
         assert_eq!(dc, cc, "∨-free trees make the variants identical");
+    }
+
+    /// The validation rule before it was folded into the coverage walk:
+    /// Tree-SAT of the original formula under its ∃-closure, then the
+    /// coverage walk, both on a fresh cold context.
+    fn two_pass_validation(q: &cqi_drc::Query, inst: &CInstance, keys: bool) -> Option<Coverage> {
+        let mut decide = cqi_solver::Phi::is_sat_with;
+        let mut ctx = crate::treesat::SatCtx::new(q, inst, keys, &mut decide);
+        if !ctx.tree_sat(&q.formula, &vec![None; q.vars.len()]) {
+            return None;
+        }
+        Some(crate::cover::coverage_of_cinstance_keys(q, inst, keys))
+    }
+
+    #[test]
+    fn one_pass_validation_matches_the_two_pass_rule() {
+        // Every entry of the raw accepted log carries what the two-pass
+        // rule gives. Validation fails on no entry of these logs, so each
+        // logged instance is also validated against the next query of the
+        // workload, where it fails or holds, one pass against two.
+        let cfg = ChaseConfig::with_limit(6).enforce_keys(true);
+        let queries = cqi_datasets::beers_queries();
+        let (mut logged, mut nones, mut somes) = (0, 0, 0);
+        for (i, dq) in queries.iter().enumerate() {
+            let tree = SyntaxTree::new(dq.query.clone());
+            let other = &queries[(i + 1) % queries.len()].query;
+            for variant in [Variant::ConjAdd, Variant::DisjAdd] {
+                let mut caches = ChaseCaches::default();
+                let none = RunControls::default();
+                let fresh = variant.universal_fresh_nulls();
+                let mut chase = Chase::new_reusing(tree.query(), &cfg, fresh, &none, &mut caches);
+                run_phases(&mut chase, &tree, variant, &mut |_, _, _| true);
+                for (inst, coverage, _) in &chase.accepted {
+                    let label = format!("{} {variant}: {inst}", dq.name);
+                    let keys = cfg.enforce_keys;
+                    assert_eq!(
+                        *coverage,
+                        two_pass_validation(&dq.query, inst, keys),
+                        "{label}"
+                    );
+                    logged += 1;
+                    let mut decide = cqi_solver::Phi::is_sat_with;
+                    let mut ctx = crate::treesat::SatCtx::new(other, inst, keys, &mut decide);
+                    let one_pass = crate::cover::validated_coverage(&mut ctx);
+                    assert_eq!(one_pass, two_pass_validation(other, inst, keys), "{label}");
+                    if one_pass.is_some() {
+                        somes += 1;
+                    } else {
+                        nones += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            logged > 0 && nones > 0 && somes > 0,
+            "{logged} {nones} {somes}"
+        );
     }
 }

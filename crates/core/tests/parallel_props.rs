@@ -1,18 +1,14 @@
-//! Property tests for the parallel chase runtime: for random queries,
+//! Property test for the parallel chase runtime: for random queries,
 //! variants, limits, key enforcement, and thread budgets, root-job
-//! fan-out must produce *identical* results to a sequential run — the
-//! same accepted-instance stream (rendered bytes and all) and the same
-//! minimal c-solution.
+//! fan-out must produce the same minimal c-solution as a sequential run.
+//! (The byte-identical accepted stream is a property of the crate's
+//! `scheduler` tests, which see the engine.)
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cqi_core::chase::{Chase, ChaseCaches, RootJob};
-use cqi_core::compiled::CompiledFormula;
-use cqi_core::conjtree::conjunctive_trees;
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_drc::{parse_query, SyntaxTree};
-use cqi_instance::CInstance;
 use cqi_schema::{DomainType, Schema};
 use proptest::prelude::*;
 
@@ -69,13 +65,14 @@ fn pick<T: Copy>(xs: &[T], i: u64) -> T {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `run_variant` with a parallel config returns the same c-solution as
-    /// the sequential default, across variants, limits, key enforcement,
-    /// and thread budgets. Multi-thread runs fan their root jobs
-    /// out over a resident pool, each worker with its own memos — so this
-    /// property also pins per-worker memo state to the sequential baseline.
+    /// A session with a parallel config returns the same c-solution as one
+    /// with the sequential default, across variants, limits, key
+    /// enforcement, and thread budgets. Multi-thread runs fan their root
+    /// jobs out over a resident pool, each worker with its own memos — so
+    /// this property also pins per-worker memo state to the sequential
+    /// baseline.
     #[test]
-    fn parallel_run_variant_matches_sequential(
+    fn parallel_session_matches_sequential(
         qi in any::<u64>(),
         vi in any::<u64>(),
         li in any::<u64>(),
@@ -92,74 +89,19 @@ proptest! {
         let par_cfg = ChaseConfig::with_limit(limit)
             .enforce_keys(keys)
             .threads(threads);
-        let seq = run_variant(&tree, variant, &seq_cfg);
-        let par = run_variant(&tree, variant, &par_cfg);
+        let explain = |cfg: ChaseConfig| {
+            Session::new(Arc::clone(&s))
+                .config(cfg)
+                .explain_collect(ExplainRequest::tree(&tree).variant(variant))
+                .unwrap()
+        };
+        let seq = explain(seq_cfg);
+        let par = explain(par_cfg);
         prop_assert_eq!(
             render(&seq),
             render(&par),
             "{} {} limit={} keys={} threads={}",
             src, variant, limit, keys, threads
-        );
-    }
-
-    /// The raw accepted stream of a whole run — every root job of a
-    /// variant, `max_results` cuts included — is byte-identical between
-    /// thread budgets, instance by instance, in order: the strongest form
-    /// of the determinism guarantee. The parallel run fans its root jobs
-    /// out over the resident pool [`Chase::new_reusing`] spawns, so worker
-    /// hand-off and the job-order merge are on the tested path.
-    #[test]
-    fn parallel_accepted_stream_is_byte_identical(
-        qi in any::<u64>(),
-        vi in any::<u64>(),
-        li in any::<u64>(),
-        ti in any::<u64>(),
-        cap in any::<u64>(),
-    ) {
-        let s = schema();
-        let src = QUERIES[(qi as usize) % QUERIES.len()];
-        let q = parse_query(&s, src).unwrap();
-        let variant = pick(&Variant::ALL, vi);
-        let limit = 4 + (li as usize) % 3; // 4..=6
-        let threads = pick(&[2usize, 4], ti);
-        let max_results = match cap % 4 {
-            0 => Some(1),
-            1 => Some(3),
-            _ => None,
-        };
-        let formulas: Vec<CompiledFormula> = if variant.is_conjunctive() {
-            conjunctive_trees(&q.formula)
-        } else {
-            vec![q.formula.clone()]
-        }
-        .into_iter()
-        .map(CompiledFormula::new)
-        .collect();
-        let run = |cfg: &ChaseConfig| -> Vec<String> {
-            let mut chase =
-                Chase::new_reusing(&q, cfg, variant.universal_fresh_nulls(), &mut ChaseCaches::new());
-            chase.run_roots(
-                formulas
-                    .iter()
-                    .map(|f| RootJob {
-                        formula: f,
-                        seed: CInstance::new(Arc::clone(&s)),
-                        h: vec![None; q.vars.len()],
-                    })
-                    .collect(),
-            );
-            chase.accepted.iter().map(|(i, ..)| format!("{i}")).collect()
-        };
-        let mut seq_cfg = ChaseConfig::with_limit(limit);
-        seq_cfg.max_results = max_results;
-        let mut par_cfg = ChaseConfig::with_limit(limit).threads(threads);
-        par_cfg.max_results = max_results;
-        let seq = run(&seq_cfg);
-        let par = run(&par_cfg);
-        prop_assert_eq!(
-            seq, par,
-            "{} {} limit={} threads={} cap={:?}",
-            src, variant, limit, threads, max_results
         );
     }
 }

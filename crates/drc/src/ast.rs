@@ -31,15 +31,6 @@ pub enum Term {
     Wildcard,
 }
 
-impl Term {
-    pub fn as_var(&self) -> Option<VarId> {
-        match self {
-            Term::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 /// Binary comparison operators of Definition 1 (plus `LIKE`; negation is a
 /// flag on the atom, not an operator).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -351,10 +342,6 @@ impl Query {
 
     pub fn var_domain(&self, v: VarId) -> DomainId {
         self.vars[v.index()].domain
-    }
-
-    pub fn var_domain_type(&self, v: VarId) -> DomainType {
-        self.vars[v.index()].domain_type
     }
 
     /// Whether this query is in CQ¬ (Proposition 3.1(1)): only `∃`, `∧`, and

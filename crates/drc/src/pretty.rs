@@ -20,13 +20,6 @@ pub fn query_to_string(q: &Query) -> String {
     s
 }
 
-/// Renders a formula with variable names from `q`.
-pub fn formula_to_string(q: &Query, f: &Formula) -> String {
-    let mut s = String::new();
-    write_formula(q, f, &mut s);
-    s
-}
-
 /// Renders one atom.
 pub fn atom_to_string(q: &Query, a: &Atom) -> String {
     let mut s = String::new();

@@ -62,7 +62,6 @@ impl CaseConfig {
             .enforce_keys(self.enforce_keys)
             .threads(self.threads)
             .max_results(self.max_results)
-            .timeout(self.deadline)
     }
 }
 
@@ -227,7 +226,12 @@ pub fn run_case(
 
     let session = Session::new(schema.clone()).config(cfg.chase_config());
     let tree = SyntaxTree::new(chased);
-    let sol = match session.explain_collect(ExplainRequest::tree(&tree).variant(cfg.variant)) {
+    let request = |variant| {
+        ExplainRequest::tree(&tree)
+            .variant(variant)
+            .deadline(cfg.deadline)
+    };
+    let sol = match session.explain_collect(request(cfg.variant)) {
         Ok(sol) => sol,
         Err(e) => {
             report.divergence = Some(Divergence {
@@ -256,7 +260,7 @@ pub fn run_case(
     // Cross-variant agreement: Add dominates its EO base's coverage union.
     if mutation.is_none() {
         if let Some(eo) = eo_counterpart(cfg.variant) {
-            let eo_sol = match session.explain_collect(ExplainRequest::tree(&tree).variant(eo)) {
+            let eo_sol = match session.explain_collect(request(eo)) {
                 Ok(sol) => sol,
                 Err(e) => {
                     report.divergence = Some(Divergence {

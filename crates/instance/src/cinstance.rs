@@ -333,11 +333,6 @@ impl CInstance {
         matches!(e, Ent::Null(n) if self.nulls[n.index()].dont_care)
     }
 
-    /// Whether `rel` contains this exact tuple (syntactically).
-    pub fn has_tuple(&self, rel: RelId, tuple: &[Ent]) -> bool {
-        self.tables[rel.index()].iter().any(|r| r == tuple)
-    }
-
     /// Iterates all `(rel, row)` pairs.
     pub fn tuples(&self) -> impl Iterator<Item = (RelId, &Vec<Ent>)> {
         self.tables

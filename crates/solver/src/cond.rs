@@ -206,10 +206,6 @@ impl Problem {
     pub fn assert_clause(&mut self, clause: Clause) {
         self.clauses.push(clause);
     }
-
-    pub fn null_type(&self, n: NullId) -> DomainType {
-        self.null_types[n.index()]
-    }
 }
 
 #[cfg(test)]

@@ -314,11 +314,6 @@ pub fn check_conj(types: &[DomainType], lits: &[Lit]) -> Option<Model> {
     sat.solve()
 }
 
-/// Convenience wrapper used by tests.
-pub fn is_conj_sat(types: &[DomainType], lits: &[Lit]) -> bool {
-    check_conj(types, lits).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

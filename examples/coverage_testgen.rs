@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_schema;
 use cqi_drc::{parse_query, Coverage, SyntaxTree};
 use cqi_instance::ground_instance;
@@ -31,10 +31,15 @@ fn main() {
     .with_label("workload");
 
     let tree = SyntaxTree::new(q.clone());
-    let cfg = ChaseConfig::with_limit(8)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(20));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let cfg = ChaseConfig::with_limit(8).enforce_keys(true);
+    let sol = Session::new(tree.query().schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(20)),
+        )
+        .expect("pre-parsed trees compile unconditionally");
 
     println!(
         "query has {} leaves; generating one test database per coverage...\n",

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_schema;
 use cqi_drc::{parse_query, Coverage, SyntaxTree};
 
@@ -31,12 +31,17 @@ fn main() {
     println!("analysing: {}\n", cqi_drc::pretty::query_to_string(&q));
 
     let tree = SyntaxTree::new(q.clone());
-    let cfg = ChaseConfig::with_limit(8)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(20));
     // The Add variant actively seeds every leaf, so an uncovered leaf after
     // this run is a strong dead-code signal.
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let cfg = ChaseConfig::with_limit(8).enforce_keys(true);
+    let sol = Session::new(tree.query().schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(20)),
+        )
+        .expect("pre-parsed trees compile unconditionally");
 
     let mut covered = Coverage::new();
     for si in &sol.instances {

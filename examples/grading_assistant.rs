@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use cqi_baseline::ratest;
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_schema;
 use cqi_drc::SyntaxTree;
 use cqi_sql::sql_to_drc;
@@ -54,10 +54,15 @@ fn main() {
     // wrong, as abstract instances with conditions.
     let diff = student.difference(&solution).expect("same output arity");
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let cfg = ChaseConfig::with_limit(10).enforce_keys(true);
+    let sol = Session::new(tree.query().schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(30)),
+        )
+        .expect("pre-parsed trees compile unconditionally");
     println!(
         "-- {} abstract counterexample(s) for (student − solution):",
         sol.num_coverages()

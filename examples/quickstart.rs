@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_schema;
 use cqi_drc::{parse_query, SyntaxTree};
 use cqi_instance::ground_instance;
@@ -47,10 +47,15 @@ fn main() {
     );
 
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let cfg = ChaseConfig::with_limit(10).enforce_keys(true);
+    let sol = Session::new(tree.query().schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(30)),
+        )
+        .expect("pre-parsed trees compile unconditionally");
 
     println!(
         "\nminimal c-solution: {} c-instance(s), {} accepted before minimization",

@@ -32,10 +32,9 @@ fn main() {
     ];
     let refs: Vec<&cqi_drc::Query> = queries.iter().collect();
 
-    let cfg = ChaseConfig::with_limit(8)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(10));
-    let matrix = generate_test_matrix(&refs, &cfg).expect("workload combines");
+    let cfg = ChaseConfig::with_limit(8).enforce_keys(true);
+    let matrix =
+        generate_test_matrix(&refs, &cfg, Duration::from_secs(10)).expect("workload combines");
 
     println!(
         "achievable satisfaction patterns: {}/{}\n",

@@ -26,10 +26,11 @@
 //! ## Quickstart: the streaming explanation API
 //!
 //! A [`Session`](core::Session) bundles a schema, a tuned
-//! [`ChaseConfig`](core::ChaseConfig), and warm solver caches; an
-//! [`ExplainRequest`](core::ExplainRequest) takes a query in *any*
-//! front-end (DRC text, SQL, or a pre-parsed tree) plus per-request
-//! `limit`/`deadline`/`cancel`; `explain` streams
+//! [`ChaseConfig`](core::ChaseConfig), and warm solver caches, and is the
+//! only way to run the chase; an [`ExplainRequest`](core::ExplainRequest)
+//! takes a query in *any* front-end (DRC text, SQL, or a pre-parsed tree)
+//! plus per-request `limit` and the run controls `deadline`/`cancel`/
+//! `trace`, which live only on the request; `explain` streams
 //! [`AcceptedInstance`](core::AcceptedInstance)s while the chase runs.
 //!
 //! ```
@@ -57,10 +58,10 @@
 //!
 //! ### Migrating from `run_variant`
 //!
-//! `run_variant(&tree, variant, &cfg)` still works unchanged (it is now a
-//! thin wrapper over a one-shot session); the session form is
-//! `session.explain_collect(ExplainRequest::tree(&tree).variant(variant))`.
-//! See [`core::session`] for the full mapping table.
+//! `run_variant(&tree, variant, &cfg)` is gone; its session form is
+//! `Session::new(schema).config(cfg).explain_collect(ExplainRequest::tree(&tree).variant(variant))`,
+//! and a `ChaseConfig::timeout` becomes a `deadline` on each request. See
+//! [`core::session`] for the full mapping table.
 
 #![deny(unsafe_code)]
 
@@ -79,12 +80,11 @@ pub use cqi_solver as solver;
 pub use cqi_sql as sql;
 
 /// The names most programs start from, in one import — centered on the
-/// streaming [`Session`](cqi_core::Session) API, with the batch
-/// `run_variant` kept for existing code.
+/// streaming [`Session`](cqi_core::Session) API.
 pub mod prelude {
     pub use cqi_core::{
-        run_variant, AcceptedInstance, CSolution, CancelToken, ChaseConfig, ExplainRequest,
-        Interrupted, QueryInput, Session, SolutionStream, Variant,
+        AcceptedInstance, CSolution, CancelToken, ChaseConfig, ExplainRequest, Interrupted,
+        QueryInput, Session, SolutionStream, Variant,
     };
     pub use cqi_drc::{parse_query, Query, SyntaxTree};
     pub use cqi_instance::{CInstance, Cond};

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use cqi_baseline::{cosette, generate_database, minimal_counterexample, ratest};
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_queries, beers_schema, user_study_queries, QueryKind};
 use cqi_drc::SyntaxTree;
 
@@ -103,10 +103,14 @@ fn chase_and_ratest_agree_on_satisfiability() {
     let (qa, qb) = (&us[0].1, &us[0].2);
     let diff = qb.difference(qa).unwrap();
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let chased = run_variant(&tree, Variant::DisjEO, &cfg);
+    let chased = Session::new(tree.query().schema.clone())
+        .config(ChaseConfig::with_limit(10).enforce_keys(true))
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjEO)
+                .deadline(Duration::from_secs(30)),
+        )
+        .unwrap();
     let s = beers_schema();
     let ground = ratest(&s, qa, qb, 60);
     assert_eq!(

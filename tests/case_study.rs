@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{run_variant, ChaseConfig, Variant};
+use cqi_core::{ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::beers_schema;
 use cqi_drc::{parse_query, Query, SyntaxTree};
 use cqi_instance::{ground_instance, Cond};
@@ -31,10 +31,14 @@ fn solve(limit: usize) -> cqi_core::CSolution {
     let (correct, wrong) = q2_pair();
     let diff = wrong.difference(&correct).unwrap();
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(limit)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(90));
-    run_variant(&tree, Variant::DisjAdd, &cfg)
+    Session::new(tree.query().schema.clone())
+        .config(ChaseConfig::with_limit(limit).enforce_keys(true))
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(90)),
+        )
+        .unwrap()
 }
 
 #[test]

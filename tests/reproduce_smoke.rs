@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use cqi_core::{cq_neg_universal_solution, run_variant, ChaseConfig, Variant};
+use cqi_core::{cq_neg_universal_solution, ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_queries, beers_schema, dataset_stats, tpch_queries};
 use cqi_drc::SyntaxTree;
 use cqi_sql::sql_to_drc;
@@ -60,17 +60,22 @@ fn cqneg_universal_solutions_nonempty() {
     assert!(!sol.instances.is_empty(), "SQL universal solution is empty");
 }
 
-/// A tiny end-to-end run through the same harness configuration surface the
-/// figures use (`ChaseConfig` with limit + timeout), pinned to one fast
-/// query so the whole test stays in the hundreds of milliseconds.
+/// A tiny end-to-end run through the same configuration surface the figures
+/// use (`ChaseConfig` with a limit, a deadline on the request), pinned to
+/// one fast query so the whole test stays in the hundreds of milliseconds.
 #[test]
 fn harness_chase_config_path_runs() {
     let qs = beers_queries();
     let dq = qs.iter().find(|q| q.name == "Q2A").expect("Q2A exists");
-    let cfg = ChaseConfig::with_limit(4)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(5));
-    let sol = run_variant(&SyntaxTree::new(dq.query.clone()), Variant::ConjAdd, &cfg);
+    let cfg = ChaseConfig::with_limit(4).enforce_keys(true);
+    let sol = Session::new(dq.query.schema.clone())
+        .config(cfg)
+        .explain_collect(
+            ExplainRequest::tree(&SyntaxTree::new(dq.query.clone()))
+                .variant(Variant::ConjAdd)
+                .deadline(Duration::from_secs(5)),
+        )
+        .unwrap();
     assert!(
         !sol.instances.is_empty(),
         "Q2A should produce at least one c-instance at limit 4"

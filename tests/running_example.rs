@@ -4,10 +4,15 @@
 
 use std::time::Duration;
 
-use cqi_core::{coverage_of_cinstance, run_variant, tree_sat, ChaseConfig, Variant};
+use cqi_core::{coverage_of_cinstance, tree_sat, ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_k0, beers_schema, user_study_queries};
 use cqi_drc::SyntaxTree;
 use cqi_instance::ground_instance;
+
+/// A session over the Beers schema at `limit`, with keys on.
+fn keyed_session(limit: usize) -> Session {
+    Session::new(beers_schema()).config(ChaseConfig::with_limit(limit).enforce_keys(true))
+}
 
 fn qb_minus_qa() -> cqi_drc::Query {
     let us = user_study_queries();
@@ -48,10 +53,13 @@ fn chase_finds_i1_shape_at_limit_10() {
     // condition exists and is found by Disj-EO.
     let diff = qb_minus_qa();
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(60));
-    let sol = run_variant(&tree, Variant::DisjEO, &cfg);
+    let sol = keyed_session(10)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjEO)
+                .deadline(Duration::from_secs(60)),
+        )
+        .unwrap();
     assert!(!sol.instances.is_empty(), "I1 should be found");
     let i1 = &sol.instances[0];
     assert_eq!(i1.size(), 10);
@@ -72,10 +80,13 @@ fn found_instances_satisfy_and_ground_correctly() {
     let (qa, qb) = (&us[0].1, &us[0].2);
     let diff = qb.difference(qa).unwrap();
     let tree = SyntaxTree::new(diff.clone());
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(60));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let sol = keyed_session(10)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(60)),
+        )
+        .unwrap();
     assert!(!sol.instances.is_empty());
     for si in &sol.instances {
         assert!(tree_sat(&diff, &si.inst));
@@ -97,10 +108,13 @@ fn i0_shape_appears_at_limit_13() {
     // carry one extra LIKE condition — it appears at limit 13.
     let diff = qb_minus_qa();
     let tree = SyntaxTree::new(diff);
-    let cfg = ChaseConfig::with_limit(13)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(120));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let sol = keyed_session(13)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(120)),
+        )
+        .unwrap();
     let has_three_serves = sol.instances.iter().any(|si| {
         let serves = si.inst.schema.rel_id("Serves").unwrap();
         si.inst.tables[serves.index()].len() == 3
@@ -123,10 +137,13 @@ fn coverage_is_consistent_between_definitions() {
     // c-instance coverage is the *common* coverage of its worlds).
     let diff = qb_minus_qa();
     let tree = SyntaxTree::new(diff.clone());
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(60));
-    let sol = run_variant(&tree, Variant::DisjEO, &cfg);
+    let sol = keyed_session(10)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjEO)
+                .deadline(Duration::from_secs(60)),
+        )
+        .unwrap();
     for si in &sol.instances {
         let sym = coverage_of_cinstance(&diff, &si.inst);
         let g = ground_instance(&si.inst, true).unwrap();

@@ -187,10 +187,20 @@ mod chase_soundness {
     use std::time::Duration;
 
     use cqi_core::cover::coverage_of_cinstance_keys;
-    use cqi_core::{run_variant, CSolution, ChaseConfig, ExplainRequest, Session, Variant};
+    use cqi_core::{CSolution, ChaseConfig, ExplainRequest, Session, Variant};
     use cqi_datasets::{beers_queries, beers_schema};
     use cqi_drc::SyntaxTree;
     use cqi_fuzz::check_solution;
+
+    fn session() -> Session {
+        Session::new(beers_schema()).config(ChaseConfig::with_limit(6).enforce_keys(true))
+    }
+
+    fn request(tree: &SyntaxTree, variant: Variant) -> ExplainRequest<'_> {
+        ExplainRequest::tree(tree)
+            .variant(variant)
+            .deadline(Duration::from_secs(10))
+    }
 
     /// Every c-instance every variant returns grounds into a world that
     /// satisfies the query under independent ground evaluation — the same
@@ -199,16 +209,13 @@ mod chase_soundness {
     /// accepted instances of every base query of the Beers workload.
     #[test]
     fn grounded_results_satisfy_queries() {
-        let cfg = ChaseConfig::with_limit(6)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(10));
         for dq in beers_queries()
             .into_iter()
             .filter(|q| q.kind != cqi_datasets::QueryKind::Difference)
         {
             let tree = SyntaxTree::new(dq.query.clone());
             for variant in Variant::ALL {
-                let sol = run_variant(&tree, variant, &cfg);
+                let sol = session().explain_collect(request(&tree, variant)).unwrap();
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
                     panic!(
                         "{} [{variant:?}]: {}: {}",
@@ -229,16 +236,13 @@ mod chase_soundness {
     /// still accepts an unsound instance (ROADMAP item 2).
     #[test]
     fn grounded_difference_results_satisfy_queries() {
-        let cfg = ChaseConfig::with_limit(6)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(10));
         for dq in beers_queries()
             .into_iter()
             .filter(|q| q.kind == cqi_datasets::QueryKind::Difference)
         {
             let tree = SyntaxTree::new(dq.query.clone());
             for variant in Variant::ALL {
-                let sol = run_variant(&tree, variant, &cfg);
+                let sol = session().explain_collect(request(&tree, variant)).unwrap();
                 if let Err(d) = check_solution(&dq.query, &sol, true) {
                     panic!(
                         "{} [{variant:?}]: {}: {}",
@@ -260,10 +264,7 @@ mod chase_soundness {
     /// instance.
     #[test]
     fn carried_coverage_matches_cold_recomputation() {
-        let cfg = ChaseConfig::with_limit(6)
-            .enforce_keys(true)
-            .timeout(Duration::from_secs(10));
-        let session = Session::new(beers_schema()).config(cfg.clone());
+        let warm = session();
         let rendered = |sol: &CSolution| {
             let instances: Vec<_> = sol
                 .instances
@@ -276,16 +277,16 @@ mod chase_soundness {
             let tree = SyntaxTree::new(dq.query.clone());
             let cold = |inst: &_| coverage_of_cinstance_keys(&dq.query, inst, true);
             for variant in Variant::ALL {
-                let req = || ExplainRequest::tree(&tree).variant(variant);
-                let batch = session.explain_collect(req()).unwrap();
+                let req = || request(&tree, variant);
+                let batch = warm.explain_collect(req()).unwrap();
                 assert_eq!(
                     rendered(&batch),
-                    rendered(&run_variant(&tree, variant, &cfg)),
+                    rendered(&session().explain_collect(request(&tree, variant)).unwrap()),
                     "{} [{variant}] warm session against a fresh one",
                     dq.name
                 );
                 let mut streamed = 0;
-                let stream = session
+                let stream = warm
                     .explain_with(req(), &mut |acc| {
                         assert_eq!(
                             acc.coverage,

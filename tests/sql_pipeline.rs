@@ -3,11 +3,16 @@
 
 use std::time::Duration;
 
-use cqi_core::{cq_neg_universal_solution, run_variant, ChaseConfig, Variant};
+use cqi_core::{cq_neg_universal_solution, ChaseConfig, ExplainRequest, Session, Variant};
 use cqi_datasets::{beers_k0, beers_schema};
 use cqi_drc::SyntaxTree;
 use cqi_instance::ground_instance;
 use cqi_sql::sql_to_drc;
+
+/// A session over the Beers schema at `limit`, with keys on.
+fn keyed_session(limit: usize) -> Session {
+    Session::new(beers_schema()).config(ChaseConfig::with_limit(limit).enforce_keys(true))
+}
 
 #[test]
 fn fig9_sql_queries_agree_with_fig2_drc_on_k0() {
@@ -51,10 +56,13 @@ fn sql_except_chases_to_counterexamples() {
     )
     .unwrap();
     let tree = SyntaxTree::new(diff.clone());
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(60));
-    let sol = run_variant(&tree, Variant::DisjEO, &cfg);
+    let sol = keyed_session(10)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjEO)
+                .deadline(Duration::from_secs(60)),
+        )
+        .unwrap();
     assert!(
         !sol.instances.is_empty(),
         "the SQL EXCEPT query is satisfiable"
@@ -85,10 +93,13 @@ fn sql_cq_neg_takes_the_fast_path() {
         "single instance covers every leaf"
     );
     // And it agrees with the chase run on the same tree.
-    let cfg = ChaseConfig::with_limit(14)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let chased = run_variant(&tree, Variant::ConjAdd, &cfg);
+    let chased = keyed_session(14)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::ConjAdd)
+                .deadline(Duration::from_secs(30)),
+        )
+        .unwrap();
     assert!(chased.coverages().any(|c| c.len() == tree.num_leaves()));
 }
 
@@ -112,11 +123,20 @@ fn explicit_join_on_chases_like_the_comma_form() {
          WHERE L.beer = S1.beer AND L.beer = S2.beer AND S1.price > S2.price",
     )
     .unwrap();
-    let cfg = ChaseConfig::with_limit(8)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let a = run_variant(&SyntaxTree::new(joined.clone()), Variant::ConjAdd, &cfg);
-    let b = run_variant(&SyntaxTree::new(comma), Variant::ConjAdd, &cfg);
+    let a = keyed_session(8)
+        .explain_collect(
+            ExplainRequest::tree(&SyntaxTree::new(joined.clone()))
+                .variant(Variant::ConjAdd)
+                .deadline(Duration::from_secs(30)),
+        )
+        .unwrap();
+    let b = keyed_session(8)
+        .explain_collect(
+            ExplainRequest::tree(&SyntaxTree::new(comma))
+                .variant(Variant::ConjAdd)
+                .deadline(Duration::from_secs(30)),
+        )
+        .unwrap();
     assert!(!a.instances.is_empty());
     assert_eq!(a.num_coverages(), b.num_coverages());
     let g = ground_instance(&a.instances[0].inst, true).unwrap();
@@ -135,10 +155,13 @@ fn qualified_star_pipeline() {
     )
     .unwrap();
     assert_eq!(q.out_vars.len(), 3);
-    let cfg = ChaseConfig::with_limit(6)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(30));
-    let sol = run_variant(&SyntaxTree::new(q.clone()), Variant::DisjEO, &cfg);
+    let sol = keyed_session(6)
+        .explain_collect(
+            ExplainRequest::tree(&SyntaxTree::new(q.clone()))
+                .variant(Variant::DisjEO)
+                .deadline(Duration::from_secs(30)),
+        )
+        .unwrap();
     assert!(!sol.instances.is_empty());
     let g = ground_instance(&sol.instances[0].inst, true).unwrap();
     assert!(cqi_eval::satisfies(&q, &g));
@@ -163,10 +186,13 @@ fn user_study_q2_wrong_vs_correct() {
     .unwrap();
     let diff = wrong.difference(&correct).unwrap();
     let tree = SyntaxTree::new(diff.clone());
-    let cfg = ChaseConfig::with_limit(10)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(60));
-    let sol = run_variant(&tree, Variant::DisjAdd, &cfg);
+    let sol = keyed_session(10)
+        .explain_collect(
+            ExplainRequest::tree(&tree)
+                .variant(Variant::DisjAdd)
+                .deadline(Duration::from_secs(60)),
+        )
+        .unwrap();
     assert!(!sol.instances.is_empty(), "the two queries differ");
     let g = ground_instance(&sol.instances[0].inst, true).unwrap();
     assert_ne!(

@@ -77,7 +77,8 @@ proptest! {
 
     /// Streaming order is byte-identical between `threads = 1` and
     /// `threads = 4`, the collected solution equals the batch
-    /// `run_variant` result instance by instance, in order, and every
+    /// `explain_collect` result of a fresh session instance by instance,
+    /// in order, and every
     /// minimal instance of the batch solution appeared on the stream.
     #[test]
     fn streaming_order_matches_batch_across_threads(
@@ -96,7 +97,10 @@ proptest! {
         prop_assert_eq!(&seq_items, &par_items,
             "stream must be byte-identical across thread budgets: {} {}", src, variant);
 
-        let batch = run_variant(&tree, variant, &ChaseConfig::with_limit(limit));
+        let batch = Session::new(Arc::clone(&s))
+            .config(ChaseConfig::with_limit(limit))
+            .explain_collect(ExplainRequest::tree(&tree).variant(variant))
+            .unwrap();
         prop_assert_eq!(render_sol(&seq_sol), render_sol(&batch),
             "collect() must recover the batch solution: {} {}", src, variant);
         prop_assert_eq!(render_sol(&par_sol), render_sol(&batch));
@@ -148,11 +152,10 @@ fn deadline_expiry_returns_partial_results_flagged() {
         assert_eq!(sol.interrupted, Some(Interrupted::Deadline));
     } else {
         // Finished inside 30 ms — fine, but then nothing may be missing.
-        let batch = run_variant(
-            &SyntaxTree::new(parse_query(&s, QUERIES[1]).unwrap()),
-            Variant::ConjAdd,
-            &ChaseConfig::with_limit(14),
-        );
+        let batch = Session::new(Arc::clone(&s))
+            .config(ChaseConfig::with_limit(14))
+            .explain_collect(ExplainRequest::drc(QUERIES[1]).variant(Variant::ConjAdd))
+            .unwrap();
         assert_eq!(sol.raw_accepted, batch.raw_accepted);
     }
 }

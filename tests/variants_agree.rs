@@ -9,15 +9,20 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use cqi_core::{run_variant, tree_sat, ChaseConfig, Variant};
-use cqi_datasets::beers_queries;
+use cqi_core::{tree_sat, ChaseConfig, ExplainRequest, Session, Variant};
+use cqi_datasets::{beers_queries, beers_schema};
 use cqi_drc::{Coverage, SyntaxTree};
 use cqi_instance::consistency::is_consistent;
 
-fn cfg() -> ChaseConfig {
-    ChaseConfig::with_limit(8)
-        .enforce_keys(true)
-        .timeout(Duration::from_secs(20))
+/// A session at limit 8 with keys on; every run below gets its own.
+fn session() -> Session {
+    Session::new(beers_schema()).config(ChaseConfig::with_limit(8).enforce_keys(true))
+}
+
+fn request(tree: &SyntaxTree, v: Variant) -> ExplainRequest<'_> {
+    ExplainRequest::tree(tree)
+        .variant(v)
+        .deadline(Duration::from_secs(20))
 }
 
 fn some_queries() -> Vec<cqi_datasets::DatasetQuery> {
@@ -37,7 +42,7 @@ fn all_variants_sound_on_beers_slice() {
     for dq in some_queries() {
         let tree = SyntaxTree::new(dq.query.clone());
         for v in Variant::ALL {
-            let sol = run_variant(&tree, v, &cfg());
+            let sol = session().explain_collect(request(&tree, v)).unwrap();
             for si in &sol.instances {
                 assert!(
                     tree_sat(&dq.query, &si.inst),
@@ -64,8 +69,8 @@ fn add_dominates_eo_coverage_union() {
             (Variant::DisjEO, Variant::DisjAdd),
             (Variant::ConjEO, Variant::ConjAdd),
         ] {
-            let eo_sol = run_variant(&tree, eo, &cfg());
-            let add_sol = run_variant(&tree, add, &cfg());
+            let eo_sol = session().explain_collect(request(&tree, eo)).unwrap();
+            let add_sol = session().explain_collect(request(&tree, add)).unwrap();
             if eo_sol.interrupted.is_some() || add_sol.interrupted.is_some() {
                 continue;
             }
@@ -86,8 +91,12 @@ fn add_dominates_eo_coverage_union() {
 fn naive_finds_at_least_eo_coverages() {
     for dq in some_queries() {
         let tree = SyntaxTree::new(dq.query.clone());
-        let eo = run_variant(&tree, Variant::DisjEO, &cfg());
-        let naive = run_variant(&tree, Variant::DisjNaive, &cfg());
+        let eo = session()
+            .explain_collect(request(&tree, Variant::DisjEO))
+            .unwrap();
+        let naive = session()
+            .explain_collect(request(&tree, Variant::DisjNaive))
+            .unwrap();
         if naive.interrupted.is_some() || eo.interrupted.is_some() {
             continue;
         }
@@ -111,7 +120,7 @@ fn per_coverage_sizes_agree_on_minimum() {
         let mut best: BTreeMap<Coverage, (usize, Variant)> = BTreeMap::new();
         let mut all: Vec<(Variant, Coverage, usize)> = Vec::new();
         for v in [Variant::DisjEO, Variant::DisjAdd, Variant::DisjNaive] {
-            let sol = run_variant(&tree, v, &cfg());
+            let sol = session().explain_collect(request(&tree, v)).unwrap();
             if sol.interrupted.is_some() {
                 continue;
             }
