@@ -379,10 +379,11 @@ const EXACT_MEMO_CAP: usize = 8192;
 /// any worker while keeping parallel output identical to sequential.
 pub(crate) struct WorkerCtx {
     /// Memoized sub-BFS results keyed by (subtree, instance digest,
-    /// relevant homomorphism entries). The recursion re-derives identical
+    /// relevant homomorphism entries), each with whether `limit` cut the
+    /// search that filled it. The recursion re-derives identical
     /// sub-searches constantly; this cache is the difference between
     /// seconds and minutes on the harder difference queries.
-    bfs_memo: BoundedMemo<(u64, u64, u64), Vec<CInstance>>,
+    bfs_memo: BoundedMemo<(u64, u64, u64), (Vec<CInstance>, bool)>,
     /// Memoized `IsConsistent` answers of generated children by instance
     /// digest.
     consist_memo: BoundedMemo<u64, bool>,
@@ -395,6 +396,9 @@ pub(crate) struct WorkerCtx {
     pub(crate) timed_out: bool,
     /// This worker observed a fired [`CancelToken`].
     pub(crate) cancelled: bool,
+    /// A size check of [`Engine::search`] dropped an instance on this
+    /// worker, here or in a memoized sub-search it reused.
+    pub(crate) size_cut: bool,
 }
 
 impl WorkerCtx {
@@ -405,6 +409,7 @@ impl WorkerCtx {
             exact: ExactCache::new(EXACT_MEMO_CAP),
             timed_out: false,
             cancelled: false,
+            size_cut: false,
         }
     }
 
@@ -413,6 +418,7 @@ impl WorkerCtx {
     fn reset_run_flags(&mut self) {
         self.timed_out = false;
         self.cancelled = false;
+        self.size_cut = false;
     }
 
     /// Clears the memos computed under other run parameters (see
@@ -538,6 +544,10 @@ pub struct Chase<'a> {
     pub timed_out: bool,
     /// A [`CancelToken`] fired mid-drive.
     pub cancelled: bool,
+    /// `limit` cut the search: some size check dropped an instance. A
+    /// completed run that cut nothing explores the same instances, and so
+    /// accepts the same ones, under any larger limit.
+    pub(crate) size_cut: bool,
     /// An acceptance observer returned `false` (the streaming consumer
     /// stopped), halting the drive early. Distinct from the `max_results`
     /// cap, which is a *requested* completion.
@@ -629,6 +639,7 @@ impl<'a> Chase<'a> {
             cancel: run.cancel.clone(),
             timed_out: false,
             cancelled: false,
+            size_cut: false,
             halted: false,
             done: false,
             accepted: Vec::new(),
@@ -806,18 +817,24 @@ impl Engine<'_> {
             hh.finish()
         };
         let key = (fkey, ikey, hkey);
-        if let Some(cached) = self.ctx.bfs_memo.get(&key) {
+        if let Some((cached, cut)) = self.ctx.bfs_memo.get(&key) {
+            self.ctx.size_cut |= *cut;
             return cached.clone();
         }
+        // The entry records whether this sub-search cut, not the run so
+        // far: a later run with the same limit may reuse it.
+        let cut_before = std::mem::take(&mut self.ctx.size_cut);
         let mut res = Vec::new();
         self.search(q, i0.clone(), h0.clone(), &mut |_, inst| {
             res.push(inst.clone());
             true
         });
+        let cut = self.ctx.size_cut;
+        self.ctx.size_cut |= cut_before;
         // Results truncated by timeout/cancellation must not poison the
         // cache (it outlives the run now that sessions recycle contexts).
         if !self.ctx.timed_out && !self.ctx.cancelled {
-            self.ctx.bfs_memo.insert(key, res.clone());
+            self.ctx.bfs_memo.insert(key, (res.clone(), cut));
         }
         res
     }
@@ -848,6 +865,7 @@ impl Engine<'_> {
             // Line 10: the size bound, then the `visited` check modulo
             // renaming of nulls.
             if inst.size() > self.cfg.limit {
+                self.ctx.size_cut = true;
                 continue;
             }
             let first_of_class = {
@@ -882,7 +900,9 @@ impl Engine<'_> {
                 if self.stopped() {
                     break;
                 }
-                if j.size() <= self.cfg.limit && self.consistent(&j) {
+                if j.size() > self.cfg.limit {
+                    self.ctx.size_cut = true;
+                } else if self.consistent(&j) {
                     queue.push_back((j, true));
                 }
             }
@@ -1422,6 +1442,32 @@ pub(crate) mod tests {
             sizes_at_start(&other, &cfg6_keys, false, &mut caches),
             (0, 0)
         );
+    }
+
+    #[test]
+    fn size_cut_survives_sub_search_memo_reuse() {
+        // A run that reuses another run's sub-BFS results (same limit)
+        // must report a cut inside them as if it had searched them itself.
+        let s = schema();
+        let none = RunControls::default();
+        let srcs = [
+            "{ (b1) | exists d1 (Likes(d1, b1)) and exists x1, p1 (Serves(x1, b1, p1)) }",
+            FORALL_DISJ,
+        ];
+        let mut seen = [false, false];
+        for src in srcs {
+            let q = parse_query(&s, src).unwrap();
+            for limit in 1..=6 {
+                let cfg = ChaseConfig::with_limit(limit);
+                let fresh = root_run(&q, &cfg, &none, &mut ChaseCaches::default()).size_cut;
+                let mut caches = ChaseCaches::default();
+                root_run(&q, &cfg, &none, &mut caches).recycle_into(&mut caches);
+                let warm = root_run(&q, &cfg, &none, &mut caches);
+                assert_eq!(warm.size_cut, fresh, "{src} at limit {limit}");
+                seen[usize::from(fresh)] = true;
+            }
+        }
+        assert_eq!(seen, [true, true], "both outcomes must occur");
     }
 
     #[test]

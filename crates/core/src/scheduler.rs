@@ -32,6 +32,7 @@ impl Chase<'_> {
     fn collect_ctx_flags(&mut self) {
         self.timed_out |= self.ctxs.iter().any(|c| c.timed_out);
         self.cancelled |= self.ctxs.iter().any(|c| c.cancelled);
+        self.size_cut |= self.ctxs.iter().any(|c| c.size_cut);
     }
 
     /// Runs Algorithm 1 on `formula` from `seed`/`seed_h` as the top level,

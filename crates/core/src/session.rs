@@ -55,11 +55,11 @@
 //! | results at drive end | `SolutionStream` yields during the drive |
 
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cqi_drc::{parse_query, QueryError, SyntaxTree};
+use cqi_runtime::{Executor, JobHandle};
 use cqi_schema::Schema;
 use cqi_sql::sql_to_drc;
 
@@ -189,17 +189,32 @@ impl<'q> ExplainRequest<'q> {
 
     /// Iterative deepening (§4.3's timeout-instead-of-limit mode): the
     /// drive reruns with the instance-size limit growing from
-    /// `start_limit` by `step` until the request deadline (10 s without
-    /// one) is exhausted. A level's solution replaces the kept one when its
-    /// coverage count is at least the kept one's, so the kept solution is
-    /// the last level with the most coverages, which can be the final level
-    /// the deadline interrupted. [`Session::explain_collect`] returns that
+    /// `start_limit` by `step` until a level completes without the limit
+    /// cutting its search (every deeper level would explore the same
+    /// instances), a level is interrupted, or the request deadline (10 s
+    /// without one) is exhausted. A level's solution replaces the kept one
+    /// when it has more coverages, or as many and its level completed, so
+    /// on a tie the kept solution is a completed level, not the one the
+    /// deadline interrupted. [`Session::explain_collect`] returns that
     /// solution; [`Session::explain_deepening`] also reports the limit it
     /// was found at.
     pub fn deepening(mut self, start_limit: usize, step: usize) -> Self {
         self.deepening = Some((start_limit, step.max(1)));
         self
     }
+}
+
+/// Iterative deepening's keep rule: a level's solution replaces the kept
+/// one when it has more coverages, or as many and the level completed.
+fn replaces_kept(kept_coverages: usize, coverages: usize, completed: bool) -> bool {
+    coverages > kept_coverages || (coverages == kept_coverages && completed)
+}
+
+/// The resident threads every streamed drive runs on, shared by all
+/// sessions of the process: a session per request still spawns no thread.
+fn explain_workers() -> &'static Executor {
+    static WORKERS: OnceLock<Executor> = OnceLock::new();
+    WORKERS.get_or_init(Executor::new)
 }
 
 /// Briefly locks the session cache slot and takes the bundle out (an empty
@@ -309,10 +324,11 @@ impl Session {
         checkin(&self.caches, caches);
     }
 
-    /// Streaming explain: compiles the request, runs the drive on a worker
-    /// thread, and returns a [`SolutionStream`] immediately. Instances
-    /// arrive on the stream as the chase accepts them; dropping the stream
-    /// cancels the drive.
+    /// Streaming explain: compiles the request, submits the drive to a
+    /// resident explain worker shared by all sessions (no thread is spawned
+    /// per request), and returns a [`SolutionStream`] immediately.
+    /// Instances arrive on the stream as the chase accepts them; dropping
+    /// the stream cancels the drive, which then frees its worker.
     pub fn explain(&self, req: ExplainRequest<'_>) -> Result<SolutionStream, QueryError> {
         let tree = self.compile(req.input)?.into_owned();
         // The stream always owns a token so drop-cancellation works even
@@ -326,19 +342,17 @@ impl Session {
         let variant = req.variant;
         let caches = Arc::clone(&self.caches);
         let (tx, rx) = mpsc::channel::<AcceptedInstance>();
-        let handle = std::thread::Builder::new()
-            .name("cqi-explain".to_owned())
-            .spawn(move || {
-                let mut bundle = checkout(&caches);
-                // A failed send means the consumer dropped the stream:
-                // halt the drive instead of exploring for nobody.
-                let mut send = |acc| tx.send(acc).is_ok();
-                let sol =
-                    run_variant_observed(&tree, variant, &cfg, &run, &mut bundle, Some(&mut send));
-                checkin(&caches, bundle);
-                sol
-            })
-            .expect("spawning the explain worker thread");
+        // The job owns `tx`, so the stream ends when the drive returns.
+        let handle = explain_workers().submit(move || {
+            let mut bundle = checkout(&caches);
+            // A failed send means the consumer dropped the stream: halt the
+            // drive instead of exploring for nobody.
+            let mut send = |acc| tx.send(acc).is_ok();
+            let drive =
+                run_variant_observed(&tree, variant, &cfg, &run, &mut bundle, Some(&mut send));
+            checkin(&caches, bundle);
+            drive.sol
+        });
         Ok(SolutionStream {
             rx: Some(rx),
             handle: Some(handle),
@@ -366,7 +380,8 @@ impl Session {
             &req.run,
             &mut caches,
             Some(observer),
-        );
+        )
+        .sol;
         self.checkin_caches(caches);
         Ok(sol)
     }
@@ -387,19 +402,22 @@ impl Session {
             &req.run,
             &mut caches,
             None,
-        );
+        )
+        .sol;
         self.checkin_caches(caches);
         Ok(sol)
     }
 
     /// Iterative-deepening explain ([`ExplainRequest::deepening`], §4.3's
     /// "set a timeout parameter instead of the limit"): grows the
-    /// instance-size limit until the wall-clock budget (the request
-    /// deadline, or 10 s) runs out or a level is interrupted. A level's
-    /// solution replaces the kept one when its coverage count is at least
-    /// the kept one's, so it returns the last level with the most
-    /// coverages, which can be the final, interrupted level, together with
-    /// the limit it was found at. Every level runs on the session's warm
+    /// instance-size limit until a level completes without the limit
+    /// cutting its search (a deeper level would return the same answer), a
+    /// level is interrupted, or the wall-clock budget (the request
+    /// deadline, or 10 s) runs out. A level's solution replaces the kept
+    /// one when it has more coverages, or as many and its level completed,
+    /// so it returns the last completed level with the most coverages
+    /// unless the final, interrupted level found more, together with the
+    /// limit it was found at. Every level runs on the session's warm
     /// caches. Without an explicit `deepening` option the limit starts at 2
     /// and grows by 2 per level.
     pub fn explain_deepening(
@@ -421,7 +439,7 @@ impl Session {
                 deadline: Some(budget.saturating_sub(start.elapsed())),
                 ..req.run.clone()
             };
-            let sol = run_variant_observed(
+            let drive = run_variant_observed(
                 compiled.as_ref(),
                 req.variant,
                 &cfg,
@@ -429,15 +447,16 @@ impl Session {
                 &mut caches,
                 None,
             );
-            let finished = sol.interrupted.is_none();
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| sol.num_coverages() >= b.num_coverages())
-            {
-                best = Some((sol, limit));
+            let completed = drive.sol.interrupted.is_none();
+            if best.as_ref().is_none_or(|(b, _)| {
+                replaces_kept(b.num_coverages(), drive.sol.num_coverages(), completed)
+            }) {
+                best = Some((drive.sol, limit));
             }
-            // Deeper levels would only get less time than an interrupted one.
-            if !finished || start.elapsed() >= budget {
+            // A completed level the limit did not cut is final: every
+            // deeper level explores the same instances. Deeper levels would
+            // only get less time than an interrupted one.
+            if !completed || !drive.size_cut || start.elapsed() >= budget {
                 break;
             }
             limit += step;
@@ -448,8 +467,8 @@ impl Session {
 }
 
 /// A live explanation: an iterator over [`AcceptedInstance`]s, yielding in
-/// the deterministic accepted order while the drive runs on its worker
-/// thread.
+/// the deterministic accepted order while the drive runs on a resident
+/// explain worker.
 ///
 /// * Iterate (`for acc in &mut stream`) to consume instances as they
 ///   arrive; the iterator ends when the drive completes (or is
@@ -462,7 +481,7 @@ impl Session {
 ///   at its next poll; already-streamed instances stay valid.
 pub struct SolutionStream {
     rx: Option<mpsc::Receiver<AcceptedInstance>>,
-    handle: Option<JoinHandle<CSolution>>,
+    handle: Option<JobHandle<CSolution>>,
     cancel: CancelToken,
 }
 
@@ -513,15 +532,16 @@ impl SolutionStream {
 impl Drop for SolutionStream {
     fn drop(&mut self) {
         // Consumer walked away before the drive finished: stop it. (The
-        // worker also halts on its next failed send; the token covers the
+        // drive also halts on its next failed send; the token covers the
         // window between sends.) `collect` already took the handle, so this
-        // only fires for abandoned streams. The worker thread is detached —
-        // it exits at its next poll without blocking this drop.
+        // only fires for abandoned streams. The drive is not waited for: it
+        // stops at its next poll, without blocking this drop, and its
+        // worker goes back to the idle set.
         //
         // A *finished* drive must not be cancelled: the stream may share a
         // caller-supplied token with other runs, and consuming the stream
         // by value (`for acc in stream {}`) legitimately ends in drop. The
-        // iterator only ends once the sender is dropped, i.e. the worker
+        // iterator only ends once the sender is dropped, i.e. the drive
         // returned — `try_recv` distinguishes that (Disconnected) from an
         // abandoned mid-drive stream (Empty or a pending item).
         let Some(handle) = &self.handle else { return };
@@ -672,6 +692,38 @@ mod tests {
             warm.stats.solver_l1_misses,
             cold.stats.solver_l1_misses
         );
+    }
+
+    #[test]
+    fn deepening_keeps_the_completed_level_on_a_tie() {
+        // (kept coverages, level coverages, level completed)
+        assert!(
+            !replaces_kept(4, 4, false),
+            "a tie with an interrupted level"
+        );
+        assert!(replaces_kept(4, 4, true), "a tie with a completed level");
+        assert!(replaces_kept(4, 5, false), "more coverages, interrupted");
+        assert!(replaces_kept(4, 5, true), "more coverages, completed");
+        assert!(!replaces_kept(4, 3, true), "fewer coverages");
+    }
+
+    #[test]
+    fn deepening_stops_once_the_limit_cuts_nothing() {
+        // Without a deadline the budget is 10 s; the search stops growing
+        // long before, and the level that shows it ends the deepening.
+        let src = "{ (b1) | exists d1 (Likes(d1, b1)) }";
+        let session = Session::new(schema());
+        let (sol, limit) = session
+            .explain_deepening(ExplainRequest::drc(src).deepening(2, 2))
+            .unwrap();
+        assert_eq!(sol.interrupted, None);
+        assert!(limit <= 6, "stopped at limit {limit}");
+        for l in [limit, limit + 2] {
+            let at = Session::new(schema())
+                .explain_collect(ExplainRequest::drc(src).limit(l))
+                .unwrap();
+            assert_eq!(rendered(&sol), rendered(&at), "limit {l}");
+        }
     }
 
     #[test]
@@ -923,11 +975,13 @@ mod tests {
 
     /// White-box drop semantics (the real workloads complete in
     /// microseconds, so wall-clock-based assertions about "mid-drive"
-    /// would race): a stream whose worker is provably still running must
-    /// fire the token on drop; one whose worker provably finished must
-    /// leave it untouched.
+    /// would race): a stream whose job is provably still running must
+    /// fire the token on drop; one whose job provably finished must leave
+    /// it untouched. The jobs run on a private executor, like the drives
+    /// `Session::explain` submits to the shared one.
     #[test]
     fn drop_cancels_unfinished_drives_and_spares_finished_ones() {
+        let workers = Executor::new();
         let empty_sol = || CSolution {
             instances: Vec::new(),
             raw_accepted: 0,
@@ -937,10 +991,10 @@ mod tests {
             trace: None,
         };
 
-        // Unfinished: the worker blocks on a gate until after the drop.
+        // Unfinished: the job blocks on a gate until after the drop.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (tx, rx) = mpsc::channel::<AcceptedInstance>();
-        let handle = std::thread::spawn(move || {
+        let handle = workers.submit(move || {
             gate_rx.recv().ok();
             drop(tx);
             empty_sol()
@@ -955,10 +1009,10 @@ mod tests {
         assert!(token.is_cancelled(), "mid-drive drop must fire the token");
         gate_tx.send(()).ok();
 
-        // Finished: the sender is already dropped (worker returned its
+        // Finished: the sender is already dropped (the job returned its
         // solution), as after a by-value `for acc in stream {}` loop.
         let (tx, rx) = mpsc::channel::<AcceptedInstance>();
-        let handle = std::thread::spawn(move || {
+        let handle = workers.submit(move || {
             drop(tx);
             empty_sol()
         });

@@ -16,6 +16,13 @@ use crate::conjtree::conjunctive_trees;
 use crate::solution::{minimize, AcceptedInstance, CSolution, Interrupted};
 use crate::treesat::Hom;
 
+/// One drive's solution, and whether `limit` cut its search: a completed
+/// drive that cut nothing returns the same solution under any larger limit.
+pub(crate) struct Drive {
+    pub(crate) sol: CSolution,
+    pub(crate) size_cut: bool,
+}
+
 /// The engine behind every [`crate::Session`] explain call: runs one
 /// variant under the request's run controls `run`, calling `observer`
 /// (when there is one) with every accepted instance —
@@ -31,7 +38,7 @@ pub(crate) fn run_variant_observed(
     run: &RunControls,
     caches: &mut ChaseCaches,
     mut observer: Option<&mut dyn FnMut(AcceptedInstance) -> bool>,
-) -> CSolution {
+) -> Drive {
     let q = tree.query();
     let universal_fresh = variant.universal_fresh_nulls();
     // Span capture is per-request: the refcount turns recording on for the
@@ -84,6 +91,7 @@ pub(crate) fn run_variant_observed(
         stats: chase.stats(),
         trace: None,
     };
+    let size_cut = chase.size_cut;
     chase.recycle_into(caches);
     // Close the root span before draining, so it lands in the export.
     drop(explain_span);
@@ -91,7 +99,7 @@ pub(crate) fn run_variant_observed(
         sol.trace = Some(cqi_obs::trace::end_capture());
     }
     sol.stats.publish_metrics();
-    sol
+    Drive { sol, size_cut }
 }
 
 /// Both phases of one variant run — the per-tree roots and the `*-Add`

@@ -240,17 +240,20 @@ pub fn begin_capture() {
 }
 
 /// Ends a capture and drains every thread's ring into a Chrome
-/// trace-event JSON document (`{"traceEvents": [...]}`).
+/// trace-event JSON document (`{"traceEvents": [...]}`). The buffers of
+/// threads that have exited are dropped once drained: a thread's
+/// thread-local holds the only other reference to its buffer.
 pub fn end_capture() -> String {
     let mut events: Vec<Event> = Vec::new();
     let mut overwritten = 0u64;
     {
-        let st = state();
-        for buf in st.threads.lock().unwrap().iter() {
+        let mut threads = state().threads.lock().unwrap();
+        for buf in threads.iter() {
             let mut ring = buf.ring.lock().unwrap();
             events.extend(ring.drain(..));
             overwritten += buf.overwritten.swap(0, Ordering::Relaxed);
         }
+        threads.retain(|buf| Arc::strong_count(buf) > 1);
     }
     CAPTURE_DEPTH.fetch_sub(1, Ordering::SeqCst);
     events.sort_by_key(|e| (e.tid, e.ts_ns, std::cmp::Reverse(e.dur_ns)));
@@ -388,6 +391,29 @@ mod tests {
             .parse()
             .unwrap();
         assert!(n >= 10, "expected ≥10 overwritten, got {n}");
+    }
+
+    #[test]
+    fn an_exited_threads_buffer_drains_then_drops() {
+        let _l = capture_lock();
+        begin_capture();
+        let tid = std::thread::spawn(|| {
+            {
+                let _g = span("exited_span", "test");
+            }
+            TL_BUF.with(|b| b.borrow().as_ref().map(|buf| buf.tid))
+        })
+        .join()
+        .unwrap()
+        .expect("the span registered the thread's buffer");
+        let held = || state().threads.lock().unwrap().iter().any(|b| b.tid == tid);
+        assert!(held(), "registered until a capture drains it");
+        let json = end_capture();
+        assert!(
+            json.contains(&format!("\"name\": \"exited_span\", \"cat\": \"test\", \"ph\": \"X\", \"pid\": 1, \"tid\": {tid},")),
+            "{json}"
+        );
+        assert!(!held(), "the exited thread's buffer must be dropped");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Execution substrate for the chase: a work-stealing [`ResidentPool`]
 //! behind the [`Exec`] handle that fans whole root searches out across
-//! workers, the capacity-bounded [`BoundedMemo`] each worker keeps its
-//! memos in, and the [`sync`] shim every synchronization primitive goes
-//! through. Workers share no memo.
+//! workers, the resident [`Executor`] whose parked threads run detached
+//! jobs (every streamed explain's drive, so no request spawns a thread),
+//! the capacity-bounded [`BoundedMemo`] each worker keeps its memos in,
+//! and the [`sync`] shim every synchronization primitive goes through.
+//! Workers share no memo.
 //!
 //! ## Determinism model
 //!
@@ -30,10 +32,12 @@
 
 #![deny(unsafe_code)]
 
+pub mod executor;
 pub mod memo;
 pub mod pool;
 pub mod sync;
 
+pub use executor::{Executor, JobHandle};
 pub use memo::{BoundedMemo, MemoCounts};
 pub use pool::{Exec, ResidentPool, RunCounters, RunCounts};
 

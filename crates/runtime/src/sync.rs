@@ -13,6 +13,9 @@
 //! - `pool.rs` must route **all** synchronization through this module:
 //!   `sync::Mutex`, `sync::Condvar`, `sync::atomic::*`,
 //!   `sync::thread::spawn`.
+//! - `executor.rs` routes its locks and condvars through it too, but
+//!   spawns named `std` threads (the checker has no named spawn), so it
+//!   has no model; the ThreadSanitizer job runs its tests.
 //! - Pure *statistics* counters (never read back to make a control-flow
 //!   decision) use [`counter::Counter`], which is deliberately **not**
 //!   instrumented: branching schedules on observability counters would

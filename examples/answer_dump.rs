@@ -9,10 +9,12 @@
 //! names the requests that moved. The requests, one `Session` per dataset
 //! and limit, none with a deadline:
 //!
-//! * every Beers query × the 6 variants at limits 8 and 10, keys on;
-//! * every TPC-H query × the 6 variants at limit 8, threads 2, keys on;
-//! * 3,000 generated cases (`case_seed(7, i)`, `Variant::ALL[i % 6]`) at
-//!   limit 4, each on its own schema and session.
+//! * every Beers query × the 6 variants at limits 8 and 10, keys on,
+//!   through the batch path (`Session::explain_collect`);
+//! * every TPC-H query × the 6 variants at limit 8, threads 2, keys on,
+//!   and 3,000 generated cases (`case_seed(7, i)`, `Variant::ALL[i % 6]`)
+//!   at limit 4, each on its own schema and session, through the streamed
+//!   path (`Session::explain`, the stream drained, then `collect`).
 //!
 //! Run with: `cargo run --release --example answer_dump > answers.txt`
 //! (a few minutes).
@@ -20,17 +22,32 @@
 use std::io::{self, BufWriter, Write};
 use std::sync::Arc;
 
+use cqi::drc::QueryError;
 use cqi::prelude::*;
 use cqi_datasets::{beers_queries, tpch_queries, DatasetQuery};
 use cqi_fuzz::{case_seed, gen_case, GenKnobs};
+
+/// A request's solution through one of the two paths.
+type Explain = fn(&Session, ExplainRequest<'_>) -> Result<CSolution, QueryError>;
+
+fn batch(session: &Session, req: ExplainRequest<'_>) -> Result<CSolution, QueryError> {
+    session.explain_collect(req)
+}
+
+fn streamed(session: &Session, req: ExplainRequest<'_>) -> Result<CSolution, QueryError> {
+    let mut stream = session.explain(req)?;
+    for _ in stream.by_ref() {}
+    Ok(stream.collect())
+}
 
 fn dump(
     out: &mut impl Write,
     label: &str,
     session: &Session,
+    explain: Explain,
     req: ExplainRequest<'_>,
 ) -> io::Result<()> {
-    match session.explain_collect(req) {
+    match explain(session, req) {
         Ok(sol) => {
             writeln!(
                 out,
@@ -52,6 +69,7 @@ fn dataset(
     name: &str,
     queries: &[DatasetQuery],
     cfg: ChaseConfig,
+    explain: Explain,
 ) -> io::Result<()> {
     let schema = Arc::clone(&queries[0].query.schema);
     let limit = cfg.limit;
@@ -64,6 +82,7 @@ fn dataset(
                 out,
                 &label,
                 &session,
+                explain,
                 ExplainRequest::tree(&tree).variant(v),
             )?;
         }
@@ -77,10 +96,10 @@ fn main() -> io::Result<()> {
     let beers = beers_queries();
     for limit in [8, 10] {
         let cfg = ChaseConfig::with_limit(limit).enforce_keys(true);
-        dataset(&mut out, "beers", &beers, cfg)?;
+        dataset(&mut out, "beers", &beers, cfg, batch)?;
     }
     let cfg = ChaseConfig::with_limit(8).enforce_keys(true).threads(2);
-    dataset(&mut out, "tpch", &tpch_queries(), cfg)?;
+    dataset(&mut out, "tpch", &tpch_queries(), cfg, streamed)?;
     let knobs = GenKnobs::default();
     for i in 0..3000 {
         let case = gen_case(case_seed(7, i), &knobs);
@@ -99,6 +118,7 @@ fn main() -> io::Result<()> {
             &mut out,
             &label,
             &session,
+            streamed,
             ExplainRequest::tree(&tree).variant(v),
         )?;
     }
