@@ -491,26 +491,11 @@ impl CacheParams {
 pub struct ChaseCaches {
     ctxs: Vec<WorkerCtx>,
     params: Option<CacheParams>,
-    /// The session's resident worker pool, spawned once (lazily, on the
-    /// first multi-thread run) and reused by every subsequent run. `None`
-    /// until then.
-    pool: Option<Arc<ResidentPool>>,
-}
-
-impl ChaseCaches {
-    /// Spawns (or resizes) the resident pool backing a `threads`-wide run:
-    /// `threads - 1` parked workers, the calling thread being the last
-    /// participant. [`Chase::new_reusing`] calls this, so every
-    /// multi-thread chase fans out over its session's resident pool.
-    fn ensure_pool(&mut self, threads: usize) {
-        let helpers = threads.saturating_sub(1);
-        if helpers == 0 {
-            return;
-        }
-        if self.pool.as_ref().map(|p| p.workers()) != Some(helpers) {
-            self.pool = Some(Arc::new(ResidentPool::new(helpers)));
-        }
-    }
+    /// The session's resident worker pool, spawned once, at the first
+    /// root fan-out of a multi-thread run, and reused by every later run.
+    /// `None` until then, so a session whose runs never fan out spawns no
+    /// helper thread.
+    pub(crate) pool: Option<Arc<ResidentPool>>,
 }
 
 /// One top-level root search: a (sub)formula chased from a seed instance
@@ -558,9 +543,12 @@ pub struct Chase<'a> {
     pub accepted: Vec<AcceptedInstance>,
     /// One memo context per worker; `ctxs[0]` drives single roots.
     pub(crate) ctxs: Vec<WorkerCtx>,
-    /// The session's resident pool when `threads > 1` (see
-    /// [`ChaseCaches::ensure_pool`]); `None` runs every root inline.
-    pub(crate) pool: Option<Arc<ResidentPool>>,
+    /// The resolved thread budget: above 1, batches of roots fan out.
+    pub(crate) threads: usize,
+    /// The session's resident pool, taken from [`ChaseCaches`] and handed
+    /// back by [`Chase::recycle_into`]; spawned (or resized) at the first
+    /// fan-out that needs it ([`Chase::fanout_pool`]).
+    pool: Option<Arc<ResidentPool>>,
     /// Steal/batch counters of this run's fan-outs.
     pub(crate) run_counters: RunCounters,
     /// Dedupe totals accumulated over this run's root searches.
@@ -586,9 +574,8 @@ impl<'a> Chase<'a> {
     /// A run of `query` under `cfg` that stops at `run`'s deadline or
     /// token. Its worker contexts are taken from `caches` (topped up with
     /// fresh ones if the thread budget grew); pair with
-    /// [`Chase::recycle_into`] to return them warm after the run. A
-    /// `threads > 1` budget spawns the resident pool it fans out over, once
-    /// per `caches`.
+    /// [`Chase::recycle_into`] to return them warm after the run, with the
+    /// session's resident pool, which the first root fan-out spawns.
     pub fn new_reusing(
         query: &'a Query,
         cfg: &'a ChaseConfig,
@@ -610,7 +597,6 @@ impl<'a> Chase<'a> {
                 (old.same_search(&params), old.same_consistency(&params))
             });
         caches.params = Some(params);
-        caches.ensure_pool(threads);
         let mut ctxs: Vec<WorkerCtx> = std::mem::take(&mut caches.ctxs);
         ctxs.truncate(threads);
         for ctx in &mut ctxs {
@@ -644,9 +630,8 @@ impl<'a> Chase<'a> {
             done: false,
             accepted: Vec::new(),
             ctxs,
-            // A sequential run may inherit a pool from an earlier
-            // multi-thread run on the same caches; it must not fan out.
-            pool: caches.pool.clone().filter(|_| threads > 1),
+            threads,
+            pool: caches.pool.take(),
             run_counters: RunCounters::default(),
             dedupe_acc: OfferCounts::default(),
             stats_base: ChaseStats::default(),
@@ -657,10 +642,23 @@ impl<'a> Chase<'a> {
         chase
     }
 
-    /// Hands the worker contexts (with every memo warm) back to `caches`
-    /// for the next run.
+    /// Hands the worker contexts (with every memo warm) and the resident
+    /// pool, if any run has spawned it, back to `caches` for the next run.
     pub fn recycle_into(self, caches: &mut ChaseCaches) {
         caches.ctxs = self.ctxs;
+        caches.pool = self.pool;
+    }
+
+    /// The resident pool a fan-out of this run's `threads` runs on:
+    /// `threads - 1` parked workers, the calling thread being the last
+    /// participant. Spawned here, at the first fan-out, and respawned when
+    /// the budget changed since it was spawned.
+    pub(crate) fn fanout_pool(&mut self) -> Arc<ResidentPool> {
+        let helpers = self.threads - 1;
+        match &self.pool {
+            Some(pool) if pool.workers() == helpers => Arc::clone(pool),
+            _ => Arc::clone(self.pool.insert(Arc::new(ResidentPool::new(helpers)))),
+        }
     }
 
     /// Every counter at its current cumulative value (caches persist

@@ -97,7 +97,8 @@ impl Chase<'_> {
         if jobs.is_empty() || self.done {
             return;
         }
-        if let Some(pool) = self.pool.clone().filter(|_| jobs.len() > 1) {
+        if self.threads > 1 && jobs.len() > 1 {
+            let pool = self.fanout_pool();
             self.run_roots_parallel(&pool, jobs, observer);
         } else {
             for job in jobs {
@@ -402,9 +403,9 @@ mod tests {
         /// variant, `max_results` cuts included — is byte-identical between
         /// thread budgets, instance by instance, in order: the strongest
         /// form of the determinism guarantee. The parallel run fans its
-        /// root jobs out over the resident pool [`Chase::new_reusing`]
-        /// spawns, so worker hand-off and the job-order merge are on the
-        /// tested path.
+        /// root jobs out over the resident pool its first fan-out spawns,
+        /// so worker hand-off and the job-order merge are on the tested
+        /// path.
         #[test]
         fn parallel_accepted_stream_is_byte_identical(
             qi in any::<u64>(),

@@ -1102,4 +1102,32 @@ mod tests {
             .unwrap();
         assert!(polled);
     }
+
+    #[test]
+    fn the_resident_pool_is_spawned_at_the_first_fan_out() {
+        // A `threads(2)` session spawns no helper thread while its runs
+        // search one root each; the first run that fans roots out spawns
+        // the pool, and every later run, streamed ones included, reuses it.
+        let session = Session::new(schema()).config(ChaseConfig::with_limit(4).threads(2));
+        let pool = || session.caches.lock().unwrap().pool.clone();
+        for variant in [Variant::DisjEO, Variant::ConjEO, Variant::DisjNaive] {
+            let req = ExplainRequest::drc(JOIN_QUERY).variant(variant);
+            let sol = session.explain_collect(req).unwrap();
+            assert!(!sol.instances.is_empty());
+            assert_eq!(sol.stats.resident_batches, 0, "{variant} has one root");
+        }
+        assert!(pool().is_none(), "no run fanned out");
+        let two_trees = "{ (x1) | exists b1, p1 (Serves(x1, b1, p1) and (p1 > 3.0 or p1 < 1.0)) }";
+        let req = || ExplainRequest::drc(two_trees).variant(Variant::ConjEO);
+        let sol = session.explain_collect(req()).unwrap();
+        assert!(sol.stats.resident_batches > 0, "two trees fan out");
+        let spawned = pool().expect("the fan-out spawned the pool");
+        let sol = session.explain(req()).unwrap().collect();
+        assert!(sol.stats.resident_batches > 0);
+        let sol = session
+            .explain_collect(ExplainRequest::drc(JOIN_QUERY))
+            .unwrap();
+        assert_eq!(sol.stats.resident_batches, 0);
+        assert!(Arc::ptr_eq(&spawned, &pool().unwrap()), "spawned once");
+    }
 }

@@ -8,9 +8,16 @@ use crate::cinstance::CInstance;
 use crate::consistency::consistent_model;
 use crate::ground::GroundInstance;
 
-/// Produces one ground instance `μ(I) ∈ PWD(I)` by solving the global
-/// condition and filling unconstrained (don't-care) nulls with distinct
-/// fresh constants. Returns `None` when the instance is inconsistent.
+/// Produces one ground instance `μ(I) ∈ PWD(I)` from the solver's model of
+/// the global condition. That model assigns every null: a null no
+/// condition constrains (a don't-care, say) takes its type's default,
+/// `'a'` for text and the order engine's base floor for numbers, so all
+/// such nulls of one type ground to one value and rows that differ only
+/// in them collapse into one (`Serves('a', 'a', 1)`). [`Model::complete`]
+/// fills only what a model leaves unassigned. Returns `None` when the
+/// instance is inconsistent.
+///
+/// [`Model::complete`]: cqi_solver::Model::complete
 pub fn ground_instance(inst: &CInstance, enforce_keys: bool) -> Option<GroundInstance> {
     let mut model = consistent_model(inst, enforce_keys)?;
     model.complete(&inst.null_types());

@@ -3,13 +3,23 @@
 //! come from negated relational atoms and key constraints), so plain
 //! chronological backtracking with theory-level pruning suffices.
 
+use cqi_schema::DomainType;
+
 use crate::cond::{Lit, Problem};
 use crate::model::Model;
 use crate::theory::check_conj;
 use crate::Outcome;
 
+/// A theory check: decides one branch's conjunction.
+pub(crate) type ConjCheck = fn(&[DomainType], &[Lit]) -> Option<Model>;
+
 /// Decides `problem` and returns a verified model when satisfiable.
 pub fn solve(problem: &Problem) -> Outcome {
+    solve_with(problem, check_conj)
+}
+
+/// [`solve`] with `check` deciding the conjunction at every search node.
+pub(crate) fn solve_with(problem: &Problem, check: ConjCheck) -> Outcome {
     let mut conj = problem.conj.clone();
     // Drop clauses already satisfied by a conjunct (cheap subsumption).
     let clauses: Vec<&[Lit]> = problem
@@ -18,7 +28,7 @@ pub fn solve(problem: &Problem) -> Outcome {
         .filter(|c| !c.iter().any(|l| conj.contains(l)))
         .map(|c| c.as_slice())
         .collect();
-    match search(&problem.null_types, &mut conj, &clauses, 0) {
+    match search(check, &problem.null_types, &mut conj, &clauses, 0) {
         Some(model) => {
             debug_assert!(
                 model.verify(&problem.conj, &problem.clauses),
@@ -31,13 +41,14 @@ pub fn solve(problem: &Problem) -> Outcome {
 }
 
 fn search(
-    types: &[cqi_schema::DomainType],
+    check: ConjCheck,
+    types: &[DomainType],
     conj: &mut Vec<Lit>,
     clauses: &[&[Lit]],
     idx: usize,
 ) -> Option<Model> {
     // Theory-level pruning at every node.
-    let model = check_conj(types, conj)?;
+    let model = check(types, conj)?;
     if idx == clauses.len() {
         return Some(model);
     }
@@ -54,7 +65,7 @@ fn search(
         };
         for lit in order {
             conj.push(lit.clone());
-            if let Some(m) = search(types, conj, clauses, idx + 1) {
+            if let Some(m) = search(check, types, conj, clauses, idx + 1) {
                 conj.pop();
                 return Some(m);
             }
@@ -64,7 +75,7 @@ fn search(
     }
     for lit in clauses[idx] {
         conj.push(lit.clone());
-        if let Some(m) = search(types, conj, clauses, idx + 1) {
+        if let Some(m) = search(check, types, conj, clauses, idx + 1) {
             conj.pop();
             return Some(m);
         }
@@ -78,7 +89,7 @@ mod tests {
     use super::*;
     use crate::cond::SolverOp;
     use crate::ent::NullId;
-    use cqi_schema::{DomainType, Value};
+    use cqi_schema::Value;
 
     fn n(i: u32) -> NullId {
         NullId(i)

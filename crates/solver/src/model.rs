@@ -7,10 +7,14 @@ use crate::cond::{Clause, Lit};
 use crate::ent::{Ent, NullId};
 use crate::nfa::like_match;
 
-/// An assignment of constants to (a subset of) the labeled nulls. Nulls not
-/// mentioned by any constraint remain `None`; [`Model::complete`] fills them
-/// with distinct defaults for grounding.
-#[derive(Clone, Debug, Default)]
+/// An assignment of constants to the labeled nulls. A model the solver
+/// returns assigns every null of its problem: a null no literal of the
+/// decided conjunction mentions gets what the theory engines give a class
+/// no constraint touches, `'a'` for text and the order engine's base floor
+/// for numbers, so all such nulls of one type share one value. A model
+/// built by hand ([`Model::set`]) may leave nulls unassigned;
+/// [`Model::complete`] fills those.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Model {
     values: Vec<Option<Value>>,
 }
@@ -72,8 +76,10 @@ impl Model {
     // iterator over `self.assign` would hide that correspondence.
     #[allow(clippy::needless_range_loop)]
     /// Fills unassigned nulls with pairwise-distinct default constants of
-    /// the right type, leaving assigned nulls untouched. Distinctness keeps
-    /// grounded instances from accidentally collapsing tuples.
+    /// the right type, leaving assigned nulls untouched. A solver model
+    /// assigns every null of its problem, so on one this fills only nulls
+    /// beyond the problem's (when `types` is longer), and the solver's
+    /// shared defaults stay as they are.
     pub fn complete(&mut self, types: &[DomainType]) {
         if self.values.len() < types.len() {
             self.values.resize(types.len(), None);

@@ -79,6 +79,11 @@ pub struct OrderProblem {
     pub edges: Vec<OrderEdge>,
     /// Pairs that must receive different values.
     pub neqs: Vec<(usize, usize)>,
+    /// Further numeric classes that no constraint touches, left out of the
+    /// system. Each would sit at [`OrderProblem::base`]; the count still
+    /// enters the base floor and the integer-tightening cap, which count
+    /// every class.
+    pub untouched: usize,
 }
 
 impl OrderProblem {
@@ -89,7 +94,30 @@ impl OrderProblem {
             pinned: vec![None; n],
             edges: Vec::new(),
             neqs: Vec::new(),
+            untouched: 0,
         }
+    }
+
+    /// The floor every unpinned class starts from. With pinned constants it
+    /// must sit safely below every feasible value; without them any base
+    /// works, and a positive one makes grounded examples friendlier to
+    /// read.
+    pub fn base(&self) -> f64 {
+        if self.pinned.iter().all(Option::is_none) {
+            1.0
+        } else {
+            let min_pinned = self
+                .pinned
+                .iter()
+                .flatten()
+                .fold(0.0f64, |acc, v| acc.min(*v));
+            min_pinned.floor() - (self.classes() as f64) - 2.0
+        }
+    }
+
+    /// Every numeric class, the untouched ones included.
+    fn classes(&self) -> usize {
+        self.n + self.untouched
     }
 
     pub fn le(&mut self, from: usize, to: usize) {
@@ -291,15 +319,7 @@ impl<'a> RelaxGraph<'a> {
 /// Longest-path candidate assignment followed by integer tightening.
 fn candidate(p: &OrderProblem, csr: &OrderCsr) -> Option<Vec<f64>> {
     let n = p.n;
-    // With pinned constants the base must sit safely below every feasible
-    // value; without them any base works, and a positive one makes
-    // grounded examples friendlier to read.
-    let base = if p.pinned.iter().all(Option::is_none) {
-        1.0
-    } else {
-        let min_pinned = p.pinned.iter().flatten().fold(0.0f64, |acc, v| acc.min(*v));
-        min_pinned.floor() - (n as f64) - 2.0
-    };
+    let base = p.base();
 
     let g = RelaxGraph::new(p, csr);
 
@@ -319,7 +339,7 @@ fn candidate(p: &OrderProblem, csr: &OrderCsr) -> Option<Vec<f64>> {
     // integer classes the tightening scan never indexes this.
     let any_int = p.int_class.iter().any(|b| *b);
     let mut int_lb: Vec<Option<f64>> = vec![None; if any_int { n } else { 0 }];
-    let cap = 100 + 10 * n;
+    let cap = 100 + 10 * p.classes();
     for _round in 0..cap {
         // Integer tightening: raise any integer class whose lower bound is
         // not attainable by an integer.
@@ -612,5 +632,31 @@ mod tests {
         assert!(v[0] < v[1] && v[1] < v[2]);
         assert_eq!(v[0].fract(), 0.0);
         assert_eq!(v[2].fract(), 0.0);
+    }
+
+    #[test]
+    fn base_counts_untouched_classes() {
+        // The base floor sits below the smallest pin by one per class,
+        // the untouched ones included; without pins it is 1.
+        let mut p = OrderProblem::new(2);
+        p.pinned[0] = Some(-1.5);
+        assert_eq!(p.base(), -2.0 - 2.0 - 2.0);
+        p.untouched = 3;
+        assert_eq!(p.base(), -2.0 - 5.0 - 2.0);
+        let mut q = OrderProblem::new(1);
+        q.untouched = 4;
+        assert_eq!(q.base(), 1.0);
+        // The count stands in for isolated classes: the same system with
+        // three of them built in solves to the same values, and they sit
+        // at the base.
+        p.int_class[1] = true;
+        p.lt(0, 1);
+        let mut built = OrderProblem::new(5);
+        built.pinned[0] = Some(-1.5);
+        built.int_class[1] = true;
+        built.lt(0, 1);
+        let v = solve_order(&built).unwrap();
+        assert_eq!(solve_order(&p).unwrap(), v[..2]);
+        assert_eq!(v[2..], [p.base(); 3]);
     }
 }

@@ -4,9 +4,14 @@
 //! [`check_conj`] *asserts* the literals one by one into a saturation
 //! state (interning nodes, unioning equalities, accumulating
 //! order/disequality/LIKE constraints), then runs the class-level analysis
-//! over everything asserted, once and cold.
+//! over everything asserted, once and cold. Only the nulls the literals
+//! mention become nodes. Every other null is a class no constraint
+//! touches, and it gets the value the engines give such a class: the text
+//! engine's first plain candidate, or the order engine's base floor, which
+//! counts those classes ([`OrderProblem::untouched`]).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use cqi_schema::{DomainType, Value};
 
@@ -31,14 +36,26 @@ fn kind_of_type(t: DomainType) -> Kind {
     }
 }
 
+/// The node-map entry of a null that is not a node.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// What the text engine gives a class no constraint touches: its first
+/// plain candidate, interned once.
+fn untouched_text() -> Value {
+    static FIRST: OnceLock<Value> = OnceLock::new();
+    FIRST.get_or_init(|| Value::str("a")).clone()
+}
+
 /// Saturated conjunction state: interned nodes (nulls and constants), a
 /// union-find over asserted equalities, and the accumulated order edges,
 /// disequalities, and LIKE constraints.
 #[derive(Debug)]
-struct Saturation {
-    /// Domain type per labeled null; null `i` is node `i` (constants are
-    /// appended after the nulls).
-    types: Vec<DomainType>,
+struct Saturation<'a> {
+    /// Domain type per labeled null.
+    types: &'a [DomainType],
+    /// `node_of[n]` is null `n`'s node, or [`UNTOUCHED`]. Null nodes come
+    /// first; constants are appended after them.
+    node_of: &'a [u32],
     /// Constant interning table. The first few constants live in a linear
     /// vector: typical chase conjunctions carry a handful of constants, and
     /// keeping them inline means a check never allocates a hash table.
@@ -56,16 +73,25 @@ struct Saturation {
     likes: Vec<(usize, bool, String)>,
 }
 
-impl Saturation {
-    fn new(types: &[DomainType]) -> Saturation {
-        let n = types.len();
+impl<'a> Saturation<'a> {
+    fn new(types: &'a [DomainType], node_of: &'a [u32]) -> Saturation<'a> {
+        let n = node_of.iter().filter(|&&node| node != UNTOUCHED).count();
+        let mut node_kind = vec![Kind::Num; n];
+        let mut node_int = vec![false; n];
+        for (t, &node) in types.iter().zip(node_of) {
+            if node != UNTOUCHED {
+                node_kind[node as usize] = kind_of_type(*t);
+                node_int[node as usize] = *t == DomainType::Int;
+            }
+        }
         Saturation {
-            types: types.to_vec(),
+            types,
+            node_of,
             const_small: Vec::new(),
             const_nodes: HashMap::new(),
             node_const: vec![None; n],
-            node_kind: types.iter().map(|t| kind_of_type(*t)).collect(),
-            node_int: types.iter().map(|t| *t == DomainType::Int).collect(),
+            node_kind,
+            node_int,
             uf: UnionFind::new(n),
             lt_edges: Vec::new(),
             neqs: Vec::new(),
@@ -75,7 +101,11 @@ impl Saturation {
 
     fn intern(&mut self, e: &Ent) -> usize {
         match e {
-            Ent::Null(id) => id.index(),
+            Ent::Null(id) => {
+                let node = self.node_of[id.index()];
+                debug_assert_ne!(node, UNTOUCHED, "{id:?} is mentioned but not a node");
+                node as usize
+            }
             Ent::Const(v) => {
                 if let Some((_, idx)) = self.const_small.iter().find(|(c, _)| c == v) {
                     return *idx;
@@ -210,6 +240,12 @@ impl Saturation {
         }
 
         let mut op_num = OrderProblem::new(num_classes_list.len());
+        op_num.untouched = self
+            .types
+            .iter()
+            .zip(self.node_of)
+            .filter(|&(t, &node)| node == UNTOUCHED && kind_of_type(*t) == Kind::Num)
+            .count();
         for (i, &c) in num_classes_list.iter().enumerate() {
             op_num.int_class[i] = class_int[c];
             op_num.pinned[i] = class_pin[c].as_ref().and_then(|v| v.as_f64());
@@ -274,26 +310,35 @@ impl Saturation {
         let num_vals = solve_order_untraced(&op_num)?;
         let text_vals = solve_text(&op_text)?;
 
-        // Assemble the per-null model.
-        let n = self.types.len();
-        let mut values: Vec<Option<Value>> = vec![None; n];
-        for null in 0..n {
-            let c = class_of[null];
-            let v = if let Some(i) = num_idx[c] {
-                let x = num_vals[i];
-                if self.types[null] == DomainType::Int {
-                    Value::Int(x as i64)
-                } else {
-                    Value::real(x)
+        // Assemble the per-null model; text values are interned once per
+        // class.
+        let base = op_num.base();
+        let text_vals: Vec<Value> = text_vals.iter().map(Value::str).collect();
+        let values = self
+            .types
+            .iter()
+            .zip(self.node_of)
+            .map(|(&t, &node)| {
+                let num = |x: f64| {
+                    if t == DomainType::Int {
+                        Value::Int(x as i64)
+                    } else {
+                        Value::real(x)
+                    }
+                };
+                if node == UNTOUCHED {
+                    return Some(match kind_of_type(t) {
+                        Kind::Num => num(base),
+                        Kind::Text => untouched_text(),
+                    });
                 }
-            } else if let Some(i) = text_idx[c] {
-                Value::str(&text_vals[i])
-            } else {
-                continue;
-            };
-            values[null] = Some(v);
-        }
-
+                let c = class_of[node as usize];
+                match num_idx[c] {
+                    Some(i) => Some(num(num_vals[i])),
+                    None => text_idx[c].map(|i| text_vals[i].clone()),
+                }
+            })
+            .collect();
         Some(Model::new(values))
     }
 }
@@ -302,10 +347,35 @@ impl Saturation {
 ///
 /// `types[n]` gives each null's domain type. Type-mismatched comparisons
 /// (number vs text) are unsatisfiable rather than errors: they can arise
-/// transiently inside DPLL branches.
+/// transiently inside DPLL branches. Only the nulls `lits` mention are
+/// built into the analysis, numbered in null order; every null gets a
+/// value, the ones no literal mentions included.
 pub fn check_conj(types: &[DomainType], lits: &[Lit]) -> Option<Model> {
     let _s = cqi_obs::trace::span("check_conj", "solver");
-    let mut sat = Saturation::new(types);
+    let mut node_of = vec![UNTOUCHED; types.len()];
+    for null in lits.iter().flat_map(Lit::nulls) {
+        node_of[null.index()] = 0;
+    }
+    for (next, node) in node_of
+        .iter_mut()
+        .filter(|node| **node != UNTOUCHED)
+        .enumerate()
+    {
+        *node = next as u32;
+    }
+    check_conj_with(types, lits, &node_of)
+}
+
+/// [`check_conj`] over an explicit null→node map: `node_of[n]` is null
+/// `n`'s node (nodes `0..k`, one per mapped null), or `u32::MAX` for a null
+/// that is not a node. Every mentioned null must be mapped; mapping every
+/// null to itself builds each one into the analysis.
+pub(crate) fn check_conj_with(
+    types: &[DomainType],
+    lits: &[Lit],
+    node_of: &[u32],
+) -> Option<Model> {
+    let mut sat = Saturation::new(types, node_of);
     for lit in lits {
         if !sat.assert_lit(lit) {
             return None;
@@ -317,7 +387,12 @@ pub fn check_conj(types: &[DomainType], lits: &[Lit]) -> Option<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cond::Problem;
     use crate::ent::NullId;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn nulls(spec: &[DomainType]) -> Vec<DomainType> {
         spec.to_vec()
@@ -478,5 +553,140 @@ mod tests {
             Value::Int(d) => assert!((19930701..19931001).contains(d)),
             other => panic!("expected int, got {other}"),
         }
+    }
+
+    /// [`check_conj`] with every null a node, the reference the property
+    /// compares against.
+    fn every_null_a_node(types: &[DomainType], lits: &[Lit]) -> Option<Model> {
+        let identity: Vec<u32> = (0..types.len() as u32).collect();
+        check_conj_with(types, lits, &identity)
+    }
+
+    /// Equal models, compared by value (`Int(1)` is not `Real(1.0)`) and by
+    /// text (`-0` is not `0`).
+    fn same(a: &Option<Model>, b: &Option<Model>) -> bool {
+        a == b && format!("{a:?}") == format!("{b:?}")
+    }
+
+    const TYPES: [DomainType; 3] = [DomainType::Int, DomainType::Real, DomainType::Text];
+
+    fn random_ent(rng: &mut StdRng, types: &[DomainType], pool: &[u32], want: DomainType) -> Ent {
+        let of_type: Vec<u32> = pool
+            .iter()
+            .copied()
+            .filter(|&i| types[i as usize] == want)
+            .collect();
+        if !of_type.is_empty() && rng.gen_bool(0.7) {
+            return Ent::Null(NullId(of_type[rng.gen_range(0..of_type.len())]));
+        }
+        Ent::Const(match want {
+            DomainType::Int => Value::Int(rng.gen_range(-3..6)),
+            DomainType::Real => Value::real(rng.gen_range(-3..6) as f64 / 2.0),
+            DomainType::Text => Value::str(["a", "b", "aa", "Eve E", "s0"][rng.gen_range(0..5)]),
+        })
+    }
+
+    /// A literal over the nulls of `pool` and constants; comparisons may
+    /// mix `Int` and `Real`, and one in twenty compares text with a number.
+    fn random_lit(rng: &mut StdRng, types: &[DomainType], pool: &[u32]) -> Lit {
+        let want = TYPES[rng.gen_range(0..3)];
+        if want == DomainType::Text && rng.gen_bool(0.3) {
+            let ent = random_ent(rng, types, pool, want);
+            let pattern = ["Eve%", "Eve %", "a%", "_"][rng.gen_range(0..4)];
+            return if rng.gen() {
+                Lit::like(ent, pattern)
+            } else {
+                Lit::not_like(ent, pattern)
+            };
+        }
+        let other = match want {
+            _ if rng.gen_bool(0.05) => TYPES[rng.gen_range(0..3)],
+            DomainType::Text => DomainType::Text,
+            _ if rng.gen() => DomainType::Int,
+            _ => DomainType::Real,
+        };
+        let ops = [
+            SolverOp::Lt,
+            SolverOp::Le,
+            SolverOp::Gt,
+            SolverOp::Ge,
+            SolverOp::Eq,
+            SolverOp::Ne,
+        ];
+        Lit::Cmp {
+            lhs: random_ent(rng, types, pool, want),
+            op: ops[rng.gen_range(0..ops.len())],
+            rhs: random_ent(rng, types, pool, other),
+        }
+    }
+
+    /// A problem over 1–16 mixed-type nulls whose conjuncts and clauses
+    /// draw their nulls from a random subset, the ids permuted so that
+    /// mentioned and unmentioned nulls interleave.
+    fn random_problem(seed: u64) -> Problem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..17usize);
+        let types: Vec<DomainType> = (0..n).map(|_| TYPES[rng.gen_range(0..3)]).collect();
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(&mut rng);
+        let pool = &ids[..rng.gen_range(0..n + 1)];
+        let mut p = Problem::new(types);
+        for _ in 0..rng.gen_range(0..9usize) {
+            p.assert(random_lit(&mut rng, &p.null_types, pool));
+        }
+        for _ in 0..rng.gen_range(0..4usize) {
+            let clause = (0..rng.gen_range(1..4usize))
+                .map(|_| random_lit(&mut rng, &p.null_types, pool))
+                .collect();
+            p.assert_clause(clause);
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Building only the mentioned nulls changes no answer: the theory
+        /// check and DPLL over it return the model they return with every
+        /// null a node, value for value, the unmentioned nulls' included.
+        #[test]
+        fn mentioned_nulls_only_keeps_every_model(seed in any::<u64>()) {
+            let p = random_problem(seed);
+            let (conj, every) = (
+                check_conj(&p.null_types, &p.conj),
+                every_null_a_node(&p.null_types, &p.conj),
+            );
+            prop_assert!(same(&conj, &every), "{:?}: {:?} vs {:?}", p, conj, every);
+            let (dpll, every) = (
+                crate::dpll::solve(&p).model(),
+                crate::dpll::solve_with(&p, every_null_a_node).model(),
+            );
+            prop_assert!(same(&dpll, &every), "{:?}: {:?} vs {:?}", p, dpll, every);
+        }
+    }
+
+    #[test]
+    fn unmentioned_nulls_get_the_engines_defaults() {
+        // n1 and n3 are mentioned; n0 (text), n2 (int) and n4 (real) are
+        // not. The pin at 2 puts the order engine's base floor at
+        // 0 - (2 + 2) - 2 = -6: two numeric classes in the system, two
+        // untouched.
+        let types = nulls(&[
+            DomainType::Text,
+            DomainType::Int,
+            DomainType::Int,
+            DomainType::Text,
+            DomainType::Real,
+        ]);
+        let lits = vec![
+            Lit::cmp(n(1), SolverOp::Gt, Value::Int(2)),
+            Lit::like(n(3), "Eve%"),
+        ];
+        let m = check_conj(&types, &lits).unwrap();
+        assert_eq!(m.get(n(0)), Some(&Value::str("a")));
+        assert_eq!(m.get(n(2)), Some(&Value::Int(-6)));
+        assert_eq!(m.get(n(4)), Some(&Value::real(-6.0)));
+        assert_eq!(m.get(n(1)), Some(&Value::Int(3)));
+        assert!(same(&Some(m), &every_null_a_node(&types, &lits)));
     }
 }

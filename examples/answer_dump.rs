@@ -4,10 +4,13 @@
 //! The benchmark compares answers only between passes of one build, and
 //! only through the minimal c-solutions. This prints, for each request, a
 //! label, `raw_accepted` (instances accepted before minimization), whether
-//! the run was interrupted, and every minimal instance with its coverage.
-//! Run it on two builds and compare the outputs with `cmp`; `diff` then
-//! names the requests that moved. The requests, one `Session` per dataset
-//! and limit, none with a deadline:
+//! the run was interrupted, and every minimal instance with its coverage
+//! and its grounding (`ground_instance` under the request's `enforce_keys`,
+//! one row per line), so the comparison also covers the solver's model
+//! values, which the grounding oracle checks. Run it on two builds and
+//! compare the outputs with `cmp`; `diff` then names the requests that
+//! moved. The requests, one `Session` per dataset and limit, none with a
+//! deadline:
 //!
 //! * every Beers query × the 6 variants at limits 8 and 10, keys on,
 //!   through the batch path (`Session::explain_collect`);
@@ -23,6 +26,7 @@ use std::io::{self, BufWriter, Write};
 use std::sync::Arc;
 
 use cqi::drc::QueryError;
+use cqi::instance::ground_instance;
 use cqi::prelude::*;
 use cqi_datasets::{beers_queries, tpch_queries, DatasetQuery};
 use cqi_fuzz::{case_seed, gen_case, GenKnobs};
@@ -40,10 +44,25 @@ fn streamed(session: &Session, req: ExplainRequest<'_>) -> Result<CSolution, Que
     Ok(stream.collect())
 }
 
+/// Prints one minimal instance's grounding, a row per line, or `none`
+/// when it does not ground.
+fn dump_grounding(out: &mut impl Write, inst: &CInstance, keys: bool) -> io::Result<()> {
+    let Some(g) = ground_instance(inst, keys) else {
+        return writeln!(out, "-- grounding none");
+    };
+    writeln!(out, "-- grounding")?;
+    for (rel, row) in g.all_tuples() {
+        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        writeln!(out, "{}({})", g.schema.relation(rel).name, cells.join(", "))?;
+    }
+    Ok(())
+}
+
 fn dump(
     out: &mut impl Write,
     label: &str,
     session: &Session,
+    keys: bool,
     explain: Explain,
     req: ExplainRequest<'_>,
 ) -> io::Result<()> {
@@ -57,6 +76,7 @@ fn dump(
             for si in &sol.instances {
                 writeln!(out, "-- coverage {:?}", si.coverage)?;
                 write!(out, "{}", si.inst)?;
+                dump_grounding(out, &si.inst, keys)?;
             }
         }
         Err(e) => writeln!(out, "== {label}: error {e:?}")?,
@@ -72,7 +92,7 @@ fn dataset(
     explain: Explain,
 ) -> io::Result<()> {
     let schema = Arc::clone(&queries[0].query.schema);
-    let limit = cfg.limit;
+    let (limit, keys) = (cfg.limit, cfg.enforce_keys);
     let session = Session::new(schema).config(cfg);
     for dq in queries {
         let tree = SyntaxTree::new(dq.query.clone());
@@ -82,6 +102,7 @@ fn dataset(
                 out,
                 &label,
                 &session,
+                keys,
                 explain,
                 ExplainRequest::tree(&tree).variant(v),
             )?;
@@ -112,12 +133,15 @@ fn main() -> io::Result<()> {
                 continue;
             }
         };
-        let session = Session::new(schema).config(ChaseConfig::with_limit(4));
+        let cfg = ChaseConfig::with_limit(4);
+        let keys = cfg.enforce_keys;
+        let session = Session::new(schema).config(cfg);
         let tree = SyntaxTree::new(query);
         dump(
             &mut out,
             &label,
             &session,
+            keys,
             streamed,
             ExplainRequest::tree(&tree).variant(v),
         )?;
